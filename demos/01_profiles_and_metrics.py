@@ -13,7 +13,6 @@ from fibrelab import (
     WarpedTorusGeometry,
     WaveguideGeometry,
     density_potential,
-    fiber_volume,
     metric_sample,
 )
 
@@ -30,8 +29,8 @@ for eps in (0.5, 0.1):
     m = metric_sample(torus, eps, 0.0, 0.0)
     print(f"eps={eps}: g^ss={m.g_ss_inv:.4f}  g^tt={m.g_ff_inv:.4f}  "
           f"sqrt(det)={m.sqrt_det:.4f}")
-print(f"fibre volume at s=0:    {fiber_volume(torus, 0.0):.6f}")
-print(f"fibre volume at s=pi:   {fiber_volume(torus, np.pi):.6f}")
+print(f"fibre volume at s=0:    {torus.fiber_volume(0.0):.6f}")
+print(f"fibre volume at s=pi:   {torus.fiber_volume(np.pi):.6f}")
 print(f"base effective potential at s=0: {torus.effective_potential(0.0):.6f} "
       "(= -0.15 exactly)")
 

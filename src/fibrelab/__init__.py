@@ -34,14 +34,11 @@ from .errors import (
     TubeDegenerate,
 )
 from .geometry import (
-    Epsilon,
     MetricSample,
     PeriodicProfile,
     WarpedTorusGeometry,
     WaveguideGeometry,
-    fiber_volume,
     metric_sample,
-    profile_eval,
 )
 from .nodal import (
     FiberLines,

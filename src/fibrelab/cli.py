@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .eigensolve import SolveConfig, smallest_eigenpairs
 from .errors import ConfigError, FactorizationFailed, FibrelabError, NoConvergence
+from .geometry import as_epsilon
 from .nodal import extract_nodal_set, field_from_operator, nodal_set_to_csv
 from .operators import assemble_full, write_coordinate_triplets
 from .study import emit_report, load_config, run_study, self_check
@@ -32,6 +33,13 @@ def _read_config(path: str):
     return load_config(raw)
 
 
+def _check_epsilon(eps: float) -> None:
+    try:
+        as_epsilon(eps)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _cmd_study(args) -> int:
     cfg = _read_config(args.config)
     report = run_study(cfg)
@@ -49,6 +57,9 @@ def _cmd_study(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    _check_epsilon(args.epsilon)
+    if args.k < 1:
+        raise ConfigError(f"--k must be at least 1, got {args.k}")
     cfg = _read_config(args.config)
     op = assemble_full(cfg.geometry, args.epsilon, cfg.grid)
     solve_cfg = SolveConfig(
@@ -68,6 +79,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_nodal(args) -> int:
+    _check_epsilon(args.epsilon)
+    if args.mode < 0:
+        raise ConfigError(f"--mode must be nonnegative, got {args.mode}")
     cfg = _read_config(args.config)
     op = assemble_full(cfg.geometry, args.epsilon, cfg.grid)
     k = max(args.mode + 2, cfg.solver.k)

@@ -24,6 +24,7 @@ from .geometry import BundleGeometry, WarpedTorusGeometry, WaveguideGeometry, as
 from .nodal import (
     FiberLines,
     NodalReport,
+    _circle_dist,
     boundary_trace_components,
     count_nodal_domains,
     extract_nodal_set,
@@ -268,10 +269,8 @@ def measure_discrepancy(op: DiscreteOperator, full: EigenPairSet, pred: Predicti
             tube_radius = 4.0 * fld.h_s
         graph = graph_over_fiber_check(nodal_set, pred.zeros, tube_radius)
         if len(nodal_set.segments) and zeros_s:
-            zz = np.asarray(zeros_s)
             seg_s = nodal_set.segments[:, :, 0].ravel()
-            d = np.abs(seg_s[:, None] - zz[None, :]) % geom.period
-            d = np.minimum(d, geom.period - d)
+            d = _circle_dist(seg_s[:, None], np.asarray(zeros_s)[None, :], geom.period)
             emp_c = float(d.min(axis=1).max() / eps)
 
     report = NodalReport(

@@ -54,7 +54,6 @@ class EigenPairSet:
     values: np.ndarray
     vectors: np.ndarray  # (dim, k), column i pairs with values[i]
     residuals: np.ndarray
-    iterations: int = 0  # not reported by the ARPACK backend; kept for the interface
 
 
 def _residuals(op: DiscreteOperator, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:

@@ -27,11 +27,8 @@ __all__ = [
     "WarpedTorusGeometry",
     "WaveguideGeometry",
     "BundleGeometry",
-    "Epsilon",
     "MetricSample",
-    "profile_eval",
     "metric_sample",
-    "fiber_volume",
     "as_epsilon",
 ]
 
@@ -78,8 +75,6 @@ class PeriodicProfile:
             return float(out)
         return out
 
-    __call__ = eval
-
     @property
     def mode_sum(self) -> float:
         return float(sum(abs(a) for a in self.cos_amps) + sum(abs(a) for a in self.sin_amps))
@@ -95,27 +90,8 @@ class PeriodicProfile:
         return self.constant - self.mode_sum
 
 
-def profile_eval(profile: PeriodicProfile, s, deriv_order: int = 0):
-    """Evaluate a profile derivative; see :meth:`PeriodicProfile.eval`."""
-    return profile.eval(s, deriv_order)
-
-
-@dataclass(frozen=True)
-class Epsilon:
-    """Separation parameter of the thin-fibre family, in (0, 1)."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.value < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.value}")
-
-    def __float__(self) -> float:
-        return self.value
-
-
 def as_epsilon(eps) -> float:
-    """Coerce a float or :class:`Epsilon` to a validated float."""
+    """Separation parameter of the thin-fibre family as a float in (0, 1)."""
     value = float(eps)
     if not 0.0 < value < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {value}")
@@ -188,6 +164,7 @@ class WarpedTorusGeometry:
         raise ValueError("log-warp derivatives supported up to order 2")
 
     def fiber_volume(self, s):
+        """Fibre volume with respect to the fibre metric."""
         return self.fiber_length * self.warp_value(s)
 
     def effective_potential(self, s):
@@ -284,8 +261,3 @@ def metric_sample(geom: BundleGeometry, eps, s: float, v: float) -> MetricSample
     if rho <= 0.0:
         raise TubeDegenerate(f"density 1 - eps*u*kappa = {rho:.6g} <= 0 at s={s}, u={v}")
     return MetricSample(g_ss_inv=(eps / rho) ** 2, g_ff_inv=1.0, sqrt_det=rho / eps)
-
-
-def fiber_volume(geom: BundleGeometry, s):
-    """Fibre volume with respect to the fibre metric."""
-    return geom.fiber_volume(s)

@@ -1,12 +1,13 @@
 """Nodal sets and nodal domains of discrete eigenfunctions.
 
-Zero level sets are extracted cell by cell with marching squares and
-linear interpolation along sign-changing edges; endpoints are keyed by
-the grid edge that carries them, which makes shared endpoints exact and
-turns connectivity into union-find over edge keys.  On Dirichlet strips
-every chain reaching the outermost interior row is closed off to the
-wall, where the eigenfunction vanishes; wall contact points feed the
-boundary-trace count.
+Zero level sets are extracted with a 16-case marching-squares table over
+the whole grid and linear interpolation along sign-changing edges.  Each
+segment endpoint is the integer id of the grid edge that carries it, so
+shared endpoints are exact and connectivity is graph labelling over edge
+ids, the same :func:`scipy.sparse.csgraph.connected_components` labelling
+that counts nodal domains.  On Dirichlet strips every chain reaching the
+outermost interior row is closed off to the wall, where the eigenfunction
+vanishes; wall contact points feed the boundary-trace count.
 
 Hausdorff distances are measured in the eps-independent metric of the
 geometry: ``ds^2 + a(s)^2 dt^2`` on the torus and the flat chart metric
@@ -54,9 +55,6 @@ class ScalarField:
     h_f: float
     s_period: float
     periodic_f: bool
-    geometry: Optional[BundleGeometry] = None
-    f_min: float = 0.0
-    f_max: float = 0.0
 
     def __post_init__(self) -> None:
         if self.values.shape != (len(self.s_nodes), len(self.f_nodes)):
@@ -70,20 +68,14 @@ def field_from_operator(op: DiscreteOperator, vec: np.ndarray) -> ScalarField:
     geom, grid = op.geometry, op.grid
     s, h_s = base_nodes(geom, grid.n_s)
     f, _, h_f = fiber_nodes(geom, grid.n_f)
-    periodic_f = not isinstance(geom, WaveguideGeometry)
-    values = np.asarray(vec, dtype=float).reshape(grid.n_s, len(f))
-    f_min, f_max = (-1.0, 1.0) if not periodic_f else (0.0, geom.fiber_length)
     return ScalarField(
-        values=values,
+        values=np.asarray(vec, dtype=float).reshape(grid.n_s, len(f)),
         s_nodes=s,
         f_nodes=f,
         h_s=h_s,
         h_f=h_f,
         s_period=geom.period,
-        periodic_f=periodic_f,
-        geometry=geom,
-        f_min=f_min,
-        f_max=f_max,
+        periodic_f=not isinstance(geom, WaveguideGeometry),
     )
 
 
@@ -125,36 +117,49 @@ class NodalReport:
     zero_list: list[float]
 
 
-class UnionFind:
-    """Union-find with path halving over hashable keys."""
-
-    def __init__(self) -> None:
-        self.parent: dict = {}
-
-    def find(self, x):
-        p = self.parent.setdefault(x, x)
-        while p != x:
-            self.parent[x] = self.parent.setdefault(p, p)
-            x = self.parent[x]
-            p = self.parent.setdefault(x, x)
-        return x
-
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def _circle_dist(a, b, period: float):
     d = np.abs(np.asarray(a) - np.asarray(b)) % period
     return np.minimum(d, period - d)
 
 
-def extract_nodal_set(fld: ScalarField) -> NodalSet:
-    """Marching-squares zero set with union-find component labels.
+def _segment_table() -> np.ndarray:
+    """Edge slots joined by the segments of each marching-squares case.
 
-    Saddle cells are disambiguated by the sign of the cell-centre average.
-    Raises :class:`DegenerateField` when more than 1% of the nodes vanish
+    Corners a=(i, j), b=(i+1, j), c=(i+1, j+1), d=(i, j+1) of a cell give
+    case ``a + 2b + 4c + 8d`` of their signs; the edge slots are bottom
+    (a-b), right (b-c), top (d-c) and left (a-d).  A cell cut on two edges
+    joins them in that order.  The saddle cases 5 and 10 join the a-c
+    diagonal through the centre (segments bottom-right, top-left); row 16
+    is the other resolution.  Each row holds two segments, -1 when unused.
+    """
+    table = np.full((17, 2, 2), -1)
+    for case in range(16):
+        a, b, c, d = ((case >> k) & 1 for k in range(4))
+        cut = [slot for slot, crossed in enumerate((a != b, b != c, d != c, a != d)) if crossed]
+        if len(cut) == 2:
+            table[case, 0] = cut
+        elif len(cut) == 4:
+            table[case] = [[0, 1], [2, 3]]
+    table[16] = [[0, 3], [2, 1]]
+    return table
+
+
+_SEGMENT_TABLE = _segment_table()
+
+
+def _label_components(n_nodes: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Connected-component label of every node of the graph with edges a[k]-b[k]."""
+    graph = sp.coo_matrix((np.ones(len(a)), (a, b)), shape=(n_nodes, n_nodes))
+    return connected_components(graph, directed=False)[1]
+
+
+def extract_nodal_set(fld: ScalarField) -> NodalSet:
+    """Marching-squares zero set with connected-component labels.
+
+    Segments follow the cells in row-major order, a saddle cell's two in a
+    row, and components are numbered by first appearance.  Saddle cells
+    are disambiguated by the sign of the cell-centre average.  Raises
+    :class:`DegenerateField` when more than 1% of the nodes vanish
     exactly; callers resolve that with a half-cell grid offset.
     """
     v = fld.values
@@ -165,110 +170,70 @@ def extract_nodal_set(fld: ScalarField) -> NodalSet:
         raise DegenerateField("more than 1% of grid nodes are exactly zero")
 
     pos = v > 0.0
-    cell_rows = n_rows if fld.periodic_f else n_rows - 1
+    pos_a = pos.view(np.uint8)
+    pos_b = np.roll(pos_a, -1, axis=0)
+    case = pos_a + 2 * pos_b + 4 * np.roll(pos_b, -1, axis=1) + 8 * np.roll(pos_a, -1, axis=1)
+    if not fld.periodic_f:
+        case = case[:, :-1]  # no cell above the last interior row of a strip
+    i, j = np.nonzero((case != 0) & (case != 15))
+    if len(i) == 0:  # the zero set is empty, as for every ground state
+        return NodalSet(np.zeros((0, 2, 2)), np.zeros(0, dtype=int), 0, s_period=fld.s_period,
+                        h_s=fld.h_s, h_f=fld.h_f, n_rows=n_rows, periodic_f=fld.periodic_f)
+    i1, j1 = (i + 1) % n_s, (j + 1) % n_rows
+    key = case[i, j]
+    centre_pos = (v[i, j] + v[i1, j] + v[i1, j1] + v[i, j1]) > 0.0
+    key[((key == 5) | (key == 10)) & (centre_pos != pos[i, j])] = 16
 
-    crossings: dict[tuple, tuple[float, float]] = {}
+    # edge ids: s-edge (i, j)-(i+1, j) is i*n_rows + j, f-edge (i, j)-(i, j+1)
+    # is n_cells + i*n_rows + j; slots are bottom, right, top, left
+    n_cells = n_s * n_rows
+    slots = np.stack([i * n_rows + j, n_cells + i1 * n_rows + j,
+                      i * n_rows + j1, n_cells + i * n_rows + j], axis=1)
+    table = _SEGMENT_TABLE[key]
+    seg_edges = slots[np.arange(len(key))[:, None, None], table][table[:, :, 0] >= 0]
 
-    def crossing(key: tuple) -> tuple[float, float]:
-        if key not in crossings:
-            kind, i, j = key
-            if kind == "s":
-                v0, v1 = v[i, j], v[(i + 1) % n_s, j]
-                t = v0 / (v0 - v1)
-                crossings[key] = (fld.s_nodes[i] + t * fld.h_s, fld.f_nodes[j])
-            else:
-                v0, v1 = v[i, j], v[i, (j + 1) % n_rows]
-                t = v0 / (v0 - v1)
-                crossings[key] = (fld.s_nodes[i], fld.f_nodes[j] + t * fld.h_f)
-        return crossings[key]
+    edges, first, inv = np.unique(seg_edges.ravel(), return_index=True, return_inverse=True)
+    on_s = edges < n_cells
+    ei, ej = np.divmod(edges % n_cells, n_rows)
+    v0 = v[ei, ej]
+    t = v0 / (v0 - np.where(on_s, v[(ei + 1) % n_s, ej], v[ei, (ej + 1) % n_rows]))
+    s = np.where(on_s, fld.s_nodes[ei] + t * fld.h_s, fld.s_nodes[ei])
+    f = np.where(on_s, fld.f_nodes[ej], fld.f_nodes[ej] + t * fld.h_f)
+    seg_coords = np.stack([s, f], axis=1)[inv].reshape(-1, 2, 2)
+    # both endpoints live in one cell; unwrap across a periodic seam
+    periods = [fld.s_period] + ([fld.h_f * n_rows] if fld.periodic_f else [])
+    for axis, period in enumerate(periods):
+        d = seg_coords[:, 1, axis] - seg_coords[:, 0, axis]
+        wrap = np.abs(d) > 0.5 * period
+        seg_coords[wrap, 1, axis] -= np.copysign(period, d[wrap])
 
-    # Locate mixed-sign cells with array shifts, then resolve each one.
-    pa = pos
-    pb = np.roll(pos, -1, axis=0)
-    if fld.periodic_f:
-        pc = np.roll(pb, -1, axis=1)
-        pd = np.roll(pos, -1, axis=1)
-    else:
-        pc = pb[:, 1:]
-        pd = pos[:, 1:]
-        pa = pa[:, :-1]
-        pb = pb[:, :-1]
-    mixed = ~((pa == pb) & (pb == pc) & (pc == pd))
-    segments: list[tuple[tuple, tuple]] = []
-    for i, j in np.argwhere(mixed):
-        i, j = int(i), int(j)
-        jn = (j + 1) % n_rows
-        sa, sb, sc, sd = pos[i, j], pos[(i + 1) % n_s, j], pos[(i + 1) % n_s, jn], pos[i, jn]
-        bottom = ("s", i, j) if sa != sb else None
-        top = ("s", i, jn) if sd != sc else None
-        left = ("f", i, j) if sa != sd else None
-        right = ("f", (i + 1) % n_s, j) if sb != sc else None
-        edges = [e for e in (bottom, right, top, left) if e is not None]
-        if len(edges) == 2:
-            segments.append((edges[0], edges[1]))
-        elif len(edges) == 4:
-            center_pos = (v[i, j] + v[(i + 1) % n_s, j] + v[(i + 1) % n_s, jn] + v[i, jn]) > 0.0
-            if center_pos == sa:
-                # diagonal A-C joins through the centre; isolate B and D
-                segments.append((bottom, right))
-                segments.append((top, left))
-            else:
-                segments.append((bottom, left))
-                segments.append((top, right))
-
-    uf = UnionFind()
-    for e0, e1 in segments:
-        uf.union(e0, e1)
-
-    seg_coords = np.empty((len(segments), 2, 2))
-    labels = np.empty(len(segments), dtype=int)
-    roots: dict = {}
-    f_period = fld.h_f * n_rows if fld.periodic_f else None
-    for m, (e0, e1) in enumerate(segments):
-        p0 = crossing(e0)
-        p1 = list(crossing(e1))
-        # both endpoints live in one cell; unwrap across a periodic seam
-        if abs(p1[0] - p0[0]) > 0.5 * fld.s_period:
-            p1[0] -= np.copysign(fld.s_period, p1[0] - p0[0])
-        if f_period is not None and abs(p1[1] - p0[1]) > 0.5 * f_period:
-            p1[1] -= np.copysign(f_period, p1[1] - p0[1])
-        seg_coords[m, 0] = p0
-        seg_coords[m, 1] = p1
-        r = uf.find(e0)
-        labels[m] = roots.setdefault(r, len(roots))
+    comp = _label_components(len(edges), inv[0::2], inv[1::2])[inv[0::2]]
+    _, first_seg, comp_inv = np.unique(comp, return_index=True, return_inverse=True)
+    labels = np.argsort(np.argsort(first_seg))[comp_inv]
 
     wall_contacts: list[tuple[int, float]] = []
-    if not fld.periodic_f and segments:
-        extra_coords, extra_labels = [], []
-        seen: set = set()
-        for e0, e1 in segments:
-            for e in (e0, e1):
-                kind, i, j = e
-                if kind != "s" or e in seen:
-                    continue
-                if j == 0 or j == n_rows - 1:
-                    seen.add(e)
-                    s_pos, f_pos = crossings[e]
-                    wall = -1 if j == 0 else 1
-                    extra_coords.append(((s_pos, f_pos), (s_pos, float(wall))))
-                    extra_labels.append(roots[uf.find(e)])
-                    wall_contacts.append((wall, s_pos))
-        if extra_coords:
-            seg_coords = np.concatenate([seg_coords, np.asarray(extra_coords)], axis=0)
-            labels = np.concatenate([labels, np.asarray(extra_labels, dtype=int)])
+    if not fld.periodic_f:
+        at_wall = np.flatnonzero(on_s & ((ej == 0) | (ej == n_rows - 1)))
+        at_wall = at_wall[np.argsort(first[at_wall])]
+        wall = np.where(ej[at_wall] == 0, -1.0, 1.0)
+        s_wall = s[at_wall]
+        extra = np.stack([np.stack([s_wall, f[at_wall]], axis=1),
+                          np.stack([s_wall, wall], axis=1)], axis=1)
+        seg_coords = np.concatenate([seg_coords, extra])
+        labels = np.concatenate([labels, labels[first[at_wall] // 2]])
+        wall_contacts = [(int(w), float(x)) for w, x in zip(wall, s_wall)]
 
-    row_cross: dict[int, np.ndarray] = {}
-    for (kind, i, j), (s_pos, _) in crossings.items():
-        if kind == "s":
-            row_cross.setdefault(j, []).append(s_pos)
-    row_cross = {j: np.sort(np.asarray(ss)) for j, ss in row_cross.items()}
+    rows, ss = ej[on_s], s[on_s]
+    order = np.lexsort((ss, rows))
+    keys, starts = np.unique(rows[order], return_index=True)
+    row_crossings = dict(zip(keys.tolist(), np.split(ss[order], starts[1:])))
 
     return NodalSet(
         segments=seg_coords,
         component_labels=labels,
-        component_count=len(roots),
+        component_count=len(first_seg),
         wall_contacts=wall_contacts,
-        row_crossings=row_cross,
+        row_crossings=row_crossings,
         s_period=fld.s_period,
         h_s=fld.h_s,
         h_f=fld.h_f,
@@ -294,10 +259,8 @@ def count_nodal_domains(fld: ScalarField) -> int:
         up = (sign[:, :-1] != 0) & (sign[:, :-1] == sign[:, 1:])
         pairs.append((idx[:, :-1][up], idx[:, 1:][up]))
 
-    rows = np.concatenate([p[0] for p in pairs])
-    cols = np.concatenate([p[1] for p in pairs])
-    graph = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(v.size, v.size))
-    _, labels = connected_components(graph, directed=False)
+    labels = _label_components(v.size, np.concatenate([p[0] for p in pairs]),
+                               np.concatenate([p[1] for p in pairs]))
     return int(len(np.unique(labels[(sign != 0).ravel()])))
 
 
@@ -329,47 +292,22 @@ def zeros_of_base(values: np.ndarray, s_nodes: np.ndarray, period: float) -> lis
     return out
 
 
-def _sample_nodal(nodal: NodalSet, geom: BundleGeometry, spacing: float) -> np.ndarray:
-    if len(nodal.segments) == 0:
-        return np.zeros((0, 2))
-    stretch = 1.0
-    if isinstance(geom, WarpedTorusGeometry):
-        stretch = max(1.0, float(np.exp(geom.warp.max_abs_bound)) if geom.warp_is_exp
-                      else geom.warp.max_abs_bound)
-    pts = []
-    for p0, p1 in nodal.segments:
-        length = float(np.hypot(p1[0] - p0[0], stretch * (p1[1] - p0[1])))
-        n = max(2, int(np.ceil(length / spacing)) + 1)
-        t = np.linspace(0.0, 1.0, n)[:, None]
-        pts.append(p0[None, :] * (1.0 - t) + p1[None, :] * t)
-    return np.concatenate(pts, axis=0)
-
-
-def _sample_fibers(lines: FiberLines, geom: BundleGeometry, spacing: float) -> np.ndarray:
-    if len(lines.s_positions) == 0:
-        return np.zeros((0, 2))
-    if isinstance(geom, WaveguideGeometry):
-        f_lo, f_hi = -1.0, 1.0
-        stretch = 1.0
-    else:
-        f_lo, f_hi = 0.0, geom.fiber_length
-        stretch = max(1.0, float(np.exp(geom.warp.max_abs_bound)) if geom.warp_is_exp
-                      else geom.warp.max_abs_bound)
-    n = max(2, int(np.ceil((f_hi - f_lo) * stretch / spacing)) + 1)
-    f = np.linspace(f_lo, f_hi, n)
-    pts = [np.column_stack([np.full(n, s), f]) for s in lines.s_positions]
-    return np.concatenate(pts, axis=0)
-
-
-def _sample_set(obj, geom: BundleGeometry, spacing: float) -> np.ndarray:
-    if isinstance(obj, NodalSet):
-        return _sample_nodal(obj, geom, spacing)
+def _sample(obj: NodalSet | FiberLines, geom: BundleGeometry, stretch: float,
+            spacing: float) -> np.ndarray:
+    """Points along ``obj`` at most ``spacing`` apart; ``stretch`` bounds the fibre metric."""
+    pieces = [np.zeros((0, 2))]
     if isinstance(obj, FiberLines):
-        return _sample_fibers(obj, geom, spacing)
-    arr = np.asarray(obj, dtype=float)
-    if arr.ndim == 1:
-        return _sample_fibers(FiberLines(arr), geom, spacing)
-    return arr
+        f_lo, f_hi = (-1.0, 1.0) if isinstance(geom, WaveguideGeometry) else (0.0, geom.fiber_length)
+        n = max(2, int(np.ceil((f_hi - f_lo) * stretch / spacing)) + 1)
+        f = np.linspace(f_lo, f_hi, n)
+        pieces += [np.column_stack([np.full(n, s), f]) for s in obj.s_positions]
+    else:
+        for p0, p1 in obj.segments:
+            length = float(np.hypot(p1[0] - p0[0], stretch * (p1[1] - p0[1])))
+            n = max(2, int(np.ceil(length / spacing)) + 1)
+            t = np.linspace(0.0, 1.0, n)[:, None]
+            pieces.append(p0[None, :] * (1.0 - t) + p1[None, :] * t)
+    return np.concatenate(pieces, axis=0)
 
 
 def _directed_sup_inf(p: np.ndarray, q: np.ndarray, geom: BundleGeometry) -> float:
@@ -394,7 +332,8 @@ def _directed_sup_inf(p: np.ndarray, q: np.ndarray, geom: BundleGeometry) -> flo
     return worst
 
 
-def hausdorff_distance(set_a, set_b, geom: BundleGeometry, sampling: float) -> float:
+def hausdorff_distance(set_a: NodalSet | FiberLines, set_b: NodalSet | FiberLines,
+                       geom: BundleGeometry, sampling: float) -> float:
     """Symmetric sup-inf distance between two sampled sets.
 
     Both sets are densified to spacing at most ``sampling`` and nearby
@@ -402,8 +341,12 @@ def hausdorff_distance(set_a, set_b, geom: BundleGeometry, sampling: float) -> f
     """
     if sampling <= 0.0:
         raise ValueError("sampling spacing must be positive")
-    pa = _sample_set(set_a, geom, sampling)
-    pb = _sample_set(set_b, geom, sampling)
+    stretch = 1.0
+    if isinstance(geom, WarpedTorusGeometry):
+        bound = geom.warp.max_abs_bound
+        stretch = max(1.0, float(np.exp(bound)) if geom.warp_is_exp else bound)
+    pa = _sample(set_a, geom, stretch, sampling)
+    pb = _sample(set_b, geom, stretch, sampling)
     if len(pa) == 0 or len(pb) == 0:
         raise EmptySet("hausdorff distance of an empty set")
     return max(_directed_sup_inf(pa, pb, geom), _directed_sup_inf(pb, pa, geom))

@@ -17,6 +17,7 @@ timings kept in a separate non-deterministic file.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -179,6 +180,15 @@ def load_config(raw: dict) -> StudyConfig:
     for name in checks:
         if name not in ALL_CHECKS:
             raise ConfigError(f"unknown check {name!r}")
+    for name, value in thresholds.items():
+        if name not in RATE_CHECKS:
+            raise ConfigError(f"threshold for unknown rate check {name!r}")
+        try:
+            finite = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):
+            finite = False
+        if not finite:
+            raise ConfigError(f"threshold {name!r} must be a finite number, got {value!r}")
     if any(c in RATE_CHECKS for c in checks) and len(epsilons) < 3:
         raise ConfigError("rate checks require at least three epsilons")
     if refine < 2:

@@ -5,13 +5,11 @@ from hypothesis import strategies as st
 
 from fibrelab.errors import TubeDegenerate
 from fibrelab.geometry import (
-    Epsilon,
     PeriodicProfile,
     WarpedTorusGeometry,
     WaveguideGeometry,
-    fiber_volume,
+    as_epsilon,
     metric_sample,
-    profile_eval,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -30,15 +28,15 @@ def waveguide(curv=None):
 class TestProfile:
     def test_constant_derivative_is_zero(self):
         p = PeriodicProfile(period=1.0, constant=1.0)
-        assert profile_eval(p, 0.37, 1) == 0.0
+        assert p.eval(0.37, 1) == 0.0
 
     def test_cos_second_derivative(self):
         p = PeriodicProfile(period=TWO_PI, cos_amps=(1.0,))
-        assert profile_eval(p, 0.0, 2) == pytest.approx(-1.0, abs=1e-15)
+        assert p.eval(0.0, 2) == pytest.approx(-1.0, abs=1e-15)
 
     def test_shifted_cos_value(self):
         p = PeriodicProfile(period=TWO_PI, constant=1.0, cos_amps=(0.5,))
-        assert profile_eval(p, np.pi / 2.0, 0) == pytest.approx(1.0, abs=1e-15)
+        assert p.eval(np.pi / 2.0, 0) == pytest.approx(1.0, abs=1e-15)
 
     @given(
         st.floats(-50.0, 50.0),
@@ -135,23 +133,23 @@ class TestMetricSample:
 
 class TestFiberVolume:
     def test_flat_torus(self):
-        assert fiber_volume(torus(), 0.3) == pytest.approx(TWO_PI, rel=1e-15)
+        assert torus().fiber_volume(0.3) == pytest.approx(TWO_PI, rel=1e-15)
 
     def test_warped_torus_closed_form(self):
         geom = torus(PeriodicProfile(TWO_PI, 0.0, (0.3,)), exp=True)
-        assert fiber_volume(geom, 0.0) == pytest.approx(TWO_PI * np.exp(0.3), rel=1e-14)
+        assert geom.fiber_volume(0.0) == pytest.approx(TWO_PI * np.exp(0.3), rel=1e-14)
 
     def test_waveguide_constant(self):
-        assert fiber_volume(waveguide(), 1.234) == 2.0
+        assert waveguide().fiber_volume(1.234) == 2.0
 
 
 class TestValidation:
     def test_epsilon_range(self):
         with pytest.raises(ValueError):
-            Epsilon(0.0)
+            as_epsilon(0.0)
         with pytest.raises(ValueError):
-            Epsilon(1.0)
-        assert float(Epsilon(0.5)) == 0.5
+            as_epsilon(1.0)
+        assert as_epsilon(0.5) == 0.5
 
     def test_nonpositive_series_warp_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibrelab.errors import DegenerateField, EmptySet, NonTransversalZero
 from fibrelab.geometry import PeriodicProfile, WarpedTorusGeometry, WaveguideGeometry
@@ -18,23 +20,21 @@ from fibrelab.nodal import (
 TWO_PI = 2.0 * np.pi
 
 
-def torus_field(fn, n=64, geom=None):
+def torus_field(fn, n=64):
     h = TWO_PI / n
     s = np.arange(n) * h
     t = np.arange(n) * h
     vals = fn(s[:, None], t[None, :]) * np.ones((n, n))
-    return ScalarField(vals, s, t, h, h, TWO_PI, True, geometry=geom,
-                       f_min=0.0, f_max=TWO_PI)
+    return ScalarField(vals, s, t, h, h, TWO_PI, True)
 
 
-def guide_field(fn, n_s=64, n_f=64, geom=None):
+def guide_field(fn, n_s=64, n_f=64):
     h_s = TWO_PI / n_s
     h_f = 2.0 / n_f
     s = np.arange(n_s) * h_s
     u = -1.0 + h_f * np.arange(1, n_f)
     vals = fn(s[:, None], u[None, :]) * np.ones((n_s, n_f - 1))
-    return ScalarField(vals, s, u, h_s, h_f, TWO_PI, False, geometry=geom,
-                       f_min=-1.0, f_max=1.0)
+    return ScalarField(vals, s, u, h_s, h_f, TWO_PI, False)
 
 
 def flat_torus():
@@ -113,6 +113,75 @@ class TestExtractNodalSet:
         assert a.component_count == b.component_count
 
 
+@st.composite
+def random_sign_fields(draw):
+    """Torus or strip fields of random signs, full of saddle cells.
+
+    Magnitudes stay in [0.01, 1], so every crossing sits strictly inside
+    its edge, at least 1% of a cell from either node.
+    """
+    periodic = draw(st.booleans())
+    n_s, n_rows = draw(st.integers(3, 10)), draw(st.integers(2, 10))
+    size = n_s * n_rows
+    mags = draw(st.lists(st.floats(0.01, 1.0), min_size=size, max_size=size))
+    signs = draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=size, max_size=size))
+    vals = (np.asarray(mags) * np.asarray(signs)).reshape(n_s, n_rows)
+    h_s = TWO_PI / n_s
+    if periodic:
+        h_f = TWO_PI / n_rows
+        f = np.arange(n_rows) * h_f
+    else:
+        h_f = 2.0 / (n_rows + 1)
+        f = -1.0 + h_f * np.arange(1, n_rows + 1)
+    return ScalarField(vals, np.arange(n_s) * h_s, f, h_s, h_f, TWO_PI, periodic)
+
+
+def crossing_edge(fld, point):
+    """Grid edge ("s" along the base or "f" along the fibre, i, j) a crossing lies on."""
+    n_s, n_rows = fld.values.shape
+    x = point[0] / fld.h_s
+    y = (point[1] - fld.f_nodes[0]) / fld.h_f
+    if abs(y - round(y)) < 1e-9:
+        return ("s", int(np.floor(x + 1e-9)) % n_s, round(y) % n_rows)
+    assert abs(x - round(x)) < 1e-9, f"crossing {point} lies on no grid edge"
+    return ("f", round(x) % n_s, int(np.floor(y + 1e-9)) % n_rows)
+
+
+class TestExtractionInvariants:
+    @given(random_sign_fields())
+    @settings(max_examples=150, deadline=None)
+    def test_crossings_segments_and_labels(self, fld):
+        nodal = extract_nodal_set(fld)
+        pos = fld.values > 0
+        n_rows = pos.shape[1]
+        f_rows = n_rows if fld.periodic_f else n_rows - 1
+        expected = {("s", i, j) for i, j in np.argwhere(pos != np.roll(pos, -1, axis=0))}
+        expected |= {("f", i, j) for i, j in np.argwhere(pos != np.roll(pos, -1, axis=1))
+                     if j < f_rows}
+
+        at_edge: dict = {}  # edge -> [(segment, crossing point)]
+        for m, seg in enumerate(nodal.segments):
+            for point in seg:
+                if not fld.periodic_f and abs(point[1]) == 1.0:
+                    continue  # a strip chain closed off to the wall
+                at_edge.setdefault(crossing_edge(fld, point), []).append((m, point))
+
+        # every sign-changing edge carries exactly one crossing, and only those do
+        assert set(at_edge) == expected
+        # each crossing ends exactly two segments; on a strip a crossing in
+        # the outermost row ends one cell segment and its wall closure
+        assert all(len(uses) == 2 for uses in at_edge.values())
+        # both ends agree on the crossing, and segments sharing it share a label
+        labels = nodal.component_labels
+        period = np.array([TWO_PI, fld.h_f * n_rows if fld.periodic_f else np.inf])
+        for (m, p), (k, q) in at_edge.values():
+            gap = np.abs(p - q)
+            assert np.all(np.minimum(gap, period - gap) < 1e-9)
+            assert labels[m] == labels[k]
+        # labels are 0..count-1, numbered by first appearance
+        assert list(dict.fromkeys(labels.tolist())) == list(range(nodal.component_count))
+
+
 class TestNodalDomains:
     def test_cos_has_two_domains(self):
         assert count_nodal_domains(torus_field(lambda s, t: np.cos(s + 0.1))) == 2
@@ -171,7 +240,7 @@ class TestZerosOfBase:
 class TestHausdorff:
     def test_identical_sets_vanish(self):
         geom = flat_torus()
-        nodal = extract_nodal_set(torus_field(lambda s, t: np.cos(s), geom=geom))
+        nodal = extract_nodal_set(torus_field(lambda s, t: np.cos(s)))
         assert hausdorff_distance(nodal, nodal, geom, 0.05) == 0.0
 
     def test_two_shifted_circles(self):
@@ -184,7 +253,7 @@ class TestHausdorff:
 
     def test_point_sets_on_base_circle(self):
         geom = flat_torus()
-        d = hausdorff_distance(np.array([0.0]), np.array([1.3]), geom, 0.01)
+        d = hausdorff_distance(FiberLines(np.array([0.0])), FiberLines(np.array([1.3])), geom, 0.01)
         assert d == pytest.approx(1.3, rel=0.02)
 
     def test_symmetry(self):
@@ -208,17 +277,17 @@ class TestHausdorff:
 class TestBoundaryTraces:
     def test_single_line_pair_touches_both_walls(self):
         geom = straight_guide()
-        fld = guide_field(lambda s, u: np.sin(s + 0.05) * np.cos(np.pi * u / 2.0), geom=geom)
+        fld = guide_field(lambda s, u: np.sin(s + 0.05) * np.cos(np.pi * u / 2.0))
         assert boundary_trace_components(extract_nodal_set(fld), geom) == 4
 
     def test_two_line_pairs(self):
         geom = straight_guide()
-        fld = guide_field(lambda s, u: np.sin(2 * s + 0.05) * np.cos(np.pi * u / 2.0), geom=geom)
+        fld = guide_field(lambda s, u: np.sin(2 * s + 0.05) * np.cos(np.pi * u / 2.0))
         assert boundary_trace_components(extract_nodal_set(fld), geom) == 8
 
     def test_positive_field_has_no_contacts(self):
         geom = straight_guide()
-        fld = guide_field(lambda s, u: 1.0 + 0.1 * np.cos(s) + 0.0 * u, geom=geom)
+        fld = guide_field(lambda s, u: 1.0 + 0.1 * np.cos(s) + 0.0 * u)
         assert boundary_trace_components(extract_nodal_set(fld), geom) == 0
 
 

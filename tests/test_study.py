@@ -110,6 +110,17 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(bad)
 
+    @pytest.mark.parametrize("thresholds", [
+        {"eig_rate": "1.5"},  # a string
+        {"eig_rate": float("nan")},  # would fail every fit
+        {"eig_rat": 5.0},  # misspelled: would be ignored silently
+    ])
+    def test_bad_threshold_rejected(self, thresholds):
+        cfg = flat_config()
+        cfg["study"] = {"mode_index": 0, "checks": ["eig_rate"], "thresholds": thresholds}
+        with pytest.raises(ConfigError):
+            load_config(cfg)
+
 
 class TestGuardSemantics:
     def test_synthetic_quadratic_records_fit(self):
@@ -257,6 +268,18 @@ class TestCli:
     def test_bad_config_is_config_error(self, tmp_path, capsys):
         path = self.write_config(tmp_path, flat_config(epsilons=[0.1, 0.2]))
         assert cli_main(["study", "--config", path]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["nodal", "--epsilon", "0.5", "--mode", "-1"],
+        ["nodal", "--epsilon", "1.5", "--mode", "1"],
+        ["solve", "--epsilon", "1.5", "--k", "3"],
+        ["solve", "--epsilon", "0.0", "--k", "3"],
+        ["solve", "--epsilon", "0.5", "--k", "0"],
+    ])
+    def test_bad_argument_is_config_error(self, tmp_path, capsys, argv):
+        path = self.write_config(tmp_path, flat_config())
+        assert cli_main(argv + ["--config", path]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
 
     def test_assert_failing_check_exits_three(self, tmp_path, capsys):
         cfg = flat_config()
