@@ -62,6 +62,8 @@ def _cmd_solve(args) -> int:
         raise ConfigError(f"--k must be at least 1, got {args.k}")
     cfg = _read_config(args.config)
     op = assemble_full(cfg.geometry, args.epsilon, cfg.grid)
+    if args.k > op.dim:
+        raise ConfigError(f"--k {args.k} exceeds the operator dimension {op.dim}")
     solve_cfg = SolveConfig(
         k=args.k, tol=cfg.solver.tol, max_iter=cfg.solver.max_iter,
         seed=cfg.solver.seed, shift=cfg.solver.shift,
@@ -85,6 +87,9 @@ def _cmd_nodal(args) -> int:
     cfg = _read_config(args.config)
     op = assemble_full(cfg.geometry, args.epsilon, cfg.grid)
     k = max(args.mode + 2, cfg.solver.k)
+    if k > op.dim:
+        raise ConfigError(f"--mode {args.mode} needs {k} eigenpairs, more than the "
+                          f"operator dimension {op.dim}")
     pairs = smallest_eigenpairs(op, SolveConfig(k=k, tol=cfg.solver.tol,
                                                 max_iter=cfg.solver.max_iter,
                                                 seed=cfg.solver.seed, shift=cfg.solver.shift))

@@ -215,23 +215,32 @@ def measure_discrepancy(op: DiscreteOperator, full: EigenPairSet, pred: Predicti
                         sampling: Optional[float] = None) -> DiscrepancyRecord:
     """Compare the paired full eigenpair against the prediction.
 
-    Pairing is by ascending index after subtracting the discrete fibre
-    ground value and dividing by eps^2; an ambiguity guard rejects the
-    comparison when two rescaled eigenvalues sit within 1e-8 of the
-    effective one.
+    Effective mode j pairs with the j-th full level of fibre mode 0 when
+    the pairs carry fibre labels, and with the j-th level in ascending
+    order otherwise.  Eigenvalues are compared after subtracting the
+    discrete fibre ground value and dividing by eps^2; an ambiguity guard
+    rejects the comparison when two rescaled eigenvalues sit within 1e-8
+    of the effective one.
     """
     geom, grid, eps = op.geometry, op.grid, op.eps
     j = pred.mode_index
-    if j >= len(full.values):
-        raise ValueError(f"full spectrum has no index {j}")
+    if full.fiber_modes is None:
+        ground_levels = np.arange(len(full.values))
+    else:
+        ground_levels = np.flatnonzero(full.fiber_modes == 0)
+    if j >= len(ground_levels):
+        raise PairingAmbiguous(
+            f"mode {j} needs {j + 1} fibre-ground levels, found {len(ground_levels)}"
+        )
+    idx = int(ground_levels[j])
     rescaled = (full.values - op.fiber_ground_disc) / (eps * eps)
     if int(np.count_nonzero(np.abs(rescaled - pred.mu) < PAIRING_TOL)) >= 2:
         raise PairingAmbiguous(
             f"two rescaled eigenvalues within {PAIRING_TOL} of mu={pred.mu:.12g}"
         )
-    eig_gap = float(abs(rescaled[j] - pred.mu))
+    eig_gap = float(abs(rescaled[idx] - pred.mu))
 
-    fld = field_from_operator(op, full.vectors[:, j])
+    fld = field_from_operator(op, full.vectors[:, idx])
     w1 = volume_weight(geom, grid).reshape(fld.values.shape)
     phi = fld.values / np.sqrt(float(np.sum(fld.values**2 * w1)))
     anchor = int(np.argmax(np.abs(pred.pred_field)))
@@ -284,7 +293,7 @@ def measure_discrepancy(op: DiscreteOperator, full: EigenPairSet, pred: Predicti
     return DiscrepancyRecord(
         eps=eps,
         mode_index=j,
-        lambda_full=float(full.values[j]),
+        lambda_full=float(full.values[idx]),
         mu=pred.mu,
         eig_gap=eig_gap,
         supnorm=supnorm,

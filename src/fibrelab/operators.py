@@ -36,6 +36,7 @@ from .geometry import (
 __all__ = [
     "GridSpec",
     "DiscreteOperator",
+    "FiberFactors",
     "EffectiveOperator",
     "assemble_full",
     "assemble_effective",
@@ -86,6 +87,23 @@ def grid_for(geom: BundleGeometry, n_s: int, n_f: int, stencil_order: int = 2) -
     return GridSpec(n_s, n_f, stencil_order, bc)
 
 
+@dataclass(frozen=True)
+class FiberFactors:
+    """The 1D factors of a warped-product operator.
+
+    ``K = base_stiffness ⊗ I + diag(fiber_coeff) ⊗ L_f`` and
+    ``W = base_weight ⊗ 1``, where ``L_f = d_f^T d_f`` is the circulant
+    integer-stencil fibre matrix.  ``fiber_symbols[m]`` is the eigenvalue
+    of ``L_f`` on the fibre modes ``cos, sin(2 pi m j / n_f)`` for
+    ``m = 0 .. n_f // 2``.
+    """
+
+    base_stiffness: sp.csr_matrix
+    fiber_coeff: np.ndarray
+    fiber_symbols: np.ndarray
+    base_weight: np.ndarray
+
+
 @dataclass
 class DiscreteOperator:
     """Sparse symmetric stiffness ``K`` with positive diagonal weight ``W``.
@@ -94,7 +112,8 @@ class DiscreteOperator:
     fibre operator (0 on closed geometries, the three-point Dirichlet
     ground value on the waveguide); subtracting it instead of the
     continuum value cancels the fibre discretization bias in rescaled
-    eigenvalue comparisons.
+    eigenvalue comparisons.  ``fiber_factors`` is set on the warped torus,
+    whose operator separates exactly in the fibre direction.
     """
 
     dim: int
@@ -106,6 +125,7 @@ class DiscreteOperator:
     kind: str = "full"
     fiber_ground_disc: float = 0.0
     positive_definite: bool = False
+    fiber_factors: Optional[FiberFactors] = None
 
     def symmetry_defect(self) -> float:
         d = self.stiffness - self.stiffness.T
@@ -156,6 +176,17 @@ def staggered_diff_periodic(n: int, h: float, order: int) -> sp.csr_matrix:
     """
     d, denom = _staggered_int_periodic(n, order)
     return (d * (1.0 / (denom * h))).tocsr()
+
+
+def _circulant_symbols(d: sp.csr_matrix, m_max: int) -> np.ndarray:
+    """Eigenvalues of ``d^T d`` on the Fourier modes ``m = 0 .. m_max``.
+
+    ``d`` is circulant, so its symbol is the row-0 stencil summed against
+    ``exp(2 pi i m col / n)``; the integer stencil sums to exactly 0 at m = 0.
+    """
+    row = d.getrow(0).tocoo()
+    theta = 2.0 * np.pi * np.arange(m_max + 1) / d.shape[1]
+    return np.abs(np.exp(1j * np.outer(theta, row.col)) @ row.data) ** 2
 
 
 def _staggered_int_dirichlet(n_cells: int, order: int) -> tuple[sp.csr_matrix, float]:
@@ -237,7 +268,8 @@ def assemble_full(geom: BundleGeometry, eps, grid: GridSpec) -> DiscreteOperator
 
     Returns the generalized pair ``(K, W)``: positive semidefinite with a
     one-dimensional constant kernel on the torus, positive definite on
-    the waveguide.
+    the waveguide.  The torus operator also carries its exact 1D factors
+    in ``fiber_factors``.
     """
     eps = as_epsilon(eps)
     if not grid.matches(geom):
@@ -256,9 +288,12 @@ def assemble_full(geom: BundleGeometry, eps, grid: GridSpec) -> DiscreteOperator
         a_mid = geom.warp_value(s_mid)
         a_node = geom.warp_value(s)
         # sqrt(det) g^ss = eps*a at s-midpoints; sqrt(det) g^tt = 1/(eps*a) at nodes.
-        c_s = np.repeat(eps * a_mid, n_rows)
-        c_f = np.repeat(1.0 / (eps * a_node), n_rows)
-        w = np.repeat(a_node / eps, n_rows) * cell
+        base_c_s = eps * a_mid
+        base_c_f = 1.0 / (eps * a_node)
+        base_w = a_node / eps * cell
+        c_s = np.repeat(base_c_s, n_rows)
+        c_f = np.repeat(base_c_f, n_rows)
+        w = np.repeat(base_w, n_rows)
         ground = 0.0
         definite = False
     else:
@@ -279,6 +314,14 @@ def assemble_full(geom: BundleGeometry, eps, grid: GridSpec) -> DiscreteOperator
         definite = True
 
     scale_f = 1.0 / (den_f * h_f) ** 2
+    factors = None
+    if isinstance(geom, WarpedTorusGeometry):
+        factors = FiberFactors(
+            base_stiffness=_form_matrix(d_s, base_c_s * (cell * scale_s)),
+            fiber_coeff=base_c_f * (cell * scale_f),
+            fiber_symbols=_circulant_symbols(d_f, grid.n_f // 2),
+            base_weight=base_w,
+        )
     diff_s = sp.kron(d_s, sp.identity(n_rows, format="csr"), format="csr")
     diff_f = sp.kron(sp.identity(grid.n_s, format="csr"), d_f, format="csr")
     k = _form_matrix(diff_s, c_s * (cell * scale_s)) + _form_matrix(diff_f, c_f * (cell * scale_f))
@@ -292,6 +335,7 @@ def assemble_full(geom: BundleGeometry, eps, grid: GridSpec) -> DiscreteOperator
         kind="full",
         fiber_ground_disc=ground,
         positive_definite=definite,
+        fiber_factors=factors,
     )
 
 

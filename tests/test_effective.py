@@ -222,6 +222,41 @@ class TestMeasureDiscrepancy:
             measure_discrepancy(op, fake, pred)
 
 
+class TestPairingByFiberLabel:
+    # at eps = 0.9 a fibre-mode m = 1 pair sits below the third m = 0 level
+    EPS = 0.9
+
+    def setup_method(self):
+        self.geom = warped_torus(amps=(0.3, 0.15))
+        self.grid = GridSpec(32, 32, 2, "periodic")
+        self.op = assemble_full(self.geom, self.EPS, self.grid)
+        self.pred = build_prediction(self.geom, self.EPS,
+                                     assemble_effective(self.geom, self.grid), 2, self.grid)
+
+    def test_pairs_with_the_jth_fiber_ground_level(self):
+        pairs = smallest_eigenpairs(self.op, SolveConfig(k=8))
+        ground = np.flatnonzero(pairs.fiber_modes == 0)
+        assert ground[2] > 2
+        rec = measure_discrepancy(self.op, pairs, self.pred)
+        assert rec.lambda_full == pairs.values[ground[2]]
+        unlabelled = EigenPairSet(values=pairs.values, vectors=pairs.vectors,
+                                  residuals=pairs.residuals)
+        assert measure_discrepancy(self.op, unlabelled, self.pred).eig_gap > 10.0 * rec.eig_gap
+
+    def test_too_few_fiber_ground_levels(self):
+        pairs = smallest_eigenpairs(self.op, SolveConfig(k=4))
+        assert list(pairs.fiber_modes) == [0, 0, 1, 1]
+        with pytest.raises(PairingAmbiguous, match="mode 2 needs 3 .* found 2"):
+            measure_discrepancy(self.op, pairs, self.pred)
+
+    def test_short_unlabelled_spectrum(self):
+        pairs = smallest_eigenpairs(self.op, SolveConfig(k=2))
+        unlabelled = EigenPairSet(values=pairs.values, vectors=pairs.vectors,
+                                  residuals=pairs.residuals)
+        with pytest.raises(PairingAmbiguous, match="mode 2 needs 3 .* found 2"):
+            measure_discrepancy(self.op, unlabelled, self.pred)
+
+
 class TestRoundAnnulusEigenvalue:
     def test_curvature_lowers_the_ground_level_by_quarter_eps_squared(self):
         # round bend, mode 0: mu_0 = -1/4, so the full level sits at the fibre

@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg as dla
 import scipy.sparse as sp
 
 from fibrelab.eigensolve import SolveConfig, smallest_eigenpairs, verify_pairs
 from fibrelab.errors import FactorizationFailed, NoConvergence
-from fibrelab.geometry import PeriodicProfile, WarpedTorusGeometry
+from fibrelab.nodal import extract_nodal_set, field_from_operator
+from fibrelab.geometry import PeriodicProfile, WarpedTorusGeometry, WaveguideGeometry
 from fibrelab.operators import DiscreteOperator, GridSpec, assemble_full, staggered_diff_periodic
 
 TWO_PI = 2.0 * np.pi
@@ -18,11 +22,24 @@ def diag_operator(k_diag, w_diag, definite=True):
     )
 
 
-def torus_operator(n=48, eps=0.3, order=2):
-    geom = WarpedTorusGeometry(
-        np.pi, TWO_PI, PeriodicProfile(TWO_PI, 0.0, (0.3,)), warp_is_exp=True
+def warped_torus(amps=(0.3,)):
+    return WarpedTorusGeometry(
+        np.pi, TWO_PI, PeriodicProfile(TWO_PI, 0.0, amps), warp_is_exp=True
     )
-    return assemble_full(geom, eps, GridSpec(n, n, order, "periodic"))
+
+
+def torus_operator(n=48, eps=0.3, order=2):
+    return assemble_full(warped_torus(), eps, GridSpec(n, n, order, "periodic"))
+
+
+def guide_operator():
+    # dimension 48 * 16 = 768, above the dense cutoff: shift-invert ARPACK
+    geom = WaveguideGeometry(TWO_PI, PeriodicProfile(TWO_PI, 1.0, (0.5,)))
+    return assemble_full(geom, 0.2, GridSpec(48, 17, 2, "dirichlet"))
+
+
+both_paths = pytest.mark.parametrize("make_op", [torus_operator, guide_operator],
+                                     ids=["torus", "guide"])
 
 
 class TestSmallestEigenpairs:
@@ -42,30 +59,34 @@ class TestSmallestEigenpairs:
         pairs = smallest_eigenpairs(op, SolveConfig(k=4))
         assert pairs.values == pytest.approx([0.0, 2.0, 2.0, 4.0], abs=1e-13)
 
-    def test_residuals_and_orthonormality(self):
-        op = torus_operator()
+    @both_paths
+    def test_residuals_and_orthonormality(self, make_op):
+        op = make_op()
         pairs = smallest_eigenpairs(op, SolveConfig(k=6, tol=1e-9, shift=-0.5))
         assert np.all(pairs.residuals <= 1e-9)
         gram = pairs.vectors.T @ (op.weight[:, None] * pairs.vectors)
         assert np.max(np.abs(gram - np.eye(6))) < 1e-8
 
-    def test_rayleigh_quotient_sandwich(self):
-        op = torus_operator()
+    @both_paths
+    def test_rayleigh_quotient_sandwich(self, make_op):
+        op = make_op()
         pairs = smallest_eigenpairs(op, SolveConfig(k=5, shift=-0.5))
         for lam, x in zip(pairs.values, pairs.vectors.T):
             rq = float(x @ (op.stiffness @ x)) / float(x @ (op.weight * x))
             assert abs(lam - rq) <= 1e-12 * abs(lam) + 1e-14
 
-    def test_deterministic_repeat(self):
-        op = torus_operator()
+    @both_paths
+    def test_deterministic_repeat(self, make_op):
+        op = make_op()
         a = smallest_eigenpairs(op, SolveConfig(k=5, seed=7, shift=-0.5))
         b = smallest_eigenpairs(op, SolveConfig(k=5, seed=7, shift=-0.5))
         assert np.array_equal(a.values, b.values)
         signs = np.sign(np.sum(a.vectors * b.vectors, axis=0))
         assert np.array_equal(a.vectors * signs, b.vectors)
 
-    def test_shift_invariance_of_values(self):
-        op = torus_operator()
+    @both_paths
+    def test_shift_invariance_of_values(self, make_op):
+        op = make_op()
         a = smallest_eigenpairs(op, SolveConfig(k=5, shift=-0.3))
         b = smallest_eigenpairs(op, SolveConfig(k=5, shift=-1.7))
         assert np.max(np.abs(a.values - b.values)) < 1e-9
@@ -94,6 +115,89 @@ class TestSmallestEigenpairs:
             SolveConfig(k=0)
         with pytest.raises(ValueError):
             SolveConfig(tol=0.0)
+
+
+def w_projector(vectors, weight):
+    return vectors @ (vectors.T * weight[None, :])
+
+
+class TestFiberFourier:
+    """The separable torus path against a dense solve of the 2D pair (K, diag W)."""
+
+    # orders 2 and 4, even and odd n_f (Nyquist mode or none); at these eps
+    # fibre modes m != 0 interleave with the base levels of m = 0
+    CASES = [(16, 16, 2, 0.7), (16, 17, 2, 0.6), (20, 16, 4, 0.5), (16, 19, 4, 0.9)]
+
+    @staticmethod
+    def oracle(op):
+        return dla.eigh(op.stiffness.toarray(), np.diag(op.weight))
+
+    @staticmethod
+    def clusters(values):
+        # near-degenerate levels share a cluster; its eigenspace is well conditioned
+        breaks = np.flatnonzero(np.diff(values) > 1e-6 * np.maximum(1.0, np.abs(values[:-1])))
+        return np.split(np.arange(len(values)), breaks + 1)
+
+    @pytest.mark.parametrize("n_s,n_f,order,eps", CASES)
+    def test_matches_dense_2d_solve(self, n_s, n_f, order, eps):
+        op = assemble_full(warped_torus(), eps, GridSpec(n_s, n_f, order, "periodic"))
+        ref_values, ref_vectors = self.oracle(op)
+        for k in (1, 2, 7, 33, op.dim // 2, op.dim - 1):
+            pairs = smallest_eigenpairs(op, SolveConfig(k=k))
+            ref = ref_values[:k]
+            assert np.all(np.abs(pairs.values - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
+            for cluster in self.clusters(ref_values):
+                if cluster[0] >= k:
+                    break
+                ref_p = w_projector(ref_vectors[:, cluster], op.weight)
+                inside = cluster[cluster < k]
+                ours = pairs.vectors[:, inside]
+                if len(inside) == len(cluster):
+                    got_p = w_projector(ours, op.weight)
+                    assert np.max(np.abs(got_p - ref_p)) < 1e-8
+                else:
+                    # the k-th level splits a degenerate cluster: the vectors
+                    # returned from it must still lie in its eigenspace
+                    assert np.max(np.abs(ref_p @ ours - ours)) < 1e-8
+
+    @pytest.mark.parametrize("n_s,n_f,order,eps", CASES)
+    def test_fiber_labels(self, n_s, n_f, order, eps):
+        op = assemble_full(warped_torus(), eps, GridSpec(n_s, n_f, order, "periodic"))
+        pairs = smallest_eigenpairs(op, SolveConfig(k=op.dim - 1))
+        modes = pairs.fiber_modes
+        assert len(modes) == op.dim - 1
+        # some m != 0 level sits below a base level of m = 0
+        assert np.any(np.diff(modes[:16]) < 0)
+        for m, x in zip(modes, pairs.vectors.T):
+            grid = x.reshape(n_s, n_f)
+            scale = np.max(np.abs(grid))
+            if m == 0:
+                assert np.max(np.ptp(grid, axis=1)) <= 1e-12 * scale
+            else:
+                assert np.max(np.abs(grid.mean(axis=1))) <= 1e-12 * scale
+            power = np.abs(np.fft.rfft(grid, axis=1)) ** 2
+            assert power[:, m].sum() >= (1.0 - 1e-12) * power.sum()
+
+    def test_long_base_goes_through_arpack(self):
+        # n_s above the dense cutoff: each base problem is a shift-invert solve;
+        # the 2D shift-invert solve of the same operator is the reference
+        op = assemble_full(warped_torus(), 0.6, GridSpec(640, 16, 2, "periodic"))
+        pairs = smallest_eigenpairs(op, SolveConfig(k=10))
+        assert set(pairs.fiber_modes) == {0, 1}
+        ref = smallest_eigenpairs(dataclasses.replace(op, fiber_factors=None),
+                                  SolveConfig(k=10))
+        assert ref.fiber_modes is None
+        assert np.all(np.abs(pairs.values - ref.values) <= 1e-10 * np.maximum(1.0, ref.values))
+
+    def test_symmetric_warp_modes_have_nodal_sets(self):
+        # odd modes of the reflection-symmetric warp vanish on the symmetry
+        # row and sin(m t) on the row t = 0; returned with exact zeros there,
+        # the nodal layer would reject them as degenerate fields
+        op = assemble_full(warped_torus((0.3, 0.15)), 0.2, GridSpec(64, 64, 4, "periodic"))
+        pairs = smallest_eigenpairs(op, SolveConfig(k=9))
+        assert list(pairs.fiber_modes[-2:]) == [1, 1]
+        for x in pairs.vectors.T:
+            extract_nodal_set(field_from_operator(op, x))
 
 
 class TestVerifyPairs:

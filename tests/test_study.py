@@ -275,6 +275,8 @@ class TestCli:
         ["solve", "--epsilon", "1.5", "--k", "3"],
         ["solve", "--epsilon", "0.0", "--k", "3"],
         ["solve", "--epsilon", "0.5", "--k", "0"],
+        ["solve", "--epsilon", "0.5", "--k", "5000"],
+        ["nodal", "--epsilon", "0.5", "--mode", "1023"],
     ])
     def test_bad_argument_is_config_error(self, tmp_path, capsys, argv):
         path = self.write_config(tmp_path, flat_config())
