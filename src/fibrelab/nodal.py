@@ -13,10 +13,17 @@ Hausdorff distances are measured in the eps-independent metric of the
 geometry: ``ds^2 + a(s)^2 dt^2`` on the torus and the flat chart metric
 ``ds^2 + du^2`` on the waveguide (the tube density is dropped there; its
 effect is an order-eps correction, below the quantity being measured).
+Both sets are sampled, and two sample points are compared with the metric
+frozen at their midpoint.  The sup-inf over the samples is found exactly
+without visiting every pair: a periodic KD-tree over a chart whose
+Euclidean distance bounds the metric distance from below (``t`` scaled by
+a certified lower bound of the warp) yields, per point, an upper bound
+from its tree-nearest neighbour and then the few candidates within it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -294,53 +301,94 @@ def zeros_of_base(values: np.ndarray, s_nodes: np.ndarray, period: float) -> lis
 
 def _sample(obj: NodalSet | FiberLines, geom: BundleGeometry, stretch: float,
             spacing: float) -> np.ndarray:
-    """Points along ``obj`` at most ``spacing`` apart; ``stretch`` bounds the fibre metric."""
-    pieces = [np.zeros((0, 2))]
+    """Points along ``obj`` at most ``spacing`` apart; ``stretch`` bounds the fibre metric.
+
+    Segment m gets ``n_m`` evenly spaced points ``p0 + t (p1 - p0)`` with
+    ``t = k / (n_m - 1)`` rounded as :func:`numpy.linspace` rounds it.
+    """
     if isinstance(obj, FiberLines):
         f_lo, f_hi = (-1.0, 1.0) if isinstance(geom, WaveguideGeometry) else (0.0, geom.fiber_length)
         n = max(2, int(np.ceil((f_hi - f_lo) * stretch / spacing)) + 1)
         f = np.linspace(f_lo, f_hi, n)
-        pieces += [np.column_stack([np.full(n, s), f]) for s in obj.s_positions]
-    else:
-        for p0, p1 in obj.segments:
-            length = float(np.hypot(p1[0] - p0[0], stretch * (p1[1] - p0[1])))
-            n = max(2, int(np.ceil(length / spacing)) + 1)
-            t = np.linspace(0.0, 1.0, n)[:, None]
-            pieces.append(p0[None, :] * (1.0 - t) + p1[None, :] * t)
-    return np.concatenate(pieces, axis=0)
+        return np.column_stack([np.repeat(obj.s_positions, n), np.tile(f, len(obj.s_positions))])
+    p0, p1 = obj.segments[:, 0], obj.segments[:, 1]
+    length = np.hypot(p1[:, 0] - p0[:, 0], stretch * (p1[:, 1] - p0[:, 1]))
+    n = np.maximum(2, np.ceil(length / spacing).astype(int) + 1)
+    seg = np.repeat(np.arange(len(n)), n)
+    ends = np.cumsum(n)
+    t = (np.arange(len(seg)) - (ends - n)[seg]) * (1.0 / (n - 1))[seg]
+    t[ends - 1] = 1.0
+    t = t[:, None]
+    return p0[seg] * (1.0 - t) + p1[seg] * t
 
 
-def _directed_sup_inf(p: np.ndarray, q: np.ndarray, geom: BundleGeometry) -> float:
+def _pair_d2(p: np.ndarray, q: np.ndarray, geom: BundleGeometry) -> np.ndarray:
+    """Squared chart-metric distance of each pair p[k], q[k].
+
+    Both coordinate differences are taken to the nearest periodic image and
+    the torus warp is evaluated at the pair midpoint.
+    """
     period = geom.period
-    torus = isinstance(geom, WarpedTorusGeometry)
-    fiber_period = geom.fiber_length if torus else None
-    worst = 0.0
-    for start in range(0, len(p), 512):
-        pc = p[start : start + 512]
-        ds = pc[:, 0][:, None] - q[:, 0][None, :]
-        ds -= period * np.round(ds / period)
-        df = pc[:, 1][:, None] - q[:, 1][None, :]
-        if fiber_period is not None:
-            df -= fiber_period * np.round(df / fiber_period)
-        if torus:
-            mid = q[:, 0][None, :] + 0.5 * ds
-            wt = geom.warp_value(np.mod(mid, period))
-            d2 = ds * ds + (wt * df) ** 2
-        else:
-            d2 = ds * ds + df * df
-        worst = max(worst, float(np.sqrt(np.min(d2, axis=1)).max()))
-    return worst
+    ds = p[:, 0] - q[:, 0]
+    ds -= period * np.round(ds / period)
+    df = p[:, 1] - q[:, 1]
+    if isinstance(geom, WaveguideGeometry):
+        return ds * ds + df * df
+    df -= geom.fiber_length * np.round(df / geom.fiber_length)
+    wt = geom.warp_value(np.mod(q[:, 0] + 0.5 * ds, period))
+    return ds * ds + (wt * df) ** 2
+
+
+def _tree_chart(points: np.ndarray, scale: float, f_lo: float, box: np.ndarray) -> np.ndarray:
+    """Points as ``(s, scale * (f - f_lo))`` wrapped into the periodic box ``[0, box)``."""
+    x = np.column_stack([points[:, 0], scale * (points[:, 1] - f_lo)])
+    x = np.mod(x, box)
+    return np.where(x < box, x, 0.0)  # mod of a tiny negative rounds up to box
+
+
+def _directed_sup_inf(p: np.ndarray, xp: np.ndarray, q: np.ndarray, xq: np.ndarray,
+                      geom: BundleGeometry, box: np.ndarray) -> float:
+    """``max_p min_q`` of the chart distance, searched in a KD-tree over ``q``.
+
+    ``xp`` and ``xq`` are the points in the tree chart, periodic with
+    ``box``.  The tree's Euclidean distance there bounds the metric
+    distance from below.  The metric distance ``u`` to the tree's nearest
+    neighbour therefore bounds the minimum from above, and every ``q``
+    attaining the minimum lies in the tree ball of radius ``u``.  The
+    radius is widened by 1e-9 relative, against rounding of the bound, and
+    1e-12 of the box, against rounding of the wrapped coordinates.  Only
+    the ball's points are measured, so the result is the all-pairs value.
+    """
+    from scipy.spatial import cKDTree  # loaded only when a distance is measured
+
+    tree = cKDTree(xq, boxsize=box)
+    nearest = tree.query(xp)[1]
+    best = _pair_d2(p, q[nearest], geom)
+    balls = tree.query_ball_point(xp, np.sqrt(best) * (1.0 + 1e-9) + 1e-12 * float(box.max()))
+    counts = np.fromiter(map(len, balls), dtype=np.intp, count=len(balls))
+    cand = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp, count=int(counts.sum()))
+    d2 = _pair_d2(np.repeat(p, counts, axis=0), q[cand], geom)
+    hit = counts > 0
+    starts = np.cumsum(counts) - counts
+    best[hit] = np.minimum(best[hit], np.minimum.reduceat(d2, starts[hit]))
+    return float(np.sqrt(best.max()))
 
 
 def hausdorff_distance(set_a: NodalSet | FiberLines, set_b: NodalSet | FiberLines,
                        geom: BundleGeometry, sampling: float) -> float:
     """Symmetric sup-inf distance between two sampled sets.
 
-    Both sets are densified to spacing at most ``sampling`` and nearby
-    distances use the chart metric at the segment midpoint.
+    Both sets are densified to spacing at most ``sampling``.  The distance
+    of two sample points uses the chart metric at their midpoint, with
+    both coordinates taken to the nearest periodic image.  Each direction
+    is an exact pruned search (see :func:`_directed_sup_inf`): on the
+    torus the tree chart scales ``f`` by a certified lower bound of the
+    warp, on the waveguide ``f`` is unscaled and shifted into a box at
+    least twice its range, so the periodic wrap never shortens a fibre
+    difference.  The result equals the sup-inf over all sample pairs.
     """
-    if sampling <= 0.0:
-        raise ValueError("sampling spacing must be positive")
+    if not 0.0 < sampling < np.inf:
+        raise ValueError("sampling spacing must be positive and finite")
     stretch = 1.0
     if isinstance(geom, WarpedTorusGeometry):
         bound = geom.warp.max_abs_bound
@@ -349,7 +397,18 @@ def hausdorff_distance(set_a: NodalSet | FiberLines, set_b: NodalSet | FiberLine
     pb = _sample(set_b, geom, stretch, sampling)
     if len(pa) == 0 or len(pb) == 0:
         raise EmptySet("hausdorff distance of an empty set")
-    return max(_directed_sup_inf(pa, pb, geom), _directed_sup_inf(pb, pa, geom))
+    if isinstance(geom, WarpedTorusGeometry):
+        low = geom.warp.lower_bound
+        scale = (float(np.exp(low)) if geom.warp_is_exp else low) * (1.0 - 1e-12)
+        f_lo, f_box = 0.0, scale * geom.fiber_length
+    else:
+        scale = 1.0
+        f_lo = min(pa[:, 1].min(), pb[:, 1].min())
+        f_box = max(2.0 * (max(pa[:, 1].max(), pb[:, 1].max()) - f_lo), 1.0)
+    box = np.array([geom.period, f_box])
+    xa, xb = (_tree_chart(x, scale, f_lo, box) for x in (pa, pb))
+    return max(_directed_sup_inf(pa, xa, pb, xb, geom, box),
+               _directed_sup_inf(pb, xb, pa, xa, geom, box))
 
 
 def boundary_trace_components(nodal: NodalSet, geom: WaveguideGeometry) -> int:

@@ -1,21 +1,32 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import fibrelab.nodal as nodal_module
+from fibrelab.effective import build_prediction
+from fibrelab.eigensolve import SolveConfig, smallest_eigenpairs
 from fibrelab.errors import DegenerateField, EmptySet, NonTransversalZero
 from fibrelab.geometry import PeriodicProfile, WarpedTorusGeometry, WaveguideGeometry
 from fibrelab.nodal import (
     FiberLines,
+    NodalSet,
     ScalarField,
     boundary_trace_components,
     count_nodal_domains,
     extract_nodal_set,
+    field_from_operator,
     graph_over_fiber_check,
     hausdorff_distance,
     nodal_set_to_csv,
     zeros_of_base,
 )
+from fibrelab.operators import GridSpec, assemble_effective, assemble_full
 
 TWO_PI = 2.0 * np.pi
 
@@ -237,6 +248,143 @@ class TestZerosOfBase:
             zeros_of_base(1.0 + np.cos(2 * s), s, TWO_PI)
 
 
+def loop_sample(obj, geom, stretch, spacing):
+    """Reference sampler: one ``np.linspace`` per fibre line and per segment."""
+    pieces = [np.zeros((0, 2))]
+    if isinstance(obj, FiberLines):
+        f_lo, f_hi = (-1.0, 1.0) if isinstance(geom, WaveguideGeometry) else (0.0, geom.fiber_length)
+        n = max(2, int(np.ceil((f_hi - f_lo) * stretch / spacing)) + 1)
+        f = np.linspace(f_lo, f_hi, n)
+        pieces += [np.column_stack([np.full(n, s), f]) for s in obj.s_positions]
+    else:
+        for p0, p1 in obj.segments:
+            length = float(np.hypot(p1[0] - p0[0], stretch * (p1[1] - p0[1])))
+            n = max(2, int(np.ceil(length / spacing)) + 1)
+            t = np.linspace(0.0, 1.0, n)[:, None]
+            pieces.append(p0[None, :] * (1.0 - t) + p1[None, :] * t)
+    return np.concatenate(pieces, axis=0)
+
+
+def brute_directed_sup_inf(p, q, geom):
+    """Reference search: the chart distance of every pair of points."""
+    period = geom.period
+    torus = isinstance(geom, WarpedTorusGeometry)
+    fiber_period = geom.fiber_length if torus else None
+    worst = 0.0
+    for start in range(0, len(p), 512):
+        pc = p[start : start + 512]
+        ds = pc[:, 0][:, None] - q[:, 0][None, :]
+        ds -= period * np.round(ds / period)
+        df = pc[:, 1][:, None] - q[:, 1][None, :]
+        if fiber_period is not None:
+            df -= fiber_period * np.round(df / fiber_period)
+        if torus:
+            mid = q[:, 0][None, :] + 0.5 * ds
+            wt = geom.warp_value(np.mod(mid, period))
+            d2 = ds * ds + (wt * df) ** 2
+        else:
+            d2 = ds * ds + df * df
+        worst = max(worst, float(np.sqrt(np.min(d2, axis=1)).max()))
+    return worst
+
+
+def stretch_of(geom):
+    if isinstance(geom, WaveguideGeometry):
+        return 1.0
+    bound = geom.warp.max_abs_bound
+    return max(1.0, float(np.exp(bound)) if geom.warp_is_exp else bound)
+
+
+def brute_hausdorff(set_a, set_b, geom, spacing):
+    pa = loop_sample(set_a, geom, stretch_of(geom), spacing)
+    pb = loop_sample(set_b, geom, stretch_of(geom), spacing)
+    return max(brute_directed_sup_inf(pa, pb, geom), brute_directed_sup_inf(pb, pa, geom))
+
+
+HAUSDORFF_GEOMETRIES = {
+    "exp": WarpedTorusGeometry(np.pi, TWO_PI, PeriodicProfile(TWO_PI, 0.0, (0.3, 0.15)), True),
+    "strong_exp": WarpedTorusGeometry(
+        np.pi, TWO_PI, PeriodicProfile(TWO_PI, 0.0, (1.2, -0.5), (0.4,)), True
+    ),
+    "plain": WarpedTorusGeometry(np.pi, 3.0, PeriodicProfile(TWO_PI, 1.0, (0.6,), (0.3,))),
+    "guide": WaveguideGeometry(TWO_PI, PeriodicProfile(TWO_PI, 1.0, (0.5,))),
+}
+
+
+def fiber_range(geom):
+    return (-1.0, 1.0) if isinstance(geom, WaveguideGeometry) else (0.0, geom.fiber_length)
+
+
+@st.composite
+def polyline_sets(draw, geom):
+    """A random polyline whose ``s`` straddles 0 and the period and runs past it.
+
+    Like the unwrapped segments of a nodal set, consecutive points may lie
+    on either side of a seam without being taken back into the chart.
+    """
+    f_lo, f_hi = fiber_range(geom)
+    pad = 0.0 if isinstance(geom, WaveguideGeometry) else 0.3
+    n = draw(st.integers(1, 12))
+    s0 = draw(st.sampled_from((-0.4, geom.period - 0.4, draw(st.floats(-1.0, geom.period + 1.0)))))
+    f0 = draw(st.floats(f_lo - pad, f_hi + pad))
+    steps = draw(st.lists(st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
+                          min_size=n, max_size=n))
+    pts = np.array([[s0, f0]] + steps).cumsum(axis=0)
+    pts[:, 1] = np.clip(pts[:, 1], f_lo - pad, f_hi + pad)
+    segments = np.stack([pts[:-1], pts[1:]], axis=1)
+    return NodalSet(segments, np.zeros(n, dtype=int), 1)
+
+
+@st.composite
+def hausdorff_cases(draw):
+    """(set, set, geometry, spacing) over the four test geometries."""
+    geom = HAUSDORFF_GEOMETRIES[draw(st.sampled_from(sorted(HAUSDORFF_GEOMETRIES)))]
+    lines = FiberLines(np.array(draw(st.lists(
+        st.one_of(st.floats(-0.5, geom.period + 0.5), st.sampled_from((0.0, geom.period))),
+        min_size=1, max_size=3))))
+    if draw(st.booleans()):
+        set_a = draw(polyline_sets(geom))
+        set_b = draw(st.sampled_from((lines, draw(polyline_sets(geom)))))
+        spacing = draw(st.floats(0.06, 0.3))
+    else:  # a real nodal set against whole fibres
+        n = draw(st.integers(12, 24))
+        a = draw(st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6))
+        h_s = geom.period / n
+        s = np.arange(n) * h_s
+        if isinstance(geom, WaveguideGeometry):
+            h_f = 2.0 / n
+            f = -1.0 + h_f * np.arange(1, n)
+            phase = np.pi * (f + 1.0) / 2.0
+        else:
+            h_f = geom.fiber_length / n
+            f = np.arange(n) * h_f
+            phase = TWO_PI * f / geom.fiber_length
+        vals = (a[0] * np.cos(s + a[1])[:, None] * np.ones_like(phase)
+                + a[2] * np.cos(2 * s + a[3])[:, None] * np.sin(phase + a[4])[None, :]
+                + 0.1 * a[5] + 1e-3)
+        nodal_set = extract_nodal_set(ScalarField(vals, s, f, h_s, h_f, geom.period,
+                                                  isinstance(geom, WarpedTorusGeometry)))
+        assume(len(nodal_set.segments) > 0)
+        set_a, set_b = nodal_set, lines
+        spacing = draw(st.sampled_from((0.25, 0.5))) * min(h_s, h_f)
+    if draw(st.booleans()):
+        set_a, set_b = set_b, set_a
+    return set_a, set_b, geom, spacing
+
+
+def mode1_nodal_set():
+    """Mode-1 nodal set of a 64x64 warped torus and the fibres over its predicted zeros."""
+    geom = HAUSDORFF_GEOMETRIES["exp"]
+    grid = GridSpec(64, 64, 4, "periodic")
+    op = assemble_full(geom, 0.1, grid)
+    pairs = smallest_eigenpairs(op, SolveConfig(k=4, tol=1e-8, max_iter=5000, seed=0))
+    idx = int(np.flatnonzero(pairs.fiber_modes == 0)[1])
+    fld = field_from_operator(op, pairs.vectors[:, idx])
+    pred = build_prediction(geom, 0.1, assemble_effective(geom, grid), 1, grid)
+    zeros = FiberLines(np.array([z for z, _ in pred.zeros]))
+    return geom, fld, extract_nodal_set(fld), zeros
+
+
 class TestHausdorff:
     def test_identical_sets_vanish(self):
         geom = flat_torus()
@@ -272,6 +420,52 @@ class TestHausdorff:
         geom = flat_torus()
         with pytest.raises(EmptySet):
             hausdorff_distance(FiberLines(np.zeros(0)), FiberLines(np.array([1.0])), geom, 0.1)
+
+    @pytest.mark.parametrize("sampling", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_sampling_rejected(self, sampling):
+        geom = flat_torus()
+        a, b = FiberLines(np.array([1.0])), FiberLines(np.array([2.0]))
+        with pytest.raises(ValueError, match="sampling spacing must be positive and finite"):
+            hausdorff_distance(a, b, geom, sampling)
+
+    @given(hausdorff_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_all_pairs_search(self, case):
+        set_a, set_b, geom, spacing = case
+        for obj in (set_a, set_b):
+            assert np.array_equal(nodal_module._sample(obj, geom, stretch_of(geom), spacing),
+                                  loop_sample(obj, geom, stretch_of(geom), spacing))
+        expected = brute_hausdorff(set_a, set_b, geom, spacing)
+        assert hausdorff_distance(set_a, set_b, geom, spacing) == pytest.approx(expected,
+                                                                               rel=1e-13)
+
+    def test_work_is_linear_in_the_samples(self, monkeypatch):
+        geom, fld, nodal_set, zeros = mode1_nodal_set()
+        spacing = 0.125 * min(fld.h_s, fld.h_f)
+        n_p = len(nodal_module._sample(nodal_set, geom, stretch_of(geom), spacing))
+        n_q = len(nodal_module._sample(zeros, geom, stretch_of(geom), spacing))
+        evaluated = []
+        warp_value = WarpedTorusGeometry.warp_value
+
+        def counting_warp_value(self, s, deriv=0):
+            evaluated.append(np.size(s))
+            return warp_value(self, s, deriv)
+
+        monkeypatch.setattr(WarpedTorusGeometry, "warp_value", counting_warp_value)
+        d = hausdorff_distance(nodal_set, zeros, geom, spacing)
+        assert 0.0 < d < fld.h_s
+        # an all-pairs search evaluates the warp at 2 |P| |Q| midpoints
+        assert sum(evaluated) <= 64 * (n_p + n_q)
+
+    def test_import_leaves_the_tree_module_unloaded(self):
+        src = str(Path(nodal_module.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, fibrelab; print('scipy.spatial' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestBoundaryTraces:
