@@ -17,9 +17,17 @@ Three paths share one post-processing step:
   mode ``m`` and above from below: the returned values are provably the k
   smallest, a completeness certificate.  Each pair records its fibre
   mode ``|m|``.
-* Other large operators: shift-invert ARPACK.  The start vector is drawn
-  from a seeded generator, so repeated calls reproduce values to machine
-  precision and vectors up to sign.
+* Other large operators: shift-invert ARPACK on ``A = K - shift * W``.
+  ``A`` is symmetric, and in reverse Cuthill-McKee order a grid operator
+  is banded, its band as wide as the short grid side; LAPACK's banded
+  Cholesky factors it once and ARPACK applies ``A^{-1}`` through that
+  factor.  The factor exists if and only if ``A`` is positive definite,
+  that is, if and only if the shift lies below the whole spectrum, so it
+  certifies the shift: a shift inside the spectrum, which would return
+  the pairs nearest the shift instead of the smallest, fails with
+  ``FactorizationFailed``.  The start vector is drawn from a seeded
+  generator, so repeated calls reproduce values to machine precision and
+  vectors up to sign.
 * Small operators, and requests for nearly the whole spectrum: a dense
   solve.
 
@@ -38,6 +46,7 @@ import numpy as np
 import scipy.linalg as dla
 import scipy.sparse as sp
 import scipy.sparse.linalg as sla
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import FactorizationFailed, NoConvergence
 from .operators import DiscreteOperator
@@ -51,10 +60,13 @@ DENSE_CUTOFF = 600
 class SolveConfig:
     """Options for one eigensolve.
 
-    ``shift`` must sit strictly below the smallest eigenvalue sought; when
-    omitted it defaults to -1 for semidefinite (closed) operators and 0
-    for positive definite (Dirichlet) ones.  The separable torus path
-    uses no shift and ignores it.
+    ``shift`` must lie strictly below the whole spectrum, not only below
+    the eigenvalues sought; when omitted it defaults to -1 for
+    semidefinite (closed) operators and 0 for positive definite
+    (Dirichlet) ones.  The shift-invert path checks this: its Cholesky
+    factor of ``K - shift * W`` exists only for such a shift, and any
+    other shift raises ``FactorizationFailed``.  The dense and separable
+    torus paths use no shift and ignore it.
     """
 
     k: int = 6
@@ -68,6 +80,10 @@ class SolveConfig:
             raise ValueError("k must be at least 1")
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
+        if self.shift is not None and not np.isfinite(self.shift):
+            raise ValueError("shift must be finite")
 
 
 @dataclass
@@ -97,6 +113,30 @@ def _residuals(op: DiscreteOperator, values: np.ndarray, vectors: np.ndarray) ->
 def _w_normalize(op: DiscreteOperator, vectors: np.ndarray) -> np.ndarray:
     norms = np.sqrt(np.einsum("ij,ij->j", vectors, op.weight[:, None] * vectors))
     return vectors / norms
+
+
+def _shift_inverse(a: sp.spmatrix) -> sla.LinearOperator:
+    """``x -> a^{-1} x`` through a banded Cholesky factor of ``a`` in RCM order.
+
+    Raises ``LinAlgError`` when the symmetric matrix ``a`` is not positive
+    definite.
+    """
+    a = a.tocsr()
+    perm = reverse_cuthill_mckee(a, symmetric_mode=True)
+    upper = sp.triu(a[perm][:, perm], format="coo")
+    width = int(np.max(upper.col - upper.row, initial=0))
+    # LAPACK upper band storage, column-major so that the factorization
+    # works in place instead of on a copy of the band
+    band = np.zeros((width + 1, a.shape[0]), order="F")
+    band[width + upper.row - upper.col, upper.col] = upper.data
+    factor = dla.cholesky_banded(band, overwrite_ab=True, lower=False, check_finite=False)
+
+    def solve(x: np.ndarray) -> np.ndarray:
+        y = np.empty(len(perm))
+        y[perm] = dla.cho_solve_banded((factor, False), np.ravel(x)[perm], check_finite=False)
+        return y
+
+    return sla.LinearOperator(a.shape, matvec=solve, dtype=float)
 
 
 def _base_pairs(stiffness: sp.csr_matrix, weight: np.ndarray, k: int,
@@ -169,24 +209,31 @@ def smallest_eigenpairs(op: DiscreteOperator, cfg: SolveConfig) -> EigenPairSet:
         sigma = cfg.shift
         if sigma is None:
             sigma = 0.0 if op.positive_definite else -1.0
+        weight = sp.diags(op.weight)
+        try:
+            inverse = _shift_inverse(op.stiffness - sigma * weight)
+        except dla.LinAlgError as exc:
+            raise FactorizationFailed(f"K - sigma W is not positive definite: shift sigma = "
+                                      f"{sigma:g} is not below the spectrum") from exc
         v0 = np.random.default_rng(cfg.seed).standard_normal(n)
         ncv = min(n - 1, max(4 * k + 20, 40))
         try:
             values, vectors = sla.eigsh(
                 op.stiffness,
                 k=k,
-                M=sp.diags(op.weight).tocsc(),
+                M=weight,
                 sigma=sigma,
                 which="LM",
                 v0=v0,
                 ncv=ncv,
                 maxiter=cfg.max_iter,
                 tol=0.0,
+                OPinv=inverse,
             )
         except sla.ArpackNoConvergence as exc:
             raise NoConvergence(f"ARPACK did not converge: {exc}") from exc
-        except RuntimeError as exc:
-            raise FactorizationFailed(f"shifted factorization failed: {exc}") from exc
+        except sla.ArpackError as exc:
+            raise NoConvergence(f"ARPACK failed: {exc}") from exc
         order = np.argsort(values)
         values, vectors = values[order], vectors[:, order]
 

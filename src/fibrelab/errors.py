@@ -24,7 +24,12 @@ class NoConvergence(FibrelabError):
 
 
 class FactorizationFailed(FibrelabError):
-    """Sparse factorization of the shifted operator failed; adjust the shift."""
+    """The Cholesky factor of ``K - shift * W`` does not exist.
+
+    The matrix is positive definite exactly when the shift lies below the
+    whole spectrum, so this means the shift is not a valid one: lower it
+    below the smallest eigenvalue.
+    """
 
 
 class DegenerateField(FibrelabError):

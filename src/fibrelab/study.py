@@ -730,6 +730,15 @@ def self_check(verbose: bool = False) -> list[tuple[str, bool, str]]:
         dense = dla.eigh(op.stiffness.toarray(), np.diag(op.weight), eigvals_only=True)[:12]
         assert np.max(np.abs(pairs.values - dense) / np.maximum(1.0, np.abs(dense))) < 1e-10
 
+    def check_shift_invert():
+        import scipy.linalg as dla
+
+        wg = g.WaveguideGeometry(2 * np.pi, g.PeriodicProfile(2 * np.pi, 1.0, (0.5, 0.25)))
+        op = assemble_full(wg, 0.3, GridSpec(40, 21, 4, "dirichlet"))
+        pairs = smallest_eigenpairs(op, SolveConfig(k=6))
+        dense = dla.eigh(op.stiffness.toarray(), np.diag(op.weight), eigvals_only=True)[:6]
+        assert np.max(np.abs(pairs.values - dense) / np.maximum(1.0, np.abs(dense))) < 1e-10
+
     def check_rate_fit():
         f = fit_rate([(0.2, 0.04), (0.1, 0.01), (0.05, 0.0025)])
         assert abs(f.slope - 2.0) < 1e-12 and abs(f.r_squared - 1.0) < 1e-12
@@ -764,6 +773,7 @@ def self_check(verbose: bool = False) -> list[tuple[str, bool, str]]:
     run("assembly symmetry and kernel", check_symmetry)
     run("flat tensor exactness", check_flat)
     run("separable torus solve", check_separable)
+    run("waveguide shift-invert solve", check_shift_invert)
     run("rate fit", check_rate_fit)
     run("uniform rate factor", check_theta)
     run("density potential", check_density)

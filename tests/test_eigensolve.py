@@ -5,8 +5,8 @@ import pytest
 import scipy.linalg as dla
 import scipy.sparse as sp
 
-from fibrelab.eigensolve import SolveConfig, smallest_eigenpairs, verify_pairs
-from fibrelab.errors import FactorizationFailed, NoConvergence
+from fibrelab.eigensolve import DENSE_CUTOFF, SolveConfig, smallest_eigenpairs, verify_pairs
+from fibrelab.errors import FactorizationFailed
 from fibrelab.nodal import extract_nodal_set, field_from_operator
 from fibrelab.geometry import PeriodicProfile, WarpedTorusGeometry, WaveguideGeometry
 from fibrelab.operators import DiscreteOperator, GridSpec, assemble_full, staggered_diff_periodic
@@ -103,8 +103,16 @@ class TestSmallestEigenpairs:
     def test_singular_shift_fails_factorization(self):
         # integer diagonal makes K - 5 W exactly singular
         op = diag_operator(np.arange(1.0, 1001.0), np.ones(1000))
-        with pytest.raises((FactorizationFailed, NoConvergence)):
+        with pytest.raises(FactorizationFailed):
             smallest_eigenpairs(op, SolveConfig(k=3, shift=5.0))
+
+    def test_shift_inside_spectrum_fails_factorization(self):
+        # shift-invert at a shift above lambda_1 would return the pairs nearest
+        # the shift (here lambda_3..lambda_5) as if they were the smallest
+        op = guide_operator()
+        ref = dla.eigh(op.stiffness.toarray(), np.diag(op.weight), eigvals_only=True)
+        with pytest.raises(FactorizationFailed):
+            smallest_eigenpairs(op, SolveConfig(k=3, shift=0.5 * (ref[2] + ref[3])))
 
     def test_k_larger_than_dimension_rejected(self):
         with pytest.raises(ValueError):
@@ -115,6 +123,9 @@ class TestSmallestEigenpairs:
             SolveConfig(k=0)
         with pytest.raises(ValueError):
             SolveConfig(tol=0.0)
+        for options in ({"max_iter": 0}, {"shift": float("nan")}, {"shift": -float("inf")}):
+            with pytest.raises(ValueError):
+                SolveConfig(**options)
 
 
 def w_projector(vectors, weight):
@@ -198,6 +209,43 @@ class TestFiberFourier:
         assert list(pairs.fiber_modes[-2:]) == [1, 1]
         for x in pairs.vectors.T:
             extract_nodal_set(field_from_operator(op, x))
+
+
+def guide_operator_order4():
+    # fourth-order stencil, dimension 40 * 20 = 800
+    geom = WaveguideGeometry(TWO_PI, PeriodicProfile(TWO_PI, 1.0, (0.5, 0.25)))
+    return assemble_full(geom, 0.3, GridSpec(40, 21, 4, "dirichlet"))
+
+
+def closed_torus_operator():
+    # the 2D periodic operator without its fibre factors: semidefinite K,
+    # default shift -1, periodic wrap couplings in both grid directions
+    return dataclasses.replace(torus_operator(n=32), fiber_factors=None)
+
+
+def long_diagonal_operator():
+    # band width 0; distinct values in a scrambled order
+    rng = np.random.default_rng(3)
+    return diag_operator(rng.permutation(np.arange(1.0, 1001.0)), rng.uniform(0.5, 2.0, 1000))
+
+
+class TestShiftInvert:
+    """The banded Cholesky shift-invert path against a dense solve of (K, diag W)."""
+
+    @pytest.mark.parametrize("make_op,k", [
+        (guide_operator, 6),
+        (guide_operator_order4, 8),
+        (closed_torus_operator, 7),
+        (long_diagonal_operator, 5),
+    ], ids=["guide", "guide_order4", "closed_torus", "diagonal"])
+    def test_matches_dense_solve(self, make_op, k):
+        op = make_op()
+        assert op.dim > DENSE_CUTOFF and op.fiber_factors is None
+        ref = dla.eigh(op.stiffness.toarray(), np.diag(op.weight), eigvals_only=True)[:k]
+        pairs = smallest_eigenpairs(op, SolveConfig(k=k))
+        assert np.all(np.abs(pairs.values - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
+        gram = pairs.vectors.T @ (op.weight[:, None] * pairs.vectors)
+        assert np.max(np.abs(gram - np.eye(k))) < 1e-10
 
 
 class TestVerifyPairs:

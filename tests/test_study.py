@@ -40,6 +40,18 @@ def flat_config(**overrides):
     return cfg
 
 
+def small_guide_config(**solver):
+    # dimension 48 * 16 = 768, above the dense cutoff: the shift-invert path
+    cfg = flat_config(
+        geometry={"type": "waveguide", "length": TWO_PI,
+                  "curvature": {"constant": 1.0, "cos": [0.5], "sin": []}},
+        epsilons=[0.3, 0.2, 0.1],
+        grid={"n_s": 48, "n_f": 17, "stencil_order": 2, "refine": 2},
+    )
+    cfg["solver"].update(solver)
+    return cfg
+
+
 def synthetic_record(eps, eig_gap, est_ratio=0.01, supnorm=1.0, hausdorff=None):
     nod = NodalReport(domain_count=1, component_count=0, hausdorff=hausdorff,
                       boundary_components=0, graph_over_fiber=None, zero_list=[])
@@ -120,6 +132,17 @@ class TestLoadConfig:
         cfg["study"] = {"mode_index": 0, "checks": ["eig_rate"], "thresholds": thresholds}
         with pytest.raises(ConfigError):
             load_config(cfg)
+
+    @pytest.mark.parametrize("solver", [
+        {"max_iter": 0},
+        {"max_iter": -1},
+        {"shift": float("nan")},
+        {"shift": float("inf")},
+        {"shift": -float("inf")},
+    ])
+    def test_bad_solver_block_rejected(self, solver):
+        with pytest.raises(ConfigError):
+            load_config(small_guide_config(**solver))
 
 
 class TestGuardSemantics:
@@ -301,9 +324,23 @@ class TestCli:
         path = self.write_config(tmp_path, cfg)
         assert cli_main(["solve", "--config", path, "--epsilon", "0.5", "--k", "4"]) == 2
 
+    def test_shift_inside_spectrum_is_solver_failure(self, tmp_path, capsys):
+        # 2.55 lies between the third and fourth eigenvalues at eps 0.2
+        path = self.write_config(tmp_path, small_guide_config(shift=2.55))
+        assert cli_main(["solve", "--config", path, "--epsilon", "0.2", "--k", "3"]) == 2
+        assert capsys.readouterr().err.startswith("solver failure: ")
+
+    @pytest.mark.parametrize("solver", [{"max_iter": 0}, {"shift": float("nan")}])
+    def test_bad_solver_block_is_config_error(self, tmp_path, capsys, solver):
+        path = self.write_config(tmp_path, small_guide_config(**solver))
+        assert cli_main(["solve", "--config", path, "--epsilon", "0.2", "--k", "3"]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_check_subcommand_passes(self, capsys):
         assert cli_main(["check"]) == 0
 
 
 def test_self_check_all_green():
-    assert all(ok for _, ok, _ in self_check())
+    results = self_check()
+    assert "waveguide shift-invert solve" in [name for name, _, _ in results]
+    assert all(ok for _, ok, _ in results)
