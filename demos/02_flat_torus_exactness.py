@@ -24,7 +24,7 @@ TWO_PI = 2.0 * np.pi
 N = 64
 
 geom = WarpedTorusGeometry(np.pi, TWO_PI, PeriodicProfile(TWO_PI, 1.0))
-grid = GridSpec(N, N, 2, "periodic")
+grid = GridSpec(N, N, 2)
 
 h = TWO_PI / N
 d = staggered_diff_periodic(N, h, 2)

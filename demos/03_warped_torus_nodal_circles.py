@@ -28,17 +28,17 @@ from fibrelab import (
 )
 
 TWO_PI = 2.0 * np.pi
-grid = GridSpec(64, 64, 4, "periodic")
+grid = GridSpec(64, 64, 4)
 eps = 0.05
 
 print("=== single-harmonic warp: excited base levels are exactly paired ===")
 single = WarpedTorusGeometry(np.pi, TWO_PI, PeriodicProfile(TWO_PI, cos_amps=(0.3,)),
                              warp_is_exp=True)
-eff = assemble_effective(single, GridSpec(128, 64, 4, "periodic"))
+eff = assemble_effective(single, GridSpec(128, 64, 4))
 mu = smallest_eigenpairs(eff.operator, SolveConfig(k=3)).values
 print(f"mu_1 = {mu[1]:.12f}, mu_2 = {mu[2]:.12f}, split = {mu[2] - mu[1]:.2e}")
 try:
-    build_prediction(single, eps, eff, 1, GridSpec(128, 64, 4, "periodic"))
+    build_prediction(eff, 1)
 except DegenerateEffectiveEigenvalue as exc:
     print(f"mode 1 request correctly rejected: {exc}")
 
@@ -49,7 +49,7 @@ geom = WarpedTorusGeometry(np.pi, TWO_PI, PeriodicProfile(TWO_PI, cos_amps=(0.3,
 eff = assemble_effective(geom, grid)
 op = assemble_full(geom, eps, grid)
 pairs = smallest_eigenpairs(op, SolveConfig(k=4, shift=-4 * eps * eps))
-pred = build_prediction(geom, eps, eff, 1, grid)
+pred = build_prediction(eff, 1)
 rec = measure_discrepancy(op, pairs, pred)
 
 print(f"effective eigenvalue mu_1 = {pred.mu:.8f}")

@@ -30,7 +30,7 @@ from fibrelab import (
 )
 
 TWO_PI = 2.0 * np.pi
-grid = GridSpec(128, 192, 4, "dirichlet")
+grid = GridSpec(128, 192, 4)
 eps = 0.1
 
 print("=== round bend (annulus): discrete vs Bessel ===")
@@ -69,7 +69,7 @@ bend2 = WaveguideGeometry(TWO_PI, PeriodicProfile(TWO_PI, constant=1.0,
 eff = assemble_effective(bend2, grid)
 op = assemble_full(bend2, eps, grid)
 pairs = smallest_eigenpairs(op, SolveConfig(k=4, shift=1.97))
-pred = build_prediction(bend2, eps, eff, 1, grid)
+pred = build_prediction(eff, 1)
 rec = measure_discrepancy(op, pairs, pred)
 nodal = extract_nodal_set(field_from_operator(op, pairs.vectors[:, 1]))
 print(f"zeros of the base mode: {[f'{z:.4f}' for z, _ in pred.zeros]}")

@@ -8,72 +8,13 @@ and measures nodal sets, and runs guarded convergence studies in the
 fibre-thinning parameter eps.
 """
 
-from .effective import (
-    DiscrepancyRecord,
-    FiberGroundState,
-    Prediction,
-    build_prediction,
-    fiber_ground_energy,
-    fiber_ground_state,
-    measure_discrepancy,
-    sup_rate_factor,
-)
-from .eigensolve import EigenPairSet, SolveConfig, smallest_eigenpairs, verify_pairs
-from .errors import (
-    ConfigError,
-    DegenerateEffectiveEigenvalue,
-    DegenerateField,
-    EmptySet,
-    FactorizationFailed,
-    FibrelabError,
-    GridTooCoarse,
-    InsufficientPoints,
-    NoConvergence,
-    NonTransversalZero,
-    PairingAmbiguous,
-    TubeDegenerate,
-)
-from .geometry import (
-    MetricSample,
-    PeriodicProfile,
-    WarpedTorusGeometry,
-    WaveguideGeometry,
-    metric_sample,
-)
-from .nodal import (
-    FiberLines,
-    NodalReport,
-    NodalSet,
-    ScalarField,
-    boundary_trace_components,
-    count_nodal_domains,
-    extract_nodal_set,
-    field_from_operator,
-    graph_over_fiber_check,
-    hausdorff_distance,
-    nodal_set_to_csv,
-    zeros_of_base,
-)
-from .operators import (
-    DiscreteOperator,
-    EffectiveOperator,
-    GridSpec,
-    assemble_effective,
-    assemble_fiber,
-    assemble_full,
-    density_potential,
-    grid_for,
-)
-from .study import (
-    RateFit,
-    StudyConfig,
-    StudyReport,
-    emit_report,
-    fit_rate,
-    geometry_from_config,
-    load_config,
-    run_study,
-    self_check,
-)
+from .effective import build_prediction, fiber_ground_energy, measure_discrepancy
+from .eigensolve import SolveConfig, smallest_eigenpairs
+from .errors import DegenerateEffectiveEigenvalue
+from .geometry import PeriodicProfile, WarpedTorusGeometry, WaveguideGeometry, metric_sample
+from .nodal import boundary_trace_components, extract_nodal_set, field_from_operator
+from .operators import GridSpec, assemble_effective, assemble_full, density_potential
+from .report import emit_report, nodal_set_to_csv
+from .study import load_config, run_study
 
 __version__ = "0.1.0"

@@ -9,14 +9,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .eigensolve import SolveConfig, smallest_eigenpairs
+from .eigensolve import smallest_eigenpairs
 from .errors import ConfigError, FactorizationFailed, FibrelabError, NoConvergence
 from .geometry import as_epsilon
-from .nodal import extract_nodal_set, field_from_operator, nodal_set_to_csv
-from .operators import assemble_full, write_coordinate_triplets
-from .study import emit_report, load_config, run_study, self_check
+from .nodal import extract_nodal_set, field_from_operator
+from .operators import assemble_full
+from .report import emit_report, nodal_set_to_csv, write_coordinate_triplets
+from .study import load_config, run_study, self_check
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -64,11 +66,7 @@ def _cmd_solve(args) -> int:
     op = assemble_full(cfg.geometry, args.epsilon, cfg.grid)
     if args.k > op.dim:
         raise ConfigError(f"--k {args.k} exceeds the operator dimension {op.dim}")
-    solve_cfg = SolveConfig(
-        k=args.k, tol=cfg.solver.tol, max_iter=cfg.solver.max_iter,
-        seed=cfg.solver.seed, shift=cfg.solver.shift,
-    )
-    pairs = smallest_eigenpairs(op, solve_cfg)
+    pairs = smallest_eigenpairs(op, replace(cfg.solver, k=args.k))
     if args.dump_stiffness:
         write_coordinate_triplets(op.stiffness, args.dump_stiffness)
     if args.dump_weight:
@@ -90,9 +88,7 @@ def _cmd_nodal(args) -> int:
     if k > op.dim:
         raise ConfigError(f"--mode {args.mode} needs {k} eigenpairs, more than the "
                           f"operator dimension {op.dim}")
-    pairs = smallest_eigenpairs(op, SolveConfig(k=k, tol=cfg.solver.tol,
-                                                max_iter=cfg.solver.max_iter,
-                                                seed=cfg.solver.seed, shift=cfg.solver.shift))
+    pairs = smallest_eigenpairs(op, replace(cfg.solver, k=k))
     nodal = extract_nodal_set(field_from_operator(op, pairs.vectors[:, args.mode]))
     csv_text = nodal_set_to_csv(nodal)
     if args.out:

@@ -13,8 +13,8 @@ and the graph-over-fibre structure check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 import numpy as np
 
@@ -43,10 +43,8 @@ from .operators import (
 )
 
 __all__ = [
-    "FiberGroundState",
     "Prediction",
     "DiscrepancyRecord",
-    "fiber_ground_state",
     "fiber_ground_energy",
     "build_prediction",
     "measure_discrepancy",
@@ -56,36 +54,6 @@ __all__ = [
 
 SIMPLE_GAP = 1e-8
 PAIRING_TOL = 1e-8
-
-
-@dataclass
-class FiberGroundState:
-    """Ground fibre eigenvalue and the positive fibrewise-normalized state."""
-
-    lambda0: float
-    phi0: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-def fiber_ground_state(geom: BundleGeometry) -> FiberGroundState:
-    """Closed-form fibre ground data of a testbed.
-
-    Torus: constant fibre functions, ``phi0 = (fiber_length * a(s))^{-1/2}``
-    with ground value 0.  Waveguide: ``phi0(u) = cos(pi u / 2)`` with
-    ground value ``pi^2/4``; both are fibrewise L2-normalized.
-    """
-    if isinstance(geom, WarpedTorusGeometry):
-
-        def phi0(s, v):
-            a = geom.warp_value(np.asarray(s, dtype=float))
-            return 1.0 / np.sqrt(geom.fiber_length * a) * np.ones_like(np.asarray(v, dtype=float))
-
-        return FiberGroundState(lambda0=0.0, phi0=phi0)
-
-    def phi0_wg(s, v):
-        del s
-        return np.cos(0.5 * np.pi * np.asarray(v, dtype=float))
-
-    return FiberGroundState(lambda0=float(np.pi**2 / 4.0), phi0=phi0_wg)
 
 
 def fiber_ground_energy(geom: WaveguideGeometry, eps, s: float, n_f: int,
@@ -127,17 +95,23 @@ def volume_weight(geom: BundleGeometry, grid: GridSpec) -> np.ndarray:
 
 @dataclass
 class Prediction:
-    """Effective eigenpair and the tensorized predicted eigenfunction."""
+    """Effective eigenpair of one grid level and its tensorized eigenfunction.
+
+    Nothing here depends on eps: the effective problem does not, and only
+    the predicted full eigenvalue :meth:`predicted_lambda` involves it.
+    """
 
     mode_index: int
     mu: float
-    psi: np.ndarray
-    s_nodes: np.ndarray
     pred_field: np.ndarray  # (n_s, n_rows), unit norm in the eps-independent volume
-    predicted_lambda: float
     zeros: list[tuple[float, float]]
     phi0_min: float
     lambda0: float
+
+    def predicted_lambda(self, eps) -> float:
+        """Predicted full eigenvalue ``lambda0 + eps^2 mu``."""
+        eps = as_epsilon(eps)
+        return self.lambda0 + eps * eps * self.mu
 
 
 @dataclass
@@ -158,17 +132,23 @@ class DiscrepancyRecord:
     empirical_tube_constant: Optional[float] = None
 
 
-def build_prediction(geom: BundleGeometry, eps, eff: EffectiveOperator, mode_index: int,
-                     grid: GridSpec, cfg: Optional[SolveConfig] = None) -> Prediction:
+def build_prediction(eff: EffectiveOperator, mode_index: int,
+                     cfg: Optional[SolveConfig] = None) -> Prediction:
     """Solve the effective problem and tensorize mode ``mode_index``.
 
-    Requires the effective eigenvalue to be simple (gap above 1e-8 to its
-    neighbours) and its eigenfunction to have only transversal zeros.
+    Geometry and grid are those of ``eff.operator``.  The predicted field
+    is ``psi(s) * phi0``, with the fibrewise L2-normalized ground state
+    ``phi0 = Vol(s)^{-1/2}`` on the torus and ``cos(pi u / 2)`` on the
+    waveguide, scaled to unit norm with its largest entry positive.
+    ``cfg`` supplies at least ``mode_index + 2`` pairs; its shift, meant
+    for a full operator, is dropped.  Requires the effective eigenvalue to
+    be simple (gap above 1e-8 to its neighbours) and its eigenfunction to
+    have only transversal zeros.
     """
-    eps = as_epsilon(eps)
+    geom, grid = eff.operator.geometry, eff.operator.grid
     cfg = cfg or SolveConfig(k=mode_index + 2)
-    k = max(cfg.k, mode_index + 2)
-    pairs = smallest_eigenpairs(eff.operator, SolveConfig(k=k, tol=cfg.tol, seed=cfg.seed))
+    pairs = smallest_eigenpairs(eff.operator,
+                                replace(cfg, k=max(cfg.k, mode_index + 2), shift=None))
     mu = float(pairs.values[mode_index])
     neighbours = [pairs.values[i] for i in (mode_index - 1, mode_index + 1)
                   if 0 <= i < len(pairs.values)]
@@ -178,41 +158,33 @@ def build_prediction(geom: BundleGeometry, eps, eff: EffectiveOperator, mode_ind
             f"effective eigenvalue {mu:.12g} has neighbour gap {gap:.3e}"
         )
 
-    psi = pairs.vectors[:, mode_index].copy()
+    psi = pairs.vectors[:, mode_index]
     zeros = zeros_of_base(psi, eff.s_nodes, geom.period)
 
-    ground = fiber_ground_state(geom)
     f, _, _ = fiber_nodes(geom, grid.n_f)
     if isinstance(geom, WarpedTorusGeometry):
-        phi_grid = np.repeat(ground.phi0(eff.s_nodes, 0.0)[:, None], len(f), axis=1)
-        phi0_min = float(phi_grid.min())
+        phi0 = 1.0 / np.sqrt(geom.fiber_volume(eff.s_nodes))
+        pred = np.repeat((psi * phi0)[:, None], len(f), axis=1)
     else:
-        phi_grid = np.repeat(ground.phi0(0.0, f)[None, :], grid.n_s, axis=0)
-        phi0_min = float(np.cos(0.5 * np.pi * f).min())
-
-    pred = psi[:, None] * phi_grid
+        phi0 = np.cos(0.5 * np.pi * f)
+        pred = psi[:, None] * phi0[None, :]
     w1 = volume_weight(geom, grid).reshape(pred.shape)
     pred = pred / np.sqrt(float(np.sum(pred * pred * w1)))
-    flat_idx = int(np.argmax(np.abs(pred)))
-    if pred.ravel()[flat_idx] < 0.0:
+    if pred.ravel()[int(np.argmax(np.abs(pred)))] < 0.0:
         pred = -pred
-        psi = -psi
 
     return Prediction(
         mode_index=mode_index,
         mu=mu,
-        psi=psi,
-        s_nodes=eff.s_nodes,
         pred_field=pred,
-        predicted_lambda=eff.lambda0 + eps * eps * mu,
         zeros=zeros,
-        phi0_min=phi0_min,
+        phi0_min=float(phi0.min()),
         lambda0=eff.lambda0,
     )
 
 
-def measure_discrepancy(op: DiscreteOperator, full: EigenPairSet, pred: Prediction,
-                        sampling: Optional[float] = None) -> DiscrepancyRecord:
+def measure_discrepancy(op: DiscreteOperator, full: EigenPairSet,
+                        pred: Prediction) -> DiscrepancyRecord:
     """Compare the paired full eigenpair against the prediction.
 
     Effective mode j pairs with the j-th full level of fibre mode 0 when
@@ -255,9 +227,10 @@ def measure_discrepancy(op: DiscreteOperator, full: EigenPairSet, pred: Predicti
 
     hausdorff = None
     if zeros_s and len(nodal_set.segments):
-        # an eighth of the cell size keeps the point-sampling quantization of
-        # sup-inf distances (~spacing^2 / gap) below the measured shifts
-        spacing = sampling if sampling is not None else 0.125 * min(fld.h_s, fld.h_f)
+        # Both sets are sampled at this spacing, so the sup-inf carries a
+        # sampling error of up to half a spacing: a nodal point between two
+        # fibre samples can lie that far from both (ROADMAP open item 4).
+        spacing = 0.125 * min(fld.h_s, fld.h_f)
         hausdorff = hausdorff_distance(nodal_set, FiberLines(np.asarray(zeros_s)), geom, spacing)
 
     boundary = 0

@@ -39,7 +39,7 @@ operator, independently of how the vectors were found.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -153,8 +153,7 @@ def _base_pairs(stiffness: sp.csr_matrix, weight: np.ndarray, k: int,
     if n_s <= DENSE_CUTOFF:
         return dla.eigh(stiffness.toarray(), np.diag(weight), subset_by_index=[0, k - 1])
     base = DiscreteOperator(dim=n_s, stiffness=stiffness, weight=weight)
-    sub = smallest_eigenpairs(base, SolveConfig(k=k, tol=cfg.tol, max_iter=cfg.max_iter,
-                                                seed=cfg.seed))
+    sub = smallest_eigenpairs(base, replace(cfg, k=k, shift=None))
     return sub.values, sub.vectors
 
 

@@ -131,10 +131,6 @@ class WarpedTorusGeometry:
     def period(self) -> float:
         return 2.0 * self.half_length
 
-    @property
-    def fiber_extent(self) -> float:
-        return self.fiber_length
-
     def warp_value(self, s, deriv: int = 0):
         """a(s) and its first two derivatives, exactly."""
         if self.warp_is_exp:
@@ -201,10 +197,6 @@ class WaveguideGeometry:
     @property
     def period(self) -> float:
         return self.base_length
-
-    @property
-    def fiber_extent(self) -> float:
-        return 2.0
 
     @property
     def curvature_bound(self) -> float:

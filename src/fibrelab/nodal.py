@@ -47,7 +47,6 @@ __all__ = [
     "hausdorff_distance",
     "boundary_trace_components",
     "graph_over_fiber_check",
-    "nodal_set_to_csv",
 ]
 
 
@@ -463,10 +462,3 @@ def graph_over_fiber_check(nodal: NodalSet, zero_list, tube_radius: float) -> bo
             return False
     return True
 
-
-def nodal_set_to_csv(nodal: NodalSet) -> str:
-    """Segments as ``s0,f0,s1,f1,component`` rows."""
-    lines = ["s0,f0,s1,f1,component"]
-    for (p0, p1), lab in zip(nodal.segments, nodal.component_labels):
-        lines.append(f"{p0[0]:.17g},{p0[1]:.17g},{p1[0]:.17g},{p1[1]:.17g},{int(lab)}")
-    return "\n".join(lines) + "\n"

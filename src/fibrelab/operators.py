@@ -45,7 +45,6 @@ __all__ = [
     "staggered_diff_periodic",
     "staggered_diff_dirichlet",
     "dirichlet_ground_value",
-    "write_coordinate_triplets",
 ]
 
 MIN_POINTS = 16
@@ -55,36 +54,23 @@ MIN_POINTS = 16
 class GridSpec:
     """Uniform tensor grid: ``n_s`` base points, ``n_f`` fibre cells.
 
-    The base direction is always periodic.  The fibre direction is
-    periodic on the torus (``n_f`` nodes) and Dirichlet on the waveguide
-    (``n_f`` cells, ``n_f - 1`` stored interior nodes).
+    The base direction is always periodic.  The fibre boundary follows
+    from the geometry: periodic on the torus (``n_f`` nodes) and Dirichlet
+    on the waveguide (``n_f`` cells, ``n_f - 1`` stored interior nodes).
     """
 
     n_s: int
     n_f: int
     stencil_order: int = 2
-    fiber_boundary: str = "periodic"
 
     def __post_init__(self) -> None:
         if self.n_s < MIN_POINTS or self.n_f < MIN_POINTS:
             raise GridTooCoarse(f"need at least {MIN_POINTS} points per direction")
         if self.stencil_order not in (2, 4):
             raise ValueError("stencil_order must be 2 or 4")
-        if self.fiber_boundary not in ("periodic", "dirichlet"):
-            raise ValueError("fiber_boundary must be 'periodic' or 'dirichlet'")
 
     def refined(self, factor: int = 2) -> "GridSpec":
-        return GridSpec(self.n_s * factor, self.n_f * factor, self.stencil_order, self.fiber_boundary)
-
-    def matches(self, geom: BundleGeometry) -> bool:
-        want = "dirichlet" if isinstance(geom, WaveguideGeometry) else "periodic"
-        return self.fiber_boundary == want
-
-
-def grid_for(geom: BundleGeometry, n_s: int, n_f: int, stencil_order: int = 2) -> GridSpec:
-    """GridSpec with the fibre boundary type implied by the geometry."""
-    bc = "dirichlet" if isinstance(geom, WaveguideGeometry) else "periodic"
-    return GridSpec(n_s, n_f, stencil_order, bc)
+        return GridSpec(self.n_s * factor, self.n_f * factor, self.stencil_order)
 
 
 @dataclass(frozen=True)
@@ -122,7 +108,6 @@ class DiscreteOperator:
     geometry: Optional[BundleGeometry] = None
     eps: Optional[float] = None
     grid: Optional[GridSpec] = None
-    kind: str = "full"
     fiber_ground_disc: float = 0.0
     positive_definite: bool = False
     fiber_factors: Optional[FiberFactors] = None
@@ -272,8 +257,6 @@ def assemble_full(geom: BundleGeometry, eps, grid: GridSpec) -> DiscreteOperator
     in ``fiber_factors``.
     """
     eps = as_epsilon(eps)
-    if not grid.matches(geom):
-        raise ValueError("grid fibre boundary does not match the geometry")
     s, h_s = base_nodes(geom, grid.n_s)
     s_mid = s + 0.5 * h_s
     f_nodes, f_mids, h_f = fiber_nodes(geom, grid.n_f)
@@ -332,7 +315,6 @@ def assemble_full(geom: BundleGeometry, eps, grid: GridSpec) -> DiscreteOperator
         geometry=geom,
         eps=eps,
         grid=grid,
-        kind="full",
         fiber_ground_disc=ground,
         positive_definite=definite,
         fiber_factors=factors,
@@ -360,7 +342,6 @@ def assemble_effective(geom: BundleGeometry, grid: GridSpec) -> EffectiveOperato
         geometry=geom,
         eps=None,
         grid=grid,
-        kind="effective",
         fiber_ground_disc=0.0,
         positive_definite=False,
     )
@@ -403,16 +384,7 @@ def assemble_fiber(geom: WaveguideGeometry, eps, s: float, n_f: int) -> Discrete
         geometry=geom,
         eps=eps,
         grid=None,
-        kind="fiber",
         fiber_ground_disc=dirichlet_ground_value(n_f),
         positive_definite=True,
     )
 
-
-def write_coordinate_triplets(matrix, path) -> None:
-    """Dump a sparse matrix as ``row col value`` lines, 17 significant digits."""
-    coo = sp.coo_matrix(matrix)
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w", encoding="ascii") as fh:
-        for i in order:
-            fh.write(f"{coo.row[i]} {coo.col[i]} {coo.data[i]:.17g}\n")

@@ -1,17 +1,14 @@
-"""Convergence studies: eps sweeps, rate fits, guarded checks, reports.
+"""Convergence studies: eps sweeps, rate fits, guarded checks.
 
-A study fixes a geometry, a grid, and a mode index, then for every eps
-solves the full and effective problems on the base grid and once more on
-a refined grid.  The refined solve yields a per-quantity discretization
-estimate; a sweep point enters a rate fit only when the measured model
-error exceeds ten times that estimate.  When every point sits at the
-discretization floor the check is reported as passed with an explicit
-"below floor" flag rather than fitting noise; this is exactly the flat
-situation where the model is discretely exact.
-
-Reports are byte-stable: canonical JSON with sorted keys and
-17-significant-digit floats, fixed-template SVG plots, and wall-clock
-timings kept in a separate non-deterministic file.
+A study fixes a geometry, a grid, and a mode index.  It solves the
+eps-independent effective problem once on the base grid and once on a
+refined grid, then for every eps solves the full problem on both grids.
+The refined solve yields a per-quantity discretization estimate; a sweep
+point enters a rate fit only when the measured model error exceeds ten
+times that estimate.  When every point sits at the discretization floor
+the check is reported as passed with an explicit "below floor" flag
+rather than fitting noise; this is exactly the flat situation where the
+model is discretely exact.  :mod:`fibrelab.report` writes the results.
 """
 
 from __future__ import annotations
@@ -19,13 +16,12 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .effective import DiscrepancyRecord, build_prediction, measure_discrepancy
+from .effective import DiscrepancyRecord, Prediction, build_prediction, measure_discrepancy
 from .eigensolve import SolveConfig, smallest_eigenpairs
 from .errors import ConfigError, FibrelabError, InsufficientPoints
 from .geometry import (
@@ -36,7 +32,7 @@ from .geometry import (
     as_epsilon,
 )
 from .nodal import count_nodal_domains, field_from_operator
-from .operators import GridSpec, assemble_effective, assemble_full, grid_for
+from .operators import GridSpec, assemble_effective, assemble_full
 
 __all__ = [
     "StudyConfig",
@@ -47,7 +43,6 @@ __all__ = [
     "load_config",
     "run_study",
     "fit_rate",
-    "emit_report",
     "self_check",
 ]
 
@@ -143,8 +138,7 @@ def load_config(raw: dict) -> StudyConfig:
     try:
         epsilons = [float(e) for e in raw["epsilons"]]
         grid_block = raw.get("grid", {})
-        grid = grid_for(
-            geom,
+        grid = GridSpec(
             int(grid_block.get("n_s", 64)),
             int(grid_block.get("n_f", 64)),
             int(grid_block.get("stencil_order", 2)),
@@ -251,15 +245,10 @@ def _auto_shift(geom: BundleGeometry) -> Optional[float]:
 QUANTITIES = {"eig_rate": "eig_gap", "supnorm_rate": "supnorm", "hausdorff_rate": "hausdorff"}
 
 
-def _record_value(rec: DiscrepancyRecord, quantity: str) -> Optional[float]:
-    return getattr(rec, quantity)
-
-
 def run_study(cfg: StudyConfig) -> StudyReport:
     """Run the full eps sweep and evaluate the configured checks."""
     geom = cfg.geometry
     grids = [cfg.grid, cfg.grid.refined(cfg.refine)]
-    effectives = [assemble_effective(geom, g) for g in grids]
     want_courant = "courant" in cfg.checks
 
     records: list[DiscrepancyRecord] = []
@@ -268,19 +257,30 @@ def run_study(cfg: StudyConfig) -> StudyReport:
     timings: dict[str, float] = {}
     t_start = time.perf_counter()
 
-    solve_cfg = SolveConfig(
+    solve_cfg = replace(
+        cfg.solver,
         k=max(cfg.solver.k, cfg.mode_index + 2, COURANT_MODES if want_courant else 1),
-        tol=cfg.solver.tol, max_iter=cfg.solver.max_iter, seed=cfg.solver.seed,
         shift=cfg.solver.shift if cfg.solver.shift is not None else _auto_shift(geom),
     )
+    # The effective problem does not depend on eps: one prediction per grid
+    # level.  A failed one is raised again at every eps, after that eps's
+    # full solve, so the failure records are those of a per-eps prediction.
+    predictions: list[Prediction | FibrelabError] = []
+    for grid in grids:
+        eff = assemble_effective(geom, grid)
+        try:
+            predictions.append(build_prediction(eff, cfg.mode_index, solve_cfg))
+        except FibrelabError as exc:
+            predictions.append(exc)
     for eps in cfg.epsilons:
         t0 = time.perf_counter()
         try:
             level_records = []
-            for level, (grid, eff) in enumerate(zip(grids, effectives)):
+            for level, (grid, pred) in enumerate(zip(grids, predictions)):
                 op = assemble_full(geom, eps, grid)
                 pairs = smallest_eigenpairs(op, solve_cfg)
-                pred = build_prediction(geom, eps, eff, cfg.mode_index, grid, solve_cfg)
+                if isinstance(pred, FibrelabError):
+                    raise pred
                 rec = measure_discrepancy(op, pairs, pred)
                 level_records.append(rec)
                 if level == 0 and want_courant:
@@ -292,7 +292,7 @@ def run_study(cfg: StudyConfig) -> StudyReport:
             factor = 1.0 / (1.0 - cfg.refine ** (-float(cfg.grid.stencil_order)))
             ests = {}
             for quantity in ("eig_gap", "supnorm", "hausdorff"):
-                qb, qf = _record_value(base, quantity), _record_value(fine, quantity)
+                qb, qf = getattr(base, quantity), getattr(fine, quantity)
                 if qb is not None and qf is not None:
                     ests[quantity] = abs(qb - qf) * factor
             base.disc_estimates = ests
@@ -333,7 +333,7 @@ def _evaluate_rate_check(name: str, cfg: StudyConfig, records: list[DiscrepancyR
     usable: list[tuple[float, float]] = []
     excluded: list[tuple[float, float, str]] = []
     for rec in records:
-        value = _record_value(rec, quantity)
+        value = getattr(rec, quantity)
         est = rec.disc_estimates.get(quantity)
         if value is None:
             excluded.append((rec.eps, float("nan"), "not measured"))
@@ -416,259 +416,6 @@ def _evaluate_courant(counts: dict[float, list[int]]) -> CheckResult:
     return CheckResult("courant", passed, reason)
 
 
-# ---------------------------------------------------------------- reporting
-
-CSV_COLUMNS = (
-    "epsilon", "mode", "lambda_full", "mu_eff", "eig_gap", "supnorm", "hausdorff",
-    "nodal_domains", "nodal_components", "boundary_components", "graph_check",
-    "disc_err_est",
-)
-
-
-def _fmt_float(x: float) -> str:
-    if x is None or not np.isfinite(x):
-        return "null"
-    if x == int(x) and abs(x) < 1e16:
-        return f"{x:.1f}" if isinstance(x, float) else str(x)
-    return f"{x:.17g}"
-
-
-def _canonical_json(obj, out: list[str]) -> None:
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_fmt_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _canonical_json(item, out)
-        out.append("]")
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if i:
-                out.append(",")
-            out.append(json.dumps(str(key)))
-            out.append(":")
-            _canonical_json(obj[key], out)
-        out.append("}")
-    else:
-        raise TypeError(f"cannot serialize {type(obj)}")
-
-
-def dumps_canonical(obj) -> str:
-    parts: list[str] = []
-    _canonical_json(obj, parts)
-    return "".join(parts)
-
-
-def _record_dict(rec: DiscrepancyRecord) -> dict:
-    return {
-        "epsilon": rec.eps,
-        "mode": rec.mode_index,
-        "lambda_full": rec.lambda_full,
-        "mu_eff": rec.mu,
-        "eig_gap": rec.eig_gap,
-        "supnorm": rec.supnorm,
-        "hausdorff": rec.hausdorff,
-        "nodal_domains": rec.nodal.domain_count,
-        "nodal_components": rec.nodal.component_count,
-        "boundary_components": rec.nodal.boundary_components,
-        "graph_check": rec.nodal.graph_over_fiber,
-        "disc_err_est": rec.disc_error_estimate,
-        "disc_estimates": dict(rec.disc_estimates),
-        "zeros": rec.nodal.zero_list,
-        "tube_radius": rec.tube_radius,
-        "empirical_tube_constant": rec.empirical_tube_constant,
-    }
-
-
-def report_to_dict(report: StudyReport) -> dict:
-    fits = {}
-    for name, f in report.fits.items():
-        fits[name] = None if f is None else {
-            "slope": f.slope,
-            "intercept": f.intercept,
-            "r_squared": f.r_squared,
-            "points_used": [list(p) for p in f.points_used],
-            "excluded": [[e, v, r] for e, v, r in f.excluded],
-        }
-    checks = {
-        name: {
-            "passed": c.passed,
-            "reason": c.reason,
-            "threshold": c.threshold,
-            "theory": c.theory,
-            "slope": c.slope,
-        }
-        for name, c in report.checks.items()
-    }
-    return {
-        "config": report.config_echo,
-        "records": [_record_dict(r) for r in report.records],
-        "fits": fits,
-        "checks": checks,
-        "failures": report.failures,
-        "courant": {f"{eps:.17g}": counts for eps, counts in report.courant_counts.items()},
-    }
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if not np.isfinite(value):
-        return ""
-    return f"{float(value):.17g}"
-
-
-def records_csv(report: StudyReport) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for rec in report.records:
-        d = _record_dict(rec)
-        lines.append(",".join(_csv_cell(d[c]) for c in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
-
-
-SVG_W, SVG_H = 720, 540
-SVG_MARGIN = 70
-
-
-def _svg_loglog(title: str, fit: Optional[RateFit],
-                included: list[tuple[float, float]],
-                excluded: list[tuple[float, float]]) -> str:
-    pts = [(x, y) for x, y in included + excluded if y > 0.0 and x > 0.0]
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {SVG_W} {SVG_H}">',
-        f'<rect width="{SVG_W}" height="{SVG_H}" fill="white"/>',
-        f'<text x="{SVG_W / 2:.6g}" y="28" text-anchor="middle" font-size="18">{title}</text>',
-    ]
-    if pts:
-        lx = [np.log10(x) for x, _ in pts]
-        ly = [np.log10(y) for _, y in pts]
-        x0, x1 = min(lx) - 0.15, max(lx) + 0.15
-        y0, y1 = min(ly) - 0.3, max(ly) + 0.3
-        if x1 - x0 < 1e-9:
-            x0, x1 = x0 - 0.5, x1 + 0.5
-        if y1 - y0 < 1e-9:
-            y0, y1 = y0 - 0.5, y1 + 0.5
-
-        def px(v: float) -> float:
-            return SVG_MARGIN + (v - x0) / (x1 - x0) * (SVG_W - 2 * SVG_MARGIN)
-
-        def py(v: float) -> float:
-            return SVG_H - SVG_MARGIN - (v - y0) / (y1 - y0) * (SVG_H - 2 * SVG_MARGIN)
-
-        parts.append(
-            f'<rect x="{SVG_MARGIN}" y="{SVG_MARGIN}" width="{SVG_W - 2 * SVG_MARGIN}" '
-            f'height="{SVG_H - 2 * SVG_MARGIN}" fill="none" stroke="black"/>'
-        )
-        for d in range(int(np.floor(x0)), int(np.ceil(x1)) + 1):
-            if x0 <= d <= x1:
-                parts.append(
-                    f'<line x1="{px(d):.6g}" y1="{SVG_H - SVG_MARGIN}" x2="{px(d):.6g}" '
-                    f'y2="{SVG_H - SVG_MARGIN + 6}" stroke="black"/>'
-                )
-                parts.append(
-                    f'<text x="{px(d):.6g}" y="{SVG_H - SVG_MARGIN + 22}" text-anchor="middle" '
-                    f'font-size="12">1e{d}</text>'
-                )
-        for d in range(int(np.floor(y0)), int(np.ceil(y1)) + 1):
-            if y0 <= d <= y1:
-                parts.append(
-                    f'<line x1="{SVG_MARGIN - 6}" y1="{py(d):.6g}" x2="{SVG_MARGIN}" '
-                    f'y2="{py(d):.6g}" stroke="black"/>'
-                )
-                parts.append(
-                    f'<text x="{SVG_MARGIN - 10}" y="{py(d):.6g}" text-anchor="end" '
-                    f'font-size="12">1e{d}</text>'
-                )
-        if fit is not None:
-            ell = fit.slope * np.log(10 ** x0) + fit.intercept
-            elr = fit.slope * np.log(10 ** x1) + fit.intercept
-            parts.append(
-                f'<line x1="{px(x0):.6g}" y1="{py(ell / np.log(10)):.6g}" '
-                f'x2="{px(x1):.6g}" y2="{py(elr / np.log(10)):.6g}" '
-                f'stroke="steelblue" stroke-width="1.5"/>'
-            )
-            parts.append(
-                f'<text x="{SVG_W - SVG_MARGIN:.6g}" y="{SVG_MARGIN - 12}" text-anchor="end" '
-                f'font-size="14">slope {fit.slope:.3f}</text>'
-            )
-        for x, y in included:
-            if y > 0:
-                parts.append(
-                    f'<circle cx="{px(np.log10(x)):.6g}" cy="{py(np.log10(y)):.6g}" r="4" '
-                    f'fill="firebrick"/>'
-                )
-        for x, y in excluded:
-            if y > 0:
-                cx, cy = px(np.log10(x)), py(np.log10(y))
-                parts.append(
-                    f'<path d="M {cx - 4:.6g} {cy - 4:.6g} L {cx + 4:.6g} {cy + 4:.6g} '
-                    f'M {cx - 4:.6g} {cy + 4:.6g} L {cx + 4:.6g} {cy - 4:.6g}" '
-                    f'stroke="gray" stroke-width="1.5"/>'
-                )
-    else:
-        parts.append(
-            f'<text x="{SVG_W / 2:.6g}" y="{SVG_H / 2:.6g}" text-anchor="middle" '
-            f'font-size="14">no positive data points</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
-def emit_report(report: StudyReport, out_dir) -> list[Path]:
-    """Write report.json, records.csv, and one SVG per measured quantity.
-
-    The JSON and CSV outputs are byte-stable for identical report content;
-    wall-clock timings go to a separate timings.json outside that contract.
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    path = out / "report.json"
-    path.write_text(dumps_canonical(report_to_dict(report)) + "\n", encoding="ascii")
-    written.append(path)
-
-    path = out / "records.csv"
-    path.write_text(records_csv(report), encoding="ascii")
-    written.append(path)
-
-    for quantity in ("eig_gap", "supnorm", "hausdorff"):
-        fit = report.fits.get(quantity)
-        included = fit.points_used if fit is not None else []
-        excl_src = fit.excluded if fit is not None else []
-        excluded = [(e, v) for e, v, _ in excl_src if np.isfinite(v)]
-        if fit is None:
-            pts = [
-                (r.eps, _record_value(r, quantity))
-                for r in report.records
-                if _record_value(r, quantity) is not None
-            ]
-            excluded = [(e, v) for e, v in pts if v > 0.0]
-        path = out / f"{quantity}.svg"
-        path.write_text(_svg_loglog(quantity, fit, list(included), excluded), encoding="ascii")
-        written.append(path)
-
-    path = out / "timings.json"
-    path.write_text(json.dumps(report.timings, indent=2, sort_keys=True) + "\n", encoding="ascii")
-    written.append(path)
-    return written
-
-
 # ---------------------------------------------------------------- self test
 
 def self_check(verbose: bool = False) -> list[tuple[str, bool, str]]:
@@ -676,6 +423,7 @@ def self_check(verbose: bool = False) -> list[tuple[str, bool, str]]:
     from . import geometry as g
     from . import operators as ops
     from .effective import sup_rate_factor
+    from .report import dumps_canonical
 
     results: list[tuple[str, bool, str]] = []
 
@@ -704,14 +452,14 @@ def self_check(verbose: bool = False) -> list[tuple[str, bool, str]]:
     def check_symmetry():
         torus = g.WarpedTorusGeometry(np.pi, 2 * np.pi,
                                       g.PeriodicProfile(2 * np.pi, 0.3), warp_is_exp=True)
-        op = assemble_full(torus, 0.3, GridSpec(16, 16, 4, "periodic"))
+        op = assemble_full(torus, 0.3, GridSpec(16, 16, 4))
         assert op.symmetry_defect() == 0.0
         ones = np.ones(op.dim)
         assert np.max(np.abs(op.stiffness @ ones)) <= 1e-12 * np.abs(op.stiffness.data).max()
 
     def check_flat():
         torus = g.WarpedTorusGeometry(np.pi, 2 * np.pi, g.PeriodicProfile(2 * np.pi, 1.0))
-        grid = GridSpec(16, 16, 2, "periodic")
+        grid = GridSpec(16, 16, 2)
         op = assemble_full(torus, 0.5, grid)
         pairs = smallest_eigenpairs(op, SolveConfig(k=5))
         h = 2 * np.pi / 16
@@ -724,7 +472,7 @@ def self_check(verbose: bool = False) -> list[tuple[str, bool, str]]:
 
         torus = g.WarpedTorusGeometry(np.pi, 2 * np.pi,
                                       g.PeriodicProfile(2 * np.pi, 0.0, (0.3,)), warp_is_exp=True)
-        op = assemble_full(torus, 0.7, GridSpec(20, 16, 4, "periodic"))
+        op = assemble_full(torus, 0.7, GridSpec(20, 16, 4))
         pairs = smallest_eigenpairs(op, SolveConfig(k=12))
         assert set(pairs.fiber_modes) != {0}
         dense = dla.eigh(op.stiffness.toarray(), np.diag(op.weight), eigvals_only=True)[:12]
@@ -734,7 +482,7 @@ def self_check(verbose: bool = False) -> list[tuple[str, bool, str]]:
         import scipy.linalg as dla
 
         wg = g.WaveguideGeometry(2 * np.pi, g.PeriodicProfile(2 * np.pi, 1.0, (0.5, 0.25)))
-        op = assemble_full(wg, 0.3, GridSpec(40, 21, 4, "dirichlet"))
+        op = assemble_full(wg, 0.3, GridSpec(40, 21, 4))
         pairs = smallest_eigenpairs(op, SolveConfig(k=6))
         dense = dla.eigh(op.stiffness.toarray(), np.diag(op.weight), eigvals_only=True)[:6]
         assert np.max(np.abs(pairs.values - dense) / np.maximum(1.0, np.abs(dense))) < 1e-10

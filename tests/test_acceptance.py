@@ -31,7 +31,8 @@ from fibrelab.errors import DegenerateEffectiveEigenvalue
 from fibrelab.geometry import PeriodicProfile, WarpedTorusGeometry, WaveguideGeometry
 from fibrelab.nodal import count_nodal_domains, field_from_operator
 from fibrelab.operators import GridSpec, assemble_effective, assemble_full, staggered_diff_periodic
-from fibrelab.study import emit_report, load_config, run_study
+from fibrelab.report import emit_report
+from fibrelab.study import load_config, run_study
 
 TWO_PI = 2.0 * np.pi
 
@@ -101,7 +102,7 @@ def guide_j1_report():
 @pytest.fixture(scope="session")
 def flat_setup():
     geom = WarpedTorusGeometry(np.pi, TWO_PI, PeriodicProfile(TWO_PI, 1.0))
-    grid = GridSpec(64, 64, 2, "periodic")
+    grid = GridSpec(64, 64, 2)
     h = TWO_PI / 64
     d = staggered_diff_periodic(64, h, 2)
     symbols = np.sort(np.linalg.eigvalsh((d.T @ d).toarray()))
@@ -157,10 +158,10 @@ def test_eigenvalue_rate_closed_case_mode1_branch_is_degenerate():
     # for log-warp 0.3 cos s that level is exactly paired, so the request
     # trips the simplicity guard and the mode is skipped
     raw = load_config(TORUS_J0_CONFIG)
-    grid = GridSpec(128, 64, 4, "periodic")
+    grid = GridSpec(128, 64, 4)
     eff = assemble_effective(raw.geometry, grid)
     with pytest.raises(DegenerateEffectiveEigenvalue):
-        build_prediction(raw.geometry, 0.1, eff, 1, grid)
+        build_prediction(eff, 1)
     print("PASS eigenvalue rate, closed case, mode 1: exactly degenerate pair "
           "detected and skipped by the simplicity guard")
 
@@ -273,8 +274,8 @@ def test_solver_and_assembly_invariants(tmp_path_factory, guide_j0_report):
     torus = WarpedTorusGeometry(np.pi, TWO_PI,
                                 PeriodicProfile(TWO_PI, 0.0, (0.3,)), warp_is_exp=True)
     guide = WaveguideGeometry(TWO_PI, PeriodicProfile(TWO_PI, 1.0, (0.5,)))
-    t_op = assemble_full(torus, 0.1, GridSpec(48, 48, 4, "periodic"))
-    g_op = assemble_full(guide, 0.2, GridSpec(48, 48, 4, "dirichlet"))
+    t_op = assemble_full(torus, 0.1, GridSpec(48, 48, 4))
+    g_op = assemble_full(guide, 0.2, GridSpec(48, 48, 4))
     assert t_op.symmetry_defect() == 0.0
     assert g_op.symmetry_defect() == 0.0
 

@@ -5,7 +5,6 @@ from scipy.integrate import quad
 from fibrelab.effective import (
     build_prediction,
     fiber_ground_energy,
-    fiber_ground_state,
     measure_discrepancy,
     sup_rate_factor,
     volume_weight,
@@ -37,31 +36,49 @@ def bent_guide(amps=(0.5,)):
     return WaveguideGeometry(TWO_PI, PeriodicProfile(TWO_PI, 1.0, amps))
 
 
+def ground_profile_ratio(geom, grid, mode_index, profile):
+    """pred_field / (psi(s) * profile) with psi from an independent effective solve."""
+    eff = assemble_effective(geom, grid)
+    pred = build_prediction(eff, mode_index)
+    psi = smallest_eigenpairs(eff.operator, SolveConfig(k=mode_index + 2)).vectors[:, mode_index]
+    return pred, pred.pred_field / (psi[:, None] * profile)
+
+
 class TestGroundState:
+    """The fibre ground state is the fibre factor of the tensor prediction."""
+
     def test_waveguide_closed_form(self):
-        gs = fiber_ground_state(bent_guide())
-        assert gs.lambda0 == pytest.approx(np.pi**2 / 4.0, rel=1e-15)
+        grid = GridSpec(32, 32, 2)
+        u = -1.0 + (2.0 / 32) * np.arange(1, 32)
+        profile = np.cos(0.5 * np.pi * u)[None, :]
+        pred, ratio = ground_profile_ratio(bent_guide(), grid, 0, profile)
+        assert np.ptp(ratio) <= 1e-12 * np.abs(ratio).max()
+        assert pred.phi0_min == pytest.approx(profile.min(), rel=1e-15)
         # fibrewise normalization: integral of cos^2(pi u/2) over [-1,1] is 1
-        norm, _ = quad(lambda u: gs.phi0(0.0, u) ** 2, -1.0, 1.0, epsabs=1e-14)
+        norm, _ = quad(lambda v: np.cos(0.5 * np.pi * v) ** 2, -1.0, 1.0, epsabs=1e-14)
         assert norm == pytest.approx(1.0, abs=1e-12)
 
     def test_flat_torus_constant(self):
-        gs = fiber_ground_state(flat_torus())
-        assert gs.lambda0 == 0.0
-        assert gs.phi0(0.3, 1.0) == pytest.approx(1.0 / np.sqrt(TWO_PI), rel=1e-14)
+        pred, ratio = ground_profile_ratio(flat_torus(), GridSpec(32, 32, 2), 0,
+                                           np.full((32, 1), 1.0 / np.sqrt(TWO_PI)))
+        assert np.ptp(ratio) <= 1e-12 * np.abs(ratio).max()
+        assert pred.phi0_min == pytest.approx(1.0 / np.sqrt(TWO_PI), rel=1e-14)
 
     def test_warped_torus_value(self):
-        gs = fiber_ground_state(warped_torus())
-        expected = 1.0 / np.sqrt(TWO_PI * np.exp(0.3))
-        assert gs.phi0(0.0, 0.0) == pytest.approx(expected, rel=1e-13)
+        # the first excited mode: psi changes sign, the ratio must not
+        geom = warped_torus(amps=(0.3, 0.15))
+        s, _ = base_nodes(geom, 64)
+        vol = TWO_PI * np.exp(0.3 * np.cos(s) + 0.15 * np.cos(2.0 * s))
+        pred, ratio = ground_profile_ratio(geom, GridSpec(64, 32, 4), 1,
+                                           (1.0 / np.sqrt(vol))[:, None])
+        assert np.ptp(ratio) <= 1e-10 * np.abs(ratio).max()
+        assert pred.phi0_min == pytest.approx(1.0 / np.sqrt(vol.max()), rel=1e-13)
 
     def test_torus_fibrewise_norm(self):
         geom = warped_torus()
-        gs = fiber_ground_state(geom)
-        for s in (0.0, 1.1, 2.7):
-            val = gs.phi0(s, 0.0)
-            norm = val**2 * geom.fiber_volume(s)
-            assert norm == pytest.approx(1.0, abs=1e-12)
+        pred = build_prediction(assemble_effective(geom, GridSpec(64, 32, 4)), 0)
+        s, _ = base_nodes(geom, 64)
+        assert pred.phi0_min**2 * geom.fiber_volume(s).max() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSupRateFactor:
@@ -120,9 +137,9 @@ class TestFiberGroundEnergy:
 class TestBuildPrediction:
     def test_flat_ground_mode_is_constant(self):
         geom = flat_torus()
-        grid = GridSpec(32, 32, 2, "periodic")
+        grid = GridSpec(32, 32, 2)
         eff = assemble_effective(geom, grid)
-        pred = build_prediction(geom, 0.5, eff, 0, grid)
+        pred = build_prediction(eff, 0)
         assert pred.mu == pytest.approx(0.0, abs=1e-10)
         assert pred.zeros == []
         assert np.ptp(pred.pred_field) < 1e-8
@@ -130,35 +147,35 @@ class TestBuildPrediction:
 
     def test_flat_first_excited_is_degenerate(self):
         geom = flat_torus()
-        grid = GridSpec(32, 32, 2, "periodic")
+        grid = GridSpec(32, 32, 2)
         eff = assemble_effective(geom, grid)
         with pytest.raises(DegenerateEffectiveEigenvalue):
-            build_prediction(geom, 0.5, eff, 1, grid)
+            build_prediction(eff, 1)
 
     def test_single_harmonic_log_warp_is_degenerate(self):
         # log a = 0.3 cos s factorizes the base operator, pairing the excited
         # levels exactly; once the grid resolves the pairing below the guard
         # the simple-branch check must fire
         geom = warped_torus()
-        grid = GridSpec(128, 64, 4, "periodic")
+        grid = GridSpec(128, 64, 4)
         eff = assemble_effective(geom, grid)
         mu = smallest_eigenpairs(eff.operator, SolveConfig(k=3)).values
         assert abs(mu[2] - mu[1]) < 1e-8
         with pytest.raises(DegenerateEffectiveEigenvalue):
-            build_prediction(geom, 0.1, eff, 1, grid)
+            build_prediction(eff, 1)
 
     def test_two_harmonic_log_warp_splits(self):
         geom = warped_torus(amps=(0.3, 0.15))
-        grid = GridSpec(64, 64, 4, "periodic")
+        grid = GridSpec(64, 64, 4)
         eff = assemble_effective(geom, grid)
-        pred = build_prediction(geom, 0.1, eff, 1, grid)
+        pred = build_prediction(eff, 1)
         assert len(pred.zeros) == 2
 
     def test_prediction_normalized_and_sign_fixed(self):
         geom = warped_torus(amps=(0.3, 0.15))
-        grid = GridSpec(64, 64, 4, "periodic")
+        grid = GridSpec(64, 64, 4)
         eff = assemble_effective(geom, grid)
-        pred = build_prediction(geom, 0.1, eff, 1, grid)
+        pred = build_prediction(eff, 1)
         w1 = volume_weight(geom, grid).reshape(pred.pred_field.shape)
         norm = float(np.sum(pred.pred_field**2 * w1))
         assert norm == pytest.approx(1.0, abs=1e-10)
@@ -166,22 +183,22 @@ class TestBuildPrediction:
 
     def test_predicted_lambda_combines_ground_and_mu(self):
         geom = bent_guide()
-        grid = GridSpec(32, 32, 2, "dirichlet")
+        grid = GridSpec(32, 32, 2)
         eff = assemble_effective(geom, grid)
-        pred = build_prediction(geom, 0.1, eff, 0, grid)
-        assert pred.predicted_lambda == pytest.approx(np.pi**2 / 4.0 + 0.01 * pred.mu,
-                                                      rel=1e-12)
+        pred = build_prediction(eff, 0)
+        assert pred.predicted_lambda(0.1) == pytest.approx(np.pi**2 / 4.0 + 0.01 * pred.mu,
+                                                           rel=1e-12)
 
 
 class TestMeasureDiscrepancy:
     def test_flat_ground_mode_exact(self):
         geom = flat_torus()
-        grid = GridSpec(32, 32, 2, "periodic")
+        grid = GridSpec(32, 32, 2)
         eff = assemble_effective(geom, grid)
         for eps in (0.5, 0.25):
             op = assemble_full(geom, eps, grid)
             pairs = smallest_eigenpairs(op, SolveConfig(k=3, shift=-4 * eps * eps))
-            pred = build_prediction(geom, eps, eff, 0, grid)
+            pred = build_prediction(eff, 0)
             rec = measure_discrepancy(op, pairs, pred)
             assert rec.eig_gap <= 1e-8
             assert rec.supnorm <= 1e-8
@@ -189,12 +206,12 @@ class TestMeasureDiscrepancy:
 
     def test_sign_involution_safe(self):
         geom = warped_torus(amps=(0.3, 0.15))
-        grid = GridSpec(32, 32, 2, "periodic")
+        grid = GridSpec(32, 32, 2)
         eff = assemble_effective(geom, grid)
         eps = 0.2
         op = assemble_full(geom, eps, grid)
         pairs = smallest_eigenpairs(op, SolveConfig(k=4, shift=-4 * eps * eps))
-        pred = build_prediction(geom, eps, eff, 1, grid)
+        pred = build_prediction(eff, 1)
         rec_a = measure_discrepancy(op, pairs, pred)
         flipped = EigenPairSet(values=pairs.values.copy(), vectors=-pairs.vectors,
                                residuals=pairs.residuals.copy())
@@ -206,11 +223,11 @@ class TestMeasureDiscrepancy:
 
     def test_pairing_ambiguity_guard(self):
         geom = flat_torus()
-        grid = GridSpec(32, 32, 2, "periodic")
+        grid = GridSpec(32, 32, 2)
         eff = assemble_effective(geom, grid)
         eps = 0.5
         op = assemble_full(geom, eps, grid)
-        pred = build_prediction(geom, eps, eff, 0, grid)
+        pred = build_prediction(eff, 0)
         dim = op.dim
         vecs = np.ones((dim, 2)) / np.sqrt(np.sum(op.weight))
         fake = EigenPairSet(
@@ -228,10 +245,9 @@ class TestPairingByFiberLabel:
 
     def setup_method(self):
         self.geom = warped_torus(amps=(0.3, 0.15))
-        self.grid = GridSpec(32, 32, 2, "periodic")
+        self.grid = GridSpec(32, 32, 2)
         self.op = assemble_full(self.geom, self.EPS, self.grid)
-        self.pred = build_prediction(self.geom, self.EPS,
-                                     assemble_effective(self.geom, self.grid), 2, self.grid)
+        self.pred = build_prediction(assemble_effective(self.geom, self.grid), 2)
 
     def test_pairs_with_the_jth_fiber_ground_level(self):
         pairs = smallest_eigenpairs(self.op, SolveConfig(k=8))
@@ -263,7 +279,7 @@ class TestRoundAnnulusEigenvalue:
         # ground value minus eps^2/4 up to higher order
         geom = bent_guide(amps=())
         eps = 0.1
-        op = assemble_full(geom, eps, GridSpec(96, 128, 4, "dirichlet"))
+        op = assemble_full(geom, eps, GridSpec(96, 128, 4))
         pairs = smallest_eigenpairs(op, SolveConfig(k=1, shift=1.97))
         shifted = pairs.values[0] - op.fiber_ground_disc
         assert shifted == pytest.approx(-0.0025, abs=5e-5)
@@ -278,7 +294,7 @@ class TestEffectiveOperatorIdentity:
         resids = []
         ns = (32, 64, 128)
         for n in ns:
-            grid = GridSpec(n, 16, 2, "periodic")
+            grid = GridSpec(n, 16, 2)
             eff = assemble_effective(geom, grid)
             pairs = smallest_eigenpairs(eff.operator, SolveConfig(k=3))
             mu, psi = pairs.values[1], pairs.vectors[:, 1]

@@ -29,13 +29,13 @@ def warped_torus(amps=(0.3,)):
 
 
 def torus_operator(n=48, eps=0.3, order=2):
-    return assemble_full(warped_torus(), eps, GridSpec(n, n, order, "periodic"))
+    return assemble_full(warped_torus(), eps, GridSpec(n, n, order))
 
 
 def guide_operator():
     # dimension 48 * 16 = 768, above the dense cutoff: shift-invert ARPACK
     geom = WaveguideGeometry(TWO_PI, PeriodicProfile(TWO_PI, 1.0, (0.5,)))
-    return assemble_full(geom, 0.2, GridSpec(48, 17, 2, "dirichlet"))
+    return assemble_full(geom, 0.2, GridSpec(48, 17, 2))
 
 
 both_paths = pytest.mark.parametrize("make_op", [torus_operator, guide_operator],
@@ -151,7 +151,7 @@ class TestFiberFourier:
 
     @pytest.mark.parametrize("n_s,n_f,order,eps", CASES)
     def test_matches_dense_2d_solve(self, n_s, n_f, order, eps):
-        op = assemble_full(warped_torus(), eps, GridSpec(n_s, n_f, order, "periodic"))
+        op = assemble_full(warped_torus(), eps, GridSpec(n_s, n_f, order))
         ref_values, ref_vectors = self.oracle(op)
         for k in (1, 2, 7, 33, op.dim // 2, op.dim - 1):
             pairs = smallest_eigenpairs(op, SolveConfig(k=k))
@@ -173,7 +173,7 @@ class TestFiberFourier:
 
     @pytest.mark.parametrize("n_s,n_f,order,eps", CASES)
     def test_fiber_labels(self, n_s, n_f, order, eps):
-        op = assemble_full(warped_torus(), eps, GridSpec(n_s, n_f, order, "periodic"))
+        op = assemble_full(warped_torus(), eps, GridSpec(n_s, n_f, order))
         pairs = smallest_eigenpairs(op, SolveConfig(k=op.dim - 1))
         modes = pairs.fiber_modes
         assert len(modes) == op.dim - 1
@@ -192,7 +192,7 @@ class TestFiberFourier:
     def test_long_base_goes_through_arpack(self):
         # n_s above the dense cutoff: each base problem is a shift-invert solve;
         # the 2D shift-invert solve of the same operator is the reference
-        op = assemble_full(warped_torus(), 0.6, GridSpec(640, 16, 2, "periodic"))
+        op = assemble_full(warped_torus(), 0.6, GridSpec(640, 16, 2))
         pairs = smallest_eigenpairs(op, SolveConfig(k=10))
         assert set(pairs.fiber_modes) == {0, 1}
         ref = smallest_eigenpairs(dataclasses.replace(op, fiber_factors=None),
@@ -204,7 +204,7 @@ class TestFiberFourier:
         # odd modes of the reflection-symmetric warp vanish on the symmetry
         # row and sin(m t) on the row t = 0; returned with exact zeros there,
         # the nodal layer would reject them as degenerate fields
-        op = assemble_full(warped_torus((0.3, 0.15)), 0.2, GridSpec(64, 64, 4, "periodic"))
+        op = assemble_full(warped_torus((0.3, 0.15)), 0.2, GridSpec(64, 64, 4))
         pairs = smallest_eigenpairs(op, SolveConfig(k=9))
         assert list(pairs.fiber_modes[-2:]) == [1, 1]
         for x in pairs.vectors.T:
@@ -214,7 +214,7 @@ class TestFiberFourier:
 def guide_operator_order4():
     # fourth-order stencil, dimension 40 * 20 = 800
     geom = WaveguideGeometry(TWO_PI, PeriodicProfile(TWO_PI, 1.0, (0.5, 0.25)))
-    return assemble_full(geom, 0.3, GridSpec(40, 21, 4, "dirichlet"))
+    return assemble_full(geom, 0.3, GridSpec(40, 21, 4))
 
 
 def closed_torus_operator():

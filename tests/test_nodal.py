@@ -23,10 +23,10 @@ from fibrelab.nodal import (
     field_from_operator,
     graph_over_fiber_check,
     hausdorff_distance,
-    nodal_set_to_csv,
     zeros_of_base,
 )
 from fibrelab.operators import GridSpec, assemble_effective, assemble_full
+from fibrelab.report import nodal_set_to_csv
 
 TWO_PI = 2.0 * np.pi
 
@@ -375,12 +375,12 @@ def hausdorff_cases(draw):
 def mode1_nodal_set():
     """Mode-1 nodal set of a 64x64 warped torus and the fibres over its predicted zeros."""
     geom = HAUSDORFF_GEOMETRIES["exp"]
-    grid = GridSpec(64, 64, 4, "periodic")
+    grid = GridSpec(64, 64, 4)
     op = assemble_full(geom, 0.1, grid)
     pairs = smallest_eigenpairs(op, SolveConfig(k=4, tol=1e-8, max_iter=5000, seed=0))
     idx = int(np.flatnonzero(pairs.fiber_modes == 0)[1])
     fld = field_from_operator(op, pairs.vectors[:, idx])
-    pred = build_prediction(geom, 0.1, assemble_effective(geom, grid), 1, grid)
+    pred = build_prediction(assemble_effective(geom, grid), 1)
     zeros = FiberLines(np.array([z for z, _ in pred.zeros]))
     return geom, fld, extract_nodal_set(fld), zeros
 

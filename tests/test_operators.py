@@ -12,11 +12,10 @@ from fibrelab.operators import (
     assemble_full,
     density_potential,
     dirichlet_ground_value,
-    grid_for,
     staggered_diff_dirichlet,
     staggered_diff_periodic,
-    write_coordinate_triplets,
 )
+from fibrelab.report import write_coordinate_triplets
 
 TWO_PI = 2.0 * np.pi
 
@@ -72,7 +71,7 @@ class TestStaggeredDifferences:
 
     def test_constant_kernel_of_assembled_operator(self):
         for order in (2, 4):
-            op = assemble_full(warped_torus(), 0.4, GridSpec(24, 24, order, "periodic"))
+            op = assemble_full(warped_torus(), 0.4, GridSpec(24, 24, order))
             resid = np.max(np.abs(op.stiffness @ np.ones(op.dim)))
             assert resid <= 1e-12 * np.abs(op.stiffness.data).max()
 
@@ -80,21 +79,21 @@ class TestStaggeredDifferences:
 class TestFullAssembly:
     def test_symmetry_is_exact(self):
         for geom, grid in (
-            (warped_torus(), GridSpec(32, 32, 4, "periodic")),
-            (round_guide(), GridSpec(32, 32, 2, "dirichlet")),
+            (warped_torus(), GridSpec(32, 32, 4)),
+            (round_guide(), GridSpec(32, 32, 2)),
         ):
             op = assemble_full(geom, 0.2, grid)
             assert op.symmetry_defect() == 0.0
 
     def test_closed_constant_kernel_exact(self):
-        op = assemble_full(warped_torus(), 0.3, GridSpec(32, 32, 4, "periodic"))
+        op = assemble_full(warped_torus(), 0.3, GridSpec(32, 32, 4))
         resid = np.max(np.abs(op.stiffness @ np.ones(op.dim)))
         assert resid <= 1e-12 * np.abs(op.stiffness.data).max()
 
     @pytest.mark.parametrize("order", [2, 4])
     def test_flat_tensor_exactness(self, order):
         geom = flat_torus()
-        grid = GridSpec(64, 64, order, "periodic")
+        grid = GridSpec(64, 64, order)
         h = TWO_PI / 64
         sym = periodic_symbols(64, h, order)
         for eps in (0.5, 0.25):
@@ -109,7 +108,7 @@ class TestFullAssembly:
         h = TWO_PI / 64
         sym1 = (2.0 - 2.0 * np.cos(TWO_PI / 64)) / h**2
         sym2 = (2.0 - 2.0 * np.cos(2.0 * TWO_PI / 64)) / h**2
-        op = assemble_full(flat_torus(), 0.5, GridSpec(64, 64, 2, "periodic"))
+        op = assemble_full(flat_torus(), 0.5, GridSpec(64, 64, 2))
         pairs = smallest_eigenpairs(op, SolveConfig(k=4, shift=-1.0))
         expected = np.array([0.0, 0.25 * sym1, 0.25 * sym1, 0.25 * sym2])
         assert np.max(np.abs(pairs.values - expected)) < 1e-10
@@ -118,7 +117,7 @@ class TestFullAssembly:
         geom = straight_guide()
         values = []
         for n in (32, 64, 128):
-            op = assemble_full(geom, 0.3, grid_for(geom, 32, n))
+            op = assemble_full(geom, 0.3, GridSpec(32, n))
             pairs = smallest_eigenpairs(op, SolveConfig(k=1, shift=1.0))
             assert pairs.values[0] == pytest.approx(dirichlet_ground_value(n), rel=1e-11)
             values.append(pairs.values[0])
@@ -129,7 +128,7 @@ class TestFullAssembly:
     def test_straight_guide_tensor_structure(self):
         geom = straight_guide()
         n_s, n_f = 32, 32
-        grid = grid_for(geom, n_s, n_f)
+        grid = GridSpec(n_s, n_f)
         eps = 0.2
         h_s = TWO_PI / n_s
         sym_s = periodic_symbols(n_s, h_s, 2)
@@ -141,7 +140,7 @@ class TestFullAssembly:
         assert np.max(np.abs(pairs.values - tensor)) < 1e-10
 
     def test_dirichlet_positive_definite(self):
-        op = assemble_full(round_guide(), 0.2, GridSpec(32, 32, 2, "dirichlet"))
+        op = assemble_full(round_guide(), 0.2, GridSpec(32, 32, 2))
         pairs = smallest_eigenpairs(op, SolveConfig(k=1, shift=0.0))
         assert pairs.values[0] > 0.0
 
@@ -157,7 +156,7 @@ class TestFullAssembly:
         for n in (24, 48, 96):
             if geom_name == "torus":
                 geom = warped_torus()
-                grid = GridSpec(n, n, order, "periodic")
+                grid = GridSpec(n, n, order)
                 op = assemble_full(geom, eps, grid)
                 h_s = TWO_PI / n
                 s = (np.arange(n) * h_s)[:, None]
@@ -169,7 +168,7 @@ class TestFullAssembly:
                     + (1.0 / a**2) * np.cos(s) * (-np.cos(t))
             else:
                 geom = round_guide()
-                grid = GridSpec(n, n, order, "dirichlet")
+                grid = GridSpec(n, n, order)
                 op = assemble_full(geom, eps, grid)
                 h_s = TWO_PI / n
                 s = (np.arange(n) * h_s)[:, None]
@@ -197,7 +196,7 @@ class TestFullAssembly:
         u = (-1.0 + h_f * np.arange(1, n_f))[None, :]
 
         def apply_at(n_s):
-            grid = GridSpec(n_s, n_f, 4, "dirichlet")
+            grid = GridSpec(n_s, n_f, 4)
             op = assemble_full(geom, eps, grid)
             h_s = TWO_PI / n_s
             s = (np.arange(n_s) * h_s)[:, None]
@@ -220,16 +219,21 @@ class TestFullAssembly:
     def test_tube_violation_raises(self):
         tight = WaveguideGeometry(TWO_PI, PeriodicProfile(TWO_PI, 2.0))
         with pytest.raises(TubeDegenerate):
-            assemble_full(tight, 0.6, GridSpec(16, 16, 2, "dirichlet"))
+            assemble_full(tight, 0.6, GridSpec(16, 16, 2))
 
-    def test_boundary_type_mismatch(self):
-        with pytest.raises(ValueError):
-            assemble_full(round_guide(), 0.2, GridSpec(16, 16, 2, "periodic"))
+    def test_fiber_boundary_follows_geometry(self):
+        # one grid, two boundaries: n_f periodic nodes on the torus, and
+        # n_f - 1 interior nodes between Dirichlet walls on the waveguide
+        grid = GridSpec(16, 20, 2)
+        assert assemble_full(flat_torus(), 0.2, grid).dim == 16 * 20
+        guide = assemble_full(round_guide(), 0.2, grid)
+        assert guide.dim == 16 * 19
+        assert guide.fiber_ground_disc == dirichlet_ground_value(20)
 
 
 class TestEffectiveOperator:
     def test_flat_potential_and_spectrum(self):
-        eff = assemble_effective(flat_torus(), GridSpec(256, 16, 2, "periodic"))
+        eff = assemble_effective(flat_torus(), GridSpec(256, 16, 2))
         assert np.max(np.abs(eff.potential)) == 0.0
         assert eff.lambda0 == 0.0
         mu = smallest_eigenpairs(eff.operator, SolveConfig(k=5)).values
@@ -237,18 +241,18 @@ class TestEffectiveOperator:
 
     def test_warped_potential_sample(self):
         # log a = 0.3 cos s: V(0) = 0.5*(-0.3) + 0.25*0 = -0.15 exactly
-        eff = assemble_effective(warped_torus(), GridSpec(64, 16, 2, "periodic"))
+        eff = assemble_effective(warped_torus(), GridSpec(64, 16, 2))
         assert eff.potential[0] == pytest.approx(-0.15, abs=1e-15)
 
     def test_waveguide_potential_sample(self):
         geom = WaveguideGeometry(TWO_PI, PeriodicProfile(TWO_PI, 1.0, (0.5,)))
-        eff = assemble_effective(geom, GridSpec(64, 16, 2, "dirichlet"))
+        eff = assemble_effective(geom, GridSpec(64, 16, 2))
         assert eff.potential[0] == pytest.approx(-0.5625, abs=1e-15)
         assert eff.lambda0 == pytest.approx(np.pi**2 / 4.0, rel=1e-15)
 
     def test_potential_samples_match_closed_form_everywhere(self):
         geom = warped_torus()
-        eff = assemble_effective(geom, GridSpec(64, 16, 4, "periodic"))
+        eff = assemble_effective(geom, GridSpec(64, 16, 4))
         s = eff.s_nodes
         expected = 0.5 * (-0.3 * np.cos(s)) + 0.25 * (0.3 * np.sin(s)) ** 2
         assert np.max(np.abs(eff.potential - expected)) < 5e-16
@@ -326,7 +330,7 @@ class TestAnnulusOracle:
 
     def test_full_solve_matches_bessel_roots(self):
         eps = 0.1
-        op = assemble_full(round_guide(), eps, GridSpec(96, 128, 4, "dirichlet"))
+        op = assemble_full(round_guide(), eps, GridSpec(96, 128, 4))
         pairs = smallest_eigenpairs(op, SolveConfig(k=3, shift=1.97))
         exact = [eps**2 * self.annulus_root(m, eps) ** 2 for m in (0, 1)]
         # raw values carry the kappa-independent fibre discretization bias

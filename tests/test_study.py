@@ -1,19 +1,19 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+import fibrelab.study as study_module
 from fibrelab.cli import main as cli_main
 from fibrelab.effective import DiscrepancyRecord
 from fibrelab.errors import ConfigError, InsufficientPoints
 from fibrelab.nodal import NodalReport
+from fibrelab.report import dumps_canonical, emit_report, records_csv
 from fibrelab.study import (
     _evaluate_rate_check,
-    dumps_canonical,
-    emit_report,
     fit_rate,
     load_config,
-    records_csv,
     run_study,
     self_check,
     CheckResult,
@@ -201,6 +201,37 @@ class TestRunStudy:
         emit_report(rep_b, tmp_path / "b")
         for name in ("report.json", "records.csv", "eig_gap.svg"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_degenerate_mode_fails_at_every_eps_in_order(self):
+        # mode 1 of the flat torus is the exactly paired cos/sin level
+        cfg = flat_config(epsilons=[0.4, 0.2, 0.1],
+                          grid={"n_s": 16, "n_f": 16, "stencil_order": 2, "refine": 2})
+        cfg["study"]["mode_index"] = 1
+        report = run_study(load_config(cfg))
+        assert report.records == []
+        assert [f["epsilon"] for f in report.failures] == [0.4, 0.2, 0.1]
+        assert {f["error"] for f in report.failures} == {"DegenerateEffectiveEigenvalue"}
+        h = TWO_PI / 16
+        mu = (2.0 - 2.0 * np.cos(h)) / h**2
+        for failure in report.failures:
+            match = re.fullmatch(rf"effective eigenvalue {mu:.12g} has neighbour gap (\S+)",
+                                 failure["message"])
+            assert match and float(match.group(1)) <= 1e-8
+        assert len({f["message"] for f in report.failures}) == 1
+
+    def test_one_effective_prediction_per_grid_level(self, monkeypatch):
+        calls = []
+        real = study_module.build_prediction
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(study_module, "build_prediction", spy)
+        cfg = flat_config(epsilons=[0.5, 0.4, 0.3, 0.2])
+        report = run_study(load_config(cfg))
+        assert len(report.records) == 4
+        assert len(calls) == 2
 
 
 class TestEmitReport:
