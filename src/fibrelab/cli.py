@@ -50,7 +50,8 @@ def _cmd_study(args) -> int:
     for name, check in sorted(report.checks.items()):
         print(f"{'PASS' if check.passed else 'FAIL'} {name}: {check.reason}")
     for failure in report.failures:
-        print(f"ERROR eps={failure['epsilon']}: {failure['error']}: {failure['message']}")
+        print(f"ERROR eps={failure['epsilon']} level={failure['level']} "
+              f"stage={failure['stage']}: {failure['error']}: {failure['message']}")
     print(f"wrote {len(files)} files to {Path(out_dir)}")
     if args.assert_checks:
         if report.failures or any(not c.passed for c in report.checks.values()):

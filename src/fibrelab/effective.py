@@ -99,10 +99,13 @@ class Prediction:
 
     Nothing here depends on eps: the effective problem does not, and only
     the predicted full eigenvalue :meth:`predicted_lambda` involves it.
+    ``mu0`` is the lowest effective eigenvalue, which predicts the bottom
+    of the full spectrum.
     """
 
     mode_index: int
     mu: float
+    mu0: float
     pred_field: np.ndarray  # (n_s, n_rows), unit norm in the eps-independent volume
     zeros: list[tuple[float, float]]
     phi0_min: float
@@ -176,6 +179,7 @@ def build_prediction(eff: EffectiveOperator, mode_index: int,
     return Prediction(
         mode_index=mode_index,
         mu=mu,
+        mu0=float(pairs.values[0]),
         pred_field=pred,
         zeros=zeros,
         phi0_min=float(phi0.min()),

@@ -25,9 +25,13 @@ Three paths share one post-processing step:
   that is, if and only if the shift lies below the whole spectrum, so it
   certifies the shift: a shift inside the spectrum, which would return
   the pairs nearest the shift instead of the smallest, fails with
-  ``FactorizationFailed``.  The start vector is drawn from a seeded
-  generator, so repeated calls reproduce values to machine precision and
-  vectors up to sign.
+  ``FactorizationFailed``.  The Krylov basis holds
+  ``min(n - 1, max(2k + 4, 20))`` vectors.  That is enough when the shift
+  lies just below the smallest eigenvalue, as the study places it, since
+  the wanted values of ``A^{-1}`` then stand well apart from the rest; a
+  shift far below them costs more restarts but not accuracy.  The start
+  vector is drawn from a seeded generator, so repeated calls reproduce
+  values to machine precision and vectors up to sign.
 * Small operators, and requests for nearly the whole spectrum: a dense
   solve.
 
@@ -66,7 +70,11 @@ class SolveConfig:
     (Dirichlet) ones.  The shift-invert path checks this: its Cholesky
     factor of ``K - shift * W`` exists only for such a shift, and any
     other shift raises ``FactorizationFailed``.  The dense and separable
-    torus paths use no shift and ignore it.
+    torus paths use no shift and ignore it.  A study shifts each full
+    solve to just below the ground level that the effective model
+    predicts (see :mod:`fibrelab.study`); the configured shift is its
+    fallback, used where that shift fails to factor or the prediction
+    failed.
     """
 
     k: int = 6
@@ -215,7 +223,7 @@ def smallest_eigenpairs(op: DiscreteOperator, cfg: SolveConfig) -> EigenPairSet:
             raise FactorizationFailed(f"K - sigma W is not positive definite: shift sigma = "
                                       f"{sigma:g} is not below the spectrum") from exc
         v0 = np.random.default_rng(cfg.seed).standard_normal(n)
-        ncv = min(n - 1, max(4 * k + 20, 40))
+        ncv = min(n - 1, max(2 * k + 4, 20))
         try:
             values, vectors = sla.eigsh(
                 op.stiffness,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as dla
 import scipy.sparse as sp
+import scipy.sparse.linalg as sla
 
 from fibrelab.eigensolve import DENSE_CUTOFF, SolveConfig, smallest_eigenpairs, verify_pairs
 from fibrelab.errors import FactorizationFailed
@@ -246,6 +247,34 @@ class TestShiftInvert:
         assert np.all(np.abs(pairs.values - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
         gram = pairs.vectors.T @ (op.weight[:, None] * pairs.vectors)
         assert np.max(np.abs(gram - np.eye(k))) < 1e-10
+
+    @pytest.mark.parametrize("margin", [0.5, 1e-3])
+    def test_shift_just_below_ground_matches_dense_solve(self, margin):
+        # a study shifts eps^2 / 2 below the predicted ground level; the
+        # factor must exist however close below lambda_1 the shift lies
+        op = guide_operator()
+        ref = dla.eigh(op.stiffness.toarray(), np.diag(op.weight), eigvals_only=True)[:8]
+        pairs = smallest_eigenpairs(op, SolveConfig(k=8, shift=ref[0] - margin * op.eps**2))
+        assert np.all(np.abs(pairs.values - ref) <= 1e-10 * ref)
+
+    def test_shift_just_above_ground_fails_factorization(self):
+        op = guide_operator()
+        ref = dla.eigh(op.stiffness.toarray(), np.diag(op.weight), eigvals_only=True)
+        with pytest.raises(FactorizationFailed):
+            smallest_eigenpairs(op, SolveConfig(k=8, shift=ref[0] + 1e-3 * op.eps**2))
+
+    @pytest.mark.parametrize("k,ncv", [(3, 20), (8, 20), (12, 28)])
+    def test_krylov_basis_size(self, monkeypatch, k, ncv):
+        seen = []
+        real = sla.eigsh
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["ncv"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sla, "eigsh", spy)
+        smallest_eigenpairs(guide_operator(), SolveConfig(k=k))
+        assert seen == [ncv]
 
 
 class TestVerifyPairs:

@@ -7,8 +7,10 @@ import pytest
 import fibrelab.study as study_module
 from fibrelab.cli import main as cli_main
 from fibrelab.effective import DiscrepancyRecord
+from fibrelab.eigensolve import DENSE_CUTOFF, SolveConfig, smallest_eigenpairs
 from fibrelab.errors import ConfigError, InsufficientPoints
 from fibrelab.nodal import NodalReport
+from fibrelab.operators import assemble_effective
 from fibrelab.report import dumps_canonical, emit_report, records_csv
 from fibrelab.study import (
     _evaluate_rate_check,
@@ -50,6 +52,32 @@ def small_guide_config(**solver):
     )
     cfg["solver"].update(solver)
     return cfg
+
+
+def guide_mode1_config(**solver):
+    # two curvature harmonics keep the first excited effective level simple
+    cfg = small_guide_config(**solver)
+    cfg["geometry"]["curvature"]["cos"] = [0.5, 0.25]
+    cfg["study"]["mode_index"] = 1
+    return cfg
+
+
+def spy_full_solves(monkeypatch):
+    """Record ``[operator, shift, values]`` of every full solve of a study.
+
+    ``values`` stays ``None`` when the solve raised.
+    """
+    calls = []
+    real = study_module.smallest_eigenpairs
+
+    def spy(op, cfg):
+        calls.append([op, cfg.shift, None])
+        pairs = real(op, cfg)
+        calls[-1][2] = pairs.values
+        return pairs
+
+    monkeypatch.setattr(study_module, "smallest_eigenpairs", spy)
+    return calls
 
 
 def synthetic_record(eps, eig_gap, est_ratio=0.01, supnorm=1.0, hausdorff=None):
@@ -211,6 +239,7 @@ class TestRunStudy:
         assert report.records == []
         assert [f["epsilon"] for f in report.failures] == [0.4, 0.2, 0.1]
         assert {f["error"] for f in report.failures} == {"DegenerateEffectiveEigenvalue"}
+        assert {(f["level"], f["stage"]) for f in report.failures} == {(0, "prediction")}
         h = TWO_PI / 16
         mu = (2.0 - 2.0 * np.cos(h)) / h**2
         for failure in report.failures:
@@ -232,6 +261,70 @@ class TestRunStudy:
         report = run_study(load_config(cfg))
         assert len(report.records) == 4
         assert len(calls) == 2
+
+
+class TestPredictedShift:
+    """Full solves shift to just below the ground level the effective model predicts."""
+
+    def test_full_solves_run_at_predicted_shift(self, monkeypatch):
+        cfg = load_config(guide_mode1_config())
+        mu0 = {}
+        for grid in (cfg.grid, cfg.grid.refined(cfg.refine)):
+            eff = assemble_effective(cfg.geometry, grid)
+            mu0[grid.n_s] = smallest_eigenpairs(eff.operator, SolveConfig(k=3)).values[0]
+        calls = spy_full_solves(monkeypatch)
+        report = run_study(cfg)
+        assert len(report.records) == 3 and report.failures == []
+        assert report.timings["shift_fallbacks"] == 0
+        assert len(calls) == 2 * len(cfg.epsilons)
+        configured = study_module._auto_shift(cfg.geometry)
+        for op, shift, values in calls:
+            assert op.dim > DENSE_CUTOFF and op.fiber_factors is None
+            expected = op.fiber_ground_disc + op.eps**2 * (mu0[op.grid.n_s] - 0.5)
+            assert shift == pytest.approx(expected, rel=1e-14)
+            assert shift < values[0]
+            ref = smallest_eigenpairs(op, SolveConfig(k=len(values), shift=configured)).values
+            assert np.all(np.abs(values - ref) <= 1e-10 * ref)
+
+    def test_shift_above_spectrum_falls_back(self, monkeypatch):
+        cfg = load_config(guide_mode1_config())
+        predicted = run_study(cfg)
+        # eps^2 above the predicted ground level, so above lambda_1
+        monkeypatch.setattr(study_module, "SHIFT_MARGIN", -1.0)
+        calls = spy_full_solves(monkeypatch)
+        fallback = run_study(cfg)
+        solves = 2 * len(cfg.epsilons)
+        assert fallback.timings["shift_fallbacks"] == solves
+        assert fallback.failures == []
+        assert [values is None for _, _, values in calls] == [True, False] * solves
+        configured = study_module._auto_shift(cfg.geometry)
+        for (_, shift, _), (_, retry_shift, values) in zip(calls[::2], calls[1::2]):
+            assert shift > values[0]
+            assert retry_shift == configured
+        assert len(fallback.records) == len(predicted.records) == 3
+        for a, b in zip(predicted.records, fallback.records):
+            assert (a.eps, a.mu) == (b.eps, b.mu)
+            for name in ("lambda_full", "eig_gap", "supnorm", "hausdorff"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert abs(x - y) <= 1e-10 * abs(x), name
+
+    def test_both_shifts_failing_is_a_full_solve_failure(self, tmp_path, monkeypatch, capsys):
+        # the predicted shift lies above lambda_1, the configured one inside the spectrum
+        monkeypatch.setattr(study_module, "SHIFT_MARGIN", -1.0)
+        cfg = small_guide_config(shift=2.55)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert cli_main(["study", "--config", str(path), "--out", str(out)]) == 0
+        failures = json.loads((out / "report.json").read_text())["failures"]
+        assert [(f["epsilon"], f["level"], f["stage"], f["error"]) for f in failures] == [
+            (eps, 0, "full_solve", "FactorizationFailed") for eps in cfg["epsilons"]]
+        printed = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("ERROR")]
+        assert [line.split(": ")[0] for line in printed] == [
+            f"ERROR eps={eps} level=0 stage=full_solve" for eps in cfg["epsilons"]]
+        timings = json.loads((out / "timings.json").read_text())
+        assert timings["shift_fallbacks"] == len(cfg["epsilons"])
 
 
 class TestEmitReport:
@@ -373,5 +466,7 @@ class TestCli:
 
 def test_self_check_all_green():
     results = self_check()
-    assert "waveguide shift-invert solve" in [name for name, _, _ in results]
+    names = [name for name, _, _ in results]
+    assert "waveguide shift-invert solve" in names
+    assert "waveguide predicted-shift solve" in names
     assert all(ok for _, ok, _ in results)
