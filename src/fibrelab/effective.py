@@ -48,6 +48,7 @@ __all__ = [
     "fiber_ground_energy",
     "build_prediction",
     "measure_discrepancy",
+    "paired_level",
     "sup_rate_factor",
     "volume_weight",
 ]
@@ -187,28 +188,36 @@ def build_prediction(eff: EffectiveOperator, mode_index: int,
     )
 
 
-def measure_discrepancy(op: DiscreteOperator, full: EigenPairSet,
-                        pred: Prediction) -> DiscrepancyRecord:
-    """Compare the paired full eigenpair against the prediction.
+def paired_level(full: EigenPairSet, mode_index: int) -> int:
+    """Index in ``full`` of the level that effective mode ``mode_index`` pairs with.
 
-    Effective mode j pairs with the j-th full level of fibre mode 0 when
-    the pairs carry fibre labels, and with the j-th level in ascending
-    order otherwise.  Eigenvalues are compared after subtracting the
-    discrete fibre ground value and dividing by eps^2; an ambiguity guard
-    rejects the comparison when two rescaled eigenvalues sit within 1e-8
-    of the effective one.
+    Mode j pairs with the j-th full level of fibre mode 0 when the pairs
+    carry fibre labels, and with the j-th level in ascending order
+    otherwise.  Raises ``PairingAmbiguous`` when ``full`` holds fewer
+    than j + 1 such levels.
     """
-    geom, grid, eps = op.geometry, op.grid, op.eps
-    j = pred.mode_index
     if full.fiber_modes is None:
         ground_levels = np.arange(len(full.values))
     else:
         ground_levels = np.flatnonzero(full.fiber_modes == 0)
-    if j >= len(ground_levels):
-        raise PairingAmbiguous(
-            f"mode {j} needs {j + 1} fibre-ground levels, found {len(ground_levels)}"
-        )
-    idx = int(ground_levels[j])
+    if mode_index >= len(ground_levels):
+        raise PairingAmbiguous(f"mode {mode_index} needs {mode_index + 1} fibre-ground "
+                               f"levels, found {len(ground_levels)}")
+    return int(ground_levels[mode_index])
+
+
+def measure_discrepancy(op: DiscreteOperator, full: EigenPairSet,
+                        pred: Prediction) -> DiscrepancyRecord:
+    """Compare the paired full eigenpair against the prediction.
+
+    The full level is the one :func:`paired_level` names.  Eigenvalues are
+    compared after subtracting the discrete fibre ground value and
+    dividing by eps^2; an ambiguity guard rejects the comparison when two
+    rescaled eigenvalues of ``full`` sit within 1e-8 of the effective one.
+    """
+    geom, grid, eps = op.geometry, op.grid, op.eps
+    j = pred.mode_index
+    idx = paired_level(full, j)
     rescaled = (full.values - op.fiber_ground_disc) / (eps * eps)
     if int(np.count_nonzero(np.abs(rescaled - pred.mu) < PAIRING_TOL)) >= 2:
         raise PairingAmbiguous(

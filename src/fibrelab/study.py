@@ -1,14 +1,19 @@
 """Convergence studies: eps sweeps, rate fits, guarded checks.
 
-A study fixes a geometry, a grid, and a mode index.  It solves the
+A study fixes a geometry, a grid, and a mode index j.  It solves the
 eps-independent effective problem once on the base grid and once on a
 refined grid, then for every eps solves the full problem on both grids.
-The refined solve yields a per-quantity discretization estimate; a sweep
-point enters a rate fit only when the measured model error exceeds ten
-times that estimate.  When every point sits at the discretization floor
-the check is reported as passed with an explicit "below floor" flag
-rather than fitting noise; this is exactly the flat situation where the
-model is discretely exact.  :mod:`fibrelab.report` writes the results.
+The base level solves for ``max(solver.k, j + 2, 6)`` pairs (the 6 only
+with the ``courant`` check, whose domain counts it feeds).  The refined
+level only yields a per-quantity discretization estimate of the paired
+level, so it solves for two more pairs than the index of the base-level
+pair that mode j pairs with (:func:`fibrelab.effective.paired_level`):
+``j + 2`` on the waveguide, more on a torus with fibre-excited levels
+below the paired one.  A sweep point enters a rate fit only when the
+measured model error exceeds ten times that estimate.  When every point
+sits at the discretization floor the check is reported as passed with an
+explicit "below floor" flag rather than fitting noise; this is exactly
+the flat situation where the model is discretely exact.  :mod:`fibrelab.report` writes the results.
 
 The effective model predicts the full spectrum as ``lambda_F + eps^2 mu_j``,
 so each full solve shifts to ``fiber_ground_disc + eps^2 (mu_0 -
@@ -31,7 +36,13 @@ from typing import Optional
 
 import numpy as np
 
-from .effective import DiscrepancyRecord, Prediction, build_prediction, measure_discrepancy
+from .effective import (
+    DiscrepancyRecord,
+    Prediction,
+    build_prediction,
+    measure_discrepancy,
+    paired_level,
+)
 from .eigensolve import SolveConfig, smallest_eigenpairs
 from .errors import ConfigError, FactorizationFailed, FibrelabError, InsufficientPoints
 from .geometry import (
@@ -200,7 +211,7 @@ def load_config(raw: dict) -> StudyConfig:
         raise ConfigError("refinement factor must be at least 2")
     if mode_index < 0:
         raise ConfigError("mode_index must be nonnegative")
-    return StudyConfig(
+    cfg = StudyConfig(
         geometry=geom,
         epsilons=epsilons,
         grid=grid,
@@ -212,6 +223,17 @@ def load_config(raw: dict) -> StudyConfig:
         thresholds=thresholds,
         echo=raw,
     )
+    k = _base_pair_count(cfg)
+    if k > grid.n_s:
+        raise ConfigError(f"the study needs {k} eigenpairs of the effective operator, "
+                          f"more than its dimension n_s = {grid.n_s}")
+    return cfg
+
+
+def _base_pair_count(cfg: StudyConfig) -> int:
+    """Pairs of each base-level solve: mode j, its upper neighbour and the Courant modes."""
+    return max(cfg.solver.k, cfg.mode_index + 2,
+               COURANT_MODES if "courant" in cfg.checks else 1)
 
 
 def default_threshold(name: str, geom: BundleGeometry) -> float:
@@ -276,7 +298,7 @@ def run_study(cfg: StudyConfig) -> StudyReport:
     # the configured shift is the fallback of the predicted one
     solve_cfg = replace(
         cfg.solver,
-        k=max(cfg.solver.k, cfg.mode_index + 2, COURANT_MODES if want_courant else 1),
+        k=_base_pair_count(cfg),
         shift=cfg.solver.shift if cfg.solver.shift is not None else _auto_shift(geom),
     )
     # The effective problem does not depend on eps: one prediction per grid
@@ -294,6 +316,7 @@ def run_study(cfg: StudyConfig) -> StudyReport:
         t0 = time.perf_counter()
         try:
             level_records = []
+            level_cfg = solve_cfg
             for level, (grid, pred) in enumerate(zip(grids, predictions)):
                 stage = "assemble"
                 op = assemble_full(geom, eps, grid)
@@ -302,11 +325,11 @@ def run_study(cfg: StudyConfig) -> StudyReport:
                 if isinstance(pred, Prediction):
                     try:
                         pairs = smallest_eigenpairs(
-                            op, replace(solve_cfg, shift=_predicted_shift(op, pred)))
+                            op, replace(level_cfg, shift=_predicted_shift(op, pred)))
                     except FactorizationFailed:
                         fallbacks += 1
                 if pairs is None:
-                    pairs = smallest_eigenpairs(op, solve_cfg)
+                    pairs = smallest_eigenpairs(op, level_cfg)
                 stage = "prediction"
                 if isinstance(pred, FibrelabError):
                     raise pred
@@ -319,6 +342,10 @@ def run_study(cfg: StudyConfig) -> StudyReport:
                     for idx in range(min(COURANT_MODES, len(pairs.values))):
                         counts.append(count_nodal_domains(field_from_operator(op, pairs.vectors[:, idx])))
                     courant_counts[eps] = counts
+                # the refined level only estimates the paired level's
+                # discretization error: it solves up to that level's upper
+                # neighbour, as counted on the base level
+                level_cfg = replace(solve_cfg, k=paired_level(pairs, cfg.mode_index) + 2)
             base, fine = level_records
             factor = 1.0 / (1.0 - cfg.refine ** (-float(cfg.grid.stencil_order)))
             ests = {}

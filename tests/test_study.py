@@ -1,16 +1,17 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import fibrelab.study as study_module
 from fibrelab.cli import main as cli_main
-from fibrelab.effective import DiscrepancyRecord
+from fibrelab.effective import DiscrepancyRecord, measure_discrepancy
 from fibrelab.eigensolve import DENSE_CUTOFF, SolveConfig, smallest_eigenpairs
 from fibrelab.errors import ConfigError, InsufficientPoints
 from fibrelab.nodal import NodalReport
-from fibrelab.operators import assemble_effective
+from fibrelab.operators import assemble_effective, assemble_full
 from fibrelab.report import dumps_canonical, emit_report, records_csv
 from fibrelab.study import (
     _evaluate_rate_check,
@@ -60,6 +61,28 @@ def guide_mode1_config(**solver):
     cfg["geometry"]["curvature"]["cos"] = [0.5, 0.25]
     cfg["study"]["mode_index"] = 1
     return cfg
+
+
+def torus_mode1_config(fiber_length=TWO_PI, epsilons=(0.4, 0.3, 0.2)):
+    # a 24 x 16 two-harmonic warped torus; the fibre-Fourier path
+    cfg = flat_config(epsilons=list(epsilons),
+                      grid={"n_s": 24, "n_f": 16, "stencil_order": 2, "refine": 2})
+    cfg["geometry"]["fiber_length"] = fiber_length
+    cfg["geometry"]["warp"] = {"constant": 0.0, "cos": [0.3, 0.15], "sin": [], "exp": True}
+    cfg["solver"]["k"] = 8
+    cfg["study"] = {"mode_index": 1, "checks": [], "out": None}
+    return cfg
+
+
+# A fibre twice as long quarters the fibre-mode energies: at eps 0.6 the
+# levels run [0, 1, 1, 0, 0, 1, 1, 2] in fibre mode |m| on both grids, so
+# mode 1 pairs with level 3.  At eps 0.4 they run [0, 0, 0, 1, 1, ...].
+LONG_FIBRE_EPSILONS = (0.6, 0.4)
+LONG_FIBRE_PAIRED = {0.6: 3, 0.4: 1}
+
+
+def long_fibre_config():
+    return torus_mode1_config(fiber_length=2.0 * TWO_PI, epsilons=LONG_FIBRE_EPSILONS)
 
 
 def spy_full_solves(monkeypatch):
@@ -171,6 +194,20 @@ class TestLoadConfig:
     def test_bad_solver_block_rejected(self, solver):
         with pytest.raises(ConfigError):
             load_config(small_guide_config(**solver))
+
+    @pytest.mark.parametrize("solver, study, needed", [
+        ({"k": 17}, {"mode_index": 0, "checks": []}, 17),
+        ({"k": 6}, {"mode_index": 15, "checks": []}, 17),
+    ])
+    def test_pair_count_above_base_dimension_rejected(self, solver, study, needed):
+        cfg = small_guide_config(**solver)
+        cfg["grid"] = {"n_s": 16, "n_f": 16}
+        cfg["study"] = study
+        with pytest.raises(ConfigError, match=rf"needs {needed} eigenpairs .* n_s = 16"):
+            load_config(cfg)
+        cfg["solver"]["k"] = min(cfg["solver"]["k"], 16)
+        cfg["study"]["mode_index"] = min(cfg["study"]["mode_index"], 14)
+        assert load_config(cfg).grid.n_s == 16
 
 
 class TestGuardSemantics:
@@ -327,6 +364,78 @@ class TestPredictedShift:
         assert timings["shift_fallbacks"] == len(cfg["epsilons"])
 
 
+class TestRefinedPairCount:
+    """The refined grid solves up to the paired level and its upper neighbour."""
+
+    @pytest.mark.parametrize("margin, fallbacks", [(0.5, 0), (-1.0, 6)])
+    def test_pair_count_of_each_level(self, monkeypatch, margin, fallbacks):
+        # margin -1 puts the predicted shift above lambda_1: every solve falls back
+        monkeypatch.setattr(study_module, "SHIFT_MARGIN", margin)
+        asked = []
+        real = study_module.smallest_eigenpairs
+
+        def spy(op, solve_cfg):
+            asked.append((op.grid.n_s, solve_cfg.k))
+            return real(op, solve_cfg)
+
+        monkeypatch.setattr(study_module, "smallest_eigenpairs", spy)
+        cfg = load_config(guide_mode1_config())
+        report = run_study(cfg)
+        assert report.failures == [] and len(report.records) == 3
+        assert report.timings["shift_fallbacks"] == fallbacks
+        per_level = 1 if fallbacks == 0 else 2
+        per_eps = [(48, max(cfg.solver.k, 3, 6))] * per_level + [(96, 3)] * per_level
+        assert asked == per_eps * len(cfg.epsilons)
+
+    @pytest.mark.parametrize("raw, refined_k", [
+        (guide_mode1_config(), {0.3: 3, 0.2: 3, 0.1: 3}),
+        (torus_mode1_config(), {0.4: 3, 0.3: 3, 0.2: 3}),
+        (long_fibre_config(), {e: i + 2 for e, i in LONG_FIBRE_PAIRED.items()}),
+    ], ids=["waveguide", "torus", "torus_long_fibre"])
+    def test_records_match_a_full_k_refined_solve(self, monkeypatch, raw, refined_k):
+        refined = []
+        real = study_module.measure_discrepancy
+
+        def spy(op, full, pred):
+            rec = real(op, full, pred)
+            if op.grid.n_s == 2 * raw["grid"]["n_s"]:
+                refined.append((op, full, pred, rec))
+            return rec
+
+        monkeypatch.setattr(study_module, "measure_discrepancy", spy)
+        cfg = load_config(raw)
+        report = run_study(cfg)
+        assert report.failures == [] and len(report.records) == len(cfg.epsilons)
+        assert {op.eps: len(full.values) for op, full, _, _ in refined} == refined_k
+        for op, full, pred, rec in refined:
+            shift = study_module._predicted_shift(op, pred)
+            wide = smallest_eigenpairs(op, replace(cfg.solver, shift=shift))
+            assert len(wide.values) == cfg.solver.k > len(full.values)
+            ref = measure_discrepancy(op, wide, pred)
+            assert abs(rec.lambda_full - ref.lambda_full) <= 1e-12 * abs(ref.lambda_full)
+            for name in ("eig_gap", "supnorm", "hausdorff"):
+                x, y = getattr(rec, name), getattr(ref, name)
+                assert abs(x - y) <= 1e-8 * abs(y), name
+            assert replace(rec.nodal, hausdorff=None) == replace(ref.nodal, hausdorff=None)
+
+    def test_long_fibre_has_fibre_excited_levels_below_the_paired_level(self):
+        # dense solve of the base-grid operator: a level is fibre-ground when
+        # its eigenvector is constant along every fibre
+        import scipy.linalg as dla
+
+        cfg = load_config(long_fibre_config())
+        for eps, paired in LONG_FIBRE_PAIRED.items():
+            op = assemble_full(cfg.geometry, eps, cfg.grid)
+            values, vectors = dla.eigh(op.stiffness.toarray(), np.diag(op.weight),
+                                       subset_by_index=[0, cfg.solver.k - 1])
+            fields = vectors.T.reshape(cfg.solver.k, cfg.grid.n_s, cfg.grid.n_f)
+            ground = np.ptp(fields, axis=2).max(axis=1) <= 1e-8 * np.abs(fields).max(axis=(1, 2))
+            assert int(np.flatnonzero(ground)[1]) == paired
+            pairs = smallest_eigenpairs(op, cfg.solver)
+            assert np.all(np.abs(pairs.values - values) <= 1e-10 * np.maximum(1.0, values))
+            assert list(pairs.fiber_modes == 0) == list(ground)
+
+
 class TestEmitReport:
     def test_empty_records_valid_json_and_header_only_csv(self, tmp_path):
         report = StudyReport(config_echo={"epsilons": []}, records=[], fits={},
@@ -459,6 +568,13 @@ class TestCli:
         path = self.write_config(tmp_path, small_guide_config(**solver))
         assert cli_main(["solve", "--config", path, "--epsilon", "0.2", "--k", "3"]) == 1
         assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_study_pair_count_above_base_dimension_is_config_error(self, tmp_path, capsys):
+        cfg = small_guide_config(k=17)
+        cfg["grid"] = {"n_s": 16, "n_f": 16}
+        path = self.write_config(tmp_path, cfg)
+        assert cli_main(["study", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("config error: the study needs 17 eigenpairs")
 
     def test_check_subcommand_passes(self, capsys):
         assert cli_main(["check"]) == 0
