@@ -39,12 +39,31 @@ Every path then W-normalizes the vectors, reports their Rayleigh
 quotients against the full operator as values, and certifies each
 residual ``|K x - lambda W x| / |W x|`` against ``tol`` on the full
 operator, independently of how the vectors were found.
+
+BLAS runs on one thread inside :func:`smallest_eigenpairs` and, through
+:func:`fibrelab.study.run_study`, for a whole study.  The work is many
+small dense solves and BLAS-1 products on vectors of a few ten thousand
+entries; there OpenBLAS's second thread costs start-up and a spinning
+idle worker but buys nothing.  On the 2-vCPU reference VM it took a
+third of the torus studies' wall time and half of every study's CPU
+time, and the band factor of the 98 048-dof waveguide level was no
+faster on two threads than on one, so no path keeps two.  The thread
+count is set through OpenBLAS's own ``*_set_num_threads`` for the length
+of the call and restored afterwards, so importing the package changes
+nothing and no environment variable is read or set.  With one thread the
+reductions also run in one order, so ``report.json`` no longer depends
+on the core count.  Another BLAS, or a system without ``/proc``, runs
+with its own threading.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 import scipy.linalg as dla
@@ -58,6 +77,71 @@ from .operators import DiscreteOperator
 __all__ = ["SolveConfig", "EigenPairSet", "smallest_eigenpairs", "verify_pairs"]
 
 DENSE_CUTOFF = 600
+
+# (get, set) thread-count symbols, tried in order: numpy's ILP64
+# scipy-openblas, scipy's LP64 scipy-openblas, a plain OpenBLAS
+_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+# a library's thread count is process-wide, so the scopes that hold it share
+# one depth and one set of saved counts
+_blas_lock = threading.Lock()
+_blas_depth = 0
+_blas_saved: list[int] = []
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
+    """The (get, set) thread-count functions of every OpenBLAS mapped into the process."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+            # address, permissions, offset, device, inode, path
+            paths = sorted({line.split(maxsplit=5)[5].strip()
+                            for line in fh if "openblas" in line})
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = (), ctypes.c_int
+                set_.argtypes, set_.restype = (ctypes.c_int,), None
+                controls.append((get, set_))
+                break
+    return tuple(controls)
+
+
+@contextmanager
+def single_threaded_blas() -> Iterator[int]:
+    """Hold every OpenBLAS in the process at one thread; yields how many were found.
+
+    Nested scopes only count their depth; the outermost exit restores the
+    thread counts found on entry, also when the body raises.  Where no
+    OpenBLAS is found the scope does nothing and yields 0.
+    """
+    global _blas_depth, _blas_saved
+    controls = _openblas_thread_controls()
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = [get() for get, _ in controls]
+            for _, set_ in controls:
+                set_(1)
+        _blas_depth += 1
+    try:
+        yield len(controls)
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                for (_, set_), count in zip(controls, _blas_saved):
+                    set_(count)
 
 
 @dataclass(frozen=True)
@@ -197,6 +281,7 @@ def _fiber_fourier(op: DiscreteOperator,
     return values, vectors, np.array([c[1] for c in found])
 
 
+@single_threaded_blas()
 def smallest_eigenpairs(op: DiscreteOperator, cfg: SolveConfig) -> EigenPairSet:
     """Compute the ``cfg.k`` algebraically smallest generalized eigenpairs."""
     n = op.dim

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -43,8 +44,14 @@ from .effective import (
     measure_discrepancy,
     paired_level,
 )
-from .eigensolve import SolveConfig, smallest_eigenpairs
-from .errors import ConfigError, FactorizationFailed, FibrelabError, InsufficientPoints
+from .eigensolve import SolveConfig, single_threaded_blas, smallest_eigenpairs
+from .errors import (
+    ConfigError,
+    FactorizationFailed,
+    FibrelabError,
+    GridTooCoarse,
+    InsufficientPoints,
+)
 from .geometry import (
     BundleGeometry,
     PeriodicProfile,
@@ -154,32 +161,49 @@ def geometry_from_config(block: dict) -> BundleGeometry:
         raise ConfigError(f"bad geometry block: {exc}") from exc
 
 
+def _integer(block: dict, key: str, default: int) -> int:
+    """``block[key]`` as an int: an integer or integral float, not a bool, fraction or string."""
+    value = block.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{key!r} must be an integer, got {value!r}")
+
+
+def _list(value, key: str) -> list:
+    """``value`` of ``key``, which must be a list: a string would be read by character."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{key!r} must be a list, got {value!r}")
+    return list(value)
+
+
 def load_config(raw: dict) -> StudyConfig:
     """Validate a raw JSON study configuration."""
     geom = geometry_from_config(raw.get("geometry", {}))
     try:
-        epsilons = [float(e) for e in raw["epsilons"]]
+        epsilons = [float(e) for e in _list(raw["epsilons"], "epsilons")]
         grid_block = raw.get("grid", {})
         grid = GridSpec(
-            int(grid_block.get("n_s", 64)),
-            int(grid_block.get("n_f", 64)),
-            int(grid_block.get("stencil_order", 2)),
+            _integer(grid_block, "n_s", 64),
+            _integer(grid_block, "n_f", 64),
+            _integer(grid_block, "stencil_order", 2),
         )
-        refine = int(grid_block.get("refine", 2))
+        refine = _integer(grid_block, "refine", 2)
         solver_block = raw.get("solver", {})
         solver = SolveConfig(
-            k=int(solver_block.get("k", 8)),
+            k=_integer(solver_block, "k", 8),
             tol=float(solver_block.get("tol", 1e-8)),
-            max_iter=int(solver_block.get("max_iter", 5000)),
-            seed=int(solver_block.get("seed", 0)),
+            max_iter=_integer(solver_block, "max_iter", 5000),
+            seed=_integer(solver_block, "seed", 0),
             shift=None if solver_block.get("shift") is None else float(solver_block["shift"]),
         )
         study_block = raw.get("study", {})
-        mode_index = int(study_block.get("mode_index", 0))
-        checks = list(study_block.get("checks", []))
+        mode_index = _integer(study_block, "mode_index", 0)
+        checks = _list(study_block.get("checks", []), "checks")
         out = study_block.get("out")
         thresholds = dict(study_block.get("thresholds", {}))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, GridTooCoarse) as exc:
         raise ConfigError(f"bad study configuration: {exc}") from exc
 
     if not epsilons:
@@ -284,7 +308,19 @@ QUANTITIES = {"eig_rate": "eig_gap", "supnorm_rate": "supnorm", "hausdorff_rate"
 
 
 def run_study(cfg: StudyConfig) -> StudyReport:
-    """Run the full eps sweep and evaluate the configured checks."""
+    """Run the full eps sweep and evaluate the configured checks.
+
+    BLAS runs on one thread throughout (see :mod:`fibrelab.eigensolve`);
+    ``timings["blas_single_threaded"]`` counts the libraries held there,
+    0 where none was found.
+    """
+    with single_threaded_blas() as blas_libraries:
+        report = _run_sweep(cfg)
+    report.timings["blas_single_threaded"] = blas_libraries
+    return report
+
+
+def _run_sweep(cfg: StudyConfig) -> StudyReport:
     geom = cfg.geometry
     grids = [cfg.grid, cfg.grid.refined(cfg.refine)]
     want_courant = "courant" in cfg.checks

@@ -22,9 +22,16 @@ degeneracy tests in test_effective.py for the measurements):
   on the single-harmonic torus is asserted to fail the simplicity guard.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fibrelab
 from fibrelab.effective import build_prediction, fiber_ground_energy
 from fibrelab.eigensolve import SolveConfig, smallest_eigenpairs, verify_pairs
 from fibrelab.errors import DegenerateEffectiveEigenvalue
@@ -307,3 +314,27 @@ def test_solver_and_assembly_invariants(tmp_path_factory, guide_j0_report):
     print("PASS solver and assembly invariants: exact symmetry, residuals and "
           "orthonormality within tolerance, constant kernel mode, "
           "byte-identical repeated reports")
+
+
+CANONICAL_REPORT = """
+import json, sys
+from fibrelab.report import dumps_canonical, report_to_dict
+from fibrelab.study import load_config, run_study
+sys.stdout.write(dumps_canonical(report_to_dict(run_study(load_config(json.load(sys.stdin))))))
+"""
+
+
+def test_report_bytes_independent_of_blas_threads():
+    # the thread count is set only in the environment of the child processes
+    src = str(Path(fibrelab.__file__).resolve().parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", CANONICAL_REPORT],
+                             input=json.dumps(TORUS_J0_CONFIG), env=env,
+                             capture_output=True, text=True, check=True, timeout=300)
+        reports.append(out.stdout)
+    assert reports[0].startswith("{") and reports[0] == reports[1]
+    print("PASS report bytes: the canonical TORUS_J0 report is identical "
+          "with OPENBLAS_NUM_THREADS=1 and =2")

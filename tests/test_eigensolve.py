@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,6 +8,8 @@ import scipy.linalg as dla
 import scipy.sparse as sp
 import scipy.sparse.linalg as sla
 
+import fibrelab.eigensolve as eigensolve_module
+import fibrelab.study as study_module
 from fibrelab.eigensolve import DENSE_CUTOFF, SolveConfig, smallest_eigenpairs, verify_pairs
 from fibrelab.errors import FactorizationFailed
 from fibrelab.nodal import extract_nodal_set, field_from_operator
@@ -304,3 +308,127 @@ class TestVerifyPairs:
         other = diag_operator([1.0, 2.0], [1.0, 1.0])
         with pytest.raises(ValueError):
             verify_pairs(other, pairs)
+
+
+def blas_threads():
+    return [get() for get, _ in eigensolve_module._openblas_thread_controls()]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every discovered OpenBLAS at two threads for the test, as found afterwards."""
+    controls = eigensolve_module._openblas_thread_controls()
+    found = blas_threads()
+    for _, set_ in controls:
+        set_(2)
+    yield len(controls)
+    for (_, set_), count in zip(controls, found):
+        set_(count)
+
+
+def small_study_config():
+    return study_module.load_config({
+        "geometry": {"type": "warped_torus", "L": np.pi, "fiber_length": TWO_PI,
+                     "warp": {"constant": 0.0, "cos": [0.3], "sin": [], "exp": True}},
+        "epsilons": [0.4, 0.3],
+        "grid": {"n_s": 24, "n_f": 16, "stencil_order": 2, "refine": 2},
+        "solver": {"k": 4},
+        "study": {"mode_index": 0, "checks": []},
+    })
+
+
+class TestSingleThreadedBlas:
+    """The scope that holds OpenBLAS at one thread for a solve or a study."""
+
+    def test_discovery_finds_the_bundled_openblas(self):
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if blas.get("name") != "scipy-openblas":
+            pytest.skip(f"numpy is built against {blas.get('name')}, not scipy-openblas")
+        # without this the fast path could vanish silently
+        assert len(eigensolve_module._openblas_thread_controls()) >= 1
+
+    def test_every_library_at_one_thread_inside(self, two_blas_threads):
+        with eigensolve_module.single_threaded_blas() as held:
+            assert held == two_blas_threads
+            assert blas_threads() == [1] * held
+        assert blas_threads() == [2] * held
+
+    def test_outermost_exit_restores(self, two_blas_threads):
+        with eigensolve_module.single_threaded_blas():
+            with eigensolve_module.single_threaded_blas():
+                pass
+            assert blas_threads() == [1] * two_blas_threads
+        assert blas_threads() == [2] * two_blas_threads
+
+    def test_exception_restores(self, two_blas_threads):
+        with pytest.raises(RuntimeError):
+            with eigensolve_module.single_threaded_blas():
+                raise RuntimeError("body failed")
+        assert blas_threads() == [2] * two_blas_threads
+
+    def test_concurrent_scopes_restore_once(self, two_blas_threads):
+        # more threads than cores, switching often: a lost update of the
+        # shared depth would restore inside a live scope or never restore
+        inside = []
+
+        def enter_many():
+            for _ in range(200):
+                with eigensolve_module.single_threaded_blas():
+                    with eigensolve_module.single_threaded_blas():
+                        inside.extend(blas_threads())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=enter_many) for _ in range(6)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert inside == [1] * (6 * 200 * two_blas_threads)
+        assert eigensolve_module._blas_depth == 0
+        assert blas_threads() == [2] * two_blas_threads
+
+    def test_solve_runs_single_threaded(self, monkeypatch, two_blas_threads):
+        seen = []
+        real = eigensolve_module._residuals
+
+        def spy(*args):
+            seen.extend(blas_threads())
+            return real(*args)
+
+        monkeypatch.setattr(eigensolve_module, "_residuals", spy)
+        smallest_eigenpairs(guide_operator(), SolveConfig(k=3))
+        assert seen == [1] * two_blas_threads
+        assert blas_threads() == [2] * two_blas_threads
+
+    def test_study_runs_single_threaded_and_restores(self, monkeypatch, two_blas_threads):
+        seen = []
+        real = study_module.measure_discrepancy
+
+        def spy(*args):
+            seen.extend(blas_threads())
+            return real(*args)
+
+        monkeypatch.setattr(study_module, "measure_discrepancy", spy)
+        report = study_module.run_study(small_study_config())
+        # measure_discrepancy runs outside the solves, once per eps and grid level
+        assert not report.failures
+        assert seen == [1] * (4 * two_blas_threads)
+        assert report.timings["blas_single_threaded"] == two_blas_threads
+        assert blas_threads() == [2] * two_blas_threads
+
+    def test_nothing_found_is_a_no_op(self, monkeypatch):
+        found = blas_threads()
+        monkeypatch.setattr(eigensolve_module, "_openblas_thread_controls", lambda: ())
+        with eigensolve_module.single_threaded_blas() as held:
+            assert held == 0
+        pairs = smallest_eigenpairs(torus_operator(n=32), SolveConfig(k=4))
+        assert np.all(pairs.residuals <= 1e-8)
+        report = study_module.run_study(small_study_config())
+        assert not report.failures and report.timings["blas_single_threaded"] == 0
+        monkeypatch.undo()
+        assert blas_threads() == found

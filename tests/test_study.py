@@ -210,6 +210,32 @@ class TestLoadConfig:
         assert load_config(cfg).grid.n_s == 16
 
 
+    @pytest.mark.parametrize("block, key, value", [
+        ("study", "mode_index", 1.5),
+        ("grid", "n_s", 64.7),
+        ("solver", "k", 8.6),
+        ("grid", "refine", 2.9),
+        ("solver", "seed", True),
+        ("solver", "max_iter", "5000"),
+        ("study", "checks", "courant"),  # would be read as the checks 'c', 'o', ...
+        (None, "epsilons", "0.5"),
+        ("grid", "n_s", 8),  # below the 16 points a grid needs
+    ])
+    def test_bad_field_rejected(self, block, key, value):
+        cfg = flat_config()
+        (cfg[block] if block else cfg)[key] = value
+        with pytest.raises(ConfigError, match="bad study configuration"):
+            load_config(cfg)
+
+    def test_integral_floats_accepted(self):
+        cfg = flat_config()
+        cfg["grid"]["n_s"] = 32.0
+        cfg["study"]["mode_index"] = 1.0
+        loaded = load_config(cfg)
+        assert (loaded.grid.n_s, loaded.mode_index) == (32, 1)
+        assert isinstance(loaded.grid.n_s, int) and isinstance(loaded.mode_index, int)
+
+
 class TestGuardSemantics:
     def test_synthetic_quadratic_records_fit(self):
         cfg = load_config(flat_config())
@@ -575,6 +601,17 @@ class TestCli:
         path = self.write_config(tmp_path, cfg)
         assert cli_main(["study", "--config", path, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("config error: the study needs 17 eigenpairs")
+
+    @pytest.mark.parametrize("block, key, value", [
+        ("study", "mode_index", 1.5),
+        ("grid", "n_s", 8),
+    ])
+    def test_bad_study_field_is_config_error(self, tmp_path, capsys, block, key, value):
+        cfg = flat_config()
+        cfg[block][key] = value
+        path = self.write_config(tmp_path, cfg)
+        assert cli_main(["study", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("config error: bad study configuration")
 
     def test_check_subcommand_passes(self, capsys):
         assert cli_main(["check"]) == 0
