@@ -39,7 +39,7 @@ for eps in (0.5, 0.25):
     print(f"eps={eps}: max |computed - tensor sum| = {worst:.3e}")
 
 eff = assemble_effective(geom, grid)
-mu = smallest_eigenpairs(eff.operator, SolveConfig(k=3)).values
+mu = smallest_eigenpairs(eff, SolveConfig(k=3)).values
 op = assemble_full(geom, 0.5, grid)
 pairs = smallest_eigenpairs(op, SolveConfig(k=4, shift=-1.0))
 rescaled = pairs.values[[0, 1, 2]] / 0.25

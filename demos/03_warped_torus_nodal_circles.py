@@ -35,7 +35,7 @@ print("=== single-harmonic warp: excited base levels are exactly paired ===")
 single = WarpedTorusGeometry(np.pi, TWO_PI, PeriodicProfile(TWO_PI, cos_amps=(0.3,)),
                              warp_is_exp=True)
 eff = assemble_effective(single, GridSpec(128, 64, 4))
-mu = smallest_eigenpairs(eff.operator, SolveConfig(k=3)).values
+mu = smallest_eigenpairs(eff, SolveConfig(k=3)).values
 print(f"mu_1 = {mu[1]:.12f}, mu_2 = {mu[2]:.12f}, split = {mu[2] - mu[1]:.2e}")
 try:
     build_prediction(eff, 1)

@@ -2,12 +2,12 @@
 
 The effective 1D operator on the base circle predicts, for each simple
 eigenvalue ``mu`` with eigenfunction ``psi``, a full eigenvalue
-``lambda0 + eps^2 mu`` and a full eigenfunction proportional to
-``psi(s) * phi0(s, .)`` where ``phi0`` is the fibrewise ground state.
-This module builds those predictions and measures how far a computed
-full eigenpair is from them: rescaled eigenvalue gap, sup-norm error,
-metric Hausdorff distance of nodal sets, nodal counts, boundary traces,
-and the graph-over-fibre structure check.
+``lambda_F + eps^2 mu`` and a full eigenfunction proportional to
+``psi(s) * phi0(s, .)``, with ``phi0`` the fibrewise ground state and
+``lambda_F`` its eigenvalue.  This module builds those predictions and
+measures how far a computed full eigenpair is from them: rescaled
+eigenvalue gap, sup-norm error, metric Hausdorff distance of nodal sets,
+nodal counts, boundary traces, and the graph-over-fibre structure check.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .nodal import (
 )
 from .operators import (
     DiscreteOperator,
-    EffectiveOperator,
     GridSpec,
     assemble_fiber,
     base_nodes,
@@ -57,15 +56,13 @@ SIMPLE_GAP = 1e-8
 PAIRING_TOL = 1e-8
 
 
-def fiber_ground_energy(geom: WaveguideGeometry, eps, s: float, n_f: int,
-                        cfg: Optional[SolveConfig] = None) -> float:
+def fiber_ground_energy(geom: WaveguideGeometry, eps, s: float, n_f: int) -> float:
     """Ground value of the perturbed fibre operator at base point ``s``.
 
     Solves the Dirichlet fibre problem on ``n_f`` and ``2 n_f`` cells and
     Richardson-extrapolates the second-order scheme.
     """
-    eps = as_epsilon(eps)
-    cfg = cfg or SolveConfig(k=1)
+    cfg = SolveConfig(k=1)
     coarse = smallest_eigenpairs(assemble_fiber(geom, eps, s, n_f), cfg).values[0]
     fine = smallest_eigenpairs(assemble_fiber(geom, eps, s, 2 * n_f), cfg).values[0]
     return float((4.0 * fine - coarse) / 3.0)
@@ -98,10 +95,10 @@ def volume_weight(geom: BundleGeometry, grid: GridSpec) -> np.ndarray:
 class Prediction:
     """Effective eigenpair of one grid level and its tensorized eigenfunction.
 
-    Nothing here depends on eps: the effective problem does not, and only
-    the predicted full eigenvalue :meth:`predicted_lambda` involves it.
-    ``mu0`` is the lowest effective eigenvalue, which predicts the bottom
-    of the full spectrum.
+    Nothing here depends on eps: the effective problem does not.  The
+    full eigenvalue that ``mu`` predicts is ``fiber_ground_disc + eps^2 mu``
+    of the full operator it is compared with.  ``mu0`` is the lowest
+    effective eigenvalue, which predicts the bottom of the full spectrum.
     """
 
     mode_index: int
@@ -110,12 +107,6 @@ class Prediction:
     pred_field: np.ndarray  # (n_s, n_rows), unit norm in the eps-independent volume
     zeros: list[tuple[float, float]]
     phi0_min: float
-    lambda0: float
-
-    def predicted_lambda(self, eps) -> float:
-        """Predicted full eigenvalue ``lambda0 + eps^2 mu``."""
-        eps = as_epsilon(eps)
-        return self.lambda0 + eps * eps * self.mu
 
 
 @dataclass
@@ -136,11 +127,12 @@ class DiscrepancyRecord:
     empirical_tube_constant: Optional[float] = None
 
 
-def build_prediction(eff: EffectiveOperator, mode_index: int,
+def build_prediction(eff: DiscreteOperator, mode_index: int,
                      cfg: Optional[SolveConfig] = None) -> Prediction:
     """Solve the effective problem and tensorize mode ``mode_index``.
 
-    Geometry and grid are those of ``eff.operator``.  The predicted field
+    ``eff`` is the operator of :func:`fibrelab.operators.assemble_effective`;
+    geometry, grid and base nodes are its own.  The predicted field
     is ``psi(s) * phi0``, with the fibrewise L2-normalized ground state
     ``phi0 = Vol(s)^{-1/2}`` on the torus and ``cos(pi u / 2)`` on the
     waveguide, scaled to unit norm with its largest entry positive.
@@ -149,9 +141,9 @@ def build_prediction(eff: EffectiveOperator, mode_index: int,
     be simple (gap above 1e-8 to its neighbours) and its eigenfunction to
     have only transversal zeros.
     """
-    geom, grid = eff.operator.geometry, eff.operator.grid
+    geom, grid = eff.geometry, eff.grid
     cfg = cfg or SolveConfig(k=mode_index + 2)
-    pairs = smallest_eigenpairs(eff.operator,
+    pairs = smallest_eigenpairs(eff,
                                 replace(cfg, k=max(cfg.k, mode_index + 2), shift=None))
     mu = float(pairs.values[mode_index])
     neighbours = [pairs.values[i] for i in (mode_index - 1, mode_index + 1)
@@ -163,11 +155,12 @@ def build_prediction(eff: EffectiveOperator, mode_index: int,
         )
 
     psi = pairs.vectors[:, mode_index]
-    zeros = zeros_of_base(psi, eff.s_nodes, geom.period)
+    s, _ = base_nodes(geom, grid.n_s)
+    zeros = zeros_of_base(psi, s, geom.period)
 
     f, _, _ = fiber_nodes(geom, grid.n_f)
     if isinstance(geom, WarpedTorusGeometry):
-        phi0 = 1.0 / np.sqrt(geom.fiber_volume(eff.s_nodes))
+        phi0 = 1.0 / np.sqrt(geom.fiber_volume(s))
         pred = np.repeat((psi * phi0)[:, None], len(f), axis=1)
     else:
         phi0 = np.cos(0.5 * np.pi * f)
@@ -184,7 +177,6 @@ def build_prediction(eff: EffectiveOperator, mode_index: int,
         pred_field=pred,
         zeros=zeros,
         phi0_min=float(phi0.min()),
-        lambda0=eff.lambda0,
     )
 
 

@@ -9,17 +9,19 @@ construction, with ``K @ 1 = 0`` exactly on closed geometries.  The
 eigenproblem is the generalized pair ``K x = lambda W x`` with the
 positive diagonal volume weight ``W``.
 
-Stencil orders 2 and 4 are supported in periodic directions.  The
-Dirichlet fibre direction of the waveguide always uses the second-order
-three-point flux: a one-sided fourth-order closure would either break the
-exact-symmetry contract or lose pointwise consistency near the walls, and
-the eigenvalue bias it would remove is cancelled downstream against the
-matching discrete fibre ground value instead.
+Every ``D_d`` comes from one stencil table, ``STENCILS``.  Stencil
+orders 2 and 4 are supported in periodic directions.  The Dirichlet fibre
+direction of the waveguide always uses the second-order three-point flux:
+a one-sided fourth-order closure would either break the exact-symmetry
+contract or lose pointwise consistency near the walls, and the eigenvalue
+bias it would remove is cancelled downstream against the matching
+discrete fibre ground value instead.  Every assembler, full, effective or
+fibre, returns a plain ``DiscreteOperator``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -37,13 +39,11 @@ __all__ = [
     "GridSpec",
     "DiscreteOperator",
     "FiberFactors",
-    "EffectiveOperator",
     "assemble_full",
     "assemble_effective",
     "assemble_fiber",
     "density_potential",
     "staggered_diff_periodic",
-    "staggered_diff_dirichlet",
     "dirichlet_ground_value",
 ]
 
@@ -120,114 +120,71 @@ class DiscreteOperator:
         return float(x @ (self.stiffness @ x)) / float(x @ (self.weight * x))
 
 
-@dataclass
-class EffectiveOperator:
-    """Discrete 1D model ``-d^2/ds^2 + V_eff`` on the base circle."""
+# order -> (node offsets, integer weights, denominator) of the staggered
+# derivative f'(s_i + h/2) = sum_k w_k f[i + offset_k] / (denom * h); the
+# integer weights sum to exactly 0, so constants are annihilated exactly.
+STENCILS = {
+    2: ((0, 1), (-1.0, 1.0), 1.0),
+    4: ((-1, 0, 1, 2), (1.0, -27.0, 27.0, -1.0), 24.0),
+}
 
-    operator: DiscreteOperator
-    potential: np.ndarray
-    lambda0: float
-    s_nodes: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
+def _staggered_int(n_cells: int, order: int, periodic: bool) -> tuple[sp.csr_matrix, float]:
+    """Integer ``STENCILS`` derivative onto ``n_cells`` midpoints, and its denominator.
 
-def _staggered_int_periodic(n: int, order: int) -> tuple[sp.csr_matrix, float]:
-    """Integer-stencil staggered derivative and its denominator.
-
-    The returned matrix has integer entries, so constants are annihilated
-    exactly; the true derivative is ``(matrix @ f) / (denom * h)``.
+    Periodic ends wrap the node index.  Dirichlet ends, which take order 2,
+    drop the two wall columns: the wall values are exact zeros.
     """
-    rows, cols, vals = [], [], []
-    if order == 2:
-        denom = 1.0
-        for i in range(n):
-            rows += [i, i]
-            cols += [i, (i + 1) % n]
-            vals += [-1.0, 1.0]
-    else:
-        denom = 24.0
-        for i in range(n):
-            rows += [i] * 4
-            cols += [(i - 1) % n, i, (i + 1) % n, (i + 2) % n]
-            vals += [1.0, -27.0, 27.0, -1.0]
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n)), denom
+    offsets, weights, denom = STENCILS[order]
+    rows = np.repeat(np.arange(n_cells), len(offsets))
+    nodes = rows + np.tile(offsets, n_cells)
+    vals = np.tile(weights, n_cells)
+    if periodic:
+        return sp.csr_matrix((vals, (rows, nodes % n_cells)), shape=(n_cells, n_cells)), denom
+    inside = (nodes >= 1) & (nodes < n_cells)
+    return sp.csr_matrix((vals[inside], (rows[inside], nodes[inside] - 1)),
+                         shape=(n_cells, n_cells - 1)), denom
 
 
 def staggered_diff_periodic(n: int, h: float, order: int) -> sp.csr_matrix:
-    """Staggered first derivative, nodes to midpoints, periodic wrap.
-
-    Row ``i`` approximates f'(s_i + h/2); order 2 uses the two adjacent
-    nodes, order 4 the four-node stencil (f_{i-1} - 27 f_i + 27 f_{i+1}
-    - f_{i+2}) / 24h.
-    """
-    d, denom = _staggered_int_periodic(n, order)
+    """Staggered first derivative ``f'(s_i + h/2)`` of ``order``, periodic wrap."""
+    d, denom = _staggered_int(n, order, periodic=True)
     return (d * (1.0 / (denom * h))).tocsr()
 
 
-def _circulant_symbols(d: sp.csr_matrix, m_max: int) -> np.ndarray:
-    """Eigenvalues of ``d^T d`` on the Fourier modes ``m = 0 .. m_max``.
+def _circulant_symbols(n: int, order: int, m_max: int) -> np.ndarray:
+    """Eigenvalues of ``d^T d`` on the Fourier modes ``m = 0 .. m_max`` of ``n`` nodes.
 
-    ``d`` is circulant, so its symbol is the row-0 stencil summed against
-    ``exp(2 pi i m col / n)``; the integer stencil sums to exactly 0 at m = 0.
+    The periodic integer stencil ``d`` is circulant: its symbol is the
+    stencil summed against ``exp(2 pi i m node / n)`` over the nodes of
+    row 0, in ascending order as in a CSR row, which fixes the rounding.
     """
-    row = d.getrow(0).tocoo()
-    theta = 2.0 * np.pi * np.arange(m_max + 1) / d.shape[1]
-    return np.abs(np.exp(1j * np.outer(theta, row.col)) @ row.data) ** 2
+    offsets, weights, _ = STENCILS[order]
+    nodes = np.mod(offsets, n)
+    ascending = np.argsort(nodes, kind="stable")
+    theta = 2.0 * np.pi * np.arange(m_max + 1) / n
+    return np.abs(np.exp(1j * np.outer(theta, nodes[ascending]))
+                  @ np.asarray(weights)[ascending]) ** 2
 
 
-def _staggered_int_dirichlet(n_cells: int, order: int) -> tuple[sp.csr_matrix, float]:
-    """Integer-stencil Dirichlet staggered derivative and its denominator."""
-    m = n_cells - 1
-    rows, cols, vals = [], [], []
-
-    def add(r: int, node: int, v: float) -> None:
-        if 1 <= node <= m:
-            rows.append(r)
-            cols.append(node - 1)
-            vals.append(v)
-
-    if order == 2:
-        denom = 1.0
-        for r in range(n_cells):
-            add(r, r, -1.0)
-            add(r, r + 1, 1.0)
-    else:
-        denom = 24.0
-        for r in range(n_cells):
-            if r == 0:
-                for node, w in ((0, -23.0), (1, 21.0), (2, 3.0), (3, -1.0)):
-                    add(r, node, w)
-            elif r == n_cells - 1:
-                for node, w in ((n_cells - 3, 1.0), (n_cells - 2, -3.0),
-                                (n_cells - 1, -21.0), (n_cells, 23.0)):
-                    add(r, node, w)
-            else:
-                for node, w in ((r - 1, 1.0), (r, -27.0), (r + 1, 27.0), (r + 2, -1.0)):
-                    add(r, node, w)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n_cells, m)), denom
-
-
-def staggered_diff_dirichlet(n_cells: int, h: float, order: int) -> sp.csr_matrix:
-    """Staggered first derivative on a Dirichlet interval.
-
-    Maps the ``n_cells - 1`` interior node values (walls are exact zeros
-    and eliminated) to fluxes at the ``n_cells`` midpoints.  Order 4 keeps
-    the centered stencil wherever the wall zero supplies the missing
-    sample and falls back to the cubic-exact one-sided stencil at the two
-    wall midpoints.
-    """
-    d, denom = _staggered_int_dirichlet(n_cells, order)
-    return (d * (1.0 / (denom * h))).tocsr()
-
-
-def dirichlet_ground_value(n_cells: int, extent: float = 2.0) -> float:
-    """Exact ground value of the three-point Dirichlet Laplacian."""
-    h = extent / n_cells
+def dirichlet_ground_value(n_cells: int) -> float:
+    """Exact ground value of the three-point Dirichlet Laplacian on [-1, 1]."""
+    h = 2.0 / n_cells
     return (2.0 - 2.0 * np.cos(np.pi / n_cells)) / (h * h)
 
 
 def _form_matrix(diff: sp.spmatrix, coeff_times_measure: np.ndarray) -> sp.csr_matrix:
     b = sp.diags(np.sqrt(coeff_times_measure)) @ diff
     return (b.T @ b).tocsr()
+
+
+def _line_operator(stencil: tuple[sp.csr_matrix, float], h: float, potential: np.ndarray,
+                   **fields) -> DiscreteOperator:
+    """``-f'' + V f`` on a 1D grid of spacing ``h``, from an integer stencil and its denominator."""
+    d, den = stencil
+    k = _form_matrix(d, np.full(d.shape[0], h / (den * h) ** 2)) + sp.diags(potential * h)
+    n = d.shape[1]
+    return DiscreteOperator(dim=n, stiffness=k.tocsr(), weight=np.full(n, h), **fields)
 
 
 def base_nodes(geom: BundleGeometry, n_s: int) -> tuple[np.ndarray, float]:
@@ -260,14 +217,14 @@ def assemble_full(geom: BundleGeometry, eps, grid: GridSpec) -> DiscreteOperator
     s, h_s = base_nodes(geom, grid.n_s)
     s_mid = s + 0.5 * h_s
     f_nodes, f_mids, h_f = fiber_nodes(geom, grid.n_f)
+    n_rows = len(f_nodes)
     cell = h_s * h_f
 
-    d_s, den_s = _staggered_int_periodic(grid.n_s, grid.stencil_order)
+    d_s, den_s = _staggered_int(grid.n_s, grid.stencil_order, periodic=True)
     scale_s = 1.0 / (den_s * h_s) ** 2
 
     if isinstance(geom, WarpedTorusGeometry):
-        n_rows = grid.n_f
-        d_f, den_f = _staggered_int_periodic(grid.n_f, grid.stencil_order)
+        d_f, den_f = _staggered_int(grid.n_f, grid.stencil_order, periodic=True)
         a_mid = geom.warp_value(s_mid)
         a_node = geom.warp_value(s)
         # sqrt(det) g^ss = eps*a at s-midpoints; sqrt(det) g^tt = 1/(eps*a) at nodes.
@@ -281,8 +238,7 @@ def assemble_full(geom: BundleGeometry, eps, grid: GridSpec) -> DiscreteOperator
         definite = False
     else:
         geom.check_tube(eps)
-        n_rows = grid.n_f - 1
-        d_f, den_f = _staggered_int_dirichlet(grid.n_f, 2)
+        d_f, den_f = _staggered_int(grid.n_f, 2, periodic=False)
         kap_mid = geom.curvature.eval(s_mid)
         kap_node = geom.curvature.eval(s)
         rho_s = 1.0 - eps * np.outer(kap_mid, f_nodes)  # (n_s, n_rows)
@@ -302,7 +258,7 @@ def assemble_full(geom: BundleGeometry, eps, grid: GridSpec) -> DiscreteOperator
         factors = FiberFactors(
             base_stiffness=_form_matrix(d_s, base_c_s * (cell * scale_s)),
             fiber_coeff=base_c_f * (cell * scale_f),
-            fiber_symbols=_circulant_symbols(d_f, grid.n_f // 2),
+            fiber_symbols=_circulant_symbols(grid.n_f, grid.stencil_order, grid.n_f // 2),
             base_weight=base_w,
         )
     diff_s = sp.kron(d_s, sp.identity(n_rows, format="csr"), format="csr")
@@ -321,31 +277,17 @@ def assemble_full(geom: BundleGeometry, eps, grid: GridSpec) -> DiscreteOperator
     )
 
 
-def assemble_effective(geom: BundleGeometry, grid: GridSpec) -> EffectiveOperator:
-    """Discrete effective operator on the base circle.
+def assemble_effective(geom: BundleGeometry, grid: GridSpec) -> DiscreteOperator:
+    """Discrete effective operator ``-d^2/ds^2 + V_eff`` on the ``n_s`` base nodes.
 
-    Torus: potential ``(1/2)(log Vol)'' + (1/4)((log Vol)')^2`` with
-    ground fibre value 0.  Waveguide: potential ``-kappa^2/4`` with
-    ground fibre value ``pi^2/4``.  Potential samples are closed-form
-    evaluations at the grid nodes.
+    Torus: ``V_eff = (1/2)(log Vol)'' + (1/4)((log Vol)')^2``.  Waveguide:
+    ``V_eff = -kappa^2/4``.  The samples are closed-form evaluations of
+    ``geom.effective_potential`` at the nodes; the operator has no eps.
     """
     s, h_s = base_nodes(geom, grid.n_s)
     v_eff = np.asarray(geom.effective_potential(s), dtype=float)
-    d, den = _staggered_int_periodic(grid.n_s, grid.stencil_order)
-    k = _form_matrix(d, np.full(grid.n_s, h_s / (den * h_s) ** 2)) + sp.diags(v_eff * h_s)
-    w = np.full(grid.n_s, h_s)
-    lambda0 = np.pi**2 / 4.0 if isinstance(geom, WaveguideGeometry) else 0.0
-    op = DiscreteOperator(
-        dim=grid.n_s,
-        stiffness=k.tocsr(),
-        weight=w,
-        geometry=geom,
-        eps=None,
-        grid=grid,
-        fiber_ground_disc=0.0,
-        positive_definite=False,
-    )
-    return EffectiveOperator(operator=op, potential=v_eff, lambda0=lambda0, s_nodes=s)
+    return _line_operator(_staggered_int(grid.n_s, grid.stencil_order, periodic=True), h_s,
+                          v_eff, geometry=geom, grid=grid)
 
 
 def density_potential(geom: WaveguideGeometry, eps, s, u):
@@ -372,19 +314,8 @@ def assemble_fiber(geom: WaveguideGeometry, eps, s: float, n_f: int) -> Discrete
     geom.check_tube(eps)
     if n_f < MIN_POINTS:
         raise GridTooCoarse(f"need at least {MIN_POINTS} fibre cells")
-    h = 2.0 / n_f
-    nodes = -1.0 + h * np.arange(1, n_f)
-    d, den = _staggered_int_dirichlet(n_f, 2)
-    v = density_potential(geom, eps, s, nodes)
-    k = _form_matrix(d, np.full(n_f, h / (den * h) ** 2)) + sp.diags(v * h)
-    return DiscreteOperator(
-        dim=n_f - 1,
-        stiffness=k.tocsr(),
-        weight=np.full(n_f - 1, h),
-        geometry=geom,
-        eps=eps,
-        grid=None,
-        fiber_ground_disc=dirichlet_ground_value(n_f),
-        positive_definite=True,
-    )
+    nodes, _, h = fiber_nodes(geom, n_f)
+    return _line_operator(_staggered_int(n_f, 2, periodic=False), h,
+                          density_potential(geom, eps, s, nodes), geometry=geom, eps=eps,
+                          fiber_ground_disc=dirichlet_ground_value(n_f), positive_definite=True)
 

@@ -132,32 +132,35 @@ def geometry_from_config(block: dict) -> BundleGeometry:
     try:
         kind = block["type"]
         if kind == "warped_torus":
-            length = float(block["L"])
+            length = _number(block["L"], "L")
             warp_block = block.get("warp", {})
             warp = PeriodicProfile(
                 period=2.0 * length,
-                constant=float(warp_block.get("constant", 1.0)),
-                cos_amps=tuple(warp_block.get("cos", ())),
-                sin_amps=tuple(warp_block.get("sin", ())),
+                constant=_number(warp_block.get("constant", 1.0), "constant"),
+                cos_amps=_amplitudes(warp_block, "cos"),
+                sin_amps=_amplitudes(warp_block, "sin"),
             )
+            exp = warp_block.get("exp", False)
+            if not isinstance(exp, bool):
+                raise ValueError(f"'exp' must be true or false, got {exp!r}")
             return WarpedTorusGeometry(
                 half_length=length,
-                fiber_length=float(block["fiber_length"]),
+                fiber_length=_number(block["fiber_length"], "fiber_length"),
                 warp=warp,
-                warp_is_exp=bool(warp_block.get("exp", False)),
+                warp_is_exp=exp,
             )
         if kind == "waveguide":
-            length = float(block["length"])
+            length = _number(block["length"], "length")
             curv_block = block.get("curvature", {})
             curvature = PeriodicProfile(
                 period=length,
-                constant=float(curv_block.get("constant", 0.0)),
-                cos_amps=tuple(curv_block.get("cos", ())),
-                sin_amps=tuple(curv_block.get("sin", ())),
+                constant=_number(curv_block.get("constant", 0.0), "constant"),
+                cos_amps=_amplitudes(curv_block, "cos"),
+                sin_amps=_amplitudes(curv_block, "sin"),
             )
             return WaveguideGeometry(base_length=length, curvature=curvature)
         raise ConfigError(f"unknown geometry type {kind!r}")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad geometry block: {exc}") from exc
 
 
@@ -171,6 +174,18 @@ def _integer(block: dict, key: str, default: int) -> int:
     raise ValueError(f"{key!r} must be an integer, got {value!r}")
 
 
+def _number(value, key: str) -> float:
+    """``value`` of ``key`` as a float: a finite real number, not a bool or string."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+        return float(value)
+    raise ValueError(f"{key!r} must be a finite number, got {value!r}")
+
+
+def _amplitudes(block: dict, key: str) -> tuple[float, ...]:
+    """The list ``block[key]`` of profile amplitudes, each a number."""
+    return tuple(_number(a, key) for a in _list(block.get(key, ()), key))
+
+
 def _list(value, key: str) -> list:
     """``value`` of ``key``, which must be a list: a string would be read by character."""
     if not isinstance(value, (list, tuple)):
@@ -180,9 +195,9 @@ def _list(value, key: str) -> list:
 
 def load_config(raw: dict) -> StudyConfig:
     """Validate a raw JSON study configuration."""
-    geom = geometry_from_config(raw.get("geometry", {}))
     try:
-        epsilons = [float(e) for e in _list(raw["epsilons"], "epsilons")]
+        geom = geometry_from_config(raw.get("geometry", {}))
+        epsilons = [_number(e, "epsilons") for e in _list(raw["epsilons"], "epsilons")]
         grid_block = raw.get("grid", {})
         grid = GridSpec(
             _integer(grid_block, "n_s", 64),
@@ -193,17 +208,23 @@ def load_config(raw: dict) -> StudyConfig:
         solver_block = raw.get("solver", {})
         solver = SolveConfig(
             k=_integer(solver_block, "k", 8),
-            tol=float(solver_block.get("tol", 1e-8)),
+            tol=_number(solver_block.get("tol", 1e-8), "tol"),
             max_iter=_integer(solver_block, "max_iter", 5000),
             seed=_integer(solver_block, "seed", 0),
-            shift=None if solver_block.get("shift") is None else float(solver_block["shift"]),
+            shift=(None if solver_block.get("shift") is None
+                   else _number(solver_block["shift"], "shift")),
         )
         study_block = raw.get("study", {})
         mode_index = _integer(study_block, "mode_index", 0)
         checks = _list(study_block.get("checks", []), "checks")
         out = study_block.get("out")
-        thresholds = dict(study_block.get("thresholds", {}))
-    except (KeyError, TypeError, ValueError, GridTooCoarse) as exc:
+        if out is not None and not isinstance(out, str):
+            raise ValueError(f"'out' must be a path or null, got {out!r}")
+        thresholds = study_block.get("thresholds", {})
+        if not isinstance(thresholds, dict):
+            raise ValueError(f"'thresholds' must be an object, got {thresholds!r}")
+        thresholds = {name: _number(value, name) for name, value in thresholds.items()}
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError, GridTooCoarse) as exc:
         raise ConfigError(f"bad study configuration: {exc}") from exc
 
     if not epsilons:
@@ -220,15 +241,9 @@ def load_config(raw: dict) -> StudyConfig:
     for name in checks:
         if name not in ALL_CHECKS:
             raise ConfigError(f"unknown check {name!r}")
-    for name, value in thresholds.items():
+    for name in thresholds:
         if name not in RATE_CHECKS:
             raise ConfigError(f"threshold for unknown rate check {name!r}")
-        try:
-            finite = not isinstance(value, bool) and math.isfinite(value)
-        except (TypeError, OverflowError):
-            finite = False
-        if not finite:
-            raise ConfigError(f"threshold {name!r} must be a finite number, got {value!r}")
     if any(c in RATE_CHECKS for c in checks) and len(epsilons) < 3:
         raise ConfigError("rate checks require at least three epsilons")
     if refine < 2:

@@ -128,7 +128,7 @@ def _no_failures(report):
 def test_flat_exactness(flat_setup):
     geom, grid, symbols, solved = flat_setup
     eff = assemble_effective(geom, grid)
-    mu = smallest_eigenpairs(eff.operator, SolveConfig(k=4)).values
+    mu = smallest_eigenpairs(eff, SolveConfig(k=4)).values
     for eps, (op, pairs) in solved.items():
         flags = np.concatenate([[True], np.zeros(63, bool)])  # sigma_t == 0 marker
         tensor_vals = (eps**2 * symbols[:, None] + symbols[None, :]).ravel()

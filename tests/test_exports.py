@@ -1,0 +1,19 @@
+import importlib
+import pkgutil
+
+import pytest
+
+import fibrelab
+
+MODULES = sorted(
+    ["fibrelab"]
+    + [f"fibrelab.{m.name}" for m in pkgutil.iter_modules(fibrelab.__path__) if m.name != "__main__"]
+)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    # a name dropped from a module but left in its __all__ breaks `import *`
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []

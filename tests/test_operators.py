@@ -7,12 +7,14 @@ from fibrelab.errors import GridTooCoarse, TubeDegenerate
 from fibrelab.geometry import PeriodicProfile, WarpedTorusGeometry, WaveguideGeometry
 from fibrelab.operators import (
     GridSpec,
+    _circulant_symbols,
+    _staggered_int,
     assemble_effective,
     assemble_fiber,
     assemble_full,
+    base_nodes,
     density_potential,
     dirichlet_ground_value,
-    staggered_diff_dirichlet,
     staggered_diff_periodic,
 )
 from fibrelab.report import write_coordinate_triplets
@@ -59,15 +61,47 @@ class TestStaggeredDifferences:
         slope = np.polyfit(np.log([TWO_PI / n for n in ns]), np.log(errs), 1)[0]
         assert slope == pytest.approx(expected_rate, abs=0.3)
 
-    def test_dirichlet_flux_exact_on_cubics(self):
-        n, h = 16, 2.0 / 16
-        u = -1.0 + h * np.arange(1, n)
-        mids = -1.0 + h * (np.arange(n) + 0.5)
-        # (u+1)(u-1)u vanishes at both walls, so eliminated values are honest
-        f = (u + 1.0) * (u - 1.0) * u
-        exact = 3.0 * mids**2 - 1.0
-        d = staggered_diff_dirichlet(n, h, 4)
-        assert np.max(np.abs(d @ f - exact)) < 1e-12
+    @pytest.mark.parametrize("n,order,periodic,expected", [
+        (5, 2, True, [[-1, 1, 0, 0, 0],
+                      [0, -1, 1, 0, 0],
+                      [0, 0, -1, 1, 0],
+                      [0, 0, 0, -1, 1],
+                      [1, 0, 0, 0, -1]]),
+        # on four nodes the order-4 stencil wraps round the whole circle
+        (4, 4, True, [[-27, 27, -1, 1],
+                      [1, -27, 27, -1],
+                      [-1, 1, -27, 27],
+                      [27, -1, 1, -27]]),
+        (6, 4, True, [[-27, 27, -1, 0, 0, 1],
+                      [1, -27, 27, -1, 0, 0],
+                      [0, 1, -27, 27, -1, 0],
+                      [0, 0, 1, -27, 27, -1],
+                      [-1, 0, 0, 1, -27, 27],
+                      [27, -1, 0, 0, 1, -27]]),
+        # four cells, three interior nodes: the wall columns are dropped
+        (4, 2, False, [[1, 0, 0],
+                       [-1, 1, 0],
+                       [0, -1, 1],
+                       [0, 0, -1]]),
+    ])
+    def test_stencil_matches_explicit_matrix(self, n, order, periodic, expected):
+        d, denom = _staggered_int(n, order, periodic)
+        assert denom == {2: 1.0, 4: 24.0}[order]
+        assert np.array_equal(d.toarray(), np.array(expected, dtype=float))
+        if periodic:
+            scaled = staggered_diff_periodic(n, 0.5, order).toarray()
+            assert np.array_equal(scaled, np.array(expected) / (denom * 0.5))
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("n", [4, 5, 16, 17])
+    def test_circulant_symbols_are_the_spectrum(self, n, order):
+        # each mode 0 < m < n/2 is the symbol of the pair cos, sin
+        sym = _circulant_symbols(n, order, n // 2)
+        d = _staggered_int(n, order, periodic=True)[0].toarray()
+        expected = np.sort(np.linalg.eigvalsh(d.T @ d))
+        got = np.sort(np.concatenate([sym, sym[1:(n + 1) // 2]]))
+        assert sym[0] == 0.0
+        assert np.max(np.abs(got - expected)) <= 1e-12 * expected.max()
 
     def test_constant_kernel_of_assembled_operator(self):
         for order in (2, 4):
@@ -233,29 +267,39 @@ class TestFullAssembly:
 
 class TestEffectiveOperator:
     def test_flat_potential_and_spectrum(self):
-        eff = assemble_effective(flat_torus(), GridSpec(256, 16, 2))
-        assert np.max(np.abs(eff.potential)) == 0.0
-        assert eff.lambda0 == 0.0
-        mu = smallest_eigenpairs(eff.operator, SolveConfig(k=5)).values
+        geom = flat_torus()
+        eff = assemble_effective(geom, GridSpec(256, 16, 2))
+        s, _ = base_nodes(geom, 256)
+        assert np.max(np.abs(geom.effective_potential(s))) == 0.0
+        assert np.max(np.abs(eff.stiffness @ np.ones(eff.dim))) == 0.0
+        mu = smallest_eigenpairs(eff, SolveConfig(k=5)).values
         assert mu == pytest.approx([0.0, 1.0, 1.0, 4.0, 4.0], abs=1e-3)
 
     def test_warped_potential_sample(self):
         # log a = 0.3 cos s: V(0) = 0.5*(-0.3) + 0.25*0 = -0.15 exactly
-        eff = assemble_effective(warped_torus(), GridSpec(64, 16, 2))
-        assert eff.potential[0] == pytest.approx(-0.15, abs=1e-15)
+        assert warped_torus().effective_potential(0.0) == pytest.approx(-0.15, abs=1e-15)
 
     def test_waveguide_potential_sample(self):
         geom = WaveguideGeometry(TWO_PI, PeriodicProfile(TWO_PI, 1.0, (0.5,)))
-        eff = assemble_effective(geom, GridSpec(64, 16, 2))
-        assert eff.potential[0] == pytest.approx(-0.5625, abs=1e-15)
-        assert eff.lambda0 == pytest.approx(np.pi**2 / 4.0, rel=1e-15)
+        assert geom.effective_potential(0.0) == pytest.approx(-0.5625, abs=1e-15)
 
     def test_potential_samples_match_closed_form_everywhere(self):
         geom = warped_torus()
-        eff = assemble_effective(geom, GridSpec(64, 16, 4))
-        s = eff.s_nodes
+        s, _ = base_nodes(geom, 64)
         expected = 0.5 * (-0.3 * np.cos(s)) + 0.25 * (0.3 * np.sin(s)) ** 2
-        assert np.max(np.abs(eff.potential - expected)) < 5e-16
+        assert np.max(np.abs(geom.effective_potential(s) - expected)) < 5e-16
+
+    @pytest.mark.parametrize("geom,order", [
+        (warped_torus(), 4),
+        (WaveguideGeometry(TWO_PI, PeriodicProfile(TWO_PI, 1.0, (0.5,))), 2),
+    ])
+    def test_assembled_potential_is_the_row_sum(self, geom, order):
+        # the difference part annihilates constants, so K @ 1 = V_eff * h_s
+        eff = assemble_effective(geom, GridSpec(64, 16, order))
+        s, h_s = base_nodes(geom, 64)
+        resid = eff.stiffness @ np.ones(eff.dim) - geom.effective_potential(s) * h_s
+        assert np.max(np.abs(resid)) <= 1e-12 * np.abs(eff.stiffness.data).max()
+        assert eff.dim == 64 and np.all(eff.weight == h_s) and eff.eps is None
 
 
 class TestFiberOperator:

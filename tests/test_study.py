@@ -219,13 +219,69 @@ class TestLoadConfig:
         ("solver", "max_iter", "5000"),
         ("study", "checks", "courant"),  # would be read as the checks 'c', 'o', ...
         (None, "epsilons", "0.5"),
+        (None, "epsilons", ["0.5", "0.4", "0.3"]),
         ("grid", "n_s", 8),  # below the 16 points a grid needs
+        ("solver", "tol", True),  # would be read as 1.0, no residual certificate
+        ("solver", "tol", float("inf")),  # would switch the certificate off
+        ("solver", "tol", "1e-8"),
+        ("solver", "shift", "1.97"),
+        ("study", "thresholds", [["eig_rate", 1.0]]),
+        ("study", "out", 5),  # would fail only when the report is written
+        (None, "grid", [64, 64]),
     ])
     def test_bad_field_rejected(self, block, key, value):
         cfg = flat_config()
         (cfg[block] if block else cfg)[key] = value
         with pytest.raises(ConfigError, match="bad study configuration"):
             load_config(cfg)
+
+    @pytest.mark.parametrize("path, value", [
+        (("warp", "exp"), "false"),  # would load the exponential warp
+        (("warp", "exp"), 1),
+        (("fiber_length",), True),  # would be read as 1.0
+        (("L",), "3.14"),
+        (("L",), float("inf")),
+        (("L",), 10**400),  # a JSON integer too large for a float
+        (("fiber_length",), float("inf")),
+        (("warp", "constant"), "1.0"),
+        (("warp", "constant"), float("nan")),
+        (("warp", "cos"), ["0.3"]),
+        (("warp", "sin"), "0"),
+        (("warp",), "exp"),
+    ])
+    def test_bad_geometry_field_rejected(self, path, value):
+        cfg = flat_config()
+        block = cfg["geometry"]
+        for key in path[:-1]:
+            block = block[key]
+        block[path[-1]] = value
+        with pytest.raises(ConfigError, match="bad geometry block"):
+            load_config(cfg)
+
+    @pytest.mark.parametrize("key, value", [
+        ("length", str(TWO_PI)),
+        ("curvature", {"constant": True}),
+        ("curvature", {"cos": [0.5, "0.25"]}),
+    ])
+    def test_bad_waveguide_field_rejected(self, key, value):
+        cfg = small_guide_config()
+        cfg["geometry"][key] = value
+        with pytest.raises(ConfigError, match="bad geometry block"):
+            load_config(cfg)
+
+    def test_top_level_must_be_an_object(self):
+        with pytest.raises(ConfigError, match="bad study configuration"):
+            load_config([flat_config()])
+
+    def test_integer_numbers_and_bool_flag_accepted(self):
+        cfg = flat_config()
+        cfg["geometry"]["warp"].update(constant=1, cos=[0], exp=False)
+        cfg["geometry"]["fiber_length"] = 6
+        cfg["solver"]["shift"] = -1
+        loaded = load_config(cfg)
+        assert loaded.geometry.fiber_length == 6.0
+        assert loaded.geometry.warp.constant == 1.0 and not loaded.geometry.warp_is_exp
+        assert loaded.solver.shift == -1.0 and isinstance(loaded.solver.shift, float)
 
     def test_integral_floats_accepted(self):
         cfg = flat_config()
@@ -334,7 +390,7 @@ class TestPredictedShift:
         mu0 = {}
         for grid in (cfg.grid, cfg.grid.refined(cfg.refine)):
             eff = assemble_effective(cfg.geometry, grid)
-            mu0[grid.n_s] = smallest_eigenpairs(eff.operator, SolveConfig(k=3)).values[0]
+            mu0[grid.n_s] = smallest_eigenpairs(eff, SolveConfig(k=3)).values[0]
         calls = spy_full_solves(monkeypatch)
         report = run_study(cfg)
         assert len(report.records) == 3 and report.failures == []
@@ -605,6 +661,7 @@ class TestCli:
     @pytest.mark.parametrize("block, key, value", [
         ("study", "mode_index", 1.5),
         ("grid", "n_s", 8),
+        ("solver", "tol", True),
     ])
     def test_bad_study_field_is_config_error(self, tmp_path, capsys, block, key, value):
         cfg = flat_config()
@@ -612,6 +669,13 @@ class TestCli:
         path = self.write_config(tmp_path, cfg)
         assert cli_main(["study", "--config", path, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("config error: bad study configuration")
+
+    def test_string_geometry_number_is_config_error(self, tmp_path, capsys):
+        cfg = flat_config()
+        cfg["geometry"]["L"] = "3.14"
+        path = self.write_config(tmp_path, cfg)
+        assert cli_main(["solve", "--config", path, "--epsilon", "0.5", "--k", "1"]) == 1
+        assert capsys.readouterr().err.startswith("config error: bad geometry block")
 
     def test_check_subcommand_passes(self, capsys):
         assert cli_main(["check"]) == 0
