@@ -57,9 +57,9 @@ print(f"zeros of the base eigenfunction: {[f'{z:.4f}' for z, _ in pred.zeros]}")
 print(f"rescaled eigenvalue gap: {rec.eig_gap:.3e} (exact correspondence; "
       "this is the discretization floor)")
 print(f"sup-norm deviation from the tensor prediction: {rec.supnorm:.3e}")
-print(f"nodal components: {rec.nodal.component_count}, "
-      f"nodal domains: {rec.nodal.domain_count}")
-print(f"graph-over-fibre check: {rec.nodal.graph_over_fiber} "
+print(f"nodal components: {rec.component_count}, "
+      f"nodal domains: {rec.domain_count}")
+print(f"graph-over-fibre check: {rec.graph_over_fiber} "
       f"(tube radius {rec.tube_radius:.4f})")
 
 nodal = extract_nodal_set(field_from_operator(op, pairs.vectors[:, 1]))

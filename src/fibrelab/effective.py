@@ -12,7 +12,6 @@ nodal counts, boundary traces, and the graph-over-fibre structure check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -20,10 +19,9 @@ import numpy as np
 
 from .errors import DegenerateEffectiveEigenvalue, PairingAmbiguous
 from .eigensolve import EigenPairSet, SolveConfig, smallest_eigenpairs
-from .geometry import BundleGeometry, WarpedTorusGeometry, WaveguideGeometry, as_epsilon
+from .geometry import BundleGeometry, WarpedTorusGeometry, WaveguideGeometry
 from .nodal import (
     FiberLines,
-    NodalReport,
     _circle_dist,
     boundary_trace_components,
     count_nodal_domains,
@@ -48,7 +46,6 @@ __all__ = [
     "build_prediction",
     "measure_discrepancy",
     "paired_level",
-    "sup_rate_factor",
     "volume_weight",
 ]
 
@@ -66,18 +63,6 @@ def fiber_ground_energy(geom: WaveguideGeometry, eps, s: float, n_f: int) -> flo
     coarse = smallest_eigenpairs(assemble_fiber(geom, eps, s, n_f), cfg).values[0]
     fine = smallest_eigenpairs(assemble_fiber(geom, eps, s, 2 * n_f), cfg).values[0]
     return float((4.0 * fine - coarse) / 3.0)
-
-
-def sup_rate_factor(base_dim: int, eps) -> float:
-    """Dimension-dependent factor in the uniform eigenfunction error."""
-    eps = as_epsilon(eps)
-    if base_dim == 1:
-        return 1.0
-    if base_dim == 2:
-        return math.sqrt(math.log(1.0 / eps))
-    if base_dim == 3:
-        return eps ** (-0.5)
-    raise ValueError("base dimension must be 1, 2 or 3")
 
 
 def volume_weight(geom: BundleGeometry, grid: GridSpec) -> np.ndarray:
@@ -111,7 +96,11 @@ class Prediction:
 
 @dataclass
 class DiscrepancyRecord:
-    """Measured gaps between one full eigenpair and its prediction."""
+    """Measured gaps between one full eigenpair and its prediction.
+
+    ``zeros`` holds the base positions of the predicted zeros.  A study
+    fills ``disc_estimates`` from a refined grid level.
+    """
 
     eps: float
     mode_index: int
@@ -120,11 +109,19 @@ class DiscrepancyRecord:
     eig_gap: float
     supnorm: float
     hausdorff: Optional[float]
-    nodal: NodalReport
-    disc_error_estimate: Optional[float] = None
+    domain_count: int
+    component_count: int
+    boundary_components: int
+    graph_over_fiber: Optional[bool]
+    zeros: list[float]
     disc_estimates: dict = field(default_factory=dict)
     tube_radius: Optional[float] = None
     empirical_tube_constant: Optional[float] = None
+
+    @property
+    def disc_error_estimate(self) -> Optional[float]:
+        """Discretization error estimate of ``eig_gap``."""
+        return self.disc_estimates.get("eig_gap")
 
 
 def build_prediction(eff: DiscreteOperator, mode_index: int,
@@ -254,20 +251,12 @@ def measure_discrepancy(op: DiscreteOperator, full: EigenPairSet,
             tube_radius = float(min(max(radius, 4.0 * fld.h_s), spacing_cap))
         else:
             tube_radius = 4.0 * fld.h_s
-        graph = graph_over_fiber_check(nodal_set, pred.zeros, tube_radius)
+        graph = graph_over_fiber_check(nodal_set, zeros_s, tube_radius)
         if len(nodal_set.segments) and zeros_s:
             seg_s = nodal_set.segments[:, :, 0].ravel()
             d = _circle_dist(seg_s[:, None], np.asarray(zeros_s)[None, :], geom.period)
             emp_c = float(d.min(axis=1).max() / eps)
 
-    report = NodalReport(
-        domain_count=domains,
-        component_count=nodal_set.component_count,
-        hausdorff=hausdorff,
-        boundary_components=boundary,
-        graph_over_fiber=graph,
-        zero_list=zeros_s,
-    )
     return DiscrepancyRecord(
         eps=eps,
         mode_index=j,
@@ -276,7 +265,11 @@ def measure_discrepancy(op: DiscreteOperator, full: EigenPairSet,
         eig_gap=eig_gap,
         supnorm=supnorm,
         hausdorff=hausdorff,
-        nodal=report,
+        domain_count=domains,
+        component_count=nodal_set.component_count,
+        boundary_components=boundary,
+        graph_over_fiber=graph,
+        zeros=zeros_s,
         tube_radius=tube_radius,
         empirical_tube_constant=emp_c,
     )

@@ -214,10 +214,6 @@ class WaveguideGeometry:
         eps = as_epsilon(eps)
         return 1.0 - eps * np.asarray(u, dtype=float) * self.curvature.eval(s)
 
-    def fiber_volume(self, s):
-        del s
-        return 2.0
-
     def effective_potential(self, s):
         """Curvature-induced potential -kappa(s)^2 / 4."""
         k = self.curvature.eval(s)

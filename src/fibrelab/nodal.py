@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,7 +37,6 @@ from .operators import DiscreteOperator, fiber_nodes, base_nodes
 __all__ = [
     "ScalarField",
     "NodalSet",
-    "NodalReport",
     "FiberLines",
     "field_from_operator",
     "extract_nodal_set",
@@ -111,18 +109,6 @@ class FiberLines:
         self.s_positions = np.atleast_1d(np.asarray(self.s_positions, dtype=float))
 
 
-@dataclass
-class NodalReport:
-    """Aggregated nodal quantities for one eigenfunction."""
-
-    domain_count: int
-    component_count: int
-    hausdorff: Optional[float]
-    boundary_components: int
-    graph_over_fiber: Optional[bool]
-    zero_list: list[float]
-
-
 def _circle_dist(a, b, period: float):
     d = np.abs(np.asarray(a) - np.asarray(b)) % period
     return np.minimum(d, period - d)
@@ -166,7 +152,8 @@ def extract_nodal_set(fld: ScalarField) -> NodalSet:
     row, and components are numbered by first appearance.  Saddle cells
     are disambiguated by the sign of the cell-centre average.  Raises
     :class:`DegenerateField` when more than 1% of the nodes vanish
-    exactly; callers resolve that with a half-cell grid offset.
+    exactly.  No caller recovers from it: ``fibrelab nodal`` exits 1, and
+    a study records a failure for that eps.
     """
     v = fld.values
     n_s, n_rows = v.shape
@@ -430,14 +417,15 @@ def boundary_trace_components(nodal: NodalSet, geom: WaveguideGeometry) -> int:
     return total
 
 
-def graph_over_fiber_check(nodal: NodalSet, zero_list, tube_radius: float) -> bool:
+def graph_over_fiber_check(nodal: NodalSet, zeros_s: list[float], tube_radius: float) -> bool:
     """Is the nodal set a union of fibre-like graphs over the predicted zeros?
 
-    True iff every segment stays within ``tube_radius`` (base distance) of
-    some predicted zero, each tube crosses every fibre grid row exactly
-    once, and the component count equals the number of zeros.
+    ``zeros_s`` holds the base positions of the predicted zeros.  True iff
+    every segment stays within ``tube_radius`` (base distance) of some
+    predicted zero, each tube crosses every fibre grid row exactly once,
+    and the component count equals the number of zeros.
     """
-    zeros = np.asarray([z[0] if isinstance(z, tuple) else z for z in zero_list], dtype=float)
+    zeros = np.asarray(zeros_s, dtype=float)
     if nodal.component_count != len(zeros):
         return False
     if len(zeros) == 0:

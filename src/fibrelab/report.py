@@ -89,13 +89,13 @@ def _record_dict(rec: DiscrepancyRecord) -> dict:
         "eig_gap": rec.eig_gap,
         "supnorm": rec.supnorm,
         "hausdorff": rec.hausdorff,
-        "nodal_domains": rec.nodal.domain_count,
-        "nodal_components": rec.nodal.component_count,
-        "boundary_components": rec.nodal.boundary_components,
-        "graph_check": rec.nodal.graph_over_fiber,
+        "nodal_domains": rec.domain_count,
+        "nodal_components": rec.component_count,
+        "boundary_components": rec.boundary_components,
+        "graph_check": rec.graph_over_fiber,
         "disc_err_est": rec.disc_error_estimate,
         "disc_estimates": dict(rec.disc_estimates),
-        "zeros": rec.nodal.zero_list,
+        "zeros": rec.zeros,
         "tube_radius": rec.tube_radius,
         "empirical_tube_constant": rec.empirical_tube_constant,
     }

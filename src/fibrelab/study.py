@@ -405,7 +405,6 @@ def _run_sweep(cfg: StudyConfig) -> StudyReport:
                 if qb is not None and qf is not None:
                     ests[quantity] = abs(qb - qf) * factor
             base.disc_estimates = ests
-            base.disc_error_estimate = ests.get("eig_gap")
             records.append(base)
         except FibrelabError as exc:
             failures.append({"epsilon": eps, "level": level, "stage": stage,
@@ -489,12 +488,12 @@ def _evaluate_isotopy(records: list[DiscrepancyRecord]) -> CheckResult:
     if not records:
         return CheckResult("isotopy", False, "no records")
     rec = min(records, key=lambda r: r.eps)
-    graph_ok = rec.nodal.graph_over_fiber is True
-    count_ok = rec.nodal.component_count == len(rec.nodal.zero_list)
+    graph_ok = rec.graph_over_fiber is True
+    count_ok = rec.component_count == len(rec.zeros)
     passed = graph_ok and count_ok
     reason = (
         f"eps={rec.eps:g}: graph-over-fibre {graph_ok}, components "
-        f"{rec.nodal.component_count} vs zeros {len(rec.nodal.zero_list)}"
+        f"{rec.component_count} vs zeros {len(rec.zeros)}"
     )
     return CheckResult("isotopy", passed, reason)
 
@@ -505,7 +504,7 @@ def _evaluate_boundary(records: list[DiscrepancyRecord]) -> CheckResult:
     bad = [
         rec.eps
         for rec in records
-        if rec.nodal.boundary_components < 2 * len(rec.nodal.zero_list)
+        if rec.boundary_components < 2 * len(rec.zeros)
     ]
     passed = not bad
     reason = "boundary contacts >= 2 x zeros at every eps" if passed else (
@@ -533,7 +532,6 @@ def self_check(verbose: bool = False) -> list[tuple[str, bool, str]]:
     """Fast built-in invariant suite for the `check` CLI subcommand."""
     from . import geometry as g
     from . import operators as ops
-    from .effective import sup_rate_factor
     from .report import dumps_canonical
 
     results: list[tuple[str, bool, str]] = []
@@ -614,11 +612,6 @@ def self_check(verbose: bool = False) -> list[tuple[str, bool, str]]:
         f = fit_rate([(0.2, 0.04), (0.1, 0.01), (0.05, 0.0025)])
         assert abs(f.slope - 2.0) < 1e-12 and abs(f.r_squared - 1.0) < 1e-12
 
-    def check_theta():
-        assert sup_rate_factor(1, 0.05) == 1.0
-        assert abs(sup_rate_factor(2, np.exp(-1.0)) - 1.0) < 1e-12
-        assert abs(sup_rate_factor(3, 0.25) - 2.0) < 1e-12
-
     def check_density():
         wg = g.WaveguideGeometry(2 * np.pi, g.PeriodicProfile(2 * np.pi, 1.0))
         assert abs(ops.density_potential(wg, 0.1, 0.0, 0.0) + 0.0025) < 1e-15
@@ -647,7 +640,6 @@ def self_check(verbose: bool = False) -> list[tuple[str, bool, str]]:
     run("waveguide shift-invert solve", check_shift_invert)
     run("waveguide predicted-shift solve", check_predicted_shift)
     run("rate fit", check_rate_fit)
-    run("uniform rate factor", check_theta)
     run("density potential", check_density)
     run("nodal extraction", check_nodal)
     run("canonical serialization", check_determinism)

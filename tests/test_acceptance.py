@@ -22,6 +22,7 @@ degeneracy tests in test_effective.py for the measurements):
   on the single-harmonic torus is asserted to fail the simplicity guard.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -33,12 +34,12 @@ import pytest
 
 import fibrelab
 from fibrelab.effective import build_prediction, fiber_ground_energy
-from fibrelab.eigensolve import SolveConfig, smallest_eigenpairs, verify_pairs
+from fibrelab.eigensolve import SolveConfig, smallest_eigenpairs
 from fibrelab.errors import DegenerateEffectiveEigenvalue
 from fibrelab.geometry import PeriodicProfile, WarpedTorusGeometry, WaveguideGeometry
 from fibrelab.nodal import count_nodal_domains, field_from_operator
 from fibrelab.operators import GridSpec, assemble_effective, assemble_full, staggered_diff_periodic
-from fibrelab.report import emit_report
+from fibrelab.report import dumps_canonical, emit_report, report_to_dict
 from fibrelab.study import load_config, run_study
 
 TWO_PI = 2.0 * np.pi
@@ -224,8 +225,8 @@ def test_isotopy_structure(torus_j1_report):
     check = report.checks["isotopy"]
     assert check.passed
     smallest = min(report.records, key=lambda r: r.eps)
-    assert smallest.nodal.graph_over_fiber is True
-    assert smallest.nodal.component_count == len(smallest.nodal.zero_list) == 2
+    assert smallest.graph_over_fiber is True
+    assert smallest.component_count == len(smallest.zeros) == 2
     print("PASS isotopy structure: nodal set is a graph over the predicted "
           "fibres and component count equals the zero count at the smallest eps")
 
@@ -236,8 +237,8 @@ def test_boundary_contact(guide_j1_report):
     check = report.checks["boundary"]
     assert check.passed
     for rec in report.records:
-        assert rec.nodal.boundary_components >= 2 * len(rec.nodal.zero_list)
-        assert rec.nodal.boundary_components > 0
+        assert rec.boundary_components >= 2 * len(rec.zeros)
+        assert rec.boundary_components > 0
     print("PASS boundary contact: nodal set meets the walls with >= 2 x zeros "
           "components at every eps")
 
@@ -278,6 +279,9 @@ def test_effective_potential_oracle():
 
 
 def test_solver_and_assembly_invariants(tmp_path_factory, guide_j0_report):
+    # imported here: perfbench loads this module by path, for its configs only
+    from pair_checks import verify_pairs
+
     torus = WarpedTorusGeometry(np.pi, TWO_PI,
                                 PeriodicProfile(TWO_PI, 0.0, (0.3,)), warp_is_exp=True)
     guide = WaveguideGeometry(TWO_PI, PeriodicProfile(TWO_PI, 1.0, (0.5,)))
@@ -314,6 +318,23 @@ def test_solver_and_assembly_invariants(tmp_path_factory, guide_j0_report):
     print("PASS solver and assembly invariants: exact symmetry, residuals and "
           "orthonormality within tolerance, constant kernel mode, "
           "byte-identical repeated reports")
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.mark.parametrize("fixture,workload", [("torus_j0_report", "torus_ground"),
+                                              ("torus_j1_report", "torus_nodal"),
+                                              ("guide_j1_report", "guide_nodal")])
+def test_report_passes_benchmark_gate(request, fixture, workload):
+    # loaded by path under a name of its own: perfbench's tests import it as `check`
+    spec = importlib.util.spec_from_file_location("perfbench_check", PERFBENCH / "check.py")
+    check = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check)
+    report = json.loads(dumps_canonical(report_to_dict(request.getfixturevalue(fixture))))
+    reference = json.loads((PERFBENCH / "reference" / f"{workload}.json").read_text())
+    assert check.compare_reports(report, reference) == (0, [])
+    print(f"PASS benchmark gate: {fixture} matches perfbench/reference/{workload}.json")
 
 
 CANONICAL_REPORT = """

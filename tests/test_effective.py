@@ -6,7 +6,6 @@ from fibrelab.effective import (
     build_prediction,
     fiber_ground_energy,
     measure_discrepancy,
-    sup_rate_factor,
     volume_weight,
 )
 from fibrelab.eigensolve import EigenPairSet, SolveConfig, smallest_eigenpairs
@@ -79,21 +78,6 @@ class TestGroundState:
         pred = build_prediction(assemble_effective(geom, GridSpec(64, 32, 4)), 0)
         s, _ = base_nodes(geom, 64)
         assert pred.phi0_min**2 * geom.fiber_volume(s).max() == pytest.approx(1.0, abs=1e-12)
-
-
-class TestSupRateFactor:
-    def test_dimension_one_is_unity(self):
-        assert sup_rate_factor(1, 0.05) == 1.0
-
-    def test_dimension_two_log(self):
-        assert sup_rate_factor(2, np.exp(-1.0)) == pytest.approx(1.0, rel=1e-12)
-
-    def test_dimension_three_inverse_sqrt(self):
-        assert sup_rate_factor(3, 0.25) == pytest.approx(2.0, rel=1e-14)
-
-    def test_invalid_dimension(self):
-        with pytest.raises(ValueError):
-            sup_rate_factor(4, 0.1)
 
 
 class TestFiberGroundEnergy:
@@ -194,7 +178,7 @@ class TestMeasureDiscrepancy:
             rec = measure_discrepancy(op, pairs, pred)
             assert rec.eig_gap <= 1e-8
             assert rec.supnorm <= 1e-8
-            assert rec.nodal.domain_count == 1
+            assert rec.domain_count == 1
 
     def test_sign_involution_safe(self):
         geom = warped_torus(amps=(0.3, 0.15))
@@ -211,7 +195,7 @@ class TestMeasureDiscrepancy:
         assert rec_a.eig_gap == rec_b.eig_gap
         assert rec_a.supnorm == rec_b.supnorm
         assert rec_a.hausdorff == rec_b.hausdorff
-        assert rec_a.nodal.domain_count == rec_b.nodal.domain_count
+        assert rec_a.domain_count == rec_b.domain_count
 
     def test_pairing_ambiguity_guard(self):
         geom = flat_torus()

@@ -10,11 +10,13 @@ import scipy.sparse.linalg as sla
 
 import fibrelab.eigensolve as eigensolve_module
 import fibrelab.study as study_module
-from fibrelab.eigensolve import DENSE_CUTOFF, SolveConfig, smallest_eigenpairs, verify_pairs
+from fibrelab.eigensolve import DENSE_CUTOFF, SolveConfig, smallest_eigenpairs
 from fibrelab.errors import FactorizationFailed
 from fibrelab.nodal import extract_nodal_set, field_from_operator
 from fibrelab.geometry import PeriodicProfile, WarpedTorusGeometry, WaveguideGeometry
 from fibrelab.operators import DiscreteOperator, GridSpec, assemble_full, staggered_diff_periodic
+
+from pair_checks import verify_pairs
 
 TWO_PI = 2.0 * np.pi
 
@@ -131,6 +133,32 @@ class TestSmallestEigenpairs:
         for options in ({"max_iter": 0}, {"shift": float("nan")}, {"shift": -float("inf")}):
             with pytest.raises(ValueError):
                 SolveConfig(**options)
+
+
+class TestDenseBranch:
+    def test_nearly_whole_spectrum_above_cutoff(self):
+        # k > n - 2 routes a non-separable operator above the cutoff to the
+        # dense solve instead of ARPACK
+        op = guide_operator()
+        assert op.fiber_factors is None and op.dim > DENSE_CUTOFF
+        k = op.dim - 1
+        pairs = smallest_eigenpairs(op, SolveConfig(k=k))
+        full = dla.eigh(op.stiffness.toarray(), np.diag(op.weight), eigvals_only=True)
+        assert np.max(np.abs(pairs.values - full[:k]) / np.abs(full[:k])) < 1e-12
+
+    def test_small_waveguide_returns_the_subset_solve(self):
+        geom = WaveguideGeometry(TWO_PI, PeriodicProfile(TWO_PI, 1.0, (0.5, 0.25)))
+        op = assemble_full(geom, 0.2, GridSpec(32, 17, 4))
+        assert op.fiber_factors is None and op.dim <= DENSE_CUTOFF
+        pairs = smallest_eigenpairs(op, SolveConfig(k=6))
+        # on one BLAS thread, as inside the solve: inverse iteration on two
+        # threads moves the vectors by 3.5e-10 here
+        with eigensolve_module.single_threaded_blas():
+            values, vectors = dla.eigh(op.stiffness.toarray(), np.diag(op.weight),
+                                       subset_by_index=[0, 5])
+        assert np.max(np.abs(pairs.values - values) / np.abs(values)) < 1e-13
+        signs = np.sign(np.sum(pairs.vectors * vectors, axis=0))
+        assert np.max(np.abs(pairs.vectors * signs - vectors)) < 1e-14
 
 
 def w_projector(vectors, weight):

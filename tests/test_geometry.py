@@ -139,9 +139,6 @@ class TestFiberVolume:
         geom = torus(PeriodicProfile(TWO_PI, 0.0, (0.3,)), exp=True)
         assert geom.fiber_volume(0.0) == pytest.approx(TWO_PI * np.exp(0.3), rel=1e-14)
 
-    def test_waveguide_constant(self):
-        assert waveguide().fiber_volume(1.234) == 2.0
-
 
 class TestValidation:
     def test_epsilon_range(self):

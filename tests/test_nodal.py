@@ -488,17 +488,16 @@ class TestBoundaryTraces:
 class TestGraphOverFiber:
     def test_vertical_circles_pass(self):
         nodal = extract_nodal_set(torus_field(lambda s, t: np.cos(s)))
-        zeros = [(np.pi / 2, -1.0), (3 * np.pi / 2, 1.0)]
-        assert graph_over_fiber_check(nodal, zeros, 0.1) is True
+        assert graph_over_fiber_check(nodal, [np.pi / 2, 3 * np.pi / 2], 0.1) is True
 
     def test_horizontal_lines_fail_uniqueness(self):
         nodal = extract_nodal_set(torus_field(lambda s, t: np.cos(s + 0.05) * np.cos(t + 0.1)))
-        zeros = [(np.pi / 2 - 0.05, -1.0), (3 * np.pi / 2 - 0.05, 1.0)]
+        zeros = [np.pi / 2 - 0.05, 3 * np.pi / 2 - 0.05]
         assert graph_over_fiber_check(nodal, zeros, 0.2) is False
 
     def test_component_count_mismatch_fails(self):
         nodal = extract_nodal_set(torus_field(lambda s, t: 1.0 + 0.1 * np.cos(s)))
-        assert graph_over_fiber_check(nodal, [(np.pi, 1.0)], 0.1) is False
+        assert graph_over_fiber_check(nodal, [np.pi], 0.1) is False
 
     def test_empty_nodal_and_no_zeros_passes(self):
         nodal = extract_nodal_set(torus_field(lambda s, t: 1.0 + 0.1 * np.cos(s)))

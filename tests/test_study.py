@@ -10,7 +10,6 @@ from fibrelab.cli import main as cli_main
 from fibrelab.effective import DiscrepancyRecord, measure_discrepancy
 from fibrelab.eigensolve import DENSE_CUTOFF, SolveConfig, smallest_eigenpairs
 from fibrelab.errors import ConfigError, InsufficientPoints
-from fibrelab.nodal import NodalReport
 from fibrelab.operators import assemble_effective, assemble_full
 from fibrelab.report import dumps_canonical, emit_report, records_csv
 from fibrelab.study import (
@@ -104,14 +103,12 @@ def spy_full_solves(monkeypatch):
 
 
 def synthetic_record(eps, eig_gap, est_ratio=0.01, supnorm=1.0, hausdorff=None):
-    nod = NodalReport(domain_count=1, component_count=0, hausdorff=hausdorff,
-                      boundary_components=0, graph_over_fiber=None, zero_list=[])
     rec = DiscrepancyRecord(
         eps=eps, mode_index=0, lambda_full=0.0, mu=0.0, eig_gap=eig_gap,
-        supnorm=supnorm, hausdorff=hausdorff, nodal=nod,
+        supnorm=supnorm, hausdorff=hausdorff, domain_count=1, component_count=0,
+        boundary_components=0, graph_over_fiber=None, zeros=[],
     )
     rec.disc_estimates = {"eig_gap": eig_gap * est_ratio, "supnorm": supnorm * est_ratio}
-    rec.disc_error_estimate = rec.disc_estimates["eig_gap"]
     return rec
 
 
@@ -498,7 +495,9 @@ class TestRefinedPairCount:
             for name in ("eig_gap", "supnorm", "hausdorff"):
                 x, y = getattr(rec, name), getattr(ref, name)
                 assert abs(x - y) <= 1e-8 * abs(y), name
-            assert replace(rec.nodal, hausdorff=None) == replace(ref.nodal, hausdorff=None)
+            for name in ("domain_count", "component_count", "boundary_components",
+                         "graph_over_fiber", "zeros"):
+                assert getattr(rec, name) == getattr(ref, name), name
 
     def test_long_fibre_has_fibre_excited_levels_below_the_paired_level(self):
         # dense solve of the base-grid operator: a level is fibre-ground when
