@@ -12,6 +12,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .effective import require_simple
 from .eigensolve import smallest_eigenpairs
 from .errors import ConfigError, FactorizationFailed, FibrelabError, NoConvergence
 from .geometry import as_epsilon
@@ -90,6 +91,8 @@ def _cmd_nodal(args) -> int:
         raise ConfigError(f"--mode {args.mode} needs {k} eigenpairs, more than the "
                           f"operator dimension {op.dim}")
     pairs = smallest_eigenpairs(op, replace(cfg.solver, k=k))
+    # a member of a degenerate level is whichever one round-off sorts first
+    require_simple(pairs.values, args.mode, f"level {args.mode} eigenvalue")
     nodal = extract_nodal_set(field_from_operator(op, pairs.vectors[:, args.mode]))
     csv_text = nodal_set_to_csv(nodal)
     if args.out:

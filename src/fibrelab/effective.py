@@ -46,6 +46,7 @@ __all__ = [
     "build_prediction",
     "measure_discrepancy",
     "paired_level",
+    "require_simple",
     "volume_weight",
 ]
 
@@ -124,6 +125,15 @@ class DiscrepancyRecord:
         return self.disc_estimates.get("eig_gap")
 
 
+def require_simple(values: np.ndarray, index: int, what: str) -> None:
+    """Refuse ``values[index]`` unless it lies more than ``SIMPLE_GAP`` from each neighbour."""
+    neighbours = [values[i] for i in (index - 1, index + 1) if 0 <= i < len(values)]
+    gap = min(abs(values[index] - nb) for nb in neighbours) if neighbours else np.inf
+    if gap <= SIMPLE_GAP:
+        raise DegenerateEffectiveEigenvalue(
+            f"{what} {float(values[index]):.12g} has neighbour gap {gap:.3e}")
+
+
 def build_prediction(eff: DiscreteOperator, mode_index: int,
                      cfg: Optional[SolveConfig] = None) -> Prediction:
     """Solve the effective problem and tensorize mode ``mode_index``.
@@ -142,14 +152,8 @@ def build_prediction(eff: DiscreteOperator, mode_index: int,
     cfg = cfg or SolveConfig(k=mode_index + 2)
     pairs = smallest_eigenpairs(eff,
                                 replace(cfg, k=max(cfg.k, mode_index + 2), shift=None))
+    require_simple(pairs.values, mode_index, "effective eigenvalue")
     mu = float(pairs.values[mode_index])
-    neighbours = [pairs.values[i] for i in (mode_index - 1, mode_index + 1)
-                  if 0 <= i < len(pairs.values)]
-    gap = min(abs(mu - nb) for nb in neighbours) if neighbours else np.inf
-    if gap <= SIMPLE_GAP:
-        raise DegenerateEffectiveEigenvalue(
-            f"effective eigenvalue {mu:.12g} has neighbour gap {gap:.3e}"
-        )
 
     psi = pairs.vectors[:, mode_index]
     s, _ = base_nodes(geom, grid.n_s)

@@ -45,7 +45,7 @@ class NonTransversalZero(FibrelabError):
 
 
 class DegenerateEffectiveEigenvalue(FibrelabError):
-    """The requested effective eigenvalue is not simple within tolerance."""
+    """An eigenvalue that must be simple (effective, or a ``nodal`` level) is not."""
 
 
 class PairingAmbiguous(FibrelabError):

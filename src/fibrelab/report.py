@@ -2,8 +2,9 @@
 
 Reports are byte-stable: canonical JSON with sorted keys and
 17-significant-digit floats, fixed-template SVG plots, and wall-clock
-timings kept in a separate non-deterministic file.  Nodal sets and
-sparse matrices are written with 17 significant digits as well.
+timings kept in a separate non-deterministic file.  The ``fits`` block and
+the SVG points come from the rate checks' fits.  Nodal sets and sparse
+matrices are written with 17 significant digits as well.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import scipy.sparse as sp
 
 from .effective import DiscrepancyRecord
 from .nodal import NodalSet
-from .study import RateFit, StudyReport
+from .study import RATE_CHECKS, RateFit, StudyReport
 
 __all__ = [
     "dumps_canonical",
@@ -101,16 +102,23 @@ def _record_dict(rec: DiscrepancyRecord) -> dict:
     }
 
 
+def _fits(report: StudyReport) -> dict[str, Optional[RateFit]]:
+    """The fit of each configured rate check, keyed by its quantity."""
+    return {RATE_CHECKS[name][0]: check.fit
+            for name, check in report.checks.items() if name in RATE_CHECKS}
+
+
 def report_to_dict(report: StudyReport) -> dict:
-    fits = {}
-    for name, f in report.fits.items():
-        fits[name] = None if f is None else {
+    fits = {
+        quantity: None if f is None else {
             "slope": f.slope,
             "intercept": f.intercept,
             "r_squared": f.r_squared,
             "points_used": [list(p) for p in f.points_used],
             "excluded": [[e, v, r] for e, v, r in f.excluded],
         }
+        for quantity, f in _fits(report).items()
+    }
     checks = {
         name: {
             "passed": c.passed,
@@ -156,8 +164,8 @@ SVG_MARGIN = 70
 
 
 def _svg_loglog(title: str, fit: Optional[RateFit],
-                included: list[tuple[float, float]],
                 excluded: list[tuple[float, float]]) -> str:
+    included = fit.points_used if fit is not None else []
     pts = [(x, y) for x, y in included + excluded if y > 0.0 and x > 0.0]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {SVG_W} {SVG_H}">',
@@ -257,20 +265,16 @@ def emit_report(report: StudyReport, out_dir) -> list[Path]:
     path.write_text(records_csv(report), encoding="ascii")
     written.append(path)
 
-    for quantity in ("eig_gap", "supnorm", "hausdorff"):
-        fit = report.fits.get(quantity)
-        included = fit.points_used if fit is not None else []
-        excl_src = fit.excluded if fit is not None else []
-        excluded = [(e, v) for e, v, _ in excl_src if np.isfinite(v)]
+    fits = _fits(report)
+    for quantity, _, _ in RATE_CHECKS.values():
+        fit = fits.get(quantity)
         if fit is None:
-            pts = [
-                (r.eps, getattr(r, quantity))
-                for r in report.records
-                if getattr(r, quantity) is not None
-            ]
-            excluded = [(e, v) for e, v in pts if v > 0.0]
+            values = [(r.eps, getattr(r, quantity)) for r in report.records]
+            excluded = [(e, v) for e, v in values if v is not None and v > 0.0]
+        else:
+            excluded = [(e, v) for e, v, _ in fit.excluded if np.isfinite(v)]
         path = out / f"{quantity}.svg"
-        path.write_text(_svg_loglog(quantity, fit, list(included), excluded), encoding="ascii")
+        path.write_text(_svg_loglog(quantity, fit, excluded), encoding="ascii")
         written.append(path)
 
     path = out / "timings.json"

@@ -13,7 +13,10 @@ below the paired one.  A sweep point enters a rate fit only when the
 measured model error exceeds ten times that estimate.  When every point
 sits at the discretization floor the check is reported as passed with an
 explicit "below floor" flag rather than fitting noise; this is exactly
-the flat situation where the model is discretely exact.  :mod:`fibrelab.report` writes the results.
+the flat situation where the model is discretely exact.  ``RATE_CHECKS``
+holds each rate check's quantity, theory exponent and default threshold;
+its :class:`CheckResult` carries its fit.  :mod:`fibrelab.report` writes
+the results.
 
 The effective model predicts the full spectrum as ``lambda_F + eps^2 mu_j``,
 so each full solve shifts to ``fiber_ground_disc + eps^2 (mu_0 -
@@ -22,8 +25,8 @@ converges fastest.  The solver's Cholesky factor proves that this shift lies
 below the spectrum; when it does not exist, the solve is repeated at the
 configured shift (``solver.shift``, else a geometry default), and
 ``timings["shift_fallbacks"]`` counts those repeats.  A level whose
-prediction failed is solved at the configured shift as well.  Each failure
-record names its eps, grid level and stage.
+prediction failed is not solved: its failure is recorded at every eps.
+Each failure record names its eps, grid level and stage.
 """
 
 from __future__ import annotations
@@ -74,8 +77,14 @@ __all__ = [
     "self_check",
 ]
 
-RATE_CHECKS = ("eig_rate", "supnorm_rate", "hausdorff_rate")
-ALL_CHECKS = RATE_CHECKS + ("isotopy", "boundary", "courant")
+# rate check: (quantity, (theory exponent, default threshold) on the torus,
+# the same on the waveguide)
+RATE_CHECKS = {
+    "eig_rate": ("eig_gap", (2.0, 1.7), (1.0, 0.8)),
+    "supnorm_rate": ("supnorm", (1.0, 0.9), (1.0, 0.9)),
+    "hausdorff_rate": ("hausdorff", (1.0, 0.9), (1.0, 0.9)),
+}
+ALL_CHECKS = (*RATE_CHECKS, "isotopy", "boundary", "courant")
 FLOOR_FACTOR = 10.0
 COURANT_MODES = 6
 SHIFT_MARGIN = 0.5
@@ -108,19 +117,25 @@ class RateFit:
 
 @dataclass
 class CheckResult:
+    """Verdict of one check; a rate check's fit, when it has one, comes with it."""
+
     name: str
     passed: bool
     reason: str
     threshold: Optional[float] = None
     theory: Optional[float] = None
-    slope: Optional[float] = None
+    fit: Optional[RateFit] = None
+
+    @property
+    def slope(self) -> Optional[float]:
+        """The fitted slope, ``None`` without a fit."""
+        return None if self.fit is None else self.fit.slope
 
 
 @dataclass
 class StudyReport:
     config_echo: dict
     records: list[DiscrepancyRecord]
-    fits: dict[str, Optional[RateFit]]
     checks: dict[str, CheckResult]
     failures: list[dict]
     courant_counts: dict[float, list[int]]
@@ -275,18 +290,6 @@ def _base_pair_count(cfg: StudyConfig) -> int:
                COURANT_MODES if "courant" in cfg.checks else 1)
 
 
-def default_threshold(name: str, geom: BundleGeometry) -> float:
-    if name == "eig_rate":
-        return 1.7 if isinstance(geom, WarpedTorusGeometry) else 0.8
-    return 0.9
-
-
-def theory_exponent(name: str, geom: BundleGeometry) -> float:
-    if name == "eig_rate":
-        return 2.0 if isinstance(geom, WarpedTorusGeometry) else 1.0
-    return 1.0
-
-
 def fit_rate(points: list[tuple[float, float]]) -> RateFit:
     """Least-squares log-log fit through (eps, e) pairs."""
     if len(points) < 3:
@@ -317,9 +320,6 @@ def _auto_shift(geom: BundleGeometry) -> Optional[float]:
 def _predicted_shift(op: DiscreteOperator, pred: Prediction) -> float:
     """Shift ``SHIFT_MARGIN * eps^2`` below the ground level the effective model predicts."""
     return op.fiber_ground_disc + op.eps * op.eps * (pred.mu0 - SHIFT_MARGIN)
-
-
-QUANTITIES = {"eig_rate": "eig_gap", "supnorm_rate": "supnorm", "hausdorff_rate": "hausdorff"}
 
 
 def run_study(cfg: StudyConfig) -> StudyReport:
@@ -353,8 +353,8 @@ def _run_sweep(cfg: StudyConfig) -> StudyReport:
         shift=cfg.solver.shift if cfg.solver.shift is not None else _auto_shift(geom),
     )
     # The effective problem does not depend on eps: one prediction per grid
-    # level.  A failed one is raised again at every eps, after that eps's
-    # full solve, so the failure records are those of a per-eps prediction.
+    # level.  A failed one is raised again at every eps, so the failure
+    # records are those of a per-eps prediction.
     predictions: list[Prediction | FibrelabError] = []
     for grid in grids:
         eff = assemble_effective(geom, grid)
@@ -369,21 +369,18 @@ def _run_sweep(cfg: StudyConfig) -> StudyReport:
             level_records = []
             level_cfg = solve_cfg
             for level, (grid, pred) in enumerate(zip(grids, predictions)):
-                stage = "assemble"
-                op = assemble_full(geom, eps, grid)
-                stage = "full_solve"
-                pairs = None
-                if isinstance(pred, Prediction):
-                    try:
-                        pairs = smallest_eigenpairs(
-                            op, replace(level_cfg, shift=_predicted_shift(op, pred)))
-                    except FactorizationFailed:
-                        fallbacks += 1
-                if pairs is None:
-                    pairs = smallest_eigenpairs(op, level_cfg)
                 stage = "prediction"
                 if isinstance(pred, FibrelabError):
                     raise pred
+                stage = "assemble"
+                op = assemble_full(geom, eps, grid)
+                stage = "full_solve"
+                try:
+                    pairs = smallest_eigenpairs(
+                        op, replace(level_cfg, shift=_predicted_shift(op, pred)))
+                except FactorizationFailed:
+                    fallbacks += 1
+                    pairs = smallest_eigenpairs(op, level_cfg)
                 stage = "discrepancy"
                 rec = measure_discrepancy(op, pairs, pred)
                 level_records.append(rec)
@@ -400,7 +397,7 @@ def _run_sweep(cfg: StudyConfig) -> StudyReport:
             base, fine = level_records
             factor = 1.0 / (1.0 - cfg.refine ** (-float(cfg.grid.stencil_order)))
             ests = {}
-            for quantity in ("eig_gap", "supnorm", "hausdorff"):
+            for quantity, _, _ in RATE_CHECKS.values():
                 qb, qf = getattr(base, quantity), getattr(fine, quantity)
                 if qb is not None and qf is not None:
                     ests[quantity] = abs(qb - qf) * factor
@@ -412,11 +409,10 @@ def _run_sweep(cfg: StudyConfig) -> StudyReport:
         timings[f"eps={eps:g}"] = time.perf_counter() - t0
     timings["shift_fallbacks"] = fallbacks
 
-    fits: dict[str, Optional[RateFit]] = {}
     checks: dict[str, CheckResult] = {}
     for name in cfg.checks:
         if name in RATE_CHECKS:
-            checks[name] = _evaluate_rate_check(name, cfg, records, fits)
+            checks[name] = _evaluate_rate_check(name, cfg, records)
         elif name == "isotopy":
             checks[name] = _evaluate_isotopy(records)
         elif name == "boundary":
@@ -427,7 +423,6 @@ def _run_sweep(cfg: StudyConfig) -> StudyReport:
     return StudyReport(
         config_echo=cfg.echo,
         records=records,
-        fits=fits,
         checks=checks,
         failures=failures,
         courant_counts=courant_counts,
@@ -435,11 +430,12 @@ def _run_sweep(cfg: StudyConfig) -> StudyReport:
     )
 
 
-def _evaluate_rate_check(name: str, cfg: StudyConfig, records: list[DiscrepancyRecord],
-                         fits: dict[str, Optional[RateFit]]) -> CheckResult:
-    quantity = QUANTITIES[name]
-    threshold = cfg.thresholds.get(name, default_threshold(name, cfg.geometry))
-    theory = theory_exponent(name, cfg.geometry)
+def _evaluate_rate_check(name: str, cfg: StudyConfig,
+                         records: list[DiscrepancyRecord]) -> CheckResult:
+    """One verdict: a fitted slope, all points at the floor, or too few above it."""
+    quantity, torus, waveguide = RATE_CHECKS[name]
+    theory, threshold = torus if isinstance(cfg.geometry, WarpedTorusGeometry) else waveguide
+    threshold = cfg.thresholds.get(name, threshold)
     usable: list[tuple[float, float]] = []
     excluded: list[tuple[float, float, str]] = []
     for rec in records:
@@ -454,34 +450,17 @@ def _evaluate_rate_check(name: str, cfg: StudyConfig, records: list[DiscrepancyR
         else:
             usable.append((rec.eps, value))
 
-    if not usable:
-        floorish = [e for e in excluded if e[2] in ("below discretization floor", "zero error")]
-        if len(floorish) == len(excluded) and excluded:
-            fits[quantity] = None
-            return CheckResult(
-                name=name, passed=True,
-                reason="all points at the discretization floor; model error not resolvable",
-                threshold=threshold, theory=theory,
-            )
-        fits[quantity] = None
-        return CheckResult(name=name, passed=False, reason="no usable points",
-                           threshold=threshold, theory=theory)
-    if len(usable) < 3:
-        fits[quantity] = None
-        return CheckResult(
-            name=name, passed=False,
-            reason=f"only {len(usable)} points above the floor; need 3 for a fit",
-            threshold=threshold, theory=theory,
-        )
-    fit = fit_rate(usable)
-    fit.excluded = excluded
-    fits[quantity] = fit
-    passed = fit.slope >= threshold
-    reason = (
-        f"fitted slope {fit.slope:.3f} vs threshold {threshold:.2f} (theory {theory:.0f})"
-    )
-    return CheckResult(name=name, passed=passed, reason=reason,
-                       threshold=threshold, theory=theory, slope=fit.slope)
+    if len(usable) >= 3:
+        fit = fit_rate(usable)
+        fit.excluded = excluded
+        reason = f"fitted slope {fit.slope:.3f} vs threshold {threshold:.2f} (theory {theory:.0f})"
+        return CheckResult(name, fit.slope >= threshold, reason, threshold, theory, fit)
+    if excluded and not usable and all(why != "not measured" for _, _, why in excluded):
+        return CheckResult(name, True, "all points at the discretization floor; "
+                           "model error not resolvable", threshold, theory)
+    reason = (f"only {len(usable)} points above the floor; need 3 for a fit" if usable
+              else "no usable points")
+    return CheckResult(name, False, reason, threshold, theory)
 
 
 def _evaluate_isotopy(records: list[DiscrepancyRecord]) -> CheckResult:
@@ -576,37 +555,34 @@ def self_check(verbose: bool = False) -> list[tuple[str, bool, str]]:
         tensor = np.sort((0.25 * sym[:, None] + sym[None, :]).ravel())[:5]
         assert np.max(np.abs(pairs.values - tensor)) < 1e-10
 
-    def check_separable():
+    def dense_oracle(op, pairs):
+        """Check ``pairs`` against the dense generalized eigenvalues; return those."""
         import scipy.linalg as dla
 
+        dense = dla.eigh(op.stiffness.toarray(), np.diag(op.weight),
+                         eigvals_only=True)[:len(pairs.values)]
+        assert np.max(np.abs(pairs.values - dense) / np.maximum(1.0, np.abs(dense))) < 1e-10
+        return dense
+
+    def check_separable():
         torus = g.WarpedTorusGeometry(np.pi, 2 * np.pi,
                                       g.PeriodicProfile(2 * np.pi, 0.0, (0.3,)), warp_is_exp=True)
         op = assemble_full(torus, 0.7, GridSpec(20, 16, 4))
         pairs = smallest_eigenpairs(op, SolveConfig(k=12))
         assert set(pairs.fiber_modes) != {0}
-        dense = dla.eigh(op.stiffness.toarray(), np.diag(op.weight), eigvals_only=True)[:12]
-        assert np.max(np.abs(pairs.values - dense) / np.maximum(1.0, np.abs(dense))) < 1e-10
+        dense_oracle(op, pairs)
 
     def check_shift_invert():
-        import scipy.linalg as dla
-
         wg = g.WaveguideGeometry(2 * np.pi, g.PeriodicProfile(2 * np.pi, 1.0, (0.5, 0.25)))
         op = assemble_full(wg, 0.3, GridSpec(40, 21, 4))
-        pairs = smallest_eigenpairs(op, SolveConfig(k=6))
-        dense = dla.eigh(op.stiffness.toarray(), np.diag(op.weight), eigvals_only=True)[:6]
-        assert np.max(np.abs(pairs.values - dense) / np.maximum(1.0, np.abs(dense))) < 1e-10
+        dense_oracle(op, smallest_eigenpairs(op, SolveConfig(k=6)))
 
     def check_predicted_shift():
-        import scipy.linalg as dla
-
         wg = g.WaveguideGeometry(2 * np.pi, g.PeriodicProfile(2 * np.pi, 1.0, (0.5, 0.25)))
         grid = GridSpec(40, 21, 4)
         op = assemble_full(wg, 0.3, grid)
         shift = _predicted_shift(op, build_prediction(assemble_effective(wg, grid), 0))
-        pairs = smallest_eigenpairs(op, SolveConfig(k=6, shift=shift))
-        dense = dla.eigh(op.stiffness.toarray(), np.diag(op.weight), eigvals_only=True)[:6]
-        assert shift < dense[0]
-        assert np.max(np.abs(pairs.values - dense) / np.maximum(1.0, np.abs(dense))) < 1e-10
+        assert shift < dense_oracle(op, smallest_eigenpairs(op, SolveConfig(k=6, shift=shift)))[0]
 
     def check_rate_fit():
         f = fit_rate([(0.2, 0.04), (0.1, 0.01), (0.05, 0.0025)])

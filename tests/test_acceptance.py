@@ -337,6 +337,39 @@ def test_report_passes_benchmark_gate(request, fixture, workload):
     print(f"PASS benchmark gate: {fixture} matches perfbench/reference/{workload}.json")
 
 
+# the report contract, written out rather than read from fibrelab.study
+RATE_QUANTITIES = {"eig_rate": "eig_gap", "supnorm_rate": "supnorm", "hausdorff_rate": "hausdorff"}
+FLOOR_REASON = "all points at the discretization floor; model error not resolvable"
+
+
+@pytest.mark.parametrize("fixture,config,verdict", [
+    ("torus_j0_report", TORUS_J0_CONFIG, "floor"),
+    ("torus_j1_report", TORUS_J1_CONFIG, "floor"),
+    ("guide_j0_report", GUIDE_J0_CONFIG, "fit"),
+    ("guide_j1_report", GUIDE_J1_CONFIG, "fit"),
+])
+def test_rate_checks_and_fits_agree(request, fixture, config, verdict):
+    # the fits block and each rate check's threshold, theory and reason,
+    # which the benchmark gate does not compare
+    report = json.loads(dumps_canonical(report_to_dict(request.getfixturevalue(fixture))))
+    rate_checks = [c for c in config["study"]["checks"] if c in RATE_QUANTITIES]
+    assert sorted(report["fits"]) == sorted(RATE_QUANTITIES[c] for c in rate_checks)
+    torus = config["geometry"]["type"] == "warped_torus"
+    record_eps = sorted(rec["epsilon"] for rec in report["records"])
+    for name in rate_checks:
+        check, fit = report["checks"][name], report["fits"][RATE_QUANTITIES[name]]
+        expected = ((1.7, 2.0) if torus else (0.8, 1.0)) if name == "eig_rate" else (0.9, 1.0)
+        assert (check["threshold"], check["theory"]) == expected, name
+        if verdict == "floor":
+            assert fit is None and check["slope"] is None, name
+            assert check["passed"] and check["reason"] == FLOOR_REASON, name
+        else:
+            assert fit is not None and check["slope"] == fit["slope"], name
+            covered = [p[0] for p in fit["points_used"]] + [e[0] for e in fit["excluded"]]
+            assert sorted(covered) == record_eps, name
+    print(f"PASS rate checks: {fixture} fits, slopes, thresholds and reasons agree")
+
+
 CANONICAL_REPORT = """
 import json, sys
 from fibrelab.report import dumps_canonical, report_to_dict

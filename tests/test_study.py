@@ -1,6 +1,7 @@
 import json
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from fibrelab.study import (
 )
 
 TWO_PI = 2.0 * np.pi
+DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
 
 def flat_config(**overrides):
@@ -293,35 +295,32 @@ class TestGuardSemantics:
     def test_synthetic_quadratic_records_fit(self):
         cfg = load_config(flat_config())
         records = [synthetic_record(e, e * e) for e in (0.2, 0.1, 0.05)]
-        fits = {}
-        res = _evaluate_rate_check("eig_rate", cfg, records, fits)
+        res = _evaluate_rate_check("eig_rate", cfg, records)
         assert res.passed
         assert res.slope == pytest.approx(2.0, abs=0.01)
 
     def test_all_points_below_floor_skip_passes(self):
         cfg = load_config(flat_config())
         records = [synthetic_record(e, 1e-9, est_ratio=1.0) for e in (0.2, 0.1, 0.05)]
-        fits = {}
-        res = _evaluate_rate_check("eig_rate", cfg, records, fits)
+        res = _evaluate_rate_check("eig_rate", cfg, records)
         assert res.passed
         assert "floor" in res.reason
-        assert fits["eig_gap"] is None
+        assert res.fit is None
 
     def test_partial_floor_exclusion(self):
         cfg = load_config(flat_config())
         records = [synthetic_record(e, e * e) for e in (0.4, 0.2, 0.1, 0.05)]
         records[3].disc_estimates["eig_gap"] = records[3].eig_gap  # floored point
-        fits = {}
-        res = _evaluate_rate_check("eig_rate", cfg, records, fits)
+        res = _evaluate_rate_check("eig_rate", cfg, records)
         assert res.passed
-        assert len(fits["eig_gap"].points_used) == 3
-        assert len(fits["eig_gap"].excluded) == 1
+        assert len(res.fit.points_used) == 3
+        assert len(res.fit.excluded) == 1
 
     def test_two_points_above_floor_fails(self):
         cfg = load_config(flat_config())
         records = [synthetic_record(e, e * e) for e in (0.2, 0.1)]
         records += [synthetic_record(0.05, 1e-9, est_ratio=1.0)]
-        res = _evaluate_rate_check("eig_rate", cfg, records, {})
+        res = _evaluate_rate_check("eig_rate", cfg, records)
         assert not res.passed
 
 
@@ -346,12 +345,14 @@ class TestRunStudy:
         for name in ("report.json", "records.csv", "eig_gap.svg"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_degenerate_mode_fails_at_every_eps_in_order(self):
+    def test_degenerate_mode_fails_at_every_eps_in_order(self, monkeypatch):
         # mode 1 of the flat torus is the exactly paired cos/sin level
         cfg = flat_config(epsilons=[0.4, 0.2, 0.1],
                           grid={"n_s": 16, "n_f": 16, "stencil_order": 2, "refine": 2})
         cfg["study"]["mode_index"] = 1
+        calls = spy_full_solves(monkeypatch)
         report = run_study(load_config(cfg))
+        assert calls == []  # a level whose prediction failed is not solved
         assert report.records == []
         assert [f["epsilon"] for f in report.failures] == [0.4, 0.2, 0.1]
         assert {f["error"] for f in report.failures} == {"DegenerateEffectiveEigenvalue"}
@@ -519,7 +520,7 @@ class TestRefinedPairCount:
 
 class TestEmitReport:
     def test_empty_records_valid_json_and_header_only_csv(self, tmp_path):
-        report = StudyReport(config_echo={"epsilons": []}, records=[], fits={},
+        report = StudyReport(config_echo={"epsilons": []}, records=[],
                              checks={}, failures=[], courant_counts={})
         files = emit_report(report, tmp_path)
         data = json.loads((tmp_path / "report.json").read_text())
@@ -530,7 +531,7 @@ class TestEmitReport:
 
     def test_one_record_csv_row(self, tmp_path):
         report = StudyReport(config_echo={}, records=[synthetic_record(0.1, 1e-3)],
-                             fits={}, checks={}, failures=[], courant_counts={})
+                             checks={}, failures=[], courant_counts={})
         emit_report(report, tmp_path)
         lines = (tmp_path / "records.csv").read_text().strip().split("\n")
         assert len(lines) == 2
@@ -538,7 +539,7 @@ class TestEmitReport:
 
     def test_csv_column_order(self):
         report = StudyReport(config_echo={}, records=[synthetic_record(0.1, 1e-3)],
-                             fits={}, checks={}, failures=[], courant_counts={})
+                             checks={}, failures=[], courant_counts={})
         header = records_csv(report).split("\n")[0]
         assert header == ("epsilon,mode,lambda_full,mu_eff,eig_gap,supnorm,hausdorff,"
                           "nodal_domains,nodal_components,boundary_components,"
@@ -550,7 +551,7 @@ class TestEmitReport:
 
     def test_identical_reports_identical_bytes(self, tmp_path):
         rec = synthetic_record(0.1, 1e-3)
-        rep = StudyReport(config_echo={"x": 1}, records=[rec], fits={},
+        rep = StudyReport(config_echo={"x": 1}, records=[rec],
                           checks={"eig_rate": CheckResult("eig_rate", True, "ok")},
                           failures=[], courant_counts={0.1: [1, 2]})
         emit_report(rep, tmp_path / "one")
@@ -583,13 +584,26 @@ class TestCli:
         first = kfile.read_text().split("\n")[0].split()
         assert len(first) == 3
 
-    def test_nodal_csv_output(self, tmp_path, capsys):
-        path = self.write_config(tmp_path, flat_config())
-        code = cli_main(["nodal", "--config", path, "--epsilon", "0.5", "--mode", "1"])
+    def test_nodal_csv_output(self, capsys):
+        # level 1 of the two-harmonic warp is 8.7e-3 from level 0 and 3.0e-3 from level 2
+        code = cli_main(["nodal", "--config", str(DEMO_CONFIGS / "warped_torus.json"),
+                         "--epsilon", "0.1", "--mode", "1"])
         assert code == 0
         out = capsys.readouterr().out.strip().split("\n")
         assert out[0] == "s0,f0,s1,f1,component"
         assert len(out) > 32
+        assert all(len(row.split(",")) == 5 for row in out[1:])
+
+    @pytest.mark.parametrize("mode", ["1", "2"])
+    def test_nodal_of_degenerate_level_refused(self, tmp_path, capsys, mode):
+        # levels 1 and 2 of the flat torus are the exactly paired cos/sin level
+        path = self.write_config(tmp_path, flat_config())
+        assert cli_main(["nodal", "--config", path, "--epsilon", "0.5", "--mode", mode]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        match = re.fullmatch(rf"error: level {mode} eigenvalue \S+ has neighbour gap (\S+)\n",
+                             captured.err)
+        assert match and float(match.group(1)) <= 1e-8
 
     def test_study_command_writes_reports(self, tmp_path, capsys):
         path = self.write_config(tmp_path, flat_config())
