@@ -100,7 +100,9 @@ class DiscrepancyRecord:
     """Measured gaps between one full eigenpair and its prediction.
 
     ``zeros`` holds the base positions of the predicted zeros.  A study
-    fills ``disc_estimates`` from a refined grid level.
+    fills ``disc_estimates`` from a refined grid level, and with the
+    ``courant`` check ``courant_counts``, the nodal domain counts of the
+    lowest levels.
     """
 
     eps: float
@@ -118,6 +120,7 @@ class DiscrepancyRecord:
     disc_estimates: dict = field(default_factory=dict)
     tube_radius: Optional[float] = None
     empirical_tube_constant: Optional[float] = None
+    courant_counts: Optional[list[int]] = None
 
     @property
     def disc_error_estimate(self) -> Optional[float]:
@@ -249,9 +252,8 @@ def measure_discrepancy(op: DiscreteOperator, full: EigenPairSet,
         if pred.zeros:
             min_slope = min(abs(sl) for _, sl in pred.zeros)
             radius = 2.0 * supnorm / (min_slope * pred.phi0_min)
-            spacing_cap = 0.45 * min(
-                np.diff(sorted(zeros_s + [zeros_s[0] + geom.period])).min(), geom.period
-            ) if len(zeros_s) else geom.period
+            # the zeros ascend in s, so the gaps, the wrap gap included, sum to a period
+            spacing_cap = 0.45 * np.diff(zeros_s + [zeros_s[0] + geom.period]).min()
             tube_radius = float(min(max(radius, 4.0 * fld.h_s), spacing_cap))
         else:
             tube_radius = 4.0 * fld.h_s

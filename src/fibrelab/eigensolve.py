@@ -8,15 +8,16 @@ Three paths share one post-processing step:
   Fourier modes ``cos, sin(2 pi m j / n_f)`` diagonalize ``L_f`` with
   eigenvalues ``sigma_m``, and each mode ``m = 0 .. n_f // 2`` leaves the
   base problem ``(K_s + sigma_m diag(c_f)) x = lambda diag(w_s) x`` of
-  size ``n_s``.  Each base vector ``x`` gives the full vectors
-  ``x ⊗ cos(2 pi m j / n_f + offset)``: offset 0 for ``m = 0`` and the
-  Nyquist mode, offsets ``+-pi/4`` for the two vectors of every other
-  mode.  Modes are walked by increasing ``sigma_m``, and the walk stops
-  once ``sigma_m * min(c_f / w_s)`` exceeds the current k-th value.
-  ``K_s`` is positive semidefinite, so that product bounds every level of
-  mode ``m`` and above from below: the returned values are provably the k
-  smallest, a completeness certificate.  Each pair records its fibre
-  mode ``|m|``.
+  size ``n_s``, which :func:`smallest_eigenpairs` solves as a 1D operator
+  of its own, its residuals certified like any other.  Each base vector
+  ``x`` gives the full vectors ``x ⊗ cos(2 pi m j / n_f + offset)``:
+  offset 0 for ``m = 0`` and the Nyquist mode, offsets ``+-pi/4`` for the
+  two vectors of every other mode.  Modes are walked by increasing
+  ``sigma_m``, and the walk stops once ``sigma_m * min(c_f / w_s)``
+  exceeds the current k-th value.  ``K_s`` is positive semidefinite, so
+  that product bounds every level of mode ``m`` and above from below: the
+  returned values are provably the k smallest, a completeness certificate.
+  Each pair records its fibre mode ``|m|``.
 * Other large operators: shift-invert ARPACK on ``A = K - shift * W``.
   ``A`` is symmetric, and in reverse Cuthill-McKee order a grid operator
   is banded, its band as wide as the short grid side; LAPACK's banded
@@ -34,8 +35,7 @@ Three paths share one post-processing step:
   values to machine precision and vectors up to sign.
 * Small operators, and requests for nearly the whole spectrum: LAPACK's
   dense subset solver (bisection and inverse iteration) for the k
-  smallest pairs only.  The small base problems of the torus path take
-  the same solve.
+  smallest pairs only.
 
 Every path then W-normalizes the vectors, reports their Rayleigh
 quotients against the full operator as values, and certifies each
@@ -233,35 +233,13 @@ def _shift_inverse(a: sp.spmatrix) -> sla.LinearOperator:
     return sla.LinearOperator(a.shape, matvec=solve, dtype=float)
 
 
-def _dense_pairs(stiffness: sp.spmatrix, weight: np.ndarray,
-                 k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k smallest pairs by LAPACK's subset solver, ascending."""
-    return dla.eigh(stiffness.toarray(), np.diag(weight), subset_by_index=[0, k - 1])
-
-
-def _base_pairs(stiffness: sp.csr_matrix, weight: np.ndarray, k: int,
-                cfg: SolveConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The k smallest pairs of one base problem of the separable path.
-
-    Dense base problems go straight to :func:`_dense_pairs`, not through
-    :func:`smallest_eigenpairs`.  On the flat 32 x 32 torus at eps 0.5,
-    levels 1 and 2 are an exactly degenerate pair, and one member vanishes
-    on a whole fibre, a field the nodal layer rejects as degenerate.  Which
-    member comes first is decided by round-off in the Rayleigh re-sort; a
-    second re-sort, of the base problem, puts the vanishing one at level 1.
-    Large base problems go through the dispatcher.
-    """
-    n_s = len(weight)
-    if n_s <= DENSE_CUTOFF:
-        return _dense_pairs(stiffness, weight, k)
-    base = DiscreteOperator(dim=n_s, stiffness=stiffness, weight=weight)
-    sub = smallest_eigenpairs(base, replace(cfg, k=k, shift=None))
-    return sub.values, sub.vectors
-
-
 def _fiber_fourier(op: DiscreteOperator,
                    cfg: SolveConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The k smallest pairs of a separable torus operator, one fibre mode at a time."""
+    """The k smallest pairs of a separable torus operator, one fibre mode at a time.
+
+    Each mode's base problem goes through :func:`smallest_eigenpairs`, which
+    certifies its residuals; the full pairs are certified again by the caller.
+    """
     factors = op.fiber_factors
     k = cfg.k
     n_s = len(factors.base_weight)
@@ -276,11 +254,14 @@ def _fiber_fourier(op: DiscreteOperator,
         if len(found) == k and sigma * bound_rate > found[-1][0]:
             break
         waves = (0.0,) if m == 0 or 2 * m == n_f else (0.25 * np.pi, -0.25 * np.pi)
-        stiffness = (factors.base_stiffness + sp.diags(sigma * factors.fiber_coeff)).tocsr()
-        values, vectors = _base_pairs(stiffness, factors.base_weight,
-                                      min(n_s, -(-k // len(waves))), cfg)
+        base = DiscreteOperator(
+            dim=n_s,
+            stiffness=(factors.base_stiffness + sp.diags(sigma * factors.fiber_coeff)).tocsr(),
+            weight=factors.base_weight,
+        )
+        sub = smallest_eigenpairs(base, replace(cfg, k=min(n_s, -(-k // len(waves))), shift=None))
         found += [(float(value), int(m), offset, x)
-                  for value, x in zip(values, vectors.T) for offset in waves]
+                  for value, x in zip(sub.values, sub.vectors.T) for offset in waves]
         found = sorted(found, key=lambda c: c[:2])[:k]
 
     phase = 2.0 * np.pi * np.arange(n_f) / n_f
@@ -303,7 +284,8 @@ def smallest_eigenpairs(op: DiscreteOperator, cfg: SolveConfig) -> EigenPairSet:
     if op.fiber_factors is not None:
         values, vectors, modes = _fiber_fourier(op, cfg)
     elif n <= DENSE_CUTOFF or k > n - 2:
-        values, vectors = _dense_pairs(op.stiffness, op.weight, k)
+        values, vectors = dla.eigh(op.stiffness.toarray(), np.diag(op.weight),
+                                   subset_by_index=[0, k - 1])
     else:
         sigma = cfg.shift
         if sigma is None:

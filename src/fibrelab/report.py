@@ -135,7 +135,8 @@ def report_to_dict(report: StudyReport) -> dict:
         "fits": fits,
         "checks": checks,
         "failures": report.failures,
-        "courant": {f"{eps:.17g}": counts for eps, counts in report.courant_counts.items()},
+        "courant": {f"{rec.eps:.17g}": rec.courant_counts
+                    for rec in report.records if rec.courant_counts is not None},
     }
 
 

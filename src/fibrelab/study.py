@@ -138,7 +138,6 @@ class StudyReport:
     records: list[DiscrepancyRecord]
     checks: dict[str, CheckResult]
     failures: list[dict]
-    courant_counts: dict[float, list[int]]
     timings: dict[str, float] = field(default_factory=dict)
 
 
@@ -147,8 +146,9 @@ def geometry_from_config(block: dict) -> BundleGeometry:
     try:
         kind = block["type"]
         if kind == "warped_torus":
+            _only(block, ("type", "L", "fiber_length", "warp"), "geometry")
             length = _number(block["L"], "L")
-            warp_block = block.get("warp", {})
+            warp_block = _only(block.get("warp", {}), ("constant", "cos", "sin", "exp"), "warp")
             warp = PeriodicProfile(
                 period=2.0 * length,
                 constant=_number(warp_block.get("constant", 1.0), "constant"),
@@ -165,8 +165,9 @@ def geometry_from_config(block: dict) -> BundleGeometry:
                 warp_is_exp=exp,
             )
         if kind == "waveguide":
+            _only(block, ("type", "length", "curvature"), "geometry")
             length = _number(block["length"], "length")
-            curv_block = block.get("curvature", {})
+            curv_block = _only(block.get("curvature", {}), ("constant", "cos", "sin"), "curvature")
             curvature = PeriodicProfile(
                 period=length,
                 constant=_number(curv_block.get("constant", 0.0), "constant"),
@@ -208,19 +209,31 @@ def _list(value, key: str) -> list:
     return list(value)
 
 
+def _only(block: dict, keys: tuple[str, ...], where: str) -> dict:
+    """``block``, an object with no key outside ``keys``: a misspelt key would be ignored."""
+    if not isinstance(block, dict):
+        raise ValueError(f"{where!r} must be an object, got {block!r}")
+    for key in block:
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} in {where!r}")
+    return block
+
+
 def load_config(raw: dict) -> StudyConfig:
     """Validate a raw JSON study configuration."""
     try:
+        _only(raw, ("geometry", "epsilons", "grid", "solver", "study"), "the configuration")
         geom = geometry_from_config(raw.get("geometry", {}))
         epsilons = [_number(e, "epsilons") for e in _list(raw["epsilons"], "epsilons")]
-        grid_block = raw.get("grid", {})
+        grid_block = _only(raw.get("grid", {}), ("n_s", "n_f", "stencil_order", "refine"), "grid")
         grid = GridSpec(
             _integer(grid_block, "n_s", 64),
             _integer(grid_block, "n_f", 64),
             _integer(grid_block, "stencil_order", 2),
         )
         refine = _integer(grid_block, "refine", 2)
-        solver_block = raw.get("solver", {})
+        solver_block = _only(raw.get("solver", {}), ("k", "tol", "max_iter", "seed", "shift"),
+                             "solver")
         solver = SolveConfig(
             k=_integer(solver_block, "k", 8),
             tol=_number(solver_block.get("tol", 1e-8), "tol"),
@@ -229,7 +242,8 @@ def load_config(raw: dict) -> StudyConfig:
             shift=(None if solver_block.get("shift") is None
                    else _number(solver_block["shift"], "shift")),
         )
-        study_block = raw.get("study", {})
+        study_block = _only(raw.get("study", {}), ("mode_index", "checks", "out", "thresholds"),
+                            "study")
         mode_index = _integer(study_block, "mode_index", 0)
         checks = _list(study_block.get("checks", []), "checks")
         out = study_block.get("out")
@@ -342,7 +356,6 @@ def _run_sweep(cfg: StudyConfig) -> StudyReport:
 
     records: list[DiscrepancyRecord] = []
     failures: list[dict] = []
-    courant_counts: dict[float, list[int]] = {}
     timings: dict[str, float] = {}
     t_start = time.perf_counter()
 
@@ -386,10 +399,9 @@ def _run_sweep(cfg: StudyConfig) -> StudyReport:
                 level_records.append(rec)
                 if level == 0 and want_courant:
                     stage = "courant"
-                    counts = []
-                    for idx in range(min(COURANT_MODES, len(pairs.values))):
-                        counts.append(count_nodal_domains(field_from_operator(op, pairs.vectors[:, idx])))
-                    courant_counts[eps] = counts
+                    rec.courant_counts = [
+                        count_nodal_domains(field_from_operator(op, pairs.vectors[:, idx]))
+                        for idx in range(min(COURANT_MODES, len(pairs.values)))]
                 # the refined level only estimates the paired level's
                 # discretization error: it solves up to that level's upper
                 # neighbour, as counted on the base level
@@ -418,14 +430,13 @@ def _run_sweep(cfg: StudyConfig) -> StudyReport:
         elif name == "boundary":
             checks[name] = _evaluate_boundary(records)
         elif name == "courant":
-            checks[name] = _evaluate_courant(courant_counts)
+            checks[name] = _evaluate_courant(records)
     timings["total"] = time.perf_counter() - t_start
     return StudyReport(
         config_echo=cfg.echo,
         records=records,
         checks=checks,
         failures=failures,
-        courant_counts=courant_counts,
         timings=timings,
     )
 
@@ -492,14 +503,11 @@ def _evaluate_boundary(records: list[DiscrepancyRecord]) -> CheckResult:
     return CheckResult("boundary", passed, reason)
 
 
-def _evaluate_courant(counts: dict[float, list[int]]) -> CheckResult:
-    if not counts:
+def _evaluate_courant(records: list[DiscrepancyRecord]) -> CheckResult:
+    if not records:
         return CheckResult("courant", False, "no nodal domain counts collected")
-    violations = []
-    for eps, per_mode in sorted(counts.items(), reverse=True):
-        for idx, c in enumerate(per_mode):
-            if c > idx + 1:
-                violations.append((eps, idx, c))
+    violations = [(rec.eps, idx, c) for rec in records
+                  for idx, c in enumerate(rec.courant_counts) if c > idx + 1]
     passed = not violations
     reason = "domain counts within index+1" if passed else f"violations: {violations}"
     return CheckResult("courant", passed, reason)

@@ -14,7 +14,16 @@ from fibrelab.eigensolve import DENSE_CUTOFF, SolveConfig, smallest_eigenpairs
 from fibrelab.errors import FactorizationFailed
 from fibrelab.nodal import extract_nodal_set, field_from_operator
 from fibrelab.geometry import PeriodicProfile, WarpedTorusGeometry, WaveguideGeometry
-from fibrelab.operators import DiscreteOperator, GridSpec, assemble_full, staggered_diff_periodic
+from fibrelab.effective import build_prediction
+from fibrelab.operators import (
+    DiscreteOperator,
+    GridSpec,
+    _circulant_symbols,
+    _staggered_int,
+    assemble_effective,
+    assemble_full,
+    staggered_diff_periodic,
+)
 
 from pair_checks import verify_pairs
 
@@ -233,6 +242,33 @@ class TestFiberFourier:
         assert ref.fiber_modes is None
         assert np.all(np.abs(pairs.values - ref.values) <= 1e-10 * np.maximum(1.0, ref.values))
 
+    def test_base_problems_go_through_the_dispatcher(self, monkeypatch):
+        # each fibre mode's n_s-dimensional base problem is a call of
+        # smallest_eigenpairs, looked up in its own module, so its residuals
+        # are certified like those of the full pairs
+        op = assemble_full(warped_torus(), 0.6, GridSpec(20, 16, 4))
+        cfg = SolveConfig(k=12, tol=1e-9)
+        real = eigensolve_module.smallest_eigenpairs
+        base_calls = []
+
+        def spy(sub, sub_cfg):
+            pairs = real(sub, sub_cfg)
+            if sub is not op:
+                base_calls.append((sub, sub_cfg, pairs))
+            return pairs
+
+        monkeypatch.setattr(eigensolve_module, "smallest_eigenpairs", spy)
+        pairs = eigensolve_module.smallest_eigenpairs(op, cfg)
+        assert len(base_calls) >= len(set(pairs.fiber_modes)) > 1
+        base_values = []
+        for sub, sub_cfg, sub_pairs in base_calls:
+            assert sub.dim == 20 and sub.fiber_factors is None
+            assert sub_cfg.shift is None and sub_cfg.tol == cfg.tol
+            assert np.all(sub_pairs.residuals <= cfg.tol)
+            base_values.extend(sub_pairs.values)
+        for value in pairs.values:
+            assert np.min(np.abs(np.asarray(base_values) - value)) <= 1e-12 * max(1.0, value)
+
     def test_symmetric_warp_modes_have_nodal_sets(self):
         # odd modes of the reflection-symmetric warp vanish on the symmetry
         # row and sin(m t) on the row t = 0; returned with exact zeros there,
@@ -307,6 +343,67 @@ class TestShiftInvert:
         monkeypatch.setattr(sla, "eigsh", spy)
         smallest_eigenpairs(guide_operator(), SolveConfig(k=k))
         assert seen == [ncv]
+
+
+class TestSeparatedAnnulus:
+    """The shift-invert path at production size against an exact separation.
+
+    A constant-curvature waveguide, an annulus, has coefficients that do not
+    depend on s, so ``K = L_s ⊗ C + I ⊗ K_f`` and ``W = 1 ⊗ w`` with the
+    circulant ``L_s = d_s^T d_s``.  Each s-Fourier mode m then leaves the
+    problem ``(sigma_m C + K_f) x = lambda diag(w) x`` of size ``n_f - 1``,
+    once for m = 0 and the Nyquist mode and twice, as ``cos`` and ``sin``
+    of ``m s``, for every other m.
+    """
+
+    # GUIDE_J1's base level: 128 x 191 = 24 448 dofs
+    N_S, N_F, ORDER, EPS, K = 128, 192, 4, 0.1, 10
+
+    def test_matches_the_separated_modes(self):
+        geom = WaveguideGeometry(TWO_PI, PeriodicProfile(TWO_PI, 1.0))
+        grid = GridSpec(self.N_S, self.N_F, self.ORDER)
+        op = assemble_full(geom, self.EPS, grid)
+        n_rows = self.N_F - 1
+        assert op.dim == 24448
+        # C and K_f from the blocks of the first block row; the rows of L_s sum to 0
+        d_s, _ = _staggered_int(self.N_S, self.ORDER, periodic=True)
+        l_s = (d_s.T @ d_s).tocsr()
+        row0 = op.stiffness[:n_rows].tocoo()
+        block, col = np.divmod(row0.col, n_rows)
+        k_f = sp.coo_matrix((row0.data, (row0.row, col)), shape=(n_rows, n_rows)).toarray()
+        c = np.zeros(n_rows)
+        c[row0.row[block == 1]] = row0.data[block == 1] / l_s[0, 1]
+        assert np.array_equal(row0.row[block == 1], col[block == 1])
+        w = op.weight[:n_rows]
+        assert np.array_equal(op.weight, np.tile(w, self.N_S))
+        rebuilt = sp.kron(l_s, sp.diags(c)) + sp.kron(sp.identity(self.N_S), k_f)
+        assert abs(rebuilt - op.stiffness).max() <= 1e-14 * abs(op.stiffness).max()
+
+        levels = []  # (value, m, x), the K smallest
+        for m, sigma in enumerate(_circulant_symbols(self.N_S, self.ORDER, self.N_S // 2)):
+            values, vectors = dla.eigh(sigma * np.diag(c) + k_f, np.diag(w),
+                                       subset_by_index=[0, self.K - 1])
+            copies = 1 if m in (0, self.N_S // 2) else 2
+            levels += [(value, m, x) for value, x in zip(values, vectors.T)] * copies
+        levels = sorted(levels, key=lambda level: level[:2])[:self.K]
+        assert [m for _, m, _ in levels] == [0, 1, 1, 2, 2, 3, 3, 4, 4, 5]
+        ref = np.array([value for value, _, _ in levels])
+
+        # a study's shift: just below the ground level the effective model predicts
+        shift = study_module._predicted_shift(
+            op, build_prediction(assemble_effective(geom, grid), 0))
+        assert shift < ref[0]
+        pairs = smallest_eigenpairs(op, SolveConfig(k=self.K, shift=shift))
+        assert np.max(np.abs(pairs.values - ref) / ref) < 1e-10
+        # each vector lies in the eigenspace of its mode: x ⊗ cos, and x ⊗ sin for m != 0
+        phase = TWO_PI * np.arange(self.N_S) / self.N_S
+        for (_, m, x), ours in zip(levels, pairs.vectors.T):
+            waves = [np.cos(m * phase)] + ([np.sin(m * phase)] if m else [])
+            space = np.column_stack([np.outer(wave, x).ravel() for wave in waves])
+            weighted = op.weight[:, None] * space
+            coef = np.linalg.solve(space.T @ weighted, weighted.T @ ours)
+            rest = ours - space @ coef
+            assert np.sqrt(rest @ (op.weight * rest)) < 1e-8
 
 
 class TestVerifyPairs:

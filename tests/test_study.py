@@ -10,9 +10,9 @@ import fibrelab.study as study_module
 from fibrelab.cli import main as cli_main
 from fibrelab.effective import DiscrepancyRecord, measure_discrepancy
 from fibrelab.eigensolve import DENSE_CUTOFF, SolveConfig, smallest_eigenpairs
-from fibrelab.errors import ConfigError, InsufficientPoints
+from fibrelab.errors import ConfigError, InsufficientPoints, PairingAmbiguous
 from fibrelab.operators import assemble_effective, assemble_full
-from fibrelab.report import dumps_canonical, emit_report, records_csv
+from fibrelab.report import dumps_canonical, emit_report, records_csv, report_to_dict
 from fibrelab.study import (
     _evaluate_rate_check,
     fit_rate,
@@ -268,6 +268,27 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="bad geometry block"):
             load_config(cfg)
 
+    @pytest.mark.parametrize("make, path, key", [
+        (flat_config, (), "epsilon"),
+        (flat_config, ("geometry",), "fibre_length"),
+        (flat_config, ("geometry", "warp"), "cosine"),
+        (small_guide_config, ("geometry",), "L"),  # a torus key
+        (small_guide_config, ("geometry", "curvature"), "exp"),  # a warp key
+        (flat_config, ("grid",), "refne"),
+        (flat_config, ("solver",), "tolerance"),
+        (flat_config, ("study",), "mode"),
+    ])
+    def test_unknown_key_rejected(self, make, path, key):
+        # a misspelt key would otherwise be ignored and its default used
+        cfg = make()
+        block = cfg
+        for name in path:
+            block = block[name]
+        block[key] = 3
+        where = path[-1] if path else "the configuration"
+        with pytest.raises(ConfigError, match=rf"unknown key '{key}' in '{where}'"):
+            load_config(cfg)
+
     def test_top_level_must_be_an_object(self):
         with pytest.raises(ConfigError, match="bad study configuration"):
             load_config([flat_config()])
@@ -364,6 +385,30 @@ class TestRunStudy:
                                  failure["message"])
             assert match and float(match.group(1)) <= 1e-8
         assert len({f["message"] for f in report.failures}) == 1
+
+    def test_failed_refined_level_drops_its_courant_counts(self, monkeypatch):
+        # the counts come from level 0; an eps whose level 1 fails has no
+        # record, and so no counts in the report or the verdict
+        cfg = flat_config(epsilons=[0.2, 0.1, 0.05, 0.025],
+                          grid={"n_s": 32, "n_f": 32, "stencil_order": 4, "refine": 2})
+        cfg["geometry"]["warp"] = {"constant": 0.0, "cos": [0.3], "sin": [], "exp": True}
+        cfg["study"]["checks"] = ["eig_rate", "supnorm_rate", "courant"]
+        real = study_module.measure_discrepancy
+
+        def failing(op, full, pred):
+            if op.eps == 0.1 and op.grid.n_s == 64:
+                raise PairingAmbiguous("injected")
+            return real(op, full, pred)
+
+        monkeypatch.setattr(study_module, "measure_discrepancy", failing)
+        report = run_study(load_config(cfg))
+        assert [rec.eps for rec in report.records] == [0.2, 0.05, 0.025]
+        assert [(f["epsilon"], f["level"], f["stage"]) for f in report.failures] == [
+            (0.1, 1, "discrepancy")]
+        courant = report_to_dict(report)["courant"]
+        assert sorted(courant) == sorted(f"{eps:.17g}" for eps in (0.2, 0.05, 0.025))
+        assert all(len(counts) == 6 for counts in courant.values())
+        assert report.checks["courant"].passed
 
     def test_one_effective_prediction_per_grid_level(self, monkeypatch):
         calls = []
@@ -521,7 +566,7 @@ class TestRefinedPairCount:
 class TestEmitReport:
     def test_empty_records_valid_json_and_header_only_csv(self, tmp_path):
         report = StudyReport(config_echo={"epsilons": []}, records=[],
-                             checks={}, failures=[], courant_counts={})
+                             checks={}, failures=[])
         files = emit_report(report, tmp_path)
         data = json.loads((tmp_path / "report.json").read_text())
         assert data["records"] == []
@@ -531,7 +576,7 @@ class TestEmitReport:
 
     def test_one_record_csv_row(self, tmp_path):
         report = StudyReport(config_echo={}, records=[synthetic_record(0.1, 1e-3)],
-                             checks={}, failures=[], courant_counts={})
+                             checks={}, failures=[])
         emit_report(report, tmp_path)
         lines = (tmp_path / "records.csv").read_text().strip().split("\n")
         assert len(lines) == 2
@@ -539,7 +584,7 @@ class TestEmitReport:
 
     def test_csv_column_order(self):
         report = StudyReport(config_echo={}, records=[synthetic_record(0.1, 1e-3)],
-                             checks={}, failures=[], courant_counts={})
+                             checks={}, failures=[])
         header = records_csv(report).split("\n")[0]
         assert header == ("epsilon,mode,lambda_full,mu_eff,eig_gap,supnorm,hausdorff,"
                           "nodal_domains,nodal_components,boundary_components,"
@@ -551,9 +596,10 @@ class TestEmitReport:
 
     def test_identical_reports_identical_bytes(self, tmp_path):
         rec = synthetic_record(0.1, 1e-3)
+        rec.courant_counts = [1, 2]
         rep = StudyReport(config_echo={"x": 1}, records=[rec],
                           checks={"eig_rate": CheckResult("eig_rate", True, "ok")},
-                          failures=[], courant_counts={0.1: [1, 2]})
+                          failures=[])
         emit_report(rep, tmp_path / "one")
         emit_report(rep, tmp_path / "two")
         assert (tmp_path / "one" / "report.json").read_bytes() == (
