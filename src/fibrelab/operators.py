@@ -16,7 +16,9 @@ a one-sided fourth-order closure would either break the exact-symmetry
 contract or lose pointwise consistency near the walls, and the eigenvalue
 bias it would remove is cancelled downstream against the matching
 discrete fibre ground value instead.  Every assembler, full, effective or
-fibre, returns a plain ``DiscreteOperator``.
+fibre, returns a plain ``DiscreteOperator``.  :func:`prolongate` carries
+waveguide grid vectors from one grid to a finer one by linear
+interpolation.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
     "density_potential",
     "staggered_diff_periodic",
     "dirichlet_ground_value",
+    "prolongate",
 ]
 
 MIN_POINTS = 16
@@ -275,6 +278,46 @@ def assemble_full(geom: BundleGeometry, eps, grid: GridSpec) -> DiscreteOperator
         positive_definite=definite,
         fiber_factors=factors,
     )
+
+
+def _interpolation(n_coarse: int, n_fine: int, periodic: bool) -> sp.csr_matrix:
+    """Linear interpolation from the stored nodes of ``n_coarse`` cells to those of ``n_fine``.
+
+    Both grids span the same interval.  Periodic ends wrap the node index;
+    Dirichlet ends store only the interior nodes, and the wall nodes, which
+    hold exact zeros, drop out.
+    """
+    nodes = np.arange(n_fine) if periodic else np.arange(1, n_fine)
+    # fine node j sits at j * n_coarse / n_fine coarse cells, exact in integers
+    left, rest = np.divmod(nodes * n_coarse, n_fine)
+    weight = rest / n_fine
+    rows = np.repeat(np.arange(len(nodes)), 2)
+    cols = np.column_stack([left, left + 1]).ravel()
+    vals = np.column_stack([1.0 - weight, weight]).ravel()
+    if periodic:
+        return sp.csr_matrix((vals, (rows, cols % n_coarse)), shape=(n_fine, n_coarse))
+    inside = (cols >= 1) & (cols < n_coarse)
+    return sp.csr_matrix((vals[inside], (rows[inside], cols[inside] - 1)),
+                         shape=(n_fine - 1, n_coarse - 1))
+
+
+def prolongate(coarse: DiscreteOperator, vectors: np.ndarray,
+               fine: DiscreteOperator) -> np.ndarray:
+    """The columns of ``vectors``, fields on ``coarse``'s grid, interpolated onto ``fine``'s.
+
+    Both are waveguide operators.  Linear in s (periodic) and in u (zero at
+    the walls u = +-1), one direction at a time.  Returns an array of
+    shape ``(fine.dim, vectors.shape[1])``.
+    """
+    a, b = coarse.grid, fine.grid
+    p_s = _interpolation(a.n_s, b.n_s, periodic=True)
+    p_f = _interpolation(a.n_f, b.n_f, periodic=False)
+    k = vectors.shape[1]
+    # node (i_s, j_f) is entry i_s * rows + j_f: interpolate along s, then along the fibre
+    along_s = p_s @ vectors.reshape(a.n_s, -1)
+    by_fibre = along_s.reshape(b.n_s, p_f.shape[1], k).transpose(1, 0, 2).reshape(p_f.shape[1], -1)
+    out = (p_f @ by_fibre).reshape(p_f.shape[0], b.n_s, k).transpose(1, 0, 2)
+    return out.reshape(fine.dim, k)
 
 
 def assemble_effective(geom: BundleGeometry, grid: GridSpec) -> DiscreteOperator:

@@ -9,11 +9,16 @@ level only yields a per-quantity discretization estimate of the paired
 level, so it solves for two more pairs than the index of the base-level
 pair that mode j pairs with (:func:`fibrelab.effective.paired_level`):
 ``j + 2`` on the waveguide, more on a torus with fibre-excited levels
-below the paired one.  A sweep point enters a rate fit only when the
-measured model error exceeds ten times that estimate.  When every point
-sits at the discretization floor the check is reported as passed with an
-explicit "below floor" flag rather than fitting noise; this is exactly
-the flat situation where the model is discretely exact.  ``RATE_CHECKS``
+below the paired one.  It computes the same eigenfunctions again, so its
+solve on the waveguide starts from the base level's first k vectors,
+linearly interpolated onto the refined grid
+(:func:`fibrelab.operators.prolongate`), also in the fallback retry; the
+torus's separable solve takes no start.
+A sweep point enters a rate fit only when the measured model error
+exceeds ten times that estimate.  When every point sits at the
+discretization floor the check is reported as passed with an explicit
+"below floor" flag rather than fitting noise; this is exactly the flat
+situation where the model is discretely exact.  ``RATE_CHECKS``
 holds each rate check's quantity, theory exponent and default threshold;
 its :class:`CheckResult` carries its fit.  :mod:`fibrelab.report` writes
 the results.
@@ -63,7 +68,13 @@ from .geometry import (
     as_epsilon,
 )
 from .nodal import count_nodal_domains, field_from_operator
-from .operators import DiscreteOperator, GridSpec, assemble_effective, assemble_full
+from .operators import (
+    DiscreteOperator,
+    GridSpec,
+    assemble_effective,
+    assemble_full,
+    prolongate,
+)
 
 __all__ = [
     "StudyConfig",
@@ -387,25 +398,33 @@ def _run_sweep(cfg: StudyConfig) -> StudyReport:
                     raise pred
                 stage = "assemble"
                 op = assemble_full(geom, eps, grid)
+                start = None
+                if level and isinstance(geom, WaveguideGeometry):
+                    # the torus's separable solve would ignore a start
+                    start = prolongate(base_op, base_vectors, op)
+                    del base_op  # free its matrix before the refined band factor, the peak
                 stage = "full_solve"
                 try:
                     pairs = smallest_eigenpairs(
-                        op, replace(level_cfg, shift=_predicted_shift(op, pred)))
+                        op, replace(level_cfg, shift=_predicted_shift(op, pred)), start=start)
                 except FactorizationFailed:
                     fallbacks += 1
-                    pairs = smallest_eigenpairs(op, level_cfg)
+                    pairs = smallest_eigenpairs(op, level_cfg, start=start)
                 stage = "discrepancy"
                 rec = measure_discrepancy(op, pairs, pred)
                 level_records.append(rec)
-                if level == 0 and want_courant:
-                    stage = "courant"
-                    rec.courant_counts = [
-                        count_nodal_domains(field_from_operator(op, pairs.vectors[:, idx]))
-                        for idx in range(min(COURANT_MODES, len(pairs.values)))]
-                # the refined level only estimates the paired level's
-                # discretization error: it solves up to that level's upper
-                # neighbour, as counted on the base level
-                level_cfg = replace(solve_cfg, k=paired_level(pairs, cfg.mode_index) + 2)
+                if level == 0:
+                    if want_courant:
+                        stage = "courant"
+                        rec.courant_counts = [
+                            count_nodal_domains(field_from_operator(op, pairs.vectors[:, idx]))
+                            for idx in range(min(COURANT_MODES, len(pairs.values)))]
+                    # the refined level only estimates the paired level's
+                    # discretization error: it solves up to that level's upper
+                    # neighbour, as counted on the base level, starting from
+                    # the base level's vectors
+                    level_cfg = replace(solve_cfg, k=paired_level(pairs, cfg.mode_index) + 2)
+                    base_op, base_vectors = op, pairs.vectors[:, :level_cfg.k]
             base, fine = level_records
             factor = 1.0 / (1.0 - cfg.refine ** (-float(cfg.grid.stencil_order)))
             ests = {}

@@ -331,8 +331,15 @@ class TestShiftInvert:
         with pytest.raises(FactorizationFailed):
             smallest_eigenpairs(op, SolveConfig(k=8, shift=ref[0] + 1e-3 * op.eps**2))
 
-    @pytest.mark.parametrize("k,ncv", [(3, 20), (8, 20), (12, 28)])
-    def test_krylov_basis_size(self, monkeypatch, k, ncv):
+    @pytest.mark.parametrize("k,warm,ncv", [
+        pytest.param(k, warm, ncv, id=("warm-" if warm else "") + f"{k}-{ncv}")
+        for k, warm, ncv in [(3, False, 20), (8, False, 20), (12, False, 28),
+                             (2, True, 14), (3, True, 14), (4, True, 20), (8, True, 20),
+                             (12, True, 28)]
+    ])
+    def test_krylov_basis_size(self, monkeypatch, k, warm, ncv):
+        op = guide_operator()
+        start = smallest_eigenpairs(op, SolveConfig(k=k)).vectors if warm else None
         seen = []
         real = sla.eigsh
 
@@ -341,8 +348,43 @@ class TestShiftInvert:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(sla, "eigsh", spy)
-        smallest_eigenpairs(guide_operator(), SolveConfig(k=k))
+        smallest_eigenpairs(op, SolveConfig(k=k), start=start)
         assert seen == [ncv]
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_start_vector(self, monkeypatch, seed):
+        # no start: the seeded random vector and the cold basis, as before
+        # starts existed; a start adds its W-normalized column sum at equal norm
+        seen = []
+        real = sla.eigsh
+
+        def spy(*args, **kwargs):
+            seen.append((kwargs["v0"].copy(), kwargs["ncv"]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sla, "eigsh", spy)
+        op = guide_operator()
+        cold = smallest_eigenpairs(op, SolveConfig(k=3, seed=seed))
+        warm = smallest_eigenpairs(op, SolveConfig(k=3, seed=seed),
+                                   start=2.0 * cold.vectors[:, :2])
+        noise = np.random.default_rng(seed).standard_normal(op.dim)
+        assert np.array_equal(seen[0][0], noise) and seen[0][1] == 20
+        guess = cold.vectors[:, 0] + cold.vectors[:, 1]
+        expected = noise + guess * (np.linalg.norm(noise) / np.linalg.norm(guess))
+        assert np.allclose(seen[1][0], expected, rtol=1e-14, atol=1e-14)
+        assert seen[1][1] == 14
+        assert np.all(np.abs(warm.values - cold.values) <= 1e-12 * cold.values)
+
+    @pytest.mark.parametrize("path", ["fiber_fourier", "dense"])
+    def test_start_is_ignored_off_the_shift_invert_path(self, path):
+        op = torus_operator(n=16)
+        if path == "dense":
+            op = dataclasses.replace(op, fiber_factors=None)
+        start = np.random.default_rng(1).standard_normal((op.dim, 3))
+        cold = smallest_eigenpairs(op, SolveConfig(k=3))
+        warm = smallest_eigenpairs(op, SolveConfig(k=3), start=start)
+        assert np.array_equal(warm.values, cold.values)
+        assert np.array_equal(warm.vectors, cold.vectors)
 
 
 class TestSeparatedAnnulus:
@@ -359,12 +401,14 @@ class TestSeparatedAnnulus:
     # GUIDE_J1's base level: 128 x 191 = 24 448 dofs
     N_S, N_F, ORDER, EPS, K = 128, 192, 4, 0.1, 10
 
-    def test_matches_the_separated_modes(self):
+    @pytest.fixture(scope="class")
+    def annulus(self):
+        """The operator, its blocks ``C``, ``K_f``, ``w``, the K lowest separated levels
+        ``(value, m, x)`` and the study's shift."""
         geom = WaveguideGeometry(TWO_PI, PeriodicProfile(TWO_PI, 1.0))
         grid = GridSpec(self.N_S, self.N_F, self.ORDER)
         op = assemble_full(geom, self.EPS, grid)
         n_rows = self.N_F - 1
-        assert op.dim == 24448
         # C and K_f from the blocks of the first block row; the rows of L_s sum to 0
         d_s, _ = _staggered_int(self.N_S, self.ORDER, periodic=True)
         l_s = (d_s.T @ d_s).tocsr()
@@ -375,9 +419,6 @@ class TestSeparatedAnnulus:
         c[row0.row[block == 1]] = row0.data[block == 1] / l_s[0, 1]
         assert np.array_equal(row0.row[block == 1], col[block == 1])
         w = op.weight[:n_rows]
-        assert np.array_equal(op.weight, np.tile(w, self.N_S))
-        rebuilt = sp.kron(l_s, sp.diags(c)) + sp.kron(sp.identity(self.N_S), k_f)
-        assert abs(rebuilt - op.stiffness).max() <= 1e-14 * abs(op.stiffness).max()
 
         levels = []  # (value, m, x), the K smallest
         for m, sigma in enumerate(_circulant_symbols(self.N_S, self.ORDER, self.N_S // 2)):
@@ -386,12 +427,20 @@ class TestSeparatedAnnulus:
             copies = 1 if m in (0, self.N_S // 2) else 2
             levels += [(value, m, x) for value, x in zip(values, vectors.T)] * copies
         levels = sorted(levels, key=lambda level: level[:2])[:self.K]
-        assert [m for _, m, _ in levels] == [0, 1, 1, 2, 2, 3, 3, 4, 4, 5]
-        ref = np.array([value for value, _, _ in levels])
-
         # a study's shift: just below the ground level the effective model predicts
         shift = study_module._predicted_shift(
             op, build_prediction(assemble_effective(geom, grid), 0))
+        return op, l_s, c, k_f, w, levels, shift
+
+    def test_matches_the_separated_modes(self, annulus):
+        op, l_s, c, k_f, w, levels, shift = annulus
+        assert op.dim == 24448
+        assert np.array_equal(op.weight, np.tile(w, self.N_S))
+        rebuilt = sp.kron(l_s, sp.diags(c)) + sp.kron(sp.identity(self.N_S), k_f)
+        assert abs(rebuilt - op.stiffness).max() <= 1e-14 * abs(op.stiffness).max()
+        assert [m for _, m, _ in levels] == [0, 1, 1, 2, 2, 3, 3, 4, 4, 5]
+        ref = np.array([value for value, _, _ in levels])
+
         assert shift < ref[0]
         pairs = smallest_eigenpairs(op, SolveConfig(k=self.K, shift=shift))
         assert np.max(np.abs(pairs.values - ref) / ref) < 1e-10
@@ -404,6 +453,20 @@ class TestSeparatedAnnulus:
             coef = np.linalg.solve(space.T @ weighted, weighted.T @ ours)
             rest = ours - space @ coef
             assert np.sqrt(rest @ (op.weight * rest)) < 1e-8
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_misleading_start_still_finds_the_smallest(self, annulus, seed):
+        # the start is levels 3-5 exactly (m = 2 cos, sin and m = 3 cos),
+        # W-orthogonal to the three wanted levels; only the seeded random
+        # half of the start vector reaches those
+        op, *_, levels, shift = annulus
+        phase = TWO_PI * np.arange(self.N_S) / self.N_S
+        start = np.column_stack([np.outer(wave(m * phase), x).ravel() for (_, m, x), wave
+                                 in zip(levels[3:6], (np.cos, np.sin, np.cos))])
+        assert [m for _, m, _ in levels[3:6]] == [2, 2, 3]
+        ref = np.array([value for value, _, _ in levels[:3]])
+        pairs = smallest_eigenpairs(op, SolveConfig(k=3, shift=shift, seed=seed), start=start)
+        assert np.max(np.abs(pairs.values - ref) / ref) < 1e-10
 
 
 class TestVerifyPairs:

@@ -15,6 +15,8 @@ from fibrelab.operators import (
     base_nodes,
     density_potential,
     dirichlet_ground_value,
+    fiber_nodes,
+    prolongate,
     staggered_diff_periodic,
 )
 from fibrelab.report import write_coordinate_triplets
@@ -387,6 +389,77 @@ class TestAnnulusOracle:
         lhs = pairs.values[0] - op.fiber_ground_disc
         rhs = exact[0] - np.pi**2 / 4.0
         assert lhs == pytest.approx(rhs, abs=1e-5)
+
+
+class TestProlongate:
+    """Linear interpolation of waveguide grid vectors onto a finer grid."""
+
+    @staticmethod
+    def level(geom, n_s, n_f):
+        op = assemble_full(geom, 0.1, GridSpec(n_s, n_f))
+        s, _ = base_nodes(geom, n_s)
+        f, _, _ = fiber_nodes(geom, n_f)
+        return op, s, f
+
+    @staticmethod
+    def closed(nodes, values, periodic_length):
+        """Nodes and values of one direction with its ends closed: a wrap or two walls."""
+        if periodic_length is None:
+            return np.r_[-1.0, nodes, 1.0], np.r_[0.0, values, 0.0]
+        return np.r_[nodes, periodic_length], np.r_[values, values[0]]
+
+    @pytest.mark.parametrize("refine", [2, 3])
+    def test_matches_one_dimensional_interpolation(self, refine):
+        geom = round_guide()
+        coarse, s_c, f_c = self.level(geom, 16, 20)
+        fine, s_f, f_f = self.level(geom, 16 * refine, 20 * refine)
+        vectors = np.random.default_rng(3).standard_normal((coarse.dim, 2))
+        out = prolongate(coarse, vectors, fine)
+        assert out.shape == (fine.dim, 2)
+        # one np.interp per grid line: along s, then along the fibre
+        for col in range(2):
+            field = vectors[:, col].reshape(len(s_c), len(f_c))
+            along_s = np.column_stack([np.interp(s_f, *self.closed(s_c, field[:, j], geom.period))
+                                       for j in range(len(f_c))])
+            ref = np.vstack([np.interp(f_f, *self.closed(f_c, row, None))
+                             for row in along_s])
+            assert np.max(np.abs(out[:, col] - ref.ravel())) < 1e-13
+
+    def test_bilinear_field_is_exact_away_from_the_ends(self):
+        geom = round_guide()
+        coarse, s_c, f_c = self.level(geom, 16, 16)
+        fine, s_f, f_f = self.level(geom, 32, 32)
+
+        def bilinear(s, f):
+            s, f = np.meshgrid(s, f, indexing="ij")
+            return (1.0 + 2.0 * s - 3.0 * f + s * f).ravel()
+
+        out = prolongate(coarse, bilinear(s_c, f_c)[:, None], fine)[:, 0]
+        # fine nodes inside the coarse cells that touch neither the wrap nor a wall
+        inside = np.outer(s_f <= s_c[-1], (f_f >= f_c[0]) & (f_f <= f_c[-1])).ravel()
+        assert 0 < inside.sum() < fine.dim
+        assert np.allclose(out[inside], bilinear(s_f, f_f)[inside], rtol=0.0, atol=1e-13)
+
+    def test_wraps_at_s_equal_L(self):
+        geom = round_guide()
+        coarse, s_c, f_c = self.level(geom, 16, 16)
+        fine, s_f, _ = self.level(geom, 32, 32)
+        sawtooth = np.repeat(s_c, len(f_c))  # s at every node, 0 again after L
+        out = prolongate(coarse, sawtooth[:, None], fine).reshape(len(s_f), -1)
+        # the last fine row sits halfway between s = L - h and s = L = 0; the
+        # first and last fibre nodes also sit halfway to a wall
+        assert np.allclose(out[-1, 1:-1], 0.5 * s_c[-1], rtol=0.0, atol=1e-15)
+        assert np.allclose(out[-2, 1:-1], s_c[-1], rtol=0.0, atol=1e-15)
+
+    def test_waveguide_walls_are_zero(self):
+        geom = round_guide()
+        coarse, _, f_c = self.level(geom, 16, 16)
+        fine, _, f_f = self.level(geom, 32, 32)
+        out = prolongate(coarse, np.ones((coarse.dim, 1)), fine).reshape(32, -1)
+        # the interpolant of 1 on the interior nodes falls linearly to 0 at u = +-1
+        h_c = f_c[0] + 1.0
+        assert np.allclose(out, np.minimum(1.0, (1.0 - np.abs(f_f)) / h_c), rtol=0.0, atol=1e-15)
+        assert np.allclose(out[:, [0, -1]], 0.5, rtol=0.0, atol=1e-15)
 
 
 def test_coordinate_triplet_dump(tmp_path):

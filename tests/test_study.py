@@ -87,17 +87,17 @@ def long_fibre_config():
 
 
 def spy_full_solves(monkeypatch):
-    """Record ``[operator, shift, values]`` of every full solve of a study.
+    """Record ``[operator, shift, start, values]`` of every full solve of a study.
 
     ``values`` stays ``None`` when the solve raised.
     """
     calls = []
     real = study_module.smallest_eigenpairs
 
-    def spy(op, cfg):
-        calls.append([op, cfg.shift, None])
-        pairs = real(op, cfg)
-        calls[-1][2] = pairs.values
+    def spy(op, cfg, *, start):
+        calls.append([op, cfg.shift, start, None])
+        pairs = real(op, cfg, start=start)
+        calls[-1][3] = pairs.values
         return pairs
 
     monkeypatch.setattr(study_module, "smallest_eigenpairs", spy)
@@ -440,8 +440,13 @@ class TestPredictedShift:
         assert report.timings["shift_fallbacks"] == 0
         assert len(calls) == 2 * len(cfg.epsilons)
         configured = study_module._auto_shift(cfg.geometry)
-        for op, shift, values in calls:
+        for op, shift, start, values in calls:
             assert op.dim > DENSE_CUTOFF and op.fiber_factors is None
+            # the base level starts cold, the refined one from the base vectors
+            if op.grid == cfg.grid:
+                assert start is None
+            else:
+                assert start.shape == (op.dim, len(values))
             expected = op.fiber_ground_disc + op.eps**2 * (mu0[op.grid.n_s] - 0.5)
             assert shift == pytest.approx(expected, rel=1e-14)
             assert shift < values[0]
@@ -458,11 +463,18 @@ class TestPredictedShift:
         solves = 2 * len(cfg.epsilons)
         assert fallback.timings["shift_fallbacks"] == solves
         assert fallback.failures == []
-        assert [values is None for _, _, values in calls] == [True, False] * solves
+        assert [values is None for *_, values in calls] == [True, False] * solves
         configured = study_module._auto_shift(cfg.geometry)
-        for (_, shift, _), (_, retry_shift, values) in zip(calls[::2], calls[1::2]):
+        for (_, shift, start, _), (op, retry_shift, retry_start, values) in zip(calls[::2],
+                                                                                calls[1::2]):
             assert shift > values[0]
             assert retry_shift == configured
+            # the retry keeps the start: none on the base level, the base vectors above it
+            assert retry_start is start
+            if op.grid == cfg.grid:
+                assert start is None
+            else:
+                assert start.shape == (op.dim, len(values))
         assert len(fallback.records) == len(predicted.records) == 3
         for a, b in zip(predicted.records, fallback.records):
             assert (a.eps, a.mu) == (b.eps, b.mu)
@@ -499,9 +511,9 @@ class TestRefinedPairCount:
         asked = []
         real = study_module.smallest_eigenpairs
 
-        def spy(op, solve_cfg):
-            asked.append((op.grid.n_s, solve_cfg.k))
-            return real(op, solve_cfg)
+        def spy(op, solve_cfg, *, start):
+            asked.append((op.grid.n_s, solve_cfg.k, None if start is None else start.shape))
+            return real(op, solve_cfg, start=start)
 
         monkeypatch.setattr(study_module, "smallest_eigenpairs", spy)
         cfg = load_config(guide_mode1_config())
@@ -509,8 +521,17 @@ class TestRefinedPairCount:
         assert report.failures == [] and len(report.records) == 3
         assert report.timings["shift_fallbacks"] == fallbacks
         per_level = 1 if fallbacks == 0 else 2
-        per_eps = [(48, max(cfg.solver.k, 3, 6))] * per_level + [(96, 3)] * per_level
+        fine_dim = assemble_full(cfg.geometry, cfg.epsilons[0], cfg.grid.refined(cfg.refine)).dim
+        per_eps = ([(48, max(cfg.solver.k, 3, 6), None)] * per_level
+                   + [(96, 3, (fine_dim, 3))] * per_level)
         assert asked == per_eps * len(cfg.epsilons)
+
+    def test_torus_levels_take_no_start(self, monkeypatch):
+        # the separable torus solve would ignore a start, so none is interpolated
+        calls = spy_full_solves(monkeypatch)
+        report = run_study(load_config(torus_mode1_config()))
+        assert report.failures == [] and len(calls) == 2 * len(report.records) > 0
+        assert [start for _, _, start, _ in calls] == [None] * len(calls)
 
     @pytest.mark.parametrize("raw, refined_k", [
         (guide_mode1_config(), {0.3: 3, 0.2: 3, 0.1: 3}),
