@@ -35,7 +35,7 @@ Three paths share one post-processing step:
   The start vector is drawn from a generator seeded with ``cfg.seed``,
   so repeated calls reproduce values to machine precision and vectors up
   to sign.  A caller that knows approximate eigenvectors passes them as
-  ``start`` (a study passes the base grid's vectors, interpolated, to the
+  ``start`` (a study passes the base grid's vectors, injected onto the
   refined grid): the start vector is then their W-normalized sum plus the
   seeded random vector at equal norm, so the seed still selects the start
   and no wanted direction is missing from it.  For ``k <= 3`` the basis
@@ -161,9 +161,9 @@ class SolveConfig:
     """Options for one eigensolve.
 
     ``shift`` must lie strictly below the whole spectrum, not only below
-    the eigenvalues sought; when omitted it defaults to -1 for
-    semidefinite (closed) operators and 0 for positive definite
-    (Dirichlet) ones.  The shift-invert path checks this: its Cholesky
+    the eigenvalues sought; when omitted it defaults to the operator's
+    ``safe_shift``, which its assembler places below the spectrum by
+    construction.  The shift-invert path checks this: its Cholesky
     factor of ``K - shift * W`` exists only for such a shift, and any
     other shift raises ``FactorizationFailed``.  The dense and separable
     torus paths use no shift and ignore it.  A study shifts each full
@@ -231,7 +231,7 @@ def _start_vector(op: DiscreteOperator, seed: int, start: Optional[np.ndarray]) 
     """
     v0 = np.random.default_rng(seed).standard_normal(op.dim)
     if start is not None:
-        guess = start @ (1.0 / np.sqrt(np.einsum("ij,i,ij->j", start, op.weight, start)))
+        guess = _w_normalize(op, start).sum(axis=1)
         v0 += guess * (np.linalg.norm(v0) / np.linalg.norm(guess))
     return v0
 
@@ -324,9 +324,7 @@ def smallest_eigenpairs(op: DiscreteOperator, cfg: SolveConfig, *,
         values, vectors = dla.eigh(op.stiffness.toarray(), np.diag(op.weight),
                                    subset_by_index=[0, k - 1])
     else:
-        sigma = cfg.shift
-        if sigma is None:
-            sigma = 0.0 if op.positive_definite else -1.0
+        sigma = op.safe_shift if cfg.shift is None else cfg.shift
         v0 = _start_vector(op, cfg.seed, start)
         ncv = max(2 * k + 4, 20)
         if start is not None and k <= 3:

@@ -17,8 +17,8 @@ contract or lose pointwise consistency near the walls, and the eigenvalue
 bias it would remove is cancelled downstream against the matching
 discrete fibre ground value instead.  Every assembler, full, effective or
 fibre, returns a plain ``DiscreteOperator``.  :func:`prolongate` carries
-waveguide grid vectors from one grid to a finer one by linear
-interpolation.
+waveguide grid vectors from one grid to a finer one by nearest-node
+injection.
 """
 
 from __future__ import annotations
@@ -101,8 +101,10 @@ class DiscreteOperator:
     fibre operator (0 on closed geometries, the three-point Dirichlet
     ground value on the waveguide); subtracting it instead of the
     continuum value cancels the fibre discretization bias in rescaled
-    eigenvalue comparisons.  ``fiber_factors`` is set on the warped torus,
-    whose operator separates exactly in the fibre direction.
+    eigenvalue comparisons.  ``safe_shift`` lies strictly below every
+    eigenvalue by construction: -1 for a semidefinite ``K``, 0 on the full
+    waveguide.  ``fiber_factors`` is set on the warped torus, whose
+    operator separates exactly in the fibre direction.
     """
 
     dim: int
@@ -112,7 +114,7 @@ class DiscreteOperator:
     eps: Optional[float] = None
     grid: Optional[GridSpec] = None
     fiber_ground_disc: float = 0.0
-    positive_definite: bool = False
+    safe_shift: float = -1.0
     fiber_factors: Optional[FiberFactors] = None
 
     def symmetry_defect(self) -> float:
@@ -183,11 +185,15 @@ def _form_matrix(diff: sp.spmatrix, coeff_times_measure: np.ndarray) -> sp.csr_m
 
 def _line_operator(stencil: tuple[sp.csr_matrix, float], h: float, potential: np.ndarray,
                    **fields) -> DiscreteOperator:
-    """``-f'' + V f`` on a 1D grid of spacing ``h``, from an integer stencil and its denominator."""
+    """``-f'' + V f`` on a 1D grid of spacing ``h``, from an integer stencil and its denominator.
+
+    Every eigenvalue is at least ``min(V)``: ``d^T C d >= 0`` and ``W = h I``.
+    """
     d, den = stencil
     k = _form_matrix(d, np.full(d.shape[0], h / (den * h) ** 2)) + sp.diags(potential * h)
     n = d.shape[1]
-    return DiscreteOperator(dim=n, stiffness=k.tocsr(), weight=np.full(n, h), **fields)
+    return DiscreteOperator(dim=n, stiffness=k.tocsr(), weight=np.full(n, h),
+                            safe_shift=float(np.min(potential)) - 1.0, **fields)
 
 
 def base_nodes(geom: BundleGeometry, n_s: int) -> tuple[np.ndarray, float]:
@@ -238,7 +244,7 @@ def assemble_full(geom: BundleGeometry, eps, grid: GridSpec) -> DiscreteOperator
         c_f = np.repeat(base_c_f, n_rows)
         w = np.repeat(base_w, n_rows)
         ground = 0.0
-        definite = False
+        safe_shift = -1.0
     else:
         geom.check_tube(eps)
         d_f, den_f = _staggered_int(grid.n_f, 2, periodic=False)
@@ -253,7 +259,7 @@ def assemble_full(geom: BundleGeometry, eps, grid: GridSpec) -> DiscreteOperator
         c_f = (rho_f / eps).ravel()
         w = (rho_w / eps).ravel() * cell
         ground = dirichlet_ground_value(grid.n_f)
-        definite = True
+        safe_shift = 0.0
 
     scale_f = 1.0 / (den_f * h_f) ** 2
     factors = None
@@ -275,49 +281,25 @@ def assemble_full(geom: BundleGeometry, eps, grid: GridSpec) -> DiscreteOperator
         eps=eps,
         grid=grid,
         fiber_ground_disc=ground,
-        positive_definite=definite,
+        safe_shift=safe_shift,
         fiber_factors=factors,
     )
 
 
-def _interpolation(n_coarse: int, n_fine: int, periodic: bool) -> sp.csr_matrix:
-    """Linear interpolation from the stored nodes of ``n_coarse`` cells to those of ``n_fine``.
+def prolongate(coarse: GridSpec, vectors: np.ndarray, fine: GridSpec) -> np.ndarray:
+    """The columns of ``vectors``, waveguide fields on ``coarse``, injected onto ``fine``.
 
-    Both grids span the same interval.  Periodic ends wrap the node index;
-    Dirichlet ends store only the interior nodes, and the wall nodes, which
-    hold exact zeros, drop out.
+    Each fine node takes the value of the coarse node at or below it, in
+    s and in u, in one gather: the fine nodes in ``[L - h, L)`` take the
+    last coarse row, and in u the gather reads the stored nodes padded
+    with the exact zeros of the walls u = +-1.  Returns an array of shape
+    ``(fine.n_s * (fine.n_f - 1), vectors.shape[1])``.
     """
-    nodes = np.arange(n_fine) if periodic else np.arange(1, n_fine)
-    # fine node j sits at j * n_coarse / n_fine coarse cells, exact in integers
-    left, rest = np.divmod(nodes * n_coarse, n_fine)
-    weight = rest / n_fine
-    rows = np.repeat(np.arange(len(nodes)), 2)
-    cols = np.column_stack([left, left + 1]).ravel()
-    vals = np.column_stack([1.0 - weight, weight]).ravel()
-    if periodic:
-        return sp.csr_matrix((vals, (rows, cols % n_coarse)), shape=(n_fine, n_coarse))
-    inside = (cols >= 1) & (cols < n_coarse)
-    return sp.csr_matrix((vals[inside], (rows[inside], cols[inside] - 1)),
-                         shape=(n_fine - 1, n_coarse - 1))
-
-
-def prolongate(coarse: DiscreteOperator, vectors: np.ndarray,
-               fine: DiscreteOperator) -> np.ndarray:
-    """The columns of ``vectors``, fields on ``coarse``'s grid, interpolated onto ``fine``'s.
-
-    Both are waveguide operators.  Linear in s (periodic) and in u (zero at
-    the walls u = +-1), one direction at a time.  Returns an array of
-    shape ``(fine.dim, vectors.shape[1])``.
-    """
-    a, b = coarse.grid, fine.grid
-    p_s = _interpolation(a.n_s, b.n_s, periodic=True)
-    p_f = _interpolation(a.n_f, b.n_f, periodic=False)
     k = vectors.shape[1]
-    # node (i_s, j_f) is entry i_s * rows + j_f: interpolate along s, then along the fibre
-    along_s = p_s @ vectors.reshape(a.n_s, -1)
-    by_fibre = along_s.reshape(b.n_s, p_f.shape[1], k).transpose(1, 0, 2).reshape(p_f.shape[1], -1)
-    out = (p_f @ by_fibre).reshape(p_f.shape[0], b.n_s, k).transpose(1, 0, 2)
-    return out.reshape(fine.dim, k)
+    nodes = np.pad(vectors.reshape(coarse.n_s, coarse.n_f - 1, k), ((0, 0), (1, 1), (0, 0)))
+    at_s = np.arange(fine.n_s) * coarse.n_s // fine.n_s
+    at_f = np.arange(1, fine.n_f) * coarse.n_f // fine.n_f
+    return nodes[at_s[:, None], at_f].reshape(-1, k)
 
 
 def assemble_effective(geom: BundleGeometry, grid: GridSpec) -> DiscreteOperator:
@@ -360,5 +342,5 @@ def assemble_fiber(geom: WaveguideGeometry, eps, s: float, n_f: int) -> Discrete
     nodes, _, h = fiber_nodes(geom, n_f)
     return _line_operator(_staggered_int(n_f, 2, periodic=False), h,
                           density_potential(geom, eps, s, nodes), geometry=geom, eps=eps,
-                          fiber_ground_disc=dirichlet_ground_value(n_f), positive_definite=True)
+                          fiber_ground_disc=dirichlet_ground_value(n_f))
 

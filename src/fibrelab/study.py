@@ -11,9 +11,8 @@ pair that mode j pairs with (:func:`fibrelab.effective.paired_level`):
 ``j + 2`` on the waveguide, more on a torus with fibre-excited levels
 below the paired one.  It computes the same eigenfunctions again, so its
 solve on the waveguide starts from the base level's first k vectors,
-linearly interpolated onto the refined grid
-(:func:`fibrelab.operators.prolongate`), also in the fallback retry; the
-torus's separable solve takes no start.
+injected onto the refined grid (:func:`fibrelab.operators.prolongate`),
+also in the fallback retry; the torus's separable solve takes no start.
 A sweep point enters a rate fit only when the measured model error
 exceeds ten times that estimate.  When every point sits at the
 discretization floor the check is reported as passed with an explicit
@@ -401,8 +400,7 @@ def _run_sweep(cfg: StudyConfig) -> StudyReport:
                 start = None
                 if level and isinstance(geom, WaveguideGeometry):
                     # the torus's separable solve would ignore a start
-                    start = prolongate(base_op, base_vectors, op)
-                    del base_op  # free its matrix before the refined band factor, the peak
+                    start = prolongate(grids[0], base_vectors, grid)
                 stage = "full_solve"
                 try:
                     pairs = smallest_eigenpairs(
@@ -424,7 +422,7 @@ def _run_sweep(cfg: StudyConfig) -> StudyReport:
                     # neighbour, as counted on the base level, starting from
                     # the base level's vectors
                     level_cfg = replace(solve_cfg, k=paired_level(pairs, cfg.mode_index) + 2)
-                    base_op, base_vectors = op, pairs.vectors[:, :level_cfg.k]
+                    base_vectors = pairs.vectors[:, :level_cfg.k]
             base, fine = level_records
             factor = 1.0 / (1.0 - cfg.refine ** (-float(cfg.grid.stencil_order)))
             ests = {}

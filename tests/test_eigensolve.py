@@ -22,6 +22,7 @@ from fibrelab.operators import (
     _staggered_int,
     assemble_effective,
     assemble_full,
+    prolongate,
     staggered_diff_periodic,
 )
 
@@ -30,11 +31,11 @@ from pair_checks import verify_pairs
 TWO_PI = 2.0 * np.pi
 
 
-def diag_operator(k_diag, w_diag, definite=True):
+def diag_operator(k_diag, w_diag):
+    """``K = diag(k_diag)``, ``W = diag(w_diag)``, both positive: 0 is a safe shift."""
     k = sp.diags(np.asarray(k_diag, dtype=float)).tocsr()
     return DiscreteOperator(
-        dim=len(k_diag), stiffness=k, weight=np.asarray(w_diag, dtype=float),
-        positive_definite=definite,
+        dim=len(k_diag), stiffness=k, weight=np.asarray(w_diag, dtype=float), safe_shift=0.0,
     )
 
 
@@ -129,6 +130,17 @@ class TestSmallestEigenpairs:
         ref = dla.eigh(op.stiffness.toarray(), np.diag(op.weight), eigvals_only=True)
         with pytest.raises(FactorizationFailed):
             smallest_eigenpairs(op, SolveConfig(k=3, shift=0.5 * (ref[2] + ref[3])))
+
+    def test_default_shift_lies_below_an_indefinite_line_operator(self):
+        # kappa = 1 + 2.5 cos s puts mu_0 near -1.81, below the -1 that suits a
+        # semidefinite operator; above the dense cutoff the effective solve
+        # shift-inverts at the shift its assembler states
+        geom = WaveguideGeometry(TWO_PI, PeriodicProfile(TWO_PI, 1.0, (2.5,)))
+        eff = assemble_effective(geom, GridSpec(640, 16, 4))
+        assert eff.dim > DENSE_CUTOFF
+        ref = dla.eigh(eff.stiffness.toarray(), np.diag(eff.weight), eigvals_only=True)[:2]
+        assert eff.safe_shift < ref[0] < -1.0
+        assert build_prediction(eff, 0).mu0 == pytest.approx(ref[0], rel=1e-10)
 
     def test_k_larger_than_dimension_rejected(self):
         with pytest.raises(ValueError):
@@ -375,6 +387,39 @@ class TestShiftInvert:
         assert seen[1][1] == 14
         assert np.all(np.abs(warm.values - cold.values) <= 1e-12 * cold.values)
 
+    def test_injected_start_shortens_the_refined_solve(self, monkeypatch):
+        # GUIDE_J1's geometry one level down: the base grid's pairs, injected
+        # onto the 128 x 192 grid (24 448 dofs), start its solve; measured 15
+        # shift-invert solves against 21 from a cold start
+        geom = WaveguideGeometry(TWO_PI, PeriodicProfile(TWO_PI, 1.0, (0.5, 0.25)))
+        base, fine = GridSpec(64, 96, 4), GridSpec(128, 192, 4)
+        solves = []
+        real = eigensolve_module._shift_inverse
+
+        def counted(a):
+            inverse = real(a)
+            solves.append(0)
+
+            def matvec(x):
+                solves[-1] += 1
+                return inverse.matvec(x)
+
+            return sla.LinearOperator(inverse.shape, matvec=matvec, dtype=float)
+
+        monkeypatch.setattr(eigensolve_module, "_shift_inverse", counted)
+
+        def solve(grid, start=None):
+            op = assemble_full(geom, 0.1, grid)
+            shift = study_module._predicted_shift(
+                op, build_prediction(assemble_effective(geom, grid), 1))
+            return smallest_eigenpairs(op, SolveConfig(k=3, shift=shift), start=start)
+
+        coarse = solve(base)
+        warm = solve(fine, start=prolongate(base, coarse.vectors, fine))
+        cold = solve(fine)
+        assert len(solves) == 3 and solves[1] < solves[2]
+        assert np.all(np.abs(warm.values - cold.values) <= 1e-12 * cold.values)
+
     @pytest.mark.parametrize("path", ["fiber_fourier", "dense"])
     def test_start_is_ignored_off_the_shift_invert_path(self, path):
         op = torus_operator(n=16)
@@ -395,22 +440,24 @@ class TestSeparatedAnnulus:
     circulant ``L_s = d_s^T d_s``.  Each s-Fourier mode m then leaves the
     problem ``(sigma_m C + K_f) x = lambda diag(w) x`` of size ``n_f - 1``,
     once for m = 0 and the Nyquist mode and twice, as ``cos`` and ``sin``
-    of ``m s``, for every other m.
+    of ``m s``, for every other m.  ``C`` is positive, so the levels of a
+    mode rise with ``sigma_m``, which rises with m up to the Nyquist mode:
+    the walk over m stops at the first mode whose lowest level lies above
+    the K-th level found.
     """
 
-    # GUIDE_J1's base level: 128 x 191 = 24 448 dofs
-    N_S, N_F, ORDER, EPS, K = 128, 192, 4, 0.1, 10
+    # GUIDE_J1's levels: 128 x 191 = 24 448 and 256 x 383 = 98 048 dofs
+    GRIDS = {"base": GridSpec(128, 192, 4), "refined": GridSpec(256, 384, 4)}
+    EPS, K = 0.1, 10
 
-    @pytest.fixture(scope="class")
-    def annulus(self):
-        """The operator, its blocks ``C``, ``K_f``, ``w``, the K lowest separated levels
-        ``(value, m, x)`` and the study's shift."""
+    def separate(self, grid):
+        """The operator, its K lowest separated levels ``(value, m, x)`` and the study's
+        shift; asserts that ``K`` and ``W`` separate exactly."""
         geom = WaveguideGeometry(TWO_PI, PeriodicProfile(TWO_PI, 1.0))
-        grid = GridSpec(self.N_S, self.N_F, self.ORDER)
         op = assemble_full(geom, self.EPS, grid)
-        n_rows = self.N_F - 1
+        n_rows = grid.n_f - 1
         # C and K_f from the blocks of the first block row; the rows of L_s sum to 0
-        d_s, _ = _staggered_int(self.N_S, self.ORDER, periodic=True)
+        d_s, _ = _staggered_int(grid.n_s, grid.stencil_order, periodic=True)
         l_s = (d_s.T @ d_s).tocsr()
         row0 = op.stiffness[:n_rows].tocoo()
         block, col = np.divmod(row0.col, n_rows)
@@ -419,33 +466,42 @@ class TestSeparatedAnnulus:
         c[row0.row[block == 1]] = row0.data[block == 1] / l_s[0, 1]
         assert np.array_equal(row0.row[block == 1], col[block == 1])
         w = op.weight[:n_rows]
+        assert np.array_equal(op.weight, np.tile(w, grid.n_s))
+        rebuilt = sp.kron(l_s, sp.diags(c)) + sp.kron(sp.identity(grid.n_s), k_f)
+        assert abs(rebuilt - op.stiffness).max() <= 1e-14 * abs(op.stiffness).max()
 
         levels = []  # (value, m, x), the K smallest
-        for m, sigma in enumerate(_circulant_symbols(self.N_S, self.ORDER, self.N_S // 2)):
+        symbols = _circulant_symbols(grid.n_s, grid.stencil_order, grid.n_s // 2)
+        assert np.all(np.diff(symbols) > 0.0)
+        for m, sigma in enumerate(symbols):
             values, vectors = dla.eigh(sigma * np.diag(c) + k_f, np.diag(w),
                                        subset_by_index=[0, self.K - 1])
-            copies = 1 if m in (0, self.N_S // 2) else 2
+            if len(levels) == self.K and values[0] > levels[-1][0]:
+                break
+            copies = 1 if m in (0, grid.n_s // 2) else 2
             levels += [(value, m, x) for value, x in zip(values, vectors.T)] * copies
-        levels = sorted(levels, key=lambda level: level[:2])[:self.K]
+            levels = sorted(levels, key=lambda level: level[:2])[:self.K]
         # a study's shift: just below the ground level the effective model predicts
         shift = study_module._predicted_shift(
             op, build_prediction(assemble_effective(geom, grid), 0))
-        return op, l_s, c, k_f, w, levels, shift
+        return op, levels, shift
 
-    def test_matches_the_separated_modes(self, annulus):
-        op, l_s, c, k_f, w, levels, shift = annulus
-        assert op.dim == 24448
-        assert np.array_equal(op.weight, np.tile(w, self.N_S))
-        rebuilt = sp.kron(l_s, sp.diags(c)) + sp.kron(sp.identity(self.N_S), k_f)
-        assert abs(rebuilt - op.stiffness).max() <= 1e-14 * abs(op.stiffness).max()
+    @pytest.fixture(scope="class")
+    def annulus(self):
+        return self.separate(self.GRIDS["base"])
+
+    @pytest.fixture(scope="class")
+    def annulus_pairs(self, annulus):
+        op, _, shift = annulus
+        return smallest_eigenpairs(op, SolveConfig(k=self.K, shift=shift))
+
+    def check_modes(self, op, levels, pairs, n_s):
+        """The K values to 1e-10 relative, and each vector in its mode's eigenspace."""
         assert [m for _, m, _ in levels] == [0, 1, 1, 2, 2, 3, 3, 4, 4, 5]
         ref = np.array([value for value, _, _ in levels])
-
-        assert shift < ref[0]
-        pairs = smallest_eigenpairs(op, SolveConfig(k=self.K, shift=shift))
         assert np.max(np.abs(pairs.values - ref) / ref) < 1e-10
         # each vector lies in the eigenspace of its mode: x ⊗ cos, and x ⊗ sin for m != 0
-        phase = TWO_PI * np.arange(self.N_S) / self.N_S
+        phase = TWO_PI * np.arange(n_s) / n_s
         for (_, m, x), ours in zip(levels, pairs.vectors.T):
             waves = [np.cos(m * phase)] + ([np.sin(m * phase)] if m else [])
             space = np.column_stack([np.outer(wave, x).ravel() for wave in waves])
@@ -454,13 +510,29 @@ class TestSeparatedAnnulus:
             rest = ours - space @ coef
             assert np.sqrt(rest @ (op.weight * rest)) < 1e-8
 
+    def test_matches_the_separated_modes(self, annulus, annulus_pairs):
+        op, levels, shift = annulus
+        assert op.dim == 24448 and shift < levels[0][0]
+        self.check_modes(op, levels, annulus_pairs, self.GRIDS["base"].n_s)
+
+    def test_refined_solve_started_by_injection(self, annulus_pairs):
+        # the study's refined level: 98 048 dofs, started from the base
+        # level's pairs injected onto its grid
+        base, refined = self.GRIDS["base"], self.GRIDS["refined"]
+        op, levels, shift = self.separate(refined)
+        assert op.dim == 98048 and shift < levels[0][0]
+        start = prolongate(base, annulus_pairs.vectors, refined)
+        pairs = smallest_eigenpairs(op, SolveConfig(k=self.K, shift=shift), start=start)
+        self.check_modes(op, levels, pairs, refined.n_s)
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_misleading_start_still_finds_the_smallest(self, annulus, seed):
         # the start is levels 3-5 exactly (m = 2 cos, sin and m = 3 cos),
         # W-orthogonal to the three wanted levels; only the seeded random
         # half of the start vector reaches those
-        op, *_, levels, shift = annulus
-        phase = TWO_PI * np.arange(self.N_S) / self.N_S
+        op, levels, shift = annulus
+        n_s = self.GRIDS["base"].n_s
+        phase = TWO_PI * np.arange(n_s) / n_s
         start = np.column_stack([np.outer(wave(m * phase), x).ravel() for (_, m, x), wave
                                  in zip(levels[3:6], (np.cos, np.sin, np.cos))])
         assert [m for _, m, _ in levels[3:6]] == [2, 2, 3]

@@ -392,74 +392,61 @@ class TestAnnulusOracle:
 
 
 class TestProlongate:
-    """Linear interpolation of waveguide grid vectors onto a finer grid."""
+    """Nearest-node injection of waveguide grid vectors onto a finer grid."""
 
     @staticmethod
-    def level(geom, n_s, n_f):
-        op = assemble_full(geom, 0.1, GridSpec(n_s, n_f))
-        s, _ = base_nodes(geom, n_s)
-        f, _, _ = fiber_nodes(geom, n_f)
-        return op, s, f
-
-    @staticmethod
-    def closed(nodes, values, periodic_length):
-        """Nodes and values of one direction with its ends closed: a wrap or two walls."""
-        if periodic_length is None:
-            return np.r_[-1.0, nodes, 1.0], np.r_[0.0, values, 0.0]
-        return np.r_[nodes, periodic_length], np.r_[values, values[0]]
+    def nodes(geom, grid):
+        """Base nodes, and the fibre nodes with the two walls u = -1, 1 closing them."""
+        s, _ = base_nodes(geom, grid.n_s)
+        f, _, _ = fiber_nodes(geom, grid.n_f)
+        return s, np.r_[-1.0, f, 1.0]
 
     @pytest.mark.parametrize("refine", [2, 3])
-    def test_matches_one_dimensional_interpolation(self, refine):
+    def test_shape(self, refine):
+        coarse, fine = GridSpec(16, 20), GridSpec(16 * refine, 20 * refine)
+        out = prolongate(coarse, np.ones((16 * 19, 2)), fine)
+        assert out.shape == (assemble_full(round_guide(), 0.1, fine).dim, 2)
+
+    @pytest.mark.parametrize("refine", [2, 3])
+    def test_takes_the_coarse_node_at_or_below(self, refine):
         geom = round_guide()
-        coarse, s_c, f_c = self.level(geom, 16, 20)
-        fine, s_f, f_f = self.level(geom, 16 * refine, 20 * refine)
-        vectors = np.random.default_rng(3).standard_normal((coarse.dim, 2))
-        out = prolongate(coarse, vectors, fine)
-        assert out.shape == (fine.dim, 2)
-        # one np.interp per grid line: along s, then along the fibre
-        for col in range(2):
-            field = vectors[:, col].reshape(len(s_c), len(f_c))
-            along_s = np.column_stack([np.interp(s_f, *self.closed(s_c, field[:, j], geom.period))
-                                       for j in range(len(f_c))])
-            ref = np.vstack([np.interp(f_f, *self.closed(f_c, row, None))
-                             for row in along_s])
-            assert np.max(np.abs(out[:, col] - ref.ravel())) < 1e-13
-
-    def test_bilinear_field_is_exact_away_from_the_ends(self):
-        geom = round_guide()
-        coarse, s_c, f_c = self.level(geom, 16, 16)
-        fine, s_f, f_f = self.level(geom, 32, 32)
-
-        def bilinear(s, f):
-            s, f = np.meshgrid(s, f, indexing="ij")
-            return (1.0 + 2.0 * s - 3.0 * f + s * f).ravel()
-
-        out = prolongate(coarse, bilinear(s_c, f_c)[:, None], fine)[:, 0]
-        # fine nodes inside the coarse cells that touch neither the wrap nor a wall
-        inside = np.outer(s_f <= s_c[-1], (f_f >= f_c[0]) & (f_f <= f_c[-1])).ravel()
-        assert 0 < inside.sum() < fine.dim
-        assert np.allclose(out[inside], bilinear(s_f, f_f)[inside], rtol=0.0, atol=1e-13)
+        coarse, fine = GridSpec(16, 20), GridSpec(16 * refine, 20 * refine)
+        s_c, f_c = self.nodes(geom, coarse)
+        s_f, f_f = self.nodes(geom, fine)
+        vectors = np.random.default_rng(3).standard_normal((16 * 19, 2))
+        out = prolongate(coarse, vectors, fine).reshape(len(s_f), len(f_f) - 2, 2)
+        # the walls hold exact zeros; a coordinate search, not the integer index rule
+        walled = np.pad(vectors.reshape(len(s_c), len(f_c) - 2, 2), ((0, 0), (1, 1), (0, 0)))
+        tiny = 1e-12
+        below_s = np.searchsorted(s_c, s_f + tiny) - 1
+        below_f = np.searchsorted(f_c, f_f[1:-1] + tiny) - 1
+        assert np.array_equal(out, walled[below_s][:, below_f])
 
     def test_wraps_at_s_equal_L(self):
         geom = round_guide()
-        coarse, s_c, f_c = self.level(geom, 16, 16)
-        fine, s_f, _ = self.level(geom, 32, 32)
-        sawtooth = np.repeat(s_c, len(f_c))  # s at every node, 0 again after L
-        out = prolongate(coarse, sawtooth[:, None], fine).reshape(len(s_f), -1)
-        # the last fine row sits halfway between s = L - h and s = L = 0; the
-        # first and last fibre nodes also sit halfway to a wall
-        assert np.allclose(out[-1, 1:-1], 0.5 * s_c[-1], rtol=0.0, atol=1e-15)
-        assert np.allclose(out[-2, 1:-1], s_c[-1], rtol=0.0, atol=1e-15)
+        coarse, fine = GridSpec(16, 16), GridSpec(32, 32)
+        s_c, _ = self.nodes(geom, coarse)
+        s_f, _ = self.nodes(geom, fine)
+        sawtooth = np.repeat(s_c, 15)  # s at every node, 0 again at L
+        out = prolongate(coarse, sawtooth[:, None], fine).reshape(32, 31)
+        # the last fine row, halfway between s = L - h and s = L = 0, takes
+        # the row at or below it, L - h, not the first row across the wrap
+        assert s_f[-1] > s_c[-1] and out[-1, 1] == s_c[-1]
+        assert np.array_equal(out[:, 1:], np.repeat(s_c, 2)[:, None] * np.ones(30))
 
     def test_waveguide_walls_are_zero(self):
         geom = round_guide()
-        coarse, _, f_c = self.level(geom, 16, 16)
-        fine, _, f_f = self.level(geom, 32, 32)
-        out = prolongate(coarse, np.ones((coarse.dim, 1)), fine).reshape(32, -1)
-        # the interpolant of 1 on the interior nodes falls linearly to 0 at u = +-1
-        h_c = f_c[0] + 1.0
-        assert np.allclose(out, np.minimum(1.0, (1.0 - np.abs(f_f)) / h_c), rtol=0.0, atol=1e-15)
-        assert np.allclose(out[:, [0, -1]], 0.5, rtol=0.0, atol=1e-15)
+        coarse = GridSpec(16, 16)
+        _, f_c = self.nodes(geom, coarse)
+        for refine in (2, 3):
+            fine = GridSpec(16 * refine, 16 * refine)
+            _, f_f = self.nodes(geom, fine)
+            out = prolongate(coarse, np.ones((16 * 15, 1)), fine).reshape(16 * refine, -1)
+            # the fine nodes below the first interior coarse node take the
+            # wall's zero; every other one, the last included, an interior 1
+            expected = (f_f[1:-1] > f_c[1] - 1e-12).astype(float)
+            assert not expected[:refine - 1].any() and expected[refine - 1:].all()
+            assert np.array_equal(out, np.broadcast_to(expected, out.shape))
 
 
 def test_coordinate_triplet_dump(tmp_path):
