@@ -48,7 +48,7 @@ geom = WarpedTorusGeometry(np.pi, TWO_PI, PeriodicProfile(TWO_PI, cos_amps=(0.3,
                            warp_is_exp=True)
 eff = assemble_effective(geom, grid)
 op = assemble_full(geom, eps, grid)
-pairs = smallest_eigenpairs(op, SolveConfig(k=4, shift=-4 * eps * eps))
+pairs = smallest_eigenpairs(op, SolveConfig(k=4))
 pred = build_prediction(eff, 1)
 rec = measure_discrepancy(op, pairs, pred)
 

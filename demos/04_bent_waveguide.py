@@ -36,7 +36,7 @@ eps = 0.1
 print("=== round bend (annulus): discrete vs Bessel ===")
 annulus = WaveguideGeometry(TWO_PI, PeriodicProfile(TWO_PI, constant=1.0))
 op = assemble_full(annulus, eps, grid)
-pairs = smallest_eigenpairs(op, SolveConfig(k=3, shift=1.97))
+pairs = smallest_eigenpairs(op, SolveConfig(k=3))
 
 
 def annulus_root(m):
@@ -68,7 +68,7 @@ bend2 = WaveguideGeometry(TWO_PI, PeriodicProfile(TWO_PI, constant=1.0,
                                                   cos_amps=(0.5, 0.25)))
 eff = assemble_effective(bend2, grid)
 op = assemble_full(bend2, eps, grid)
-pairs = smallest_eigenpairs(op, SolveConfig(k=4, shift=1.97))
+pairs = smallest_eigenpairs(op, SolveConfig(k=4))
 pred = build_prediction(eff, 1)
 rec = measure_discrepancy(op, pairs, pred)
 nodal = extract_nodal_set(field_from_operator(op, pairs.vectors[:, 1]))

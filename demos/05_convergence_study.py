@@ -21,7 +21,7 @@ config = {
     },
     "epsilons": [0.3, 0.22, 0.15, 0.1],
     "grid": {"n_s": 128, "n_f": 192, "stencil_order": 4, "refine": 2},
-    "solver": {"k": 8, "tol": 1e-8, "max_iter": 5000, "seed": 0, "shift": 1.97},
+    "solver": {"k": 8, "tol": 1e-8, "max_iter": 5000, "seed": 0},
     "study": {
         "mode_index": 0,
         "checks": ["eig_rate", "supnorm_rate", "courant"],

@@ -83,13 +83,12 @@ class Prediction:
 
     Nothing here depends on eps: the effective problem does not.  The
     full eigenvalue that ``mu`` predicts is ``fiber_ground_disc + eps^2 mu``
-    of the full operator it is compared with.  ``mu0`` is the lowest
-    effective eigenvalue, which predicts the bottom of the full spectrum.
+    of the full operator it is compared with.  The prediction places no
+    shift: a full solve runs at its operator's ``safe_shift``.
     """
 
     mode_index: int
     mu: float
-    mu0: float
     pred_field: np.ndarray  # (n_s, n_rows), unit norm in the eps-independent volume
     zeros: list[tuple[float, float]]
     phi0_min: float
@@ -177,7 +176,6 @@ def build_prediction(eff: DiscreteOperator, mode_index: int,
     return Prediction(
         mode_index=mode_index,
         mu=mu,
-        mu0=float(pairs.values[0]),
         pred_field=pred,
         zeros=zeros,
         phi0_min=float(phi0.min()),

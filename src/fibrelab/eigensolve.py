@@ -29,9 +29,10 @@ Three paths share one post-processing step:
   spectrum, which would return the pairs nearest the shift instead of
   the smallest, fails with ``FactorizationFailed``.  The Krylov basis
   holds ``min(n - 1, max(2k + 4, 20))`` vectors.  That is enough when the
-  shift lies just below the smallest eigenvalue, as the study places it,
-  since the wanted values of ``A^{-1}`` then stand well apart from the
-  rest; a shift far below them costs more restarts but not accuracy.
+  shift lies just below the smallest eigenvalue, as the waveguide's
+  ``safe_shift`` does, since the wanted values of ``A^{-1}`` then stand
+  well apart from the rest; a shift far below them costs more restarts
+  but not accuracy.
   The start vector is drawn from a generator seeded with ``cfg.seed``,
   so repeated calls reproduce values to machine precision and vectors up
   to sign.  A caller that knows approximate eigenvectors passes them as
@@ -166,14 +167,13 @@ class SolveConfig:
     construction.  The shift-invert path checks this: its Cholesky
     factor of ``K - shift * W`` exists only for such a shift, and any
     other shift raises ``FactorizationFailed``.  The dense and separable
-    torus paths use no shift and ignore it.  A study shifts each full
-    solve to just below the ground level that the effective model
-    predicts (see :mod:`fibrelab.study`); the configured shift is its
-    fallback, used where that shift fails to factor or the prediction
-    failed.  ``seed`` seeds the random part of the shift-invert start
-    vector, also when the caller passes a ``start`` block to
-    :func:`smallest_eigenpairs`; start blocks are an argument of the call,
-    not an option here.
+    torus paths use no shift and ignore it.  A study ignores the
+    configured shift and solves every full level at its operator's
+    ``safe_shift`` (see :mod:`fibrelab.study`); ``fibrelab solve`` and
+    ``nodal`` pass it through.  ``seed`` seeds the random part of the
+    shift-invert start vector, also when the caller passes a ``start``
+    block to :func:`smallest_eigenpairs`; start blocks are an argument of
+    the call, not an option here.
     """
 
     k: int = 6

@@ -11,8 +11,8 @@ pair that mode j pairs with (:func:`fibrelab.effective.paired_level`):
 ``j + 2`` on the waveguide, more on a torus with fibre-excited levels
 below the paired one.  It computes the same eigenfunctions again, so its
 solve on the waveguide starts from the base level's first k vectors,
-injected onto the refined grid (:func:`fibrelab.operators.prolongate`),
-also in the fallback retry; the torus's separable solve takes no start.
+injected onto the refined grid (:func:`fibrelab.operators.prolongate`);
+the torus's separable solve takes no start.
 A sweep point enters a rate fit only when the measured model error
 exceeds ten times that estimate.  When every point sits at the
 discretization floor the check is reported as passed with an explicit
@@ -22,14 +22,13 @@ holds each rate check's quantity, theory exponent and default threshold;
 its :class:`CheckResult` carries its fit.  :mod:`fibrelab.report` writes
 the results.
 
-The effective model predicts the full spectrum as ``lambda_F + eps^2 mu_j``,
-so each full solve shifts to ``fiber_ground_disc + eps^2 (mu_0 -
-SHIFT_MARGIN)``, just below the predicted ground level, where shift-invert
-converges fastest.  The solver's Cholesky factor proves that this shift lies
-below the spectrum; when it does not exist, the solve is repeated at the
-configured shift (``solver.shift``, else a geometry default), and
-``timings["shift_fallbacks"]`` counts those repeats.  A level whose
-prediction failed is not solved: its failure is recorded at every eps.
+Every full solve runs at its operator's ``safe_shift``: on the waveguide
+the fibre-block lower bound of :func:`fibrelab.operators.assemble_full`,
+the discrete fibre ground energy less a stated margin, which lies below
+``lambda_1`` by construction and not by the effective model under test.
+A study ignores ``solver.shift``, which only ``fibrelab solve`` and
+``nodal`` read.  A level whose prediction failed is not solved: its
+failure is recorded at every eps.
 Each failure record names its eps, grid level and stage.
 """
 
@@ -54,7 +53,6 @@ from .effective import (
 from .eigensolve import SolveConfig, single_threaded_blas, smallest_eigenpairs
 from .errors import (
     ConfigError,
-    FactorizationFailed,
     FibrelabError,
     GridTooCoarse,
     InsufficientPoints,
@@ -68,7 +66,6 @@ from .geometry import (
 )
 from .nodal import count_nodal_domains, field_from_operator
 from .operators import (
-    DiscreteOperator,
     GridSpec,
     assemble_effective,
     assemble_full,
@@ -97,7 +94,6 @@ RATE_CHECKS = {
 ALL_CHECKS = (*RATE_CHECKS, "isotopy", "boundary", "courant")
 FLOOR_FACTOR = 10.0
 COURANT_MODES = 6
-SHIFT_MARGIN = 0.5
 
 
 @dataclass
@@ -334,18 +330,6 @@ def fit_rate(points: list[tuple[float, float]]) -> RateFit:
     )
 
 
-def _auto_shift(geom: BundleGeometry) -> Optional[float]:
-    """Shift for the 2D shift-invert solve; the torus solve needs none."""
-    if isinstance(geom, WaveguideGeometry):
-        return 0.8 * float(np.pi**2 / 4.0)
-    return None
-
-
-def _predicted_shift(op: DiscreteOperator, pred: Prediction) -> float:
-    """Shift ``SHIFT_MARGIN * eps^2`` below the ground level the effective model predicts."""
-    return op.fiber_ground_disc + op.eps * op.eps * (pred.mu0 - SHIFT_MARGIN)
-
-
 def run_study(cfg: StudyConfig) -> StudyReport:
     """Run the full eps sweep and evaluate the configured checks.
 
@@ -369,12 +353,8 @@ def _run_sweep(cfg: StudyConfig) -> StudyReport:
     timings: dict[str, float] = {}
     t_start = time.perf_counter()
 
-    # the configured shift is the fallback of the predicted one
-    solve_cfg = replace(
-        cfg.solver,
-        k=_base_pair_count(cfg),
-        shift=cfg.solver.shift if cfg.solver.shift is not None else _auto_shift(geom),
-    )
+    # every full solve runs at its operator's safe shift
+    solve_cfg = replace(cfg.solver, k=_base_pair_count(cfg), shift=None)
     # The effective problem does not depend on eps: one prediction per grid
     # level.  A failed one is raised again at every eps, so the failure
     # records are those of a per-eps prediction.
@@ -385,7 +365,6 @@ def _run_sweep(cfg: StudyConfig) -> StudyReport:
             predictions.append(build_prediction(eff, cfg.mode_index, solve_cfg))
         except FibrelabError as exc:
             predictions.append(exc)
-    fallbacks = 0
     for eps in cfg.epsilons:
         t0 = time.perf_counter()
         try:
@@ -402,12 +381,7 @@ def _run_sweep(cfg: StudyConfig) -> StudyReport:
                     # the torus's separable solve would ignore a start
                     start = prolongate(grids[0], base_vectors, grid)
                 stage = "full_solve"
-                try:
-                    pairs = smallest_eigenpairs(
-                        op, replace(level_cfg, shift=_predicted_shift(op, pred)), start=start)
-                except FactorizationFailed:
-                    fallbacks += 1
-                    pairs = smallest_eigenpairs(op, level_cfg, start=start)
+                pairs = smallest_eigenpairs(op, level_cfg, start=start)
                 stage = "discrepancy"
                 rec = measure_discrepancy(op, pairs, pred)
                 level_records.append(rec)
@@ -436,7 +410,6 @@ def _run_sweep(cfg: StudyConfig) -> StudyReport:
             failures.append({"epsilon": eps, "level": level, "stage": stage,
                              "error": type(exc).__name__, "message": str(exc)})
         timings[f"eps={eps:g}"] = time.perf_counter() - t0
-    timings["shift_fallbacks"] = fallbacks
 
     checks: dict[str, CheckResult] = {}
     for name in cfg.checks:
@@ -602,12 +575,11 @@ def self_check(verbose: bool = False) -> list[tuple[str, bool, str]]:
         op = assemble_full(wg, 0.3, GridSpec(40, 21, 4))
         dense_oracle(op, smallest_eigenpairs(op, SolveConfig(k=6)))
 
-    def check_predicted_shift():
+    def check_fiber_block_shift():
         wg = g.WaveguideGeometry(2 * np.pi, g.PeriodicProfile(2 * np.pi, 1.0, (0.5, 0.25)))
-        grid = GridSpec(40, 21, 4)
-        op = assemble_full(wg, 0.3, grid)
-        shift = _predicted_shift(op, build_prediction(assemble_effective(wg, grid), 0))
-        assert shift < dense_oracle(op, smallest_eigenpairs(op, SolveConfig(k=6, shift=shift)))[0]
+        op = assemble_full(wg, 0.3, GridSpec(40, 21, 4))
+        lam1 = dense_oracle(op, smallest_eigenpairs(op, SolveConfig(k=6)))[0]
+        assert op.safe_shift < lam1 < op.safe_shift + op.eps**2
 
     def check_rate_fit():
         f = fit_rate([(0.2, 0.04), (0.1, 0.01), (0.05, 0.0025)])
@@ -639,7 +611,7 @@ def self_check(verbose: bool = False) -> list[tuple[str, bool, str]]:
     run("flat tensor exactness", check_flat)
     run("separable torus solve", check_separable)
     run("waveguide shift-invert solve", check_shift_invert)
-    run("waveguide predicted-shift solve", check_predicted_shift)
+    run("waveguide fibre-block shift", check_fiber_block_shift)
     run("rate fit", check_rate_fit)
     run("density potential", check_density)
     run("nodal extraction", check_nodal)

@@ -14,8 +14,8 @@ from fibrelab.eigensolve import DENSE_CUTOFF, SolveConfig, smallest_eigenpairs
 from fibrelab.errors import FactorizationFailed
 from fibrelab.nodal import extract_nodal_set, field_from_operator
 from fibrelab.geometry import PeriodicProfile, WarpedTorusGeometry, WaveguideGeometry
-from fibrelab.effective import build_prediction
 from fibrelab.operators import (
+    BOUND_MARGIN,
     DiscreteOperator,
     GridSpec,
     _circulant_symbols,
@@ -140,7 +140,6 @@ class TestSmallestEigenpairs:
         assert eff.dim > DENSE_CUTOFF
         ref = dla.eigh(eff.stiffness.toarray(), np.diag(eff.weight), eigvals_only=True)[:2]
         assert eff.safe_shift < ref[0] < -1.0
-        assert build_prediction(eff, 0).mu0 == pytest.approx(ref[0], rel=1e-10)
 
     def test_k_larger_than_dimension_rejected(self):
         with pytest.raises(ValueError):
@@ -330,8 +329,8 @@ class TestShiftInvert:
 
     @pytest.mark.parametrize("margin", [0.5, 1e-3])
     def test_shift_just_below_ground_matches_dense_solve(self, margin):
-        # a study shifts eps^2 / 2 below the predicted ground level; the
-        # factor must exist however close below lambda_1 the shift lies
+        # a study's shift, the fibre-block bound, lies 0.25-0.5 eps^2 below
+        # lambda_1; the factor must exist however close below it the shift lies
         op = guide_operator()
         ref = dla.eigh(op.stiffness.toarray(), np.diag(op.weight), eigvals_only=True)[:8]
         pairs = smallest_eigenpairs(op, SolveConfig(k=8, shift=ref[0] - margin * op.eps**2))
@@ -410,9 +409,7 @@ class TestShiftInvert:
 
         def solve(grid, start=None):
             op = assemble_full(geom, 0.1, grid)
-            shift = study_module._predicted_shift(
-                op, build_prediction(assemble_effective(geom, grid), 1))
-            return smallest_eigenpairs(op, SolveConfig(k=3, shift=shift), start=start)
+            return smallest_eigenpairs(op, SolveConfig(k=3, shift=op.safe_shift), start=start)
 
         coarse = solve(base)
         warm = solve(fine, start=prolongate(base, coarse.vectors, fine))
@@ -451,8 +448,9 @@ class TestSeparatedAnnulus:
     EPS, K = 0.1, 10
 
     def separate(self, grid):
-        """The operator, its K lowest separated levels ``(value, m, x)`` and the study's
-        shift; asserts that ``K`` and ``W`` separate exactly."""
+        """The operator and its K lowest separated levels ``(value, m, x)``; asserts
+        that ``K`` and ``W`` separate exactly, and that the safe shift, the
+        fibre-block bound, is exact here up to its margin."""
         geom = WaveguideGeometry(TWO_PI, PeriodicProfile(TWO_PI, 1.0))
         op = assemble_full(geom, self.EPS, grid)
         n_rows = grid.n_f - 1
@@ -481,10 +479,13 @@ class TestSeparatedAnnulus:
             copies = 1 if m in (0, grid.n_s // 2) else 2
             levels += [(value, m, x) for value, x in zip(values, vectors.T)] * copies
             levels = sorted(levels, key=lambda level: level[:2])[:self.K]
-        # a study's shift: just below the ground level the effective model predicts
-        shift = study_module._predicted_shift(
-            op, build_prediction(assemble_effective(geom, grid), 0))
-        return op, levels, shift
+        # lambda_1 is the m = 0 level, whose K_s term vanishes: the fibre-block
+        # bound equals it up to round-off (measured within 2e-11), and the safe
+        # shift lies its margin below
+        lam1 = levels[0][0]
+        margin = BOUND_MARGIN * max(1.0, lam1)
+        assert 0.0 < lam1 - op.safe_shift <= margin * (1.0 + 1e-2)
+        return op, levels
 
     @pytest.fixture(scope="class")
     def annulus(self):
@@ -492,8 +493,8 @@ class TestSeparatedAnnulus:
 
     @pytest.fixture(scope="class")
     def annulus_pairs(self, annulus):
-        op, _, shift = annulus
-        return smallest_eigenpairs(op, SolveConfig(k=self.K, shift=shift))
+        op, _ = annulus
+        return smallest_eigenpairs(op, SolveConfig(k=self.K))
 
     def check_modes(self, op, levels, pairs, n_s):
         """The K values to 1e-10 relative, and each vector in its mode's eigenspace."""
@@ -511,18 +512,18 @@ class TestSeparatedAnnulus:
             assert np.sqrt(rest @ (op.weight * rest)) < 1e-8
 
     def test_matches_the_separated_modes(self, annulus, annulus_pairs):
-        op, levels, shift = annulus
-        assert op.dim == 24448 and shift < levels[0][0]
+        op, levels = annulus
+        assert op.dim == 24448
         self.check_modes(op, levels, annulus_pairs, self.GRIDS["base"].n_s)
 
     def test_refined_solve_started_by_injection(self, annulus_pairs):
         # the study's refined level: 98 048 dofs, started from the base
         # level's pairs injected onto its grid
         base, refined = self.GRIDS["base"], self.GRIDS["refined"]
-        op, levels, shift = self.separate(refined)
-        assert op.dim == 98048 and shift < levels[0][0]
+        op, levels = self.separate(refined)
+        assert op.dim == 98048
         start = prolongate(base, annulus_pairs.vectors, refined)
-        pairs = smallest_eigenpairs(op, SolveConfig(k=self.K, shift=shift), start=start)
+        pairs = smallest_eigenpairs(op, SolveConfig(k=self.K), start=start)
         self.check_modes(op, levels, pairs, refined.n_s)
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -530,14 +531,14 @@ class TestSeparatedAnnulus:
         # the start is levels 3-5 exactly (m = 2 cos, sin and m = 3 cos),
         # W-orthogonal to the three wanted levels; only the seeded random
         # half of the start vector reaches those
-        op, levels, shift = annulus
+        op, levels = annulus
         n_s = self.GRIDS["base"].n_s
         phase = TWO_PI * np.arange(n_s) / n_s
         start = np.column_stack([np.outer(wave(m * phase), x).ravel() for (_, m, x), wave
                                  in zip(levels[3:6], (np.cos, np.sin, np.cos))])
         assert [m for _, m, _ in levels[3:6]] == [2, 2, 3]
         ref = np.array([value for value, _, _ in levels[:3]])
-        pairs = smallest_eigenpairs(op, SolveConfig(k=3, shift=shift, seed=seed), start=start)
+        pairs = smallest_eigenpairs(op, SolveConfig(k=3, seed=seed), start=start)
         assert np.max(np.abs(pairs.values - ref) / ref) < 1e-10
 
 

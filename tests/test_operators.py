@@ -6,6 +6,7 @@ from fibrelab.eigensolve import SolveConfig, smallest_eigenpairs
 from fibrelab.errors import GridTooCoarse, TubeDegenerate
 from fibrelab.geometry import PeriodicProfile, WarpedTorusGeometry, WaveguideGeometry
 from fibrelab.operators import (
+    BOUND_MARGIN,
     GridSpec,
     _circulant_symbols,
     _staggered_int,
@@ -302,6 +303,39 @@ class TestEffectiveOperator:
         resid = eff.stiffness @ np.ones(eff.dim) - geom.effective_potential(s) * h_s
         assert np.max(np.abs(resid)) <= 1e-12 * np.abs(eff.stiffness.data).max()
         assert eff.dim == 64 and np.all(eff.weight == h_s) and eff.eps is None
+
+
+class TestFiberBlockBound:
+    """The waveguide's safe shift: ``min_s lambda_1(K_f(s), W_s)`` less its margin.
+
+    ``K = K_s + blockdiag_s K_f(s)`` with ``K_s >= 0`` makes it a lower
+    bound of ``lambda_1(K, W)``; it is exact on the annulus, whose ground
+    state is constant in s.
+    """
+
+    @staticmethod
+    def dense_ground(op):
+        import scipy.linalg as dla
+
+        return dla.eigh(op.stiffness.toarray(), np.diag(op.weight), eigvals_only=True,
+                        subset_by_index=[0, 0])[0]
+
+    # GUIDE_J1's curvature on a 32 x 48 grid; at eps 0.55 the tube is strongly
+    # bent (eps max|kappa| = 0.96) and the bound lies 1.08 eps^2 below lambda_1
+    @pytest.mark.parametrize("eps", [0.3, 0.1, 0.55])
+    def test_bound_lies_below_the_ground_level(self, eps):
+        geom = WaveguideGeometry(TWO_PI, PeriodicProfile(TWO_PI, 1.0, (0.5, 0.25)))
+        op = assemble_full(geom, eps, GridSpec(32, 48, 4))
+        lam1 = self.dense_ground(op)
+        assert 0.0 < lam1 - op.safe_shift < 1.2 * eps**2
+
+    @pytest.mark.parametrize("eps", [0.3, 0.1])
+    def test_bound_is_exact_on_the_annulus(self, eps):
+        # measured within 8e-14 of the dense lambda_1 at this size
+        op = assemble_full(round_guide(), eps, GridSpec(32, 48, 4))
+        lam1 = self.dense_ground(op)
+        margin = BOUND_MARGIN * max(1.0, lam1)
+        assert 0.0 < lam1 - op.safe_shift <= margin + 1e-12
 
 
 class TestFiberOperator:

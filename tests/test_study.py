@@ -5,13 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as sla
 
 import fibrelab.study as study_module
 from fibrelab.cli import main as cli_main
 from fibrelab.effective import DiscrepancyRecord, measure_discrepancy
-from fibrelab.eigensolve import DENSE_CUTOFF, SolveConfig, smallest_eigenpairs
+from fibrelab.eigensolve import DENSE_CUTOFF, smallest_eigenpairs
 from fibrelab.errors import ConfigError, InsufficientPoints, PairingAmbiguous
-from fibrelab.operators import assemble_effective, assemble_full
+from fibrelab.operators import assemble_full
 from fibrelab.report import dumps_canonical, emit_report, records_csv, report_to_dict
 from fibrelab.study import (
     _evaluate_rate_check,
@@ -425,71 +426,55 @@ class TestRunStudy:
         assert len(calls) == 2
 
 
-class TestPredictedShift:
-    """Full solves shift to just below the ground level the effective model predicts."""
+class TestCertifiedShift:
+    """Every full solve runs at its operator's safe shift, the fibre-block bound."""
 
-    def test_full_solves_run_at_predicted_shift(self, monkeypatch):
-        cfg = load_config(guide_mode1_config())
-        mu0 = {}
-        for grid in (cfg.grid, cfg.grid.refined(cfg.refine)):
-            eff = assemble_effective(cfg.geometry, grid)
-            mu0[grid.n_s] = smallest_eigenpairs(eff, SolveConfig(k=3)).values[0]
+    def test_full_solves_run_at_the_safe_shift(self, monkeypatch):
+        # a configured shift inside the spectrum would fail to factor: the
+        # study does not read it
+        cfg = load_config(guide_mode1_config(shift=2.55))
+        sigmas = []
+        real_eigsh = sla.eigsh
+
+        def eigsh_spy(*args, **kwargs):
+            sigmas.append(kwargs["sigma"])
+            return real_eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(sla, "eigsh", eigsh_spy)
         calls = spy_full_solves(monkeypatch)
         report = run_study(cfg)
         assert len(report.records) == 3 and report.failures == []
-        assert report.timings["shift_fallbacks"] == 0
+        assert "shift_fallbacks" not in report.timings
         assert len(calls) == 2 * len(cfg.epsilons)
-        configured = study_module._auto_shift(cfg.geometry)
+        # the effective solves are dense: every shift-invert solve is a full one
+        assert sigmas == [op.safe_shift for op, *_ in calls]
         for op, shift, start, values in calls:
             assert op.dim > DENSE_CUTOFF and op.fiber_factors is None
+            assert shift is None
             # the base level starts cold, the refined one from the base vectors
             if op.grid == cfg.grid:
                 assert start is None
             else:
                 assert start.shape == (op.dim, len(values))
-            expected = op.fiber_ground_disc + op.eps**2 * (mu0[op.grid.n_s] - 0.5)
-            assert shift == pytest.approx(expected, rel=1e-14)
-            assert shift < values[0]
-            ref = smallest_eigenpairs(op, SolveConfig(k=len(values), shift=configured)).values
-            assert np.all(np.abs(values - ref) <= 1e-10 * ref)
+            assert op.safe_shift < values[0] < op.safe_shift + op.eps**2
 
-    def test_shift_above_spectrum_falls_back(self, monkeypatch):
-        cfg = load_config(guide_mode1_config())
-        predicted = run_study(cfg)
-        # eps^2 above the predicted ground level, so above lambda_1
-        monkeypatch.setattr(study_module, "SHIFT_MARGIN", -1.0)
+    def test_shift_that_fails_to_factor_is_a_full_solve_failure(self, tmp_path, monkeypatch,
+                                                               capsys):
+        # a safe shift above lambda_1: the solve fails once, with no retry
+        real = study_module.assemble_full
+
+        def above(geom, eps, grid):
+            op = real(geom, eps, grid)
+            return replace(op, safe_shift=op.safe_shift + 1.0)
+
+        monkeypatch.setattr(study_module, "assemble_full", above)
         calls = spy_full_solves(monkeypatch)
-        fallback = run_study(cfg)
-        solves = 2 * len(cfg.epsilons)
-        assert fallback.timings["shift_fallbacks"] == solves
-        assert fallback.failures == []
-        assert [values is None for *_, values in calls] == [True, False] * solves
-        configured = study_module._auto_shift(cfg.geometry)
-        for (_, shift, start, _), (op, retry_shift, retry_start, values) in zip(calls[::2],
-                                                                                calls[1::2]):
-            assert shift > values[0]
-            assert retry_shift == configured
-            # the retry keeps the start: none on the base level, the base vectors above it
-            assert retry_start is start
-            if op.grid == cfg.grid:
-                assert start is None
-            else:
-                assert start.shape == (op.dim, len(values))
-        assert len(fallback.records) == len(predicted.records) == 3
-        for a, b in zip(predicted.records, fallback.records):
-            assert (a.eps, a.mu) == (b.eps, b.mu)
-            for name in ("lambda_full", "eig_gap", "supnorm", "hausdorff"):
-                x, y = getattr(a, name), getattr(b, name)
-                assert abs(x - y) <= 1e-10 * abs(x), name
-
-    def test_both_shifts_failing_is_a_full_solve_failure(self, tmp_path, monkeypatch, capsys):
-        # the predicted shift lies above lambda_1, the configured one inside the spectrum
-        monkeypatch.setattr(study_module, "SHIFT_MARGIN", -1.0)
-        cfg = small_guide_config(shift=2.55)
+        cfg = small_guide_config()
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         out = tmp_path / "out"
         assert cli_main(["study", "--config", str(path), "--out", str(out)]) == 0
+        assert len(calls) == len(cfg["epsilons"])
         failures = json.loads((out / "report.json").read_text())["failures"]
         assert [(f["epsilon"], f["level"], f["stage"], f["error"]) for f in failures] == [
             (eps, 0, "full_solve", "FactorizationFailed") for eps in cfg["epsilons"]]
@@ -497,17 +482,13 @@ class TestPredictedShift:
                    if line.startswith("ERROR")]
         assert [line.split(": ")[0] for line in printed] == [
             f"ERROR eps={eps} level=0 stage=full_solve" for eps in cfg["epsilons"]]
-        timings = json.loads((out / "timings.json").read_text())
-        assert timings["shift_fallbacks"] == len(cfg["epsilons"])
+        assert "shift_fallbacks" not in json.loads((out / "timings.json").read_text())
 
 
 class TestRefinedPairCount:
     """The refined grid solves up to the paired level and its upper neighbour."""
 
-    @pytest.mark.parametrize("margin, fallbacks", [(0.5, 0), (-1.0, 6)])
-    def test_pair_count_of_each_level(self, monkeypatch, margin, fallbacks):
-        # margin -1 puts the predicted shift above lambda_1: every solve falls back
-        monkeypatch.setattr(study_module, "SHIFT_MARGIN", margin)
+    def test_pair_count_of_each_level(self, monkeypatch):
         asked = []
         real = study_module.smallest_eigenpairs
 
@@ -519,11 +500,8 @@ class TestRefinedPairCount:
         cfg = load_config(guide_mode1_config())
         report = run_study(cfg)
         assert report.failures == [] and len(report.records) == 3
-        assert report.timings["shift_fallbacks"] == fallbacks
-        per_level = 1 if fallbacks == 0 else 2
         fine_dim = assemble_full(cfg.geometry, cfg.epsilons[0], cfg.grid.refined(cfg.refine)).dim
-        per_eps = ([(48, max(cfg.solver.k, 3, 6), None)] * per_level
-                   + [(96, 3, (fine_dim, 3))] * per_level)
+        per_eps = [(48, max(cfg.solver.k, 3, 6), None), (96, 3, (fine_dim, 3))]
         assert asked == per_eps * len(cfg.epsilons)
 
     def test_torus_levels_take_no_start(self, monkeypatch):
@@ -554,8 +532,7 @@ class TestRefinedPairCount:
         assert report.failures == [] and len(report.records) == len(cfg.epsilons)
         assert {op.eps: len(full.values) for op, full, _, _ in refined} == refined_k
         for op, full, pred, rec in refined:
-            shift = study_module._predicted_shift(op, pred)
-            wide = smallest_eigenpairs(op, replace(cfg.solver, shift=shift))
+            wide = smallest_eigenpairs(op, replace(cfg.solver, shift=op.safe_shift))
             assert len(wide.values) == cfg.solver.k > len(full.values)
             ref = measure_discrepancy(op, wide, pred)
             assert abs(rec.lambda_full - ref.lambda_full) <= 1e-12 * abs(ref.lambda_full)
@@ -765,5 +742,5 @@ def test_self_check_all_green():
     results = self_check()
     names = [name for name, _, _ in results]
     assert "waveguide shift-invert solve" in names
-    assert "waveguide predicted-shift solve" in names
+    assert "waveguide fibre-block shift" in names
     assert all(ok for _, ok, _ in results)
