@@ -34,7 +34,7 @@ report = run_study(load_config(config))
 print("records (epsilon, eigenvalue gap, sup-norm error, discretization estimate):")
 for rec in report.records:
     print(f"  eps={rec.eps:<5} gap={rec.eig_gap:.4e} sup={rec.supnorm:.4e} "
-          f"est={rec.disc_error_estimate:.2e}")
+          f"est={rec.disc_estimates['eig_gap']:.2e}")
 
 print("\ncheck verdicts:")
 for name, check in sorted(report.checks.items()):

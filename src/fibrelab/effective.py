@@ -99,7 +99,7 @@ class DiscrepancyRecord:
     """Measured gaps between one full eigenpair and its prediction.
 
     ``zeros`` holds the base positions of the predicted zeros.  A study
-    fills ``disc_estimates`` from a refined grid level, and with the
+    fills ``disc_estimates`` from the next grid level, and with the
     ``courant`` check ``courant_counts``, the nodal domain counts of the
     lowest levels.
     """
@@ -120,11 +120,6 @@ class DiscrepancyRecord:
     tube_radius: Optional[float] = None
     empirical_tube_constant: Optional[float] = None
     courant_counts: Optional[list[int]] = None
-
-    @property
-    def disc_error_estimate(self) -> Optional[float]:
-        """Discretization error estimate of ``eig_gap``."""
-        return self.disc_estimates.get("eig_gap")
 
 
 def require_simple(values: np.ndarray, index: int, what: str) -> None:

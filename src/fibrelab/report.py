@@ -94,7 +94,7 @@ def _record_dict(rec: DiscrepancyRecord) -> dict:
         "nodal_components": rec.component_count,
         "boundary_components": rec.boundary_components,
         "graph_check": rec.graph_over_fiber,
-        "disc_err_est": rec.disc_error_estimate,
+        "disc_err_est": rec.disc_estimates.get("eig_gap"),
         "disc_estimates": dict(rec.disc_estimates),
         "zeros": rec.zeros,
         "tube_radius": rec.tube_radius,

@@ -1,18 +1,19 @@
 """Convergence studies: eps sweeps, rate fits, guarded checks.
 
-A study fixes a geometry, a grid, and a mode index j.  It solves the
-eps-independent effective problem once on the base grid and once on a
-refined grid, then for every eps solves the full problem on both grids.
-The base level solves for ``max(solver.k, j + 2, 6)`` pairs (the 6 only
-with the ``courant`` check, whose domain counts it feeds).  The refined
-level only yields a per-quantity discretization estimate of the paired
-level, so it solves for two more pairs than the index of the base-level
+A study fixes a geometry, a mode index j and a list of grid levels: the
+configured grid, then that grid refined by ``refine``.  It solves the
+eps-independent effective problem once per level, then for every eps
+solves the full problem on each level in order.  Level 0 is reported: it
+solves for ``max(solver.k, j + 2, 6)`` pairs (the 6 only with the
+``courant`` check, whose domain counts it feeds).  A later level only
+yields a per-quantity discretization estimate of the paired level, so
+each level hands the next its pair count, two more than the index of the
 pair that mode j pairs with (:func:`fibrelab.effective.paired_level`):
 ``j + 2`` on the waveguide, more on a torus with fibre-excited levels
-below the paired one.  It computes the same eigenfunctions again, so its
-solve on the waveguide starts from the base level's first k vectors,
-injected onto the refined grid (:func:`fibrelab.operators.prolongate`);
-the torus's separable solve takes no start.
+below the paired one.  On the waveguide it also hands over its first k
+vectors, injected onto the next grid (:func:`fibrelab.operators.prolongate`),
+as the start of that solve; the torus's separable solve takes no start.
+Each estimate comes from a pair of adjacent levels.
 A sweep point enters a rate fit only when the measured model error
 exceeds ten times that estimate.  When every point sits at the
 discretization floor the check is reported as passed with an explicit
@@ -27,8 +28,8 @@ the fibre-block lower bound of :func:`fibrelab.operators.assemble_full`,
 the discrete fibre ground energy less a stated margin, which lies below
 ``lambda_1`` by construction and not by the effective model under test.
 A study ignores ``solver.shift``, which only ``fibrelab solve`` and
-``nodal`` read.  A level whose prediction failed is not solved: its
-failure is recorded at every eps.
+``nodal`` read.  When a level's prediction failed, no level is solved:
+the first such failure is recorded at every eps.
 Each failure record names its eps, grid level and stage.
 """
 
@@ -297,15 +298,15 @@ def load_config(raw: dict) -> StudyConfig:
         thresholds=thresholds,
         echo=raw,
     )
-    k = _base_pair_count(cfg)
+    k = _reported_pair_count(cfg)
     if k > grid.n_s:
         raise ConfigError(f"the study needs {k} eigenpairs of the effective operator, "
                           f"more than its dimension n_s = {grid.n_s}")
     return cfg
 
 
-def _base_pair_count(cfg: StudyConfig) -> int:
-    """Pairs of each base-level solve: mode j, its upper neighbour and the Courant modes."""
+def _reported_pair_count(cfg: StudyConfig) -> int:
+    """Pairs of each reported-level solve: mode j, its upper neighbour and the Courant modes."""
     return max(cfg.solver.k, cfg.mode_index + 2,
                COURANT_MODES if "courant" in cfg.checks else 1)
 
@@ -345,7 +346,6 @@ def run_study(cfg: StudyConfig) -> StudyReport:
 
 def _run_sweep(cfg: StudyConfig) -> StudyReport:
     geom = cfg.geometry
-    grids = [cfg.grid, cfg.grid.refined(cfg.refine)]
     want_courant = "courant" in cfg.checks
 
     records: list[DiscrepancyRecord] = []
@@ -354,62 +354,61 @@ def _run_sweep(cfg: StudyConfig) -> StudyReport:
     t_start = time.perf_counter()
 
     # every full solve runs at its operator's safe shift
-    solve_cfg = replace(cfg.solver, k=_base_pair_count(cfg), shift=None)
-    # The effective problem does not depend on eps: one prediction per grid
-    # level.  A failed one is raised again at every eps, so the failure
-    # records are those of a per-eps prediction.
-    predictions: list[Prediction | FibrelabError] = []
-    for grid in grids:
+    solve_cfg = replace(cfg.solver, k=_reported_pair_count(cfg), shift=None)
+    # The grid levels, each refined from the one before.  The effective
+    # problem does not depend on eps: each level holds its one prediction,
+    # or the error that prediction raised.
+    levels: list[tuple[GridSpec, Prediction | FibrelabError]] = []
+    for grid in (cfg.grid, cfg.grid.refined(cfg.refine)):
         eff = assemble_effective(geom, grid)
         try:
-            predictions.append(build_prediction(eff, cfg.mode_index, solve_cfg))
+            levels.append((grid, build_prediction(eff, cfg.mode_index, solve_cfg)))
         except FibrelabError as exc:
-            predictions.append(exc)
+            levels.append((grid, exc))
+    # the first failed prediction fails every eps before any full solve
+    failed = next((level for level, (_, pred) in enumerate(levels)
+                   if isinstance(pred, FibrelabError)), None)
+    reported = 0  # the level whose records the study reports
+    factor = 1.0 / (1.0 - cfg.refine ** (-float(cfg.grid.stencil_order)))
     for eps in cfg.epsilons:
         t0 = time.perf_counter()
         try:
+            if failed is not None:
+                level, stage = failed, "prediction"
+                raise levels[failed][1]
             level_records = []
-            level_cfg = solve_cfg
-            for level, (grid, pred) in enumerate(zip(grids, predictions)):
-                stage = "prediction"
-                if isinstance(pred, FibrelabError):
-                    raise pred
+            pair_count, coarser = solve_cfg.k, None
+            for level, (grid, pred) in enumerate(levels):
                 stage = "assemble"
                 op = assemble_full(geom, eps, grid)
-                start = None
-                if level and isinstance(geom, WaveguideGeometry):
-                    # the torus's separable solve would ignore a start
-                    start = prolongate(grids[0], base_vectors, grid)
+                start = None if coarser is None else prolongate(*coarser, grid)
                 stage = "full_solve"
-                pairs = smallest_eigenpairs(op, level_cfg, start=start)
+                pairs = smallest_eigenpairs(op, replace(solve_cfg, k=pair_count), start=start)
                 stage = "discrepancy"
                 rec = measure_discrepancy(op, pairs, pred)
                 level_records.append(rec)
-                if level == 0:
-                    if want_courant:
-                        stage = "courant"
-                        rec.courant_counts = [
-                            count_nodal_domains(field_from_operator(op, pairs.vectors[:, idx]))
-                            for idx in range(min(COURANT_MODES, len(pairs.values)))]
-                    # the refined level only estimates the paired level's
-                    # discretization error: it solves up to that level's upper
-                    # neighbour, as counted on the base level, starting from
-                    # the base level's vectors
-                    level_cfg = replace(solve_cfg, k=paired_level(pairs, cfg.mode_index) + 2)
-                    base_vectors = pairs.vectors[:, :level_cfg.k]
-            base, fine = level_records
-            factor = 1.0 / (1.0 - cfg.refine ** (-float(cfg.grid.stencil_order)))
-            ests = {}
-            for quantity, _, _ in RATE_CHECKS.values():
-                qb, qf = getattr(base, quantity), getattr(fine, quantity)
-                if qb is not None and qf is not None:
-                    ests[quantity] = abs(qb - qf) * factor
-            base.disc_estimates = ests
-            records.append(base)
+                if level == reported and want_courant:
+                    stage = "courant"
+                    rec.courant_counts = [
+                        count_nodal_domains(field_from_operator(op, pairs.vectors[:, idx]))
+                        for idx in range(min(COURANT_MODES, len(pairs.values)))]
+                # the next level solves up to the paired level's upper
+                # neighbour, as counted here, and on the waveguide starts
+                # from this level's vectors
+                pair_count = paired_level(pairs, cfg.mode_index) + 2
+                if isinstance(geom, WaveguideGeometry):
+                    coarser = (grid, pairs.vectors[:, :pair_count])
+            rec = level_records[reported]
+            finer = level_records[reported + 1]
+            rec.disc_estimates = {
+                quantity: abs(getattr(rec, quantity) - getattr(finer, quantity)) * factor
+                for quantity, _, _ in RATE_CHECKS.values()
+                if getattr(rec, quantity) is not None and getattr(finer, quantity) is not None}
+            records.append(rec)
         except FibrelabError as exc:
             failures.append({"epsilon": eps, "level": level, "stage": stage,
                              "error": type(exc).__name__, "message": str(exc)})
-        timings[f"eps={eps:g}"] = time.perf_counter() - t0
+        timings[f"eps={eps!r}"] = time.perf_counter() - t0
 
     checks: dict[str, CheckResult] = {}
     for name in cfg.checks:

@@ -11,8 +11,8 @@ import fibrelab.study as study_module
 from fibrelab.cli import main as cli_main
 from fibrelab.effective import DiscrepancyRecord, measure_discrepancy
 from fibrelab.eigensolve import DENSE_CUTOFF, smallest_eigenpairs
-from fibrelab.errors import ConfigError, InsufficientPoints, PairingAmbiguous
-from fibrelab.operators import assemble_full
+from fibrelab.errors import ConfigError, InsufficientPoints, NonTransversalZero, PairingAmbiguous
+from fibrelab.operators import assemble_full, prolongate
 from fibrelab.report import dumps_canonical, emit_report, records_csv, report_to_dict
 from fibrelab.study import (
     _evaluate_rate_check,
@@ -88,9 +88,9 @@ def long_fibre_config():
 
 
 def spy_full_solves(monkeypatch):
-    """Record ``[operator, shift, start, values]`` of every full solve of a study.
+    """Record ``[operator, shift, start, pairs]`` of every full solve of a study.
 
-    ``values`` stays ``None`` when the solve raised.
+    ``pairs`` stays ``None`` when the solve raised.
     """
     calls = []
     real = study_module.smallest_eigenpairs
@@ -98,7 +98,7 @@ def spy_full_solves(monkeypatch):
     def spy(op, cfg, *, start):
         calls.append([op, cfg.shift, start, None])
         pairs = real(op, cfg, start=start)
-        calls[-1][3] = pairs.values
+        calls[-1][3] = pairs
         return pairs
 
     monkeypatch.setattr(study_module, "smallest_eigenpairs", spy)
@@ -387,6 +387,33 @@ class TestRunStudy:
             assert match and float(match.group(1)) <= 1e-8
         assert len({f["message"] for f in report.failures}) == 1
 
+    def test_failed_refined_prediction_fails_every_eps_before_any_solve(self, monkeypatch):
+        # the predictions do not depend on eps: no level of any eps is solved
+        raw = guide_mode1_config()
+        real = study_module.build_prediction
+
+        def failing(eff, mode_index, solve_cfg):
+            if eff.dim == 2 * raw["grid"]["n_s"]:
+                raise NonTransversalZero("injected")
+            return real(eff, mode_index, solve_cfg)
+
+        monkeypatch.setattr(study_module, "build_prediction", failing)
+        calls = spy_full_solves(monkeypatch)
+        report = run_study(load_config(raw))
+        assert calls == []
+        assert report.records == []
+        assert [(f["epsilon"], f["level"], f["stage"], f["error"], f["message"])
+                for f in report.failures] == [
+            (eps, 1, "prediction", "NonTransversalZero", "injected") for eps in raw["epsilons"]]
+
+    def test_timings_keep_every_eps(self):
+        # 0.2000001 and 0.2 print alike with six significant digits
+        epsilons = [0.4, 0.2000001, 0.2, 0.1]
+        report = run_study(load_config(flat_config(epsilons=epsilons)))
+        assert len(report.records) == len(epsilons)
+        assert [key for key in report.timings if key.startswith("eps=")] == [
+            "eps=0.4", "eps=0.2000001", "eps=0.2", "eps=0.1"]
+
     def test_failed_refined_level_drops_its_courant_counts(self, monkeypatch):
         # the counts come from level 0; an eps whose level 1 fails has no
         # record, and so no counts in the report or the verdict
@@ -448,15 +475,19 @@ class TestCertifiedShift:
         assert len(calls) == 2 * len(cfg.epsilons)
         # the effective solves are dense: every shift-invert solve is a full one
         assert sigmas == [op.safe_shift for op, *_ in calls]
-        for op, shift, start, values in calls:
+        for op, shift, start, pairs in calls:
             assert op.dim > DENSE_CUTOFF and op.fiber_factors is None
             assert shift is None
-            # the base level starts cold, the refined one from the base vectors
-            if op.grid == cfg.grid:
-                assert start is None
-            else:
-                assert start.shape == (op.dim, len(values))
-            assert op.safe_shift < values[0] < op.safe_shift + op.eps**2
+            assert op.safe_shift < pairs.values[0] < op.safe_shift + op.eps**2
+        # the base level starts cold, the refined one from the first k
+        # vectors of the same eps's base level, injected
+        refined = cfg.grid.refined(cfg.refine)
+        for (base_op, _, base_start, base_pairs), (op, _, start, pairs) in zip(calls[::2],
+                                                                              calls[1::2]):
+            assert base_op.grid == cfg.grid and base_start is None
+            assert op.grid == refined and op.eps == base_op.eps
+            k = len(pairs.values)
+            assert np.array_equal(start, prolongate(cfg.grid, base_pairs.vectors[:, :k], refined))
 
     def test_shift_that_fails_to_factor_is_a_full_solve_failure(self, tmp_path, monkeypatch,
                                                                capsys):
