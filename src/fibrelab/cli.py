@@ -157,6 +157,11 @@ def main(argv=None) -> int:
     except FibrelabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as exc:
+        # every read is a ConfigError by now, so this is an output path
+        print(f"error: cannot write {exc.filename or 'output'}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -51,7 +51,10 @@ Three paths share one post-processing step:
 Every path then W-normalizes the vectors, reports their Rayleigh
 quotients against the full operator as values, and certifies each
 residual ``|K x - lambda W x| / |W x|`` against ``tol`` on the full
-operator, independently of how the vectors were found.
+operator, independently of how the vectors were found.  Both products
+``K x`` go through :meth:`~fibrelab.operators.DiscreteOperator.apply`:
+on the torus that applies the exact factors, so the full ``K`` is
+certified without ever being formed as a matrix.
 
 BLAS runs on one thread inside :func:`smallest_eigenpairs` and, through
 :func:`fibrelab.study.run_study`, for a whole study.  The work is many
@@ -211,7 +214,7 @@ def _residuals(op: DiscreteOperator, values: np.ndarray, vectors: np.ndarray) ->
     res = np.empty(len(values))
     for i, lam in enumerate(values):
         x = vectors[:, i]
-        num = np.linalg.norm(op.stiffness @ x - lam * (op.weight * x))
+        num = np.linalg.norm(op.apply(x) - lam * (op.weight * x))
         den = np.linalg.norm(op.weight * x)
         res[i] = num / den
     return res

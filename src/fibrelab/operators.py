@@ -16,9 +16,12 @@ a one-sided fourth-order closure would either break the exact-symmetry
 contract or lose pointwise consistency near the walls, and the eigenvalue
 bias it would remove is cancelled downstream against the matching
 discrete fibre ground value instead.  Every assembler, full, effective or
-fibre, returns a plain ``DiscreteOperator``.  :func:`prolongate` carries
-waveguide grid vectors from one grid to a finer one by nearest-node
-injection.
+fibre, returns a ``DiscreteOperator``.  The warped torus's holds its
+operator as 1D factors, ``K = K_s ⊗ I + diag(c_f) ⊗ d_f^T d_f`` (the
+fibre term is ``B_f^T B_f`` with the fibre coefficient factored out),
+applies ``K`` through them and forms the 2D matrix only when
+``stiffness`` is read.  :func:`prolongate` carries waveguide grid
+vectors from one grid to a finer one by nearest-node injection.
 """
 
 from __future__ import annotations
@@ -82,22 +85,30 @@ class GridSpec:
 class FiberFactors:
     """The 1D factors of a warped-product operator.
 
-    ``K = base_stiffness ⊗ I + diag(fiber_coeff) ⊗ L_f`` and
-    ``W = base_weight ⊗ 1``, where ``L_f = d_f^T d_f`` is the circulant
-    integer-stencil fibre matrix.  ``fiber_symbols[m]`` is the eigenvalue
-    of ``L_f`` on the fibre modes ``cos, sin(2 pi m j / n_f)`` for
-    ``m = 0 .. n_f // 2``.
+    ``K = base_stiffness ⊗ I + diag(fiber_coeff) ⊗ fiber_matrix`` and
+    ``W = base_weight ⊗ 1``, where ``fiber_matrix`` is the circulant
+    integer-stencil fibre matrix ``L_f = d_f^T d_f``.  ``fiber_symbols[m]``
+    is the eigenvalue of ``L_f`` on the fibre modes ``cos, sin(2 pi m j / n_f)``
+    for ``m = 0 .. n_f // 2``.  Nothing on the solve path forms ``K`` as
+    one matrix; :meth:`matrix` builds it for the callers that want it.
     """
 
     base_stiffness: sp.csr_matrix
+    fiber_matrix: sp.csr_matrix
     fiber_coeff: np.ndarray
     fiber_symbols: np.ndarray
     base_weight: np.ndarray
 
+    def matrix(self) -> sp.csr_matrix:
+        """``K`` as one sparse matrix, node ``(i_s, i_f)`` at index ``i_s * n_f + i_f``."""
+        n_f = self.fiber_matrix.shape[0]
+        return (sp.kron(self.base_stiffness, sp.identity(n_f), format="csr")
+                + sp.kron(sp.diags(self.fiber_coeff), self.fiber_matrix, format="csr")).tocsr()
+
 
 @dataclass
 class DiscreteOperator:
-    """Sparse symmetric stiffness ``K`` with positive diagonal weight ``W``.
+    """Symmetric stiffness ``K`` with positive diagonal weight ``W``.
 
     ``fiber_ground_disc`` is the ground value of the matching discrete
     fibre operator (0 on closed geometries, the three-point Dirichlet
@@ -107,11 +118,13 @@ class DiscreteOperator:
     eigenvalue by construction: -1 for a semidefinite ``K``, the
     fibre-block bound on the full waveguide.  ``fiber_factors`` is set on
     the warped torus, whose operator separates exactly in the fibre
-    direction.
+    direction; there :meth:`apply` works through the factors, and
+    ``stiffness``, passed as ``None``, is built from them as a CSR matrix
+    on its first read.  Every other operator holds its CSR ``stiffness``.
     """
 
     dim: int
-    stiffness: sp.csr_matrix
+    stiffness: Optional[sp.csr_matrix]
     weight: np.ndarray
     geometry: Optional[BundleGeometry] = None
     eps: Optional[float] = None
@@ -120,12 +133,44 @@ class DiscreteOperator:
     safe_shift: float = -1.0
     fiber_factors: Optional[FiberFactors] = None
 
+    def __post_init__(self) -> None:
+        if self.stiffness is None:
+            del self.stiffness  # left to __getattr__, which builds it from the factors
+
+    def __getattr__(self, name: str):
+        # reached only for attributes missing from the instance
+        factors = self.__dict__.get("fiber_factors")
+        if name != "stiffness" or factors is None:
+            raise AttributeError(name)
+        self.stiffness = factors.matrix()
+        return self.stiffness
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """``K x`` for a vector or a ``(dim, k)`` block of columns.
+
+        On the torus this is ``K_s X + c_f ⊙ (X L_f)`` on the ``(n_s, n_f)``
+        grid view of each column; elsewhere it is the CSR product.
+        """
+        factors = self.fiber_factors
+        if factors is None:
+            return self.stiffness @ x
+        n_s = len(factors.base_weight)
+        n_f = self.dim // n_s
+        cols = x.reshape(n_s, n_f, -1)  # a vector is one column
+        # the fibre term in (n_f, n_s, k) order, where L_f acts on contiguous rows
+        fiber = factors.fiber_matrix @ cols.transpose(1, 0, 2).reshape(n_f, -1)
+        fiber = fiber.reshape(n_f, n_s, -1)
+        fiber *= factors.fiber_coeff[:, None]
+        out = (factors.base_stiffness @ cols.reshape(n_s, -1)).reshape(cols.shape)
+        out += fiber.transpose(1, 0, 2)
+        return out.reshape(x.shape)
+
     def symmetry_defect(self) -> float:
         d = self.stiffness - self.stiffness.T
         return 0.0 if d.nnz == 0 else float(np.max(np.abs(d.data)))
 
     def rayleigh(self, x: np.ndarray) -> float:
-        return float(x @ (self.stiffness @ x)) / float(x @ (self.weight * x))
+        return float(x @ self.apply(x)) / float(x @ (self.weight * x))
 
 
 # order -> (node offsets, integer weights, denominator) of the staggered
@@ -222,9 +267,10 @@ def assemble_full(geom: BundleGeometry, eps, grid: GridSpec) -> DiscreteOperator
 
     Returns the generalized pair ``(K, W)``: positive semidefinite with a
     one-dimensional constant kernel on the torus, positive definite on
-    the waveguide.  The torus operator also carries its exact 1D factors
-    in ``fiber_factors``; the waveguide's ``safe_shift`` is its fibre-block
-    bound (:func:`_fiber_block_bound`).
+    the waveguide.  The torus operator is assembled as its exact 1D
+    factors, ``fiber_factors``, and forms its 2D ``stiffness`` only when
+    that is read; the waveguide's is assembled whole, and its
+    ``safe_shift`` is its fibre-block bound (:func:`_fiber_block_bound`).
     """
     eps = as_epsilon(eps)
     s, h_s = base_nodes(geom, grid.n_s)
@@ -232,64 +278,48 @@ def assemble_full(geom: BundleGeometry, eps, grid: GridSpec) -> DiscreteOperator
     f_nodes, f_mids, h_f = fiber_nodes(geom, grid.n_f)
     n_rows = len(f_nodes)
     cell = h_s * h_f
+    fields = dict(dim=grid.n_s * n_rows, geometry=geom, eps=eps, grid=grid)
 
     d_s, den_s = _staggered_int(grid.n_s, grid.stencil_order, periodic=True)
     scale_s = 1.0 / (den_s * h_s) ** 2
 
     if isinstance(geom, WarpedTorusGeometry):
         d_f, den_f = _staggered_int(grid.n_f, grid.stencil_order, periodic=True)
+        scale_f = 1.0 / (den_f * h_f) ** 2
         a_mid = geom.warp_value(s_mid)
         a_node = geom.warp_value(s)
         # sqrt(det) g^ss = eps*a at s-midpoints; sqrt(det) g^tt = 1/(eps*a) at nodes.
-        base_c_s = eps * a_mid
-        base_c_f = 1.0 / (eps * a_node)
         base_w = a_node / eps * cell
-        c_s = np.repeat(base_c_s, n_rows)
-        c_f = np.repeat(base_c_f, n_rows)
-        w = np.repeat(base_w, n_rows)
-        ground = 0.0
-        safe_shift = -1.0
-    else:
-        geom.check_tube(eps)
-        d_f, den_f = _staggered_int(grid.n_f, 2, periodic=False)
-        kap_mid = geom.curvature.eval(s_mid)
-        kap_node = geom.curvature.eval(s)
-        rho_s = 1.0 - eps * np.outer(kap_mid, f_nodes)  # (n_s, n_rows)
-        rho_f = 1.0 - eps * np.outer(kap_node, f_mids)  # (n_s, n_f)
-        rho_w = 1.0 - eps * np.outer(kap_node, f_nodes)
-        if min(rho_s.min(), rho_f.min(), rho_w.min()) <= 0.0:
-            raise TubeDegenerate("tube density non-positive on the grid")
-        c_s = (eps / rho_s).ravel()
-        c_f = (rho_f / eps).ravel()
-        w = (rho_w / eps).ravel() * cell
-        ground = dirichlet_ground_value(grid.n_f)
-
-    scale_f = 1.0 / (den_f * h_f) ** 2
-    diff_s = sp.kron(d_s, sp.identity(n_rows, format="csr"), format="csr")
-    diff_f = sp.kron(sp.identity(grid.n_s, format="csr"), d_f, format="csr")
-    k_f = _form_matrix(diff_f, c_f * (cell * scale_f))
-    factors = None
-    if isinstance(geom, WarpedTorusGeometry):
         factors = FiberFactors(
-            base_stiffness=_form_matrix(d_s, base_c_s * (cell * scale_s)),
-            fiber_coeff=base_c_f * (cell * scale_f),
+            base_stiffness=_form_matrix(d_s, eps * a_mid * (cell * scale_s)),
+            fiber_matrix=(d_f.T @ d_f).tocsr(),
+            fiber_coeff=1.0 / (eps * a_node) * (cell * scale_f),
             fiber_symbols=_circulant_symbols(grid.n_f, grid.stencil_order, grid.n_f // 2),
             base_weight=base_w,
         )
-    else:
-        safe_shift = _fiber_block_bound(k_f, w)
+        return DiscreteOperator(stiffness=None, weight=np.repeat(base_w, n_rows),
+                                fiber_factors=factors, **fields)
+
+    geom.check_tube(eps)
+    d_f, den_f = _staggered_int(grid.n_f, 2, periodic=False)
+    scale_f = 1.0 / (den_f * h_f) ** 2
+    kap_mid = geom.curvature.eval(s_mid)
+    kap_node = geom.curvature.eval(s)
+    rho_s = 1.0 - eps * np.outer(kap_mid, f_nodes)  # (n_s, n_rows)
+    rho_f = 1.0 - eps * np.outer(kap_node, f_mids)  # (n_s, n_f)
+    rho_w = 1.0 - eps * np.outer(kap_node, f_nodes)
+    if min(rho_s.min(), rho_f.min(), rho_w.min()) <= 0.0:
+        raise TubeDegenerate("tube density non-positive on the grid")
+    c_s = (eps / rho_s).ravel()
+    c_f = (rho_f / eps).ravel()
+    w = (rho_w / eps).ravel() * cell
+    diff_s = sp.kron(d_s, sp.identity(n_rows, format="csr"), format="csr")
+    diff_f = sp.kron(sp.identity(grid.n_s, format="csr"), d_f, format="csr")
+    k_f = _form_matrix(diff_f, c_f * (cell * scale_f))
     k = _form_matrix(diff_s, c_s * (cell * scale_s)) + k_f
-    return DiscreteOperator(
-        dim=grid.n_s * n_rows,
-        stiffness=k.tocsr(),
-        weight=w,
-        geometry=geom,
-        eps=eps,
-        grid=grid,
-        fiber_ground_disc=ground,
-        safe_shift=safe_shift,
-        fiber_factors=factors,
-    )
+    return DiscreteOperator(stiffness=k.tocsr(), weight=w,
+                            fiber_ground_disc=dirichlet_ground_value(grid.n_f),
+                            safe_shift=_fiber_block_bound(k_f, w), **fields)
 
 
 def _fiber_block_bound(k_f: sp.csr_matrix, w: np.ndarray) -> float:

@@ -7,6 +7,7 @@ from fibrelab.errors import GridTooCoarse, TubeDegenerate
 from fibrelab.geometry import PeriodicProfile, WarpedTorusGeometry, WaveguideGeometry
 from fibrelab.operators import (
     BOUND_MARGIN,
+    FiberFactors,
     GridSpec,
     _circulant_symbols,
     _staggered_int,
@@ -33,6 +34,10 @@ def warped_torus():
     return WarpedTorusGeometry(
         np.pi, TWO_PI, PeriodicProfile(TWO_PI, 0.0, (0.3,)), warp_is_exp=True
     )
+
+
+def plain_warped_torus():
+    return WarpedTorusGeometry(np.pi, TWO_PI, PeriodicProfile(TWO_PI, 1.0, (0.3,)))
 
 
 def straight_guide():
@@ -266,6 +271,67 @@ class TestFullAssembly:
         guide = assemble_full(round_guide(), 0.2, grid)
         assert guide.dim == 16 * 19
         assert guide.fiber_ground_disc == dirichlet_ground_value(20)
+
+
+def assert_apply_is_the_product(op):
+    # a vector and an (n, 3) block, against the CSR matrix op.stiffness
+    rng = np.random.default_rng(7)
+    k = op.stiffness
+    for x in (rng.standard_normal(op.dim), rng.standard_normal((op.dim, 3))):
+        got = op.apply(x)
+        assert got.shape == x.shape
+        assert np.max(np.abs(got - k @ x)) <= 1e-13 * np.abs(k.data).max() * np.abs(x).max()
+
+
+class TestKroneckerApply:
+    """The torus K in its factors, applied and as the matrix built from them."""
+
+    # orders 2 and 4, even and odd n_f (as in TestFiberFourier)
+    GRIDS = [(16, 16, 2), (16, 17, 2), (20, 16, 4), (16, 19, 4)]
+    WARPS = pytest.mark.parametrize("make_geom", [plain_warped_torus, warped_torus],
+                                    ids=["plain", "exp"])
+
+    @WARPS
+    @pytest.mark.parametrize("n_s,n_f,order", GRIDS)
+    def test_apply_is_the_matrix_product(self, make_geom, n_s, n_f, order):
+        op = assemble_full(make_geom(), 0.4, GridSpec(n_s, n_f, order))
+        assert isinstance(op.stiffness, sp.csr_matrix)
+        assert_apply_is_the_product(op)
+
+    @WARPS
+    @pytest.mark.parametrize("n_s,n_f,order", GRIDS)
+    def test_factors_are_the_2d_divergence_form(self, make_geom, n_s, n_f, order):
+        # K = D_s^T C_s D_s + D_f^T C_f D_f with the 2D staggered differences
+        # and the metric coefficients sampled on the 2D grid, node (i_s, i_f)
+        # at index i_s * n_f + i_f
+        geom, eps = make_geom(), 0.4
+        op = assemble_full(geom, eps, GridSpec(n_s, n_f, order))
+        s, h_s = base_nodes(geom, n_s)
+        _, _, h_f = fiber_nodes(geom, n_f)
+        cell = h_s * h_f
+        diff_s = sp.kron(staggered_diff_periodic(n_s, h_s, order), sp.identity(n_f))
+        diff_f = sp.kron(sp.identity(n_s), staggered_diff_periodic(n_f, h_f, order))
+        c_s = np.repeat(eps * geom.warp_value(s + 0.5 * h_s), n_f) * cell
+        c_f = np.repeat(1.0 / (eps * geom.warp_value(s)), n_f) * cell
+        k = diff_s.T @ sp.diags(c_s) @ diff_s + diff_f.T @ sp.diags(c_f) @ diff_f
+        assert np.max(np.abs((op.stiffness - k).data), initial=0.0) \
+            <= 1e-13 * np.abs(k.data).max()
+        assert np.allclose(op.weight, np.repeat(geom.warp_value(s) / eps * cell, n_f),
+                           rtol=1e-15, atol=0.0)
+
+    def test_waveguide_apply_is_the_csr_product_itself(self):
+        op = assemble_full(round_guide(), 0.2, GridSpec(24, 17, 4))
+        assert op.fiber_factors is None
+        assert_apply_is_the_product(op)
+        x = np.random.default_rng(1).standard_normal((op.dim, 3))
+        assert np.array_equal(op.apply(x), op.stiffness @ x)
+
+    def test_matrix_is_built_once_on_first_read(self, monkeypatch):
+        op = assemble_full(warped_torus(), 0.4, GridSpec(16, 16, 2))
+        assert "stiffness" not in vars(op)
+        first = op.stiffness
+        monkeypatch.setattr(FiberFactors, "matrix", lambda _: pytest.fail("built twice"))
+        assert op.stiffness is first
 
 
 class TestEffectiveOperator:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as sla
 
+import fibrelab.operators as operators_module
 import fibrelab.study as study_module
 from fibrelab.cli import main as cli_main
 from fibrelab.effective import DiscrepancyRecord, measure_discrepancy
@@ -347,6 +348,26 @@ class TestGuardSemantics:
 
 
 class TestRunStudy:
+    def test_torus_study_never_forms_its_2d_matrix(self, monkeypatch):
+        # the torus K stays in its factors: no Kronecker product, and every
+        # divergence-form product is a 1D one over n_s base nodes
+        def refuse(*args, **kwargs):
+            raise AssertionError("the 2D torus matrix was formed")
+
+        real = operators_module._form_matrix
+        columns = set()
+
+        def form_matrix(diff, coeff):
+            columns.add(diff.shape[1])
+            return real(diff, coeff)
+
+        monkeypatch.setattr(operators_module.FiberFactors, "matrix", refuse)
+        monkeypatch.setattr(operators_module.sp, "kron", refuse)
+        monkeypatch.setattr(operators_module, "_form_matrix", form_matrix)
+        report = run_study(load_config(torus_mode1_config()))
+        assert report.failures == [] and len(report.records) == 3
+        assert columns == {24, 48}
+
     def test_flat_torus_study_is_exact_and_passes(self):
         cfg = flat_config()
         report = run_study(load_config(cfg))
@@ -687,6 +708,23 @@ class TestCli:
         assert code == 0
         assert (out_dir / "report.json").exists()
         assert (out_dir / "records.csv").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "nodal", "study"])
+    def test_unwritable_output_is_a_one_line_error(self, tmp_path, capsys, command):
+        path = self.write_config(tmp_path, flat_config())
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        argv = {
+            "solve": ["solve", "--config", path, "--epsilon", "0.5", "--k", "1",
+                      "--dump-stiffness", str(tmp_path / "missing" / "k.txt")],
+            "nodal": ["nodal", "--config", str(DEMO_CONFIGS / "warped_torus.json"),
+                      "--epsilon", "0.1", "--mode", "1",
+                      "--out", str(tmp_path / "missing" / "n.csv")],
+            "study": ["study", "--config", path, "--out", str(blocker / "out")],
+        }[command]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: cannot write \S+: [^\n]+\n", err), err
 
     def test_missing_config_is_config_error(self, capsys):
         assert cli_main(["study", "--config", "/nonexistent.json"]) == 1
