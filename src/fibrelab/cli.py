@@ -45,8 +45,10 @@ def _check_epsilon(eps: float) -> None:
 
 def _cmd_study(args) -> int:
     cfg = _read_config(args.config)
-    report = run_study(cfg)
     out_dir = args.out or cfg.out or "study_out"
+    # an output directory that cannot be made fails before the study, not after it
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    report = run_study(cfg)
     files = emit_report(report, out_dir)
     for name, check in sorted(report.checks.items()):
         print(f"{'PASS' if check.passed else 'FAIL'} {name}: {check.reason}")

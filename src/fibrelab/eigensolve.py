@@ -51,10 +51,11 @@ Three paths share one post-processing step:
 Every path then W-normalizes the vectors, reports their Rayleigh
 quotients against the full operator as values, and certifies each
 residual ``|K x - lambda W x| / |W x|`` against ``tol`` on the full
-operator, independently of how the vectors were found.  Both products
-``K x`` go through :meth:`~fibrelab.operators.DiscreteOperator.apply`:
-on the torus that applies the exact factors, so the full ``K`` is
-certified without ever being formed as a matrix.
+operator, independently of how the vectors were found.  One product
+``K x`` per returned vector, through
+:meth:`~fibrelab.operators.DiscreteOperator.apply`, serves both: on the
+torus that applies the exact factors, so the full ``K`` is certified
+without ever being formed as a matrix.
 
 BLAS runs on one thread inside :func:`smallest_eigenpairs` and, through
 :func:`fibrelab.study.run_study`, for a whole study.  The work is many
@@ -210,13 +211,13 @@ class EigenPairSet:
     fiber_modes: Optional[np.ndarray] = None
 
 
-def _residuals(op: DiscreteOperator, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+def _residuals(op: DiscreteOperator, values: np.ndarray, vectors: np.ndarray,
+               products: list[np.ndarray]) -> np.ndarray:
+    """``|K x - lambda W x| / |W x|`` of each column, ``products[i]`` being its ``K x``."""
     res = np.empty(len(values))
-    for i, lam in enumerate(values):
-        x = vectors[:, i]
-        num = np.linalg.norm(op.apply(x) - lam * (op.weight * x))
-        den = np.linalg.norm(op.weight * x)
-        res[i] = num / den
+    for i, (lam, kx) in enumerate(zip(values, products)):
+        wx = op.weight * vectors[:, i]
+        res[i] = np.linalg.norm(kx - lam * wx) / np.linalg.norm(wx)
     return res
 
 
@@ -361,13 +362,18 @@ def smallest_eigenpairs(op: DiscreteOperator, cfg: SolveConfig, *,
 
     vectors = _w_normalize(op, vectors)
     # report the Rayleigh quotient of each converged vector; it is the best
-    # value estimate and keeps values and vectors exactly consistent
-    values = np.array([op.rayleigh(vectors[:, i]) for i in range(vectors.shape[1])])
+    # value estimate and keeps values and vectors exactly consistent.  One
+    # product K x per vector serves its quotient and its residual, and both
+    # reduce one column at a time.
+    products = [op.apply(x) for x in vectors.T]
+    values = np.array([float(x @ kx) / float(x @ (op.weight * x))
+                       for x, kx in zip(vectors.T, products)])
     order = np.argsort(values, kind="stable")
     values, vectors = values[order], vectors[:, order]
+    products = [products[i] for i in order]
     if modes is not None:
         modes = modes[order]
-    residuals = _residuals(op, values, vectors)
+    residuals = _residuals(op, values, vectors, products)
     if np.any(residuals > cfg.tol):
         raise NoConvergence(
             f"max residual {residuals.max():.3e} exceeds tolerance {cfg.tol:.3e}"

@@ -5,9 +5,13 @@ the whole grid and linear interpolation along sign-changing edges.  Each
 segment endpoint is the integer id of the grid edge that carries it, so
 shared endpoints are exact and connectivity is graph labelling over edge
 ids, the same :func:`scipy.sparse.csgraph.connected_components` labelling
-that counts nodal domains.  On Dirichlet strips every chain reaching the
-outermost interior row is closed off to the wall, where the eigenfunction
-vanishes; wall contact points feed the boundary-trace count.
+that counts nodal domains.  Domains are labelled over same-sign runs
+along each fibre rather than over nodes, one edge per pair of runs that
+touch, so the graph has a node per sign change instead of per grid node.
+On Dirichlet strips every chain reaching the outermost interior row is
+closed off to the wall, where the eigenfunction vanishes; wall contact
+points feed the boundary-trace count.  The graph-over-fibre check counts
+the crossings of every (row, tube) pair in one ``bincount``.
 
 Hausdorff distances are measured in the eps-independent metric of the
 geometry: ``ds^2 + a(s)^2 dt^2`` on the torus and the flat chart metric
@@ -15,15 +19,17 @@ geometry: ``ds^2 + a(s)^2 dt^2`` on the torus and the flat chart metric
 effect is an order-eps correction, below the quantity being measured).
 Both sets are sampled, and two sample points are compared with the metric
 frozen at their midpoint.  The sup-inf over the samples is found exactly
-without visiting every pair: a periodic KD-tree over a chart whose
-Euclidean distance bounds the metric distance from below (``t`` scaled by
-a certified lower bound of the warp) yields, per point, an upper bound
-from its tree-nearest neighbour and then the few candidates within it.
+without visiting every pair.  Towards whole fibres, the paper's limit
+set, a point's distance to one line grows with the fibre difference
+alone, so only the samples next to its ``f`` are measured.  Towards a
+nodal set, a periodic KD-tree over a chart whose Euclidean distance
+bounds the metric distance from below (``t`` scaled by a certified lower
+bound of the warp) yields each point's K nearest candidates, and the
+K-th of them proves that none farther away can be closer.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -236,25 +242,29 @@ def extract_nodal_set(fld: ScalarField) -> NodalSet:
 
 
 def count_nodal_domains(fld: ScalarField) -> int:
-    """Connected components of same-strict-sign nodes under 4-adjacency."""
-    v = fld.values
-    n_s, n_rows = v.shape
-    sign = np.sign(v).astype(np.int8)
-    idx = np.arange(v.size).reshape(n_s, n_rows)
+    """Connected components of same-strict-sign nodes under 4-adjacency.
 
-    pairs = []
-    right = (sign != 0) & (sign == np.roll(sign, -1, axis=0))
-    pairs.append((idx[right], np.roll(idx, -1, axis=0)[right]))
+    Each fibre (a row of ``values``) is cut into runs of one sign, and
+    the runs stand in for their nodes: on the torus a fibre's first and
+    last run are joined when their signs agree, and two runs of
+    neighbouring fibres (periodic in ``s``) get one edge where an overlap
+    of equal nonzero sign begins.  Components of that run graph, zero runs
+    left out, are the nodal domains.
+    """
+    sign = np.sign(fld.values).astype(np.int8)
+    start = np.ones(sign.shape, dtype=bool)
+    start[:, 1:] = sign[:, 1:] != sign[:, :-1]
+    run = np.cumsum(start.ravel()).reshape(sign.shape) - 1
+    match = (sign != 0) & (sign == np.roll(sign, -1, axis=0))
+    # an overlap goes on where it matched one node earlier and no run starts
+    begins = match.copy()
+    begins[:, 1:] &= ~(match[:, :-1] & ~start[:, 1:])
+    a, b = run[begins], np.roll(run, -1, axis=0)[begins]
     if fld.periodic_f:
-        up = (sign != 0) & (sign == np.roll(sign, -1, axis=1))
-        pairs.append((idx[up], np.roll(idx, -1, axis=1)[up]))
-    else:
-        up = (sign[:, :-1] != 0) & (sign[:, :-1] == sign[:, 1:])
-        pairs.append((idx[:, :-1][up], idx[:, 1:][up]))
-
-    labels = _label_components(v.size, np.concatenate([p[0] for p in pairs]),
-                               np.concatenate([p[1] for p in pairs]))
-    return int(len(np.unique(labels[(sign != 0).ravel()])))
+        wrap = (sign[:, 0] != 0) & (sign[:, 0] == sign[:, -1])
+        a, b = np.concatenate([a, run[wrap, 0]]), np.concatenate([b, run[wrap, -1]])
+    labels = _label_components(np.count_nonzero(start), a, b)
+    return int(len(np.unique(labels[sign[start] != 0])))
 
 
 def zeros_of_base(values: np.ndarray, s_nodes: np.ndarray, period: float) -> list[tuple[float, float]]:
@@ -285,6 +295,13 @@ def zeros_of_base(values: np.ndarray, s_nodes: np.ndarray, period: float) -> lis
     return out
 
 
+def _fiber_grid(geom: BundleGeometry, stretch: float, spacing: float) -> np.ndarray:
+    """The ``f`` samples of one whole fibre, end to end, at most ``spacing`` apart."""
+    f_lo, f_hi = (-1.0, 1.0) if isinstance(geom, WaveguideGeometry) else (0.0, geom.fiber_length)
+    n = max(2, int(np.ceil((f_hi - f_lo) * stretch / spacing)) + 1)
+    return np.linspace(f_lo, f_hi, n)
+
+
 def _sample(obj: NodalSet | FiberLines, geom: BundleGeometry, stretch: float,
             spacing: float) -> np.ndarray:
     """Points along ``obj`` at most ``spacing`` apart; ``stretch`` bounds the fibre metric.
@@ -293,10 +310,8 @@ def _sample(obj: NodalSet | FiberLines, geom: BundleGeometry, stretch: float,
     ``t = k / (n_m - 1)`` rounded as :func:`numpy.linspace` rounds it.
     """
     if isinstance(obj, FiberLines):
-        f_lo, f_hi = (-1.0, 1.0) if isinstance(geom, WaveguideGeometry) else (0.0, geom.fiber_length)
-        n = max(2, int(np.ceil((f_hi - f_lo) * stretch / spacing)) + 1)
-        f = np.linspace(f_lo, f_hi, n)
-        return np.column_stack([np.repeat(obj.s_positions, n), np.tile(f, len(obj.s_positions))])
+        f = _fiber_grid(geom, stretch, spacing)
+        return np.column_stack([np.repeat(obj.s_positions, len(f)), np.tile(f, len(obj.s_positions))])
     p0, p1 = obj.segments[:, 0], obj.segments[:, 1]
     length = np.hypot(p1[:, 0] - p0[:, 0], stretch * (p1[:, 1] - p0[:, 1]))
     n = np.maximum(2, np.ceil(length / spacing).astype(int) + 1)
@@ -308,20 +323,24 @@ def _sample(obj: NodalSet | FiberLines, geom: BundleGeometry, stretch: float,
     return p0[seg] * (1.0 - t) + p1[seg] * t
 
 
-def _pair_d2(p: np.ndarray, q: np.ndarray, geom: BundleGeometry) -> np.ndarray:
-    """Squared chart-metric distance of each pair p[k], q[k].
+def _pair_d2(ps, pf, qs, qf, geom: BundleGeometry) -> np.ndarray:
+    """Squared chart-metric distance of the points ``(ps, pf)`` and ``(qs, qf)``.
 
-    Both coordinate differences are taken to the nearest periodic image and
-    the torus warp is evaluated at the pair midpoint.
+    The coordinate arrays broadcast together.  Both coordinate differences
+    are taken to the nearest periodic image, and the torus warp is
+    evaluated at the pair midpoint, once per entry of the broadcast of
+    ``ps`` and ``qs``.  Every entry is computed by the same operations
+    whatever the shapes, so a distance does not depend on the batch it is
+    measured in.
     """
     period = geom.period
-    ds = p[:, 0] - q[:, 0]
+    ds = ps - qs
     ds -= period * np.round(ds / period)
-    df = p[:, 1] - q[:, 1]
+    df = pf - qf
     if isinstance(geom, WaveguideGeometry):
         return ds * ds + df * df
     df -= geom.fiber_length * np.round(df / geom.fiber_length)
-    wt = geom.warp_value(np.mod(q[:, 0] + 0.5 * ds, period))
+    wt = geom.warp_value(np.mod(qs + 0.5 * ds, period))
     return ds * ds + (wt * df) ** 2
 
 
@@ -332,31 +351,63 @@ def _tree_chart(points: np.ndarray, scale: float, f_lo: float, box: np.ndarray) 
     return np.where(x < box, x, 0.0)  # mod of a tiny negative rounds up to box
 
 
+def _sup_inf_to_fibers(p: np.ndarray, lines: FiberLines, f: np.ndarray,
+                       geom: BundleGeometry) -> float:
+    """``max_p min_q`` of the chart distance to the samples ``f`` of whole fibres.
+
+    All samples of one line share its ``s``, so the base difference and
+    the midpoint warp of ``p`` against a line are the same for all of
+    them, and the distance only grows with the fibre difference ``|df|``.
+    The nearest sample in ``f`` is therefore the nearest in the metric.
+    It lies within a step of ``(f_p - f_lo) / step`` however the division
+    rounds, so the two neighbours on each side of that index are measured,
+    wrapped modulo ``n - 1`` on the torus and clipped on the waveguide.
+    On the torus ``f[0]`` and ``f[n - 1]`` are one point of the fibre
+    circle, whose differences to ``p`` agree only up to rounding; the
+    last sample is measured for every point, so both are.
+    """
+    n = len(f)
+    step = (f[-1] - f[0]) / (n - 1)
+    near = np.rint((p[:, 1] - f[0]) / step).astype(np.intp)[:, None] + np.arange(-2, 3)
+    if isinstance(geom, WaveguideGeometry):
+        cand = np.clip(near, 0, n - 1)
+    else:
+        cand = np.concatenate([near % (n - 1), np.full((len(p), 1), n - 1)], axis=1)
+    d2 = _pair_d2(p[:, 0, None, None], p[:, 1, None, None],
+                  lines.s_positions[None, :, None], f[cand][:, None, :], geom)
+    return float(np.sqrt(d2.min(axis=(1, 2)).max()))
+
+
 def _directed_sup_inf(p: np.ndarray, xp: np.ndarray, q: np.ndarray, xq: np.ndarray,
                       geom: BundleGeometry, box: np.ndarray) -> float:
     """``max_p min_q`` of the chart distance, searched in a KD-tree over ``q``.
 
     ``xp`` and ``xq`` are the points in the tree chart, periodic with
     ``box``.  The tree's Euclidean distance there bounds the metric
-    distance from below.  The metric distance ``u`` to the tree's nearest
-    neighbour therefore bounds the minimum from above, and every ``q``
-    attaining the minimum lies in the tree ball of radius ``u``.  The
-    radius is widened by 1e-9 relative, against rounding of the bound, and
-    1e-12 of the box, against rounding of the wrapped coordinates.  Only
-    the ball's points are measured, so the result is the all-pairs value.
+    distance from below.  The least metric distance ``u`` to a point's K
+    tree-nearest neighbours therefore bounds its minimum from above, and
+    every ``q`` attaining the minimum lies in the tree ball of radius
+    ``u``.  The radius is widened by 1e-9 relative, against rounding of
+    the bound, and 1e-12 of the box, against rounding of the wrapped
+    coordinates.  When the K-th neighbour lies outside that ball, the K
+    measured points hold the minimum; the other points are queried again
+    with K doubled.  So the result is the all-pairs value.
     """
     from scipy.spatial import cKDTree  # loaded only when a distance is measured
 
     tree = cKDTree(xq, boxsize=box)
-    nearest = tree.query(xp)[1]
-    best = _pair_d2(p, q[nearest], geom)
-    balls = tree.query_ball_point(xp, np.sqrt(best) * (1.0 + 1e-9) + 1e-12 * float(box.max()))
-    counts = np.fromiter(map(len, balls), dtype=np.intp, count=len(balls))
-    cand = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp, count=int(counts.sum()))
-    d2 = _pair_d2(np.repeat(p, counts, axis=0), q[cand], geom)
-    hit = counts > 0
-    starts = np.cumsum(counts) - counts
-    best[hit] = np.minimum(best[hit], np.minimum.reduceat(d2, starts[hit]))
+    slack = 1e-12 * float(box.max())
+    best = np.empty(len(p))
+    todo = np.arange(len(p))
+    k = min(4, len(q))
+    while len(todo):
+        dist, idx = tree.query(xp[todo], k=k)
+        dist, idx = dist.reshape(len(todo), k), idx.reshape(len(todo), k)
+        best[todo] = _pair_d2(p[todo, 0, None], p[todo, 1, None],
+                              q[idx, 0], q[idx, 1], geom).min(axis=1)
+        settled = dist[:, -1] > np.sqrt(best[todo]) * (1.0 + 1e-9) + slack
+        todo = todo[~settled] if k < len(q) else todo[:0]
+        k = min(2 * k, len(q))
     return float(np.sqrt(best.max()))
 
 
@@ -366,12 +417,15 @@ def hausdorff_distance(set_a: NodalSet | FiberLines, set_b: NodalSet | FiberLine
 
     Both sets are densified to spacing at most ``sampling``.  The distance
     of two sample points uses the chart metric at their midpoint, with
-    both coordinates taken to the nearest periodic image.  Each direction
-    is an exact pruned search (see :func:`_directed_sup_inf`): on the
-    torus the tree chart scales ``f`` by a certified lower bound of the
-    warp, on the waveguide ``f`` is unscaled and shifted into a box at
-    least twice its range, so the periodic wrap never shortens a fibre
-    difference.  The result equals the sup-inf over all sample pairs.
+    both coordinates taken to the nearest periodic image.  A direction
+    whose target is :class:`FiberLines` measures each point against the
+    nearest samples of every line only (see :func:`_sup_inf_to_fibers`).
+    The other directions are an exact pruned search (see
+    :func:`_directed_sup_inf`): on the torus the tree chart scales ``f``
+    by a certified lower bound of the warp, on the waveguide ``f`` is
+    unscaled and shifted into a box at least twice its range, so the
+    periodic wrap never shortens a fibre difference.  Either way the
+    result equals the sup-inf over all sample pairs, to the bit.
     """
     if not 0.0 < sampling < np.inf:
         raise ValueError("sampling spacing must be positive and finite")
@@ -393,8 +447,13 @@ def hausdorff_distance(set_a: NodalSet | FiberLines, set_b: NodalSet | FiberLine
         f_box = max(2.0 * (max(pa[:, 1].max(), pb[:, 1].max()) - f_lo), 1.0)
     box = np.array([geom.period, f_box])
     xa, xb = (_tree_chart(x, scale, f_lo, box) for x in (pa, pb))
-    return max(_directed_sup_inf(pa, xa, pb, xb, geom, box),
-               _directed_sup_inf(pb, xb, pa, xa, geom, box))
+
+    def sup_inf(p, xp, target, q, xq):
+        if isinstance(target, FiberLines):
+            return _sup_inf_to_fibers(p, target, _fiber_grid(geom, stretch, sampling), geom)
+        return _directed_sup_inf(p, xp, q, xq, geom, box)
+
+    return max(sup_inf(pa, xa, set_b, pb, xb), sup_inf(pb, xb, set_a, pa, xa))
 
 
 def boundary_trace_components(nodal: NodalSet, geom: WaveguideGeometry) -> int:
@@ -438,15 +497,14 @@ def graph_over_fiber_check(nodal: NodalSet, zeros_s: list[float], tube_radius: f
         if float(dmin.max()) > tube_radius:
             return False
 
-    for j in range(nodal.n_rows):
-        ss = nodal.row_crossings.get(j, np.zeros(0))
-        if len(ss) == 0:
-            return False
-        d = _circle_dist(ss[:, None], zeros[None, :], period)
-        in_tube = d <= tube_radius
-        if np.any(~np.any(in_tube, axis=1)):
-            return False
-        if np.any(np.count_nonzero(in_tube, axis=0) != 1):
-            return False
-    return True
+    rows = [j for j in nodal.row_crossings if 0 <= j < nodal.n_rows]
+    ss = np.concatenate([np.zeros(0)] + [nodal.row_crossings[j] for j in rows])
+    row_of = np.repeat(np.array(rows, dtype=np.intp), [len(nodal.row_crossings[j]) for j in rows])
+    in_tube = _circle_dist(ss[:, None], zeros[None, :], period) <= tube_radius
+    if not np.all(np.any(in_tube, axis=1)):
+        return False
+    # crossings per (row, tube): exactly one each, a row without any fails
+    hits = np.bincount((row_of[:, None] * len(zeros) + np.arange(len(zeros)))[in_tube],
+                       minlength=nodal.n_rows * len(zeros))
+    return bool(np.all(hits == 1))
 

@@ -169,9 +169,6 @@ class DiscreteOperator:
         d = self.stiffness - self.stiffness.T
         return 0.0 if d.nnz == 0 else float(np.max(np.abs(d.data)))
 
-    def rayleigh(self, x: np.ndarray) -> float:
-        return float(x @ self.apply(x)) / float(x @ (self.weight * x))
-
 
 # order -> (node offsets, integer weights, denominator) of the staggered
 # derivative f'(s_i + h/2) = sum_k w_k f[i + offset_k] / (denom * h); the

@@ -92,6 +92,30 @@ class TestSmallestEigenpairs:
             rq = float(x @ (op.stiffness @ x)) / float(x @ (op.weight * x))
             assert abs(lam - rq) <= 1e-12 * abs(lam) + 1e-14
 
+    @pytest.mark.parametrize("make_op", [torus_operator, guide_operator,
+                                         lambda: dataclasses.replace(torus_operator(n=16),
+                                                                     fiber_factors=None)],
+                             ids=["torus", "guide", "dense"])
+    def test_one_product_per_returned_vector(self, make_op, monkeypatch):
+        op = make_op()
+        real = DiscreteOperator.apply
+        shapes = []
+
+        def counting_apply(self, x):
+            if self is op:  # not the base problems of the torus path
+                shapes.append(np.shape(x))
+            return real(self, x)
+
+        monkeypatch.setattr(DiscreteOperator, "apply", counting_apply)
+        pairs = smallest_eigenpairs(op, SolveConfig(k=5, shift=-0.5))
+        assert shapes == [(op.dim,)] * 5
+        # that one product gives both the value and the residual of its vector
+        for lam, x, res in zip(pairs.values, pairs.vectors.T, pairs.residuals):
+            kx, wx = real(op, x), op.weight * x
+            assert lam == pytest.approx(float(x @ kx) / float(x @ wx), rel=1e-14)
+            assert res == pytest.approx(np.linalg.norm(kx - lam * wx) / np.linalg.norm(wx),
+                                        rel=1e-6, abs=1e-15)
+
     @both_paths
     def test_deterministic_repeat(self, make_op):
         op = make_op()

@@ -1,12 +1,15 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 import fibrelab.nodal as nodal_module
 from fibrelab.effective import build_prediction
@@ -216,6 +219,68 @@ class TestNodalDomains:
     def test_guide_checkerboard(self):
         fld = guide_field(lambda s, u: np.sin(s + 0.02) * np.sin(np.pi * u + 0.013))
         assert count_nodal_domains(fld) == 4
+
+
+def node_graph_domains(fld):
+    """Reference count: one graph node per grid node, one edge per equal-sign neighbour pair."""
+    v = fld.values
+    n_s, n_rows = v.shape
+    sign = np.sign(v).astype(np.int8)
+    idx = np.arange(v.size).reshape(n_s, n_rows)
+    right = (sign != 0) & (sign == np.roll(sign, -1, axis=0))
+    a, b = [idx[right]], [np.roll(idx, -1, axis=0)[right]]
+    if fld.periodic_f:
+        up = (sign != 0) & (sign == np.roll(sign, -1, axis=1))
+        a.append(idx[up])
+        b.append(np.roll(idx, -1, axis=1)[up])
+    else:
+        up = (sign[:, :-1] != 0) & (sign[:, :-1] == sign[:, 1:])
+        a.append(idx[:, :-1][up])
+        b.append(idx[:, 1:][up])
+    a, b = np.concatenate(a), np.concatenate(b)
+    graph = sp.coo_matrix((np.ones(len(a)), (a, b)), shape=(v.size, v.size))
+    labels = connected_components(graph, directed=False)[1]
+    return int(len(np.unique(labels[(sign != 0).ravel()])))
+
+
+@st.composite
+def signed_fields(draw):
+    """Torus or strip fields of signs -1, 0, 1, exact zeros and whole one-sign fibres included."""
+    periodic = draw(st.booleans())
+    n_s, n_rows = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    signs = np.array(draw(st.lists(st.sampled_from((-1.0, 0.0, 1.0)),
+                                   min_size=n_s * n_rows, max_size=n_s * n_rows)))
+    vals = signs.reshape(n_s, n_rows) * draw(st.floats(0.1, 10.0))
+    for i in draw(st.lists(st.integers(0, n_s - 1), max_size=3)):
+        vals[i] = draw(st.sampled_from((-1.0, 1.0)))  # a fibre of one sign, no run starts on it
+    h_s = TWO_PI / n_s
+    h_f = TWO_PI / n_rows if periodic else 2.0 / (n_rows + 1)
+    f = np.arange(n_rows) * h_f if periodic else -1.0 + h_f * np.arange(1, n_rows + 1)
+    return ScalarField(vals, np.arange(n_s) * h_s, f, h_s, h_f, TWO_PI, periodic)
+
+
+class TestRunLengthDomains:
+    @given(signed_fields())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_node_graph(self, fld):
+        assert count_nodal_domains(fld) == node_graph_domains(fld)
+
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_runs_joined_across_the_fibre_seam(self, periodic):
+        # + at both ends of every fibre, - between: one + domain through the
+        # seam on the torus, two on the strip; the - band is one domain
+        vals = np.tile([1.0, 1.0, -1.0, -1.0, 1.0], (6, 1))
+        fld = ScalarField(vals, np.arange(6) * TWO_PI / 6, np.arange(5) * 0.3, TWO_PI / 6, 0.3,
+                          TWO_PI, periodic)
+        assert count_nodal_domains(fld) == node_graph_domains(fld) == (2 if periodic else 3)
+
+    def test_overlaps_that_wrap_the_fibre(self):
+        # fibres of one sign next to each other: their overlap has no first node
+        vals = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [-1.0, 0.0, -1.0], [1.0, -1.0, 1.0]])
+        for periodic in (True, False):
+            fld = ScalarField(vals, np.arange(4) * TWO_PI / 4, np.arange(3) * 0.5, TWO_PI / 4,
+                              0.5, TWO_PI, periodic)
+            assert count_nodal_domains(fld) == node_graph_domains(fld)
 
 
 class TestZerosOfBase:
@@ -468,6 +533,104 @@ class TestHausdorff:
         assert out.stdout.strip() == "False"
 
 
+def degenerate_segments(points):
+    """A nodal set whose samples are exactly ``points``: each a segment of length 0."""
+    points = np.asarray(points, dtype=float)
+    return NodalSet(np.stack([points, points], axis=1), np.zeros(len(points), dtype=int), 1)
+
+
+def fiber_special_points(geom, f):
+    """Fibre coordinates where rounding decides the nearest sample."""
+    f_lo, f_hi = fiber_range(geom)
+    mid = 0.5 * (f[:-1] + f[1:])
+    special = [f_lo, f_hi, f[1], f[-2], mid[0], mid[len(mid) // 2], mid[-1],
+               np.nextafter(f_lo, -np.inf), np.nextafter(f_lo, np.inf),
+               np.nextafter(f_hi, -np.inf), np.nextafter(f_hi, np.inf),
+               np.nextafter(mid[3], -np.inf), np.nextafter(mid[3], np.inf)]
+    if isinstance(geom, WarpedTorusGeometry):
+        special += [1e-17, -1e-17, f_hi - 1e-16, f_hi + 1e-15, -0.3, f_hi + 0.3, -f_hi]
+    return special
+
+
+def midpoints_and_neighbours(f):
+    """Every midpoint between two samples and the floats next to it.
+
+    At many of them ``rint((f_p - f_lo) / step)`` names the sample that is
+    one rounding step farther away.
+    """
+    mid = 0.5 * (f[:-1] + f[1:])
+    return np.concatenate([mid, np.nextafter(mid, -np.inf), np.nextafter(mid, np.inf)])
+
+
+class TestFiberLineKernel:
+    """Each point's distance to whole fibres, against every sample of every line."""
+
+    @pytest.mark.parametrize("name", sorted(HAUSDORFF_GEOMETRIES))
+    @pytest.mark.parametrize("spacing", [0.05, 0.13])
+    def test_each_point_matches_all_samples(self, name, spacing):
+        geom = HAUSDORFF_GEOMETRIES[name]
+        lines = FiberLines(np.array([0.0, 1.0, geom.period - 1e-9]))
+        f = nodal_module._fiber_grid(geom, stretch_of(geom), spacing)
+        q = loop_sample(lines, geom, stretch_of(geom), spacing)
+        rng = np.random.default_rng(7)
+        fs = fiber_special_points(geom, f) + list(rng.uniform(*fiber_range(geom), 20))
+        ss = [0.0, geom.period, 0.5, 1.0, -1e-17, geom.period + 1e-15, 0.5 * geom.period]
+        points = [(s, fp) for s in ss for fp in fs]
+        points += [(1.0, fp) for fp in midpoints_and_neighbours(f)]  # on a line: ds = 0
+        for point in points:
+            p = np.array([point])
+            got = nodal_module._sup_inf_to_fibers(p, lines, f, geom)
+            assert got == brute_directed_sup_inf(p, q, geom), point
+
+    @pytest.mark.parametrize("name", sorted(HAUSDORFF_GEOMETRIES))
+    def test_both_orders_equal_the_all_pairs_value(self, name):
+        geom = HAUSDORFF_GEOMETRIES[name]
+        spacing = 0.07
+        f = nodal_module._fiber_grid(geom, stretch_of(geom), spacing)
+        lines = FiberLines(np.array([0.0, 2.0]))
+        pts = [[s, fp] for s in (0.0, geom.period, 1.0, 2.0 + 1e-12)
+               for fp in fiber_special_points(geom, f)]
+        nodal_set = degenerate_segments(pts)
+        expected = brute_hausdorff(nodal_set, lines, geom, spacing)
+        assert hausdorff_distance(nodal_set, lines, geom, spacing) == expected
+        assert hausdorff_distance(lines, nodal_set, geom, spacing) == expected
+
+
+class TestTreeSearch:
+    @pytest.mark.parametrize("name", sorted(HAUSDORFF_GEOMETRIES))
+    def test_crowded_targets_are_queried_again(self, name, monkeypatch):
+        # 80 coincident target samples tie at every tree distance, so a point
+        # nearest to them is settled only once K passes them all
+        geom = HAUSDORFF_GEOMETRIES[name]
+        f_lo, f_hi = fiber_range(geom)
+        centre = np.array([1.0, 0.5 * (f_lo + f_hi)])
+        rng = np.random.default_rng(3)
+        targets = degenerate_segments([centre] * 40 + list(
+            zip(rng.uniform(0.0, geom.period, 25), rng.uniform(f_lo, f_hi, 25))))
+        near = centre + rng.uniform(-0.05, 0.05, (10, 2))
+        far = np.column_stack([rng.uniform(-0.5, geom.period + 0.5, 10),
+                               rng.uniform(f_lo, f_hi, 10)])
+        from scipy.spatial import cKDTree
+
+        ks = []
+
+        class CountingTree(cKDTree):
+            def query(self, x, k=1, **kwargs):
+                ks.append(k)
+                return super().query(x, k=k, **kwargs)
+
+        monkeypatch.setattr("scipy.spatial.cKDTree", CountingTree)
+        spacing = 0.2
+        q = loop_sample(targets, geom, stretch_of(geom), spacing)
+        for i, point in enumerate(np.concatenate([near, far])):  # every point's minimum
+            ks.clear()
+            assert hausdorff_distance(degenerate_segments([point]), targets, geom, spacing) == \
+                max(brute_directed_sup_inf(point[None], q, geom),
+                    brute_directed_sup_inf(q, point[None], geom))
+            if i < len(near):
+                assert max(ks) > 80
+
+
 class TestBoundaryTraces:
     def test_single_line_pair_touches_both_walls(self):
         geom = straight_guide()
@@ -502,6 +665,89 @@ class TestGraphOverFiber:
     def test_empty_nodal_and_no_zeros_passes(self):
         nodal = extract_nodal_set(torus_field(lambda s, t: 1.0 + 0.1 * np.cos(s)))
         assert graph_over_fiber_check(nodal, [], 0.1) is True
+
+
+def row_loop_graph_check(nodal, zeros_s, tube_radius):
+    """Reference check: one fibre grid row at a time."""
+    zeros = np.asarray(zeros_s, dtype=float)
+    if nodal.component_count != len(zeros):
+        return False
+    if len(zeros) == 0:
+        return len(nodal.segments) == 0
+    period = nodal.s_period
+    seg_s = nodal.segments[:, :, 0].ravel()
+    if len(seg_s):
+        dmin = np.min(nodal_module._circle_dist(seg_s[:, None], zeros[None, :], period), axis=1)
+        if float(dmin.max()) > tube_radius:
+            return False
+    for j in range(nodal.n_rows):
+        ss = nodal.row_crossings.get(j, np.zeros(0))
+        if len(ss) == 0:
+            return False
+        in_tube = nodal_module._circle_dist(ss[:, None], zeros[None, :], period) <= tube_radius
+        if np.any(~np.any(in_tube, axis=1)):
+            return False
+        if np.any(np.count_nonzero(in_tube, axis=0) != 1):
+            return False
+    return True
+
+
+@st.composite
+def graph_check_cases(draw):
+    """A nodal set of a perturbed cos(m s) field, candidate zeros and a tube radius."""
+    m = draw(st.integers(1, 3))
+    phase, tilt, wobble = (draw(st.floats(-1.0, 1.0)) for _ in range(3))
+    fld = torus_field(lambda s, t: np.cos(m * s + phase + 0.3 * tilt * np.sin(t))
+                      + 0.2 * wobble * np.cos(t), n=24)
+    try:
+        nodal = extract_nodal_set(fld)
+    except DegenerateField:
+        assume(False)
+    zeros = sorted(((np.pi / 2 + k * np.pi - phase) / m) % TWO_PI for k in range(2 * m))
+    zeros = [z + draw(st.floats(-0.2, 0.2)) for z in zeros]
+    if draw(st.booleans()) and len(zeros) > 1:
+        zeros[1] = zeros[0] + draw(st.floats(0.0, 0.3))  # two tubes that overlap
+    if draw(st.booleans()) and nodal.row_crossings:
+        del nodal.row_crossings[draw(st.sampled_from(sorted(nodal.row_crossings)))]
+    return nodal, zeros, draw(st.floats(0.01, 1.0))
+
+
+class TestGraphCheckKernel:
+    @given(graph_check_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_row_loop(self, case):
+        nodal, zeros, radius = case
+        assert graph_over_fiber_check(nodal, zeros, radius) is \
+            row_loop_graph_check(nodal, zeros, radius)
+
+    def test_missing_row_fails(self):
+        nodal = extract_nodal_set(torus_field(lambda s, t: np.cos(s)))
+        zeros = [np.pi / 2, 3 * np.pi / 2]
+        assert graph_over_fiber_check(nodal, zeros, 0.1) is True
+        del nodal.row_crossings[5]
+        assert graph_over_fiber_check(nodal, zeros, 0.1) is False
+        assert row_loop_graph_check(nodal, zeros, 0.1) is False
+
+    def test_crossing_outside_every_tube_fails(self):
+        # row crossings that no segment carries: only the row test sees them
+        nodal = extract_nodal_set(torus_field(lambda s, t: np.cos(s)))
+        zeros = [np.pi / 2, 3 * np.pi / 2]
+        nodal.row_crossings[7] = np.append(nodal.row_crossings[7], 0.0)
+        assert graph_over_fiber_check(nodal, zeros, 0.1) is False
+        assert row_loop_graph_check(nodal, zeros, 0.1) is False
+
+    def test_crossing_inside_two_tubes_counts_for_both(self):
+        nodal = extract_nodal_set(torus_field(lambda s, t: np.cos(s)))
+        # each row's crossing at pi/2 lies in the tubes of pi/2 - 0.05 and pi/2 + 0.05
+        zeros = [np.pi / 2 - 0.05, np.pi / 2 + 0.05]
+        one_line = replace(nodal, component_count=2,
+                           segments=nodal.segments[nodal.segments[:, 0, 0] < np.pi],
+                           row_crossings={j: ss[ss < np.pi] for j, ss in nodal.row_crossings.items()})
+        assert graph_over_fiber_check(one_line, zeros, 0.1) is True
+        assert row_loop_graph_check(one_line, zeros, 0.1) is True
+        # with tubes wide enough for both lines, each tube crosses every row twice
+        assert graph_over_fiber_check(nodal, zeros, 3.2) is False
+        assert row_loop_graph_check(nodal, zeros, 3.2) is False
 
 
 def test_csv_export_shape():

@@ -726,6 +726,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: cannot write \S+: [^\n]+\n", err), err
 
+    def test_unwritable_study_output_fails_before_the_study(self, tmp_path, capsys,
+                                                            monkeypatch):
+        import fibrelab.cli as cli_module
+
+        def no_study(cfg):
+            raise AssertionError("run_study was called for an unwritable --out")
+
+        monkeypatch.setattr(cli_module, "run_study", no_study)
+        path = self.write_config(tmp_path, flat_config())
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        assert cli_main(["study", "--config", path, "--out", str(blocker / "out")]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: cannot write \S+: [^\n]+\n", err), err
+
     def test_missing_config_is_config_error(self, capsys):
         assert cli_main(["study", "--config", "/nonexistent.json"]) == 1
 
