@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """Tour of the two testbed geometries and their exact coefficient fields.
 
-Builds a warped torus and a bent waveguide, samples the dual metric
-coefficients and volume density of the thin-fibre family, and shows that
-the tube density potential stays within its closed-form bound.
+Builds a warped torus and a bent waveguide and samples the dual metric
+coefficients and volume density of the thin-fibre family.
 """
 
 import numpy as np
@@ -12,7 +11,6 @@ from fibrelab import (
     PeriodicProfile,
     WarpedTorusGeometry,
     WaveguideGeometry,
-    density_potential,
     metric_sample,
 )
 
@@ -47,11 +45,3 @@ for u in (-1.0, 0.0, 1.0):
     m = metric_sample(guide, eps, 0.0, u)
     print(f"u={u:+.0f}: g^ss={m.g_ss_inv:.5f}  density={m.sqrt_det * eps:.4f}/eps")
 
-print()
-print("density potential -(eps*kappa)^2 / (4 rho^2) is nonpositive and O(eps^2):")
-s = np.linspace(0.0, TWO_PI, 9)
-v = density_potential(guide, eps, s, 0.7)
-kmax = guide.curvature_bound
-bound = 0.25 * (eps * kmax) ** 2 / (1.0 - eps * kmax) ** 2
-print(f"samples at u=0.7: {np.array2string(v, precision=5)}")
-print(f"all within the bound {bound:.5f}: {bool(np.all(np.abs(v) <= bound))}")

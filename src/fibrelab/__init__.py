@@ -13,7 +13,7 @@ from .eigensolve import SolveConfig, smallest_eigenpairs
 from .errors import DegenerateEffectiveEigenvalue
 from .geometry import PeriodicProfile, WarpedTorusGeometry, WaveguideGeometry, metric_sample
 from .nodal import boundary_trace_components, extract_nodal_set, field_from_operator
-from .operators import GridSpec, assemble_effective, assemble_full, density_potential
+from .operators import GridSpec, assemble_effective, assemble_full
 from .report import emit_report, nodal_set_to_csv
 from .study import load_config, run_study
 

@@ -17,9 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateEffectiveEigenvalue, PairingAmbiguous
+from .errors import DegenerateEffectiveEigenvalue, GridTooCoarse, PairingAmbiguous
 from .eigensolve import EigenPairSet, SolveConfig, smallest_eigenpairs
-from .geometry import BundleGeometry, WarpedTorusGeometry, WaveguideGeometry
+from .geometry import BundleGeometry, WarpedTorusGeometry, WaveguideGeometry, as_epsilon
 from .nodal import (
     FiberLines,
     _circle_dist,
@@ -32,9 +32,11 @@ from .nodal import (
     zeros_of_base,
 )
 from .operators import (
+    MIN_POINTS,
     DiscreteOperator,
     GridSpec,
-    assemble_fiber,
+    _fiber_blocks,
+    _fiber_ground,
     base_nodes,
     fiber_nodes,
 )
@@ -55,15 +57,18 @@ PAIRING_TOL = 1e-8
 
 
 def fiber_ground_energy(geom: WaveguideGeometry, eps, s: float, n_f: int) -> float:
-    """Ground value of the perturbed fibre operator at base point ``s``.
+    """Ground value of the waveguide's fibre problem at base point ``s``.
 
-    Solves the Dirichlet fibre problem on ``n_f`` and ``2 n_f`` cells and
-    Richardson-extrapolates the second-order scheme.
+    Takes the lowest eigenvalue of the full operator's own fibre block at
+    ``s`` on ``n_f`` and ``2 n_f`` cells and Richardson-extrapolates the
+    second-order scheme.
     """
-    cfg = SolveConfig(k=1)
-    coarse = smallest_eigenpairs(assemble_fiber(geom, eps, s, n_f), cfg).values[0]
-    fine = smallest_eigenpairs(assemble_fiber(geom, eps, s, 2 * n_f), cfg).values[0]
-    return float((4.0 * fine - coarse) / 3.0)
+    eps = as_epsilon(eps)
+    geom.check_tube(eps)
+    if n_f < MIN_POINTS:
+        raise GridTooCoarse(f"need at least {MIN_POINTS} fibre cells")
+    coarse, fine = (_fiber_ground(*_fiber_blocks(geom, eps, s, n, 1.0)) for n in (n_f, 2 * n_f))
+    return (4.0 * fine - coarse) / 3.0
 
 
 def volume_weight(geom: BundleGeometry, grid: GridSpec) -> np.ndarray:

@@ -131,20 +131,10 @@ class WarpedTorusGeometry:
     def period(self) -> float:
         return 2.0 * self.half_length
 
-    def warp_value(self, s, deriv: int = 0):
-        """a(s) and its first two derivatives, exactly."""
-        if self.warp_is_exp:
-            a = np.exp(self.warp.eval(s, 0))
-            if deriv == 0:
-                return a
-            p1 = self.warp.eval(s, 1)
-            if deriv == 1:
-                return p1 * a
-            if deriv == 2:
-                p2 = self.warp.eval(s, 2)
-                return (p2 + p1 * p1) * a
-            raise ValueError("warp derivatives supported up to order 2")
-        return self.warp.eval(s, deriv)
+    def warp_value(self, s):
+        """a(s), exactly; its derivatives come from :meth:`log_warp_deriv`."""
+        a = self.warp.eval(s)
+        return np.exp(a) if self.warp_is_exp else a
 
     def log_warp_deriv(self, s, order: int):
         """Exact derivative of log a(s), order 1 or 2."""

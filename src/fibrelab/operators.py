@@ -15,8 +15,10 @@ direction of the waveguide always uses the second-order three-point flux:
 a one-sided fourth-order closure would either break the exact-symmetry
 contract or lose pointwise consistency near the walls, and the eigenvalue
 bias it would remove is cancelled downstream against the matching
-discrete fibre ground value instead.  Every assembler, full, effective or
-fibre, returns a ``DiscreteOperator``.  The warped torus's holds its
+discrete fibre ground value instead.  The waveguide's fibre blocks, its
+operator with the base coupling dropped, come from one helper, which also
+gives the effective model's fibre ground energy.  Both assemblers, full
+and effective, return a ``DiscreteOperator``.  The warped torus's holds its
 operator as 1D factors, ``K = K_s ⊗ I + diag(c_f) ⊗ d_f^T d_f`` (the
 fibre term is ``B_f^T B_f`` with the fibre coefficient factored out),
 applies ``K`` through them and forms the 2D matrix only when
@@ -47,15 +49,13 @@ __all__ = [
     "FiberFactors",
     "assemble_full",
     "assemble_effective",
-    "assemble_fiber",
-    "density_potential",
     "staggered_diff_periodic",
     "dirichlet_ground_value",
     "prolongate",
 ]
 
 MIN_POINTS = 16
-BOUND_MARGIN = 1e-8  # relative, see _fiber_block_bound
+BOUND_MARGIN = 1e-8  # relative, see _fiber_ground
 
 
 @dataclass(frozen=True)
@@ -110,17 +110,19 @@ class FiberFactors:
 class DiscreteOperator:
     """Symmetric stiffness ``K`` with positive diagonal weight ``W``.
 
-    ``fiber_ground_disc`` is the ground value of the matching discrete
-    fibre operator (0 on closed geometries, the three-point Dirichlet
-    ground value on the waveguide); subtracting it instead of the
-    continuum value cancels the fibre discretization bias in rescaled
-    eigenvalue comparisons.  ``safe_shift`` lies strictly below every
-    eigenvalue by construction: -1 for a semidefinite ``K``, the
-    fibre-block bound on the full waveguide.  ``fiber_factors`` is set on
-    the warped torus, whose operator separates exactly in the fibre
-    direction; there :meth:`apply` works through the factors, and
-    ``stiffness``, passed as ``None``, is built from them as a CSR matrix
-    on its first read.  Every other operator holds its CSR ``stiffness``.
+    ``fiber_ground_disc`` is the ground value of the discrete fibre
+    problem of a flat fibre: 0 on closed geometries, and on the waveguide
+    the three-point Dirichlet ground value, which the fibre blocks of a
+    straight tube have exactly; subtracting it instead of the continuum
+    value cancels the fibre discretization bias in rescaled eigenvalue
+    comparisons.  ``safe_shift`` lies strictly below every eigenvalue by
+    construction: -1 for a semidefinite ``K``, ``min(V) - 1`` for the
+    effective operator, a margin below the fibre-block bound on the full
+    waveguide.  ``fiber_factors`` is set on the warped torus, whose
+    operator separates exactly in the fibre direction; there
+    :meth:`apply` works through the factors, and ``stiffness``, passed
+    as ``None``, is built from them as a CSR matrix on its first read.
+    Every other operator holds its CSR ``stiffness``.
     """
 
     dim: int
@@ -228,19 +230,6 @@ def _form_matrix(diff: sp.spmatrix, coeff_times_measure: np.ndarray) -> sp.csr_m
     return (b.T @ b).tocsr()
 
 
-def _line_operator(stencil: tuple[sp.csr_matrix, float], h: float, potential: np.ndarray,
-                   **fields) -> DiscreteOperator:
-    """``-f'' + V f`` on a 1D grid of spacing ``h``, from an integer stencil and its denominator.
-
-    Every eigenvalue is at least ``min(V)``: ``d^T C d >= 0`` and ``W = h I``.
-    """
-    d, den = stencil
-    k = _form_matrix(d, np.full(d.shape[0], h / (den * h) ** 2)) + sp.diags(potential * h)
-    n = d.shape[1]
-    return DiscreteOperator(dim=n, stiffness=k.tocsr(), weight=np.full(n, h),
-                            safe_shift=float(np.min(potential)) - 1.0, **fields)
-
-
 def base_nodes(geom: BundleGeometry, n_s: int) -> tuple[np.ndarray, float]:
     h = geom.period / n_s
     return np.arange(n_s) * h, h
@@ -267,12 +256,13 @@ def assemble_full(geom: BundleGeometry, eps, grid: GridSpec) -> DiscreteOperator
     the waveguide.  The torus operator is assembled as its exact 1D
     factors, ``fiber_factors``, and forms its 2D ``stiffness`` only when
     that is read; the waveguide's is assembled whole, and its
-    ``safe_shift`` is its fibre-block bound (:func:`_fiber_block_bound`).
+    ``safe_shift`` lies a margin below its fibre ground energy
+    (:func:`_fiber_ground`).
     """
     eps = as_epsilon(eps)
     s, h_s = base_nodes(geom, grid.n_s)
     s_mid = s + 0.5 * h_s
-    f_nodes, f_mids, h_f = fiber_nodes(geom, grid.n_f)
+    f_nodes, _, h_f = fiber_nodes(geom, grid.n_f)
     n_rows = len(f_nodes)
     cell = h_s * h_f
     fields = dict(dim=grid.n_s * n_rows, geometry=geom, eps=eps, grid=grid)
@@ -298,44 +288,59 @@ def assemble_full(geom: BundleGeometry, eps, grid: GridSpec) -> DiscreteOperator
                                 fiber_factors=factors, **fields)
 
     geom.check_tube(eps)
-    d_f, den_f = _staggered_int(grid.n_f, 2, periodic=False)
-    scale_f = 1.0 / (den_f * h_f) ** 2
-    kap_mid = geom.curvature.eval(s_mid)
-    kap_node = geom.curvature.eval(s)
-    rho_s = 1.0 - eps * np.outer(kap_mid, f_nodes)  # (n_s, n_rows)
-    rho_f = 1.0 - eps * np.outer(kap_node, f_mids)  # (n_s, n_f)
-    rho_w = 1.0 - eps * np.outer(kap_node, f_nodes)
-    if min(rho_s.min(), rho_f.min(), rho_w.min()) <= 0.0:
+    k_f, w = _fiber_blocks(geom, eps, s, grid.n_f, h_s)
+    rho_s = 1.0 - eps * np.outer(geom.curvature.eval(s_mid), f_nodes)  # (n_s, n_rows)
+    if rho_s.min() <= 0.0:
         raise TubeDegenerate("tube density non-positive on the grid")
-    c_s = (eps / rho_s).ravel()
-    c_f = (rho_f / eps).ravel()
-    w = (rho_w / eps).ravel() * cell
     diff_s = sp.kron(d_s, sp.identity(n_rows, format="csr"), format="csr")
-    diff_f = sp.kron(sp.identity(grid.n_s, format="csr"), d_f, format="csr")
-    k_f = _form_matrix(diff_f, c_f * (cell * scale_f))
-    k = _form_matrix(diff_s, c_s * (cell * scale_s)) + k_f
+    k = _form_matrix(diff_s, (eps / rho_s).ravel() * (cell * scale_s)) + k_f
+    bound = _fiber_ground(k_f, w)
     return DiscreteOperator(stiffness=k.tocsr(), weight=w,
                             fiber_ground_disc=dirichlet_ground_value(grid.n_f),
-                            safe_shift=_fiber_block_bound(k_f, w), **fields)
+                            safe_shift=bound - BOUND_MARGIN * max(1.0, abs(bound)), **fields)
 
 
-def _fiber_block_bound(k_f: sp.csr_matrix, w: np.ndarray) -> float:
-    """``min_s lambda_1(K_f(s), W_s)`` less ``BOUND_MARGIN * max(1, |bound|)``.
+def _fiber_blocks(geom: WaveguideGeometry, eps: float, s, n_f: int,
+                  h_s: float) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The waveguide's fibre blocks at the base points ``s``: ``blockdiag_s K_f(s)`` and ``W``.
+
+    ``K_f(s) = d_f^T C_f(s) d_f`` is the three-point Dirichlet flux on
+    ``n_f`` cells with ``sqrt(det g) g^uu = rho / eps`` at the fibre
+    midpoints, and ``W_s`` is ``rho / eps`` at the stored nodes, both
+    times the cell ``h_s * h_f``; ``rho = 1 - eps * u * kappa(s)``.  A
+    scalar ``s`` gives one block.  Raises :class:`TubeDegenerate` when
+    ``rho`` is not positive on the grid.
+    """
+    f_nodes, f_mids, h_f = fiber_nodes(geom, n_f)
+    d_f, den_f = _staggered_int(n_f, 2, periodic=False)
+    cell = h_s * h_f
+    kap = geom.curvature.eval(s)
+    rho_f = 1.0 - eps * np.outer(kap, f_mids)  # (n_s, n_f)
+    rho_w = 1.0 - eps * np.outer(kap, f_nodes)
+    if min(rho_f.min(), rho_w.min()) <= 0.0:
+        raise TubeDegenerate("tube density non-positive on the grid")
+    diff_f = sp.kron(sp.identity(rho_f.shape[0], format="csr"), d_f, format="csr")
+    k_f = _form_matrix(diff_f, (rho_f / eps).ravel() * (cell * (1.0 / (den_f * h_f) ** 2)))
+    return k_f, (rho_w / eps).ravel() * cell
+
+
+def _fiber_ground(k_f: sp.csr_matrix, w: np.ndarray) -> float:
+    """``min_s lambda_1(K_f(s), W_s)`` over the fibre blocks of :func:`_fiber_blocks`.
 
     ``K = K_s + blockdiag_s K_f(s)`` with ``K_s = D_s^T C_s D_s >= 0`` and
-    diagonal ``W``, so this bound, the discrete fibre ground energy, lies
-    at or below ``lambda_1(K, W)``.  ``W^{-1/2} K_f W^{-1/2}`` chains the
-    ``n_s`` tridiagonal blocks with zero couplings: one LAPACK bisection.
-    Its absolute error is a few ulps of the chain's norm, about 3e-11 at
-    384 fibre cells; on the annulus, where the bound is exact, it came
-    within 2e-11 of ``lambda_1``.  The margin lies far above both and far
-    below the ``eps^2`` scale of the gap to ``lambda_1``.
+    diagonal ``W``, so this, the discrete fibre ground energy, lies at or
+    below ``lambda_1(K, W)``.  ``W^{-1/2} K_f W^{-1/2}`` chains the
+    tridiagonal blocks with zero couplings: one LAPACK bisection.  Its
+    absolute error is a few ulps of the chain's norm, about 3e-11 at 384
+    fibre cells; on the annulus, where the bound is exact, it came within
+    2e-11 of ``lambda_1``.  ``assemble_full`` sets its ``safe_shift``
+    ``BOUND_MARGIN * max(1, |bound|)`` lower, far above both errors and
+    far below the ``eps^2`` scale of the gap to ``lambda_1``.
     """
     scale = 1.0 / np.sqrt(w)
     diag = k_f.diagonal() * scale * scale
     off = k_f.diagonal(1) * scale[:-1] * scale[1:]
-    bound = float(dla.eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0])
-    return bound - BOUND_MARGIN * max(1.0, abs(bound))
+    return float(dla.eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0])
 
 
 def prolongate(coarse: GridSpec, vectors: np.ndarray, fine: GridSpec) -> np.ndarray:
@@ -360,39 +365,12 @@ def assemble_effective(geom: BundleGeometry, grid: GridSpec) -> DiscreteOperator
     Torus: ``V_eff = (1/2)(log Vol)'' + (1/4)((log Vol)')^2``.  Waveguide:
     ``V_eff = -kappa^2/4``.  The samples are closed-form evaluations of
     ``geom.effective_potential`` at the nodes; the operator has no eps.
+    Every eigenvalue is at least ``min(V_eff)``, since ``d^T C d >= 0`` and
+    ``W = h I``, so ``safe_shift`` is ``min(V_eff) - 1``.
     """
     s, h_s = base_nodes(geom, grid.n_s)
     v_eff = np.asarray(geom.effective_potential(s), dtype=float)
-    return _line_operator(_staggered_int(grid.n_s, grid.stencil_order, periodic=True), h_s,
-                          v_eff, geometry=geom, grid=grid)
-
-
-def density_potential(geom: WaveguideGeometry, eps, s, u):
-    """Closed form of the tube density potential.
-
-    ``(1/2) d^2/du^2 log rho + (1/4) (d/du log rho)^2`` with
-    ``rho = 1 - eps*u*kappa(s)`` collapses to
-    ``-(1/4) eps^2 kappa^2 / rho^2``, which is nonpositive and O(eps^2).
-    """
-    eps = as_epsilon(eps)
-    kap = np.asarray(geom.curvature.eval(s), dtype=float)
-    rho = 1.0 - eps * np.asarray(u, dtype=float) * kap
-    if np.any(rho <= 0.0):
-        raise TubeDegenerate("tube density non-positive in density_potential")
-    val = -0.25 * (eps * kap) ** 2 / (rho * rho)
-    if np.isscalar(s) and np.isscalar(u):
-        return float(val)
-    return val
-
-
-def assemble_fiber(geom: WaveguideGeometry, eps, s: float, n_f: int) -> DiscreteOperator:
-    """Fibre operator ``-d^2/du^2 + V_rho(s, u)`` on [-1, 1], Dirichlet."""
-    eps = as_epsilon(eps)
-    geom.check_tube(eps)
-    if n_f < MIN_POINTS:
-        raise GridTooCoarse(f"need at least {MIN_POINTS} fibre cells")
-    nodes, _, h = fiber_nodes(geom, n_f)
-    return _line_operator(_staggered_int(n_f, 2, periodic=False), h,
-                          density_potential(geom, eps, s, nodes), geometry=geom, eps=eps,
-                          fiber_ground_disc=dirichlet_ground_value(n_f))
-
+    d, den = _staggered_int(grid.n_s, grid.stencil_order, periodic=True)
+    k = _form_matrix(d, np.full(grid.n_s, h_s / (den * h_s) ** 2)) + sp.diags(v_eff * h_s)
+    return DiscreteOperator(dim=grid.n_s, stiffness=k.tocsr(), weight=np.full(grid.n_s, h_s),
+                            geometry=geom, grid=grid, safe_shift=float(np.min(v_eff)) - 1.0)

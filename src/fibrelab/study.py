@@ -584,10 +584,13 @@ def self_check(verbose: bool = False) -> list[tuple[str, bool, str]]:
         f = fit_rate([(0.2, 0.04), (0.1, 0.01), (0.05, 0.0025)])
         assert abs(f.slope - 2.0) < 1e-12 and abs(f.r_squared - 1.0) < 1e-12
 
-    def check_density():
-        wg = g.WaveguideGeometry(2 * np.pi, g.PeriodicProfile(2 * np.pi, 1.0))
-        assert abs(ops.density_potential(wg, 0.1, 0.0, 0.0) + 0.0025) < 1e-15
-        assert abs(ops.density_potential(wg, 0.1, 0.0, 1.0) + 0.0025 / 0.81) < 1e-15
+    def check_fiber_ground():
+        # the fibre ground value that rescaled gaps subtract is the straight
+        # tube's: the fibre block of the operator they are measured on
+        wg = g.WaveguideGeometry(2 * np.pi, g.PeriodicProfile(2 * np.pi, 0.0))
+        op = assemble_full(wg, 0.1, GridSpec(16, 64, 2))
+        lam1 = ops._fiber_ground(*ops._fiber_blocks(wg, 0.1, 0.0, 64, 1.0))
+        assert abs(lam1 - op.fiber_ground_disc) < 1e-12
 
     def check_nodal():
         from .nodal import ScalarField, count_nodal_domains, extract_nodal_set
@@ -612,7 +615,7 @@ def self_check(verbose: bool = False) -> list[tuple[str, bool, str]]:
     run("waveguide shift-invert solve", check_shift_invert)
     run("waveguide fibre-block shift", check_fiber_block_shift)
     run("rate fit", check_rate_fit)
-    run("density potential", check_density)
+    run("fibre ground energy", check_fiber_ground)
     run("nodal extraction", check_nodal)
     run("canonical serialization", check_determinism)
     if verbose:

@@ -9,13 +9,14 @@ from fibrelab.effective import (
     volume_weight,
 )
 from fibrelab.eigensolve import EigenPairSet, SolveConfig, smallest_eigenpairs
-from fibrelab.errors import DegenerateEffectiveEigenvalue, PairingAmbiguous
+from fibrelab.errors import DegenerateEffectiveEigenvalue, PairingAmbiguous, TubeDegenerate
 from fibrelab.geometry import PeriodicProfile, WarpedTorusGeometry, WaveguideGeometry
 from fibrelab.operators import (
     GridSpec,
     assemble_effective,
     assemble_full,
     base_nodes,
+    dirichlet_ground_value,
     staggered_diff_periodic,
 )
 
@@ -85,6 +86,16 @@ class TestFiberGroundEnergy:
         geom = WaveguideGeometry(TWO_PI, PeriodicProfile(TWO_PI, 0.0))
         lam = fiber_ground_energy(geom, 0.1, 0.0, 64)
         assert lam == pytest.approx(np.pi**2 / 4.0, abs=1e-7)
+        # the Richardson pair of the three-point Dirichlet ground values,
+        # with no shift margin taken off
+        richardson = (4.0 * dirichlet_ground_value(128) - dirichlet_ground_value(64)) / 3.0
+        assert lam == pytest.approx(richardson, abs=1e-11)
+
+    def test_degenerate_tube_raises(self):
+        # eps * max|kappa| = 0.5 * 2 = 1: the tube is not embedded
+        geom = WaveguideGeometry(TWO_PI, PeriodicProfile(TWO_PI, 2.0))
+        with pytest.raises(TubeDegenerate):
+            fiber_ground_energy(geom, 0.5, 0.0, 64)
 
     def test_round_tube_against_perturbation_quadrature(self):
         # first-order shift: integral of cos^2(pi u/2) * V_rho with

@@ -10,12 +10,12 @@ from fibrelab.operators import (
     FiberFactors,
     GridSpec,
     _circulant_symbols,
+    _fiber_blocks,
+    _fiber_ground,
     _staggered_int,
     assemble_effective,
-    assemble_fiber,
     assemble_full,
     base_nodes,
-    density_potential,
     dirichlet_ground_value,
     fiber_nodes,
     prolongate,
@@ -205,7 +205,7 @@ class TestFullAssembly:
                 t = (np.arange(n) * (TWO_PI / n))[None, :]
                 f = np.cos(s) * np.cos(t)
                 a = geom.warp_value(s)
-                a1 = geom.warp_value(s, 1)
+                a1 = geom.log_warp_deriv(s, 1) * a
                 lap = eps**2 * (-np.cos(s) - (a1 / a) * np.sin(s)) * np.cos(t) \
                     + (1.0 / a**2) * np.cos(s) * (-np.cos(t))
             else:
@@ -405,51 +405,42 @@ class TestFiberBlockBound:
 
 
 class TestFiberOperator:
+    """The fibre block ``(K_f(s), W_s)`` of the waveguide operator at one base point."""
+
     def test_straight_fiber_is_plain_laplacian(self):
-        geom = straight_guide()
-        op = assemble_fiber(geom, 0.1, 0.0, 64)
-        assert op.symmetry_defect() == 0.0
-        pairs = smallest_eigenpairs(op, SolveConfig(k=1))
-        assert pairs.values[0] == pytest.approx(dirichlet_ground_value(64), rel=1e-12)
-        assert abs(pairs.values[0] - np.pi**2 / 4.0) < 1e-3
+        k_f, w = _fiber_blocks(straight_guide(), 0.1, 0.0, 64, 1.0)
+        assert abs(k_f - k_f.T).max() == 0.0
+        lam1 = _fiber_ground(k_f, w)
+        assert lam1 == pytest.approx(dirichlet_ground_value(64), rel=1e-12)
+        assert abs(lam1 - np.pi**2 / 4.0) < 1e-3
 
     def test_bent_fiber_ground_shift(self):
-        op = assemble_fiber(round_guide(), 0.1, 0.0, 128)
-        pairs = smallest_eigenpairs(op, SolveConfig(k=1))
-        assert pairs.values[0] == pytest.approx(np.pi**2 / 4.0 - 0.0025, abs=3e-4)
+        lam1 = _fiber_ground(*_fiber_blocks(round_guide(), 0.1, 0.0, 128, 1.0))
+        assert lam1 == pytest.approx(np.pi**2 / 4.0 - 0.0025, abs=3e-4)
 
     def test_fiber_positive_definite(self):
-        op = assemble_fiber(round_guide(), 0.2, 1.0, 32)
-        pairs = smallest_eigenpairs(op, SolveConfig(k=1))
-        assert pairs.values[0] > 0.0
+        assert _fiber_ground(*_fiber_blocks(round_guide(), 0.2, 1.0, 32, 1.0)) > 0.0
 
+    def test_blocks_are_those_of_the_full_operator(self):
+        # the block at each base node is the full operator with the base
+        # coupling dropped: same K_f and W, bit for bit
+        geom = WaveguideGeometry(TWO_PI, PeriodicProfile(TWO_PI, 1.0, (0.5, 0.25)))
+        grid = GridSpec(16, 24, 4)
+        op = assemble_full(geom, 0.3, grid)
+        s, h_s = base_nodes(geom, grid.n_s)
+        k_f, w = _fiber_blocks(geom, 0.3, s, grid.n_f, h_s)
+        assert np.array_equal(w, op.weight)
+        n_rows = grid.n_f - 1
+        for i in (0, 5):
+            one, w_one = _fiber_blocks(geom, 0.3, s[i], grid.n_f, h_s)
+            rows = slice(i * n_rows, (i + 1) * n_rows)
+            assert np.array_equal(w_one, w[rows])
+            assert abs(one - k_f[rows, rows]).max() == 0.0
 
-class TestDensityPotential:
-    def test_straight_is_zero(self):
-        assert density_potential(straight_guide(), 0.3, 1.0, 0.5) == 0.0
-
-    def test_round_values(self):
-        assert density_potential(round_guide(), 0.1, 0.0, 0.0) == pytest.approx(
-            -0.0025, abs=1e-18
-        )
-        assert density_potential(round_guide(), 0.1, 0.0, 1.0) == pytest.approx(
-            -0.0025 / 0.81, rel=1e-14
-        )
-
-    def test_nonpositive_and_bounded(self):
-        geom = WaveguideGeometry(TWO_PI, PeriodicProfile(TWO_PI, 1.0, (0.5,)))
-        eps = 0.2
-        kmax = geom.curvature_bound
-        bound = 0.25 * eps**2 * kmax**2 / (1.0 - eps * kmax) ** 2
-        s = np.linspace(0.0, TWO_PI, 40)
-        for u in np.linspace(-1.0, 1.0, 21):
-            v = density_potential(geom, eps, s, u)
-            assert np.all(v <= 0.0)
-            assert np.all(np.abs(v) <= bound + 1e-15)
-
-    def test_degenerate_tube_raises(self):
-        with pytest.raises(TubeDegenerate):
-            density_potential(round_guide(), 0.5, 0.0, 3.0)
+    def test_straight_guide_shift_is_the_dirichlet_ground_less_its_margin(self):
+        lam1 = dirichlet_ground_value(48)
+        op = assemble_full(straight_guide(), 0.3, GridSpec(32, 48, 4))
+        assert op.safe_shift == pytest.approx(lam1 - BOUND_MARGIN * lam1, abs=1e-12)
 
 
 class TestAnnulusOracle:
