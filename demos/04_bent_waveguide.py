@@ -76,4 +76,4 @@ print(f"zeros of the base mode: {[f'{z:.4f}' for z, _ in pred.zeros]}")
 print(f"eigenvalue gap {rec.eig_gap:.3e}, sup-norm error {rec.supnorm:.3e}, "
       f"Hausdorff distance {rec.hausdorff:.3e}")
 print(f"nodal components: {nodal.component_count}; wall contacts: "
-      f"{boundary_trace_components(nodal, bend2)} (two per zero)")
+      f"{boundary_trace_components(nodal)} (two per zero)")

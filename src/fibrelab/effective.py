@@ -245,7 +245,7 @@ def measure_discrepancy(op: DiscreteOperator, full: EigenPairSet,
     tube_radius = None
     emp_c = None
     if isinstance(geom, WaveguideGeometry):
-        boundary = boundary_trace_components(nodal_set, geom)
+        boundary = boundary_trace_components(nodal_set)
     else:
         if pred.zeros:
             min_slope = min(abs(sl) for _, sl in pred.zeros)

@@ -9,7 +9,8 @@ carrying the rescaled tube metric
 
 All coefficient fields are exact closed forms built from finite
 trigonometric series (optionally exponentiated), so every derivative
-used downstream is analytic; nothing is differenced numerically.
+used downstream is analytic; nothing is differenced numerically.  The
+metric itself is written out once, in each geometry's ``metric_coefficients``.
 """
 
 from __future__ import annotations
@@ -20,15 +21,13 @@ from typing import Union
 
 import numpy as np
 
-from .errors import TubeDegenerate
+from .errors import ConfigError, TubeDegenerate
 
 __all__ = [
     "PeriodicProfile",
     "WarpedTorusGeometry",
     "WaveguideGeometry",
     "BundleGeometry",
-    "MetricSample",
-    "metric_sample",
     "as_epsilon",
 ]
 
@@ -98,6 +97,13 @@ def as_epsilon(eps) -> float:
     return value
 
 
+def _finite(where: str, eps: float, *coeffs):
+    """``coeffs``, refused with :class:`ConfigError` if an entry is not finite."""
+    if not all(np.isfinite(c).all() for c in coeffs):
+        raise ConfigError(f"{where} metric coefficients are not finite at eps={eps!r}")
+    return coeffs
+
+
 @dataclass(frozen=True)
 class WarpedTorusGeometry:
     """Closed torus over the circle of circumference ``2 * half_length``.
@@ -149,6 +155,17 @@ class WarpedTorusGeometry:
             return a2 / a0 - (a1 / a0) ** 2
         raise ValueError("log-warp derivatives supported up to order 2")
 
+    def metric_coefficients(self, eps, s):
+        """``(sqrt(det g) g^ss, sqrt(det g) g^tt, sqrt(det g))`` over the base points ``s``.
+
+        ``(eps*a, 1/(eps*a), a/eps)`` with ``a = a(s)``, constant along the
+        fibre; raises :class:`ConfigError` where one is not finite.
+        """
+        eps = as_epsilon(eps)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            a = np.asarray(self.warp_value(s), dtype=float)
+            return _finite("warped torus", eps, eps * a, 1.0 / (eps * a), a / eps)
+
     def fiber_volume(self, s):
         """Fibre volume with respect to the fibre metric."""
         return self.fiber_length * self.warp_value(s)
@@ -199,10 +216,21 @@ class WaveguideGeometry:
                 f"eps*max|kappa| = {eps * self.curvature_bound:.6g} >= 1; tube not embedded"
             )
 
-    def density(self, eps, s, u):
-        """rho = 1 - eps*u*kappa(s), the tube volume density."""
+    def metric_coefficients(self, eps, s, u):
+        """``(sqrt(det g) g^ss, sqrt(det g) g^uu, sqrt(det g))`` over the grid ``s × u``.
+
+        ``(eps/rho, rho/eps, rho/eps)`` with ``rho = 1 - eps*u*kappa(s)``, each
+        of shape ``(len(s), len(u))``.  Raises :class:`TubeDegenerate` where
+        ``rho <= 0`` and :class:`ConfigError` where a coefficient is not finite.
+        """
         eps = as_epsilon(eps)
-        return 1.0 - eps * np.asarray(u, dtype=float) * self.curvature.eval(s)
+        if np.any(np.abs(u) > 1.0):
+            raise ValueError("waveguide fibre coordinate must lie in [-1, 1]")
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            rho = 1.0 - eps * np.outer(self.curvature.eval(s), u)
+            if rho.min() <= 0.0:
+                raise TubeDegenerate(f"tube density 1 - eps*u*kappa = {rho.min():.6g} <= 0")
+            return _finite("waveguide", eps, eps / rho, rho / eps, rho / eps)
 
     def effective_potential(self, s):
         """Curvature-induced potential -kappa(s)^2 / 4."""
@@ -212,30 +240,3 @@ class WaveguideGeometry:
 
 BundleGeometry = Union[WarpedTorusGeometry, WaveguideGeometry]
 
-
-@dataclass(frozen=True)
-class MetricSample:
-    """Dual metric coefficients and volume density at one point."""
-
-    g_ss_inv: float
-    g_ff_inv: float
-    sqrt_det: float
-
-
-def metric_sample(geom: BundleGeometry, eps, s: float, v: float) -> MetricSample:
-    """Metric data of the thin-fibre family at base point ``s``, fibre point ``v``.
-
-    Warped torus: ``{eps^2, a(s)^-2, a(s)/eps}``.  Waveguide:
-    ``{eps^2 (1-eps*v*kappa)^-2, 1, (1-eps*v*kappa)/eps}``; raises
-    :class:`TubeDegenerate` when the density is not positive.
-    """
-    eps = as_epsilon(eps)
-    if isinstance(geom, WarpedTorusGeometry):
-        a = float(geom.warp_value(s))
-        return MetricSample(g_ss_inv=eps * eps, g_ff_inv=1.0 / (a * a), sqrt_det=a / eps)
-    if not -1.0 <= v <= 1.0:
-        raise ValueError("waveguide fibre coordinate must lie in [-1, 1]")
-    rho = float(geom.density(eps, s, v))
-    if rho <= 0.0:
-        raise TubeDegenerate(f"density 1 - eps*u*kappa = {rho:.6g} <= 0 at s={s}, u={v}")
-    return MetricSample(g_ss_inv=(eps / rho) ** 2, g_ff_inv=1.0, sqrt_det=rho / eps)

@@ -456,9 +456,9 @@ def hausdorff_distance(set_a: NodalSet | FiberLines, set_b: NodalSet | FiberLine
     return max(sup_inf(pa, xa, set_b, pb, xb), sup_inf(pb, xb, set_a, pa, xa))
 
 
-def boundary_trace_components(nodal: NodalSet, geom: WaveguideGeometry) -> int:
+def boundary_trace_components(nodal: NodalSet) -> int:
     """Clusters of nodal wall contacts, merged within one cell width."""
-    if not isinstance(geom, WaveguideGeometry):
+    if nodal.periodic_f:
         raise ValueError("boundary traces require a geometry with boundary")
     merge = nodal.h_s * (1.0 + 1e-9)
     total = 0

@@ -7,7 +7,9 @@ coefficient ``sqrt(det g) * g^dd`` at the edge midpoints times the cell
 measure.  This makes ``K`` bitwise symmetric and positive semidefinite by
 construction, with ``K @ 1 = 0`` exactly on closed geometries.  The
 eigenproblem is the generalized pair ``K x = lambda W x`` with the
-positive diagonal volume weight ``W``.
+positive diagonal volume weight ``W``, ``sqrt(det g)`` at the nodes times
+the cell measure.  Both read their coefficients from the geometry's
+``metric_coefficients``, which also refuses a degenerate tube.
 
 Every ``D_d`` comes from one stencil table, ``STENCILS``.  Stencil
 orders 2 and 4 are supported in periodic directions.  The Dirichlet fibre
@@ -35,7 +37,7 @@ import numpy as np
 import scipy.linalg as dla
 import scipy.sparse as sp
 
-from .errors import GridTooCoarse, TubeDegenerate
+from .errors import GridTooCoarse
 from .geometry import (
     BundleGeometry,
     WarpedTorusGeometry,
@@ -273,14 +275,14 @@ def assemble_full(geom: BundleGeometry, eps, grid: GridSpec) -> DiscreteOperator
     if isinstance(geom, WarpedTorusGeometry):
         d_f, den_f = _staggered_int(grid.n_f, grid.stencil_order, periodic=True)
         scale_f = 1.0 / (den_f * h_f) ** 2
-        a_mid = geom.warp_value(s_mid)
-        a_node = geom.warp_value(s)
-        # sqrt(det) g^ss = eps*a at s-midpoints; sqrt(det) g^tt = 1/(eps*a) at nodes.
-        base_w = a_node / eps * cell
+        # sqrt(det) g^ss at s-midpoints; sqrt(det) g^tt and sqrt(det) at nodes
+        c_s = geom.metric_coefficients(eps, s_mid)[0]
+        _, c_f, sqrt_det = geom.metric_coefficients(eps, s)
+        base_w = sqrt_det * cell
         factors = FiberFactors(
-            base_stiffness=_form_matrix(d_s, eps * a_mid * (cell * scale_s)),
+            base_stiffness=_form_matrix(d_s, c_s * (cell * scale_s)),
             fiber_matrix=(d_f.T @ d_f).tocsr(),
-            fiber_coeff=1.0 / (eps * a_node) * (cell * scale_f),
+            fiber_coeff=c_f * (cell * scale_f),
             fiber_symbols=_circulant_symbols(grid.n_f, grid.stencil_order, grid.n_f // 2),
             base_weight=base_w,
         )
@@ -289,11 +291,9 @@ def assemble_full(geom: BundleGeometry, eps, grid: GridSpec) -> DiscreteOperator
 
     geom.check_tube(eps)
     k_f, w = _fiber_blocks(geom, eps, s, grid.n_f, h_s)
-    rho_s = 1.0 - eps * np.outer(geom.curvature.eval(s_mid), f_nodes)  # (n_s, n_rows)
-    if rho_s.min() <= 0.0:
-        raise TubeDegenerate("tube density non-positive on the grid")
+    c_s = geom.metric_coefficients(eps, s_mid, f_nodes)[0]  # (n_s, n_rows)
     diff_s = sp.kron(d_s, sp.identity(n_rows, format="csr"), format="csr")
-    k = _form_matrix(diff_s, (eps / rho_s).ravel() * (cell * scale_s)) + k_f
+    k = _form_matrix(diff_s, c_s.ravel() * (cell * scale_s)) + k_f
     bound = _fiber_ground(k_f, w)
     return DiscreteOperator(stiffness=k.tocsr(), weight=w,
                             fiber_ground_disc=dirichlet_ground_value(grid.n_f),
@@ -305,23 +305,19 @@ def _fiber_blocks(geom: WaveguideGeometry, eps: float, s, n_f: int,
     """The waveguide's fibre blocks at the base points ``s``: ``blockdiag_s K_f(s)`` and ``W``.
 
     ``K_f(s) = d_f^T C_f(s) d_f`` is the three-point Dirichlet flux on
-    ``n_f`` cells with ``sqrt(det g) g^uu = rho / eps`` at the fibre
-    midpoints, and ``W_s`` is ``rho / eps`` at the stored nodes, both
-    times the cell ``h_s * h_f``; ``rho = 1 - eps * u * kappa(s)``.  A
-    scalar ``s`` gives one block.  Raises :class:`TubeDegenerate` when
-    ``rho`` is not positive on the grid.
+    ``n_f`` cells with ``sqrt(det g) g^uu`` at the fibre midpoints, and
+    ``W_s`` is ``sqrt(det g)`` at the stored nodes, both times the cell
+    ``h_s * h_f`` (:meth:`WaveguideGeometry.metric_coefficients`).  A
+    scalar ``s`` gives one block.
     """
     f_nodes, f_mids, h_f = fiber_nodes(geom, n_f)
     d_f, den_f = _staggered_int(n_f, 2, periodic=False)
     cell = h_s * h_f
-    kap = geom.curvature.eval(s)
-    rho_f = 1.0 - eps * np.outer(kap, f_mids)  # (n_s, n_f)
-    rho_w = 1.0 - eps * np.outer(kap, f_nodes)
-    if min(rho_f.min(), rho_w.min()) <= 0.0:
-        raise TubeDegenerate("tube density non-positive on the grid")
-    diff_f = sp.kron(sp.identity(rho_f.shape[0], format="csr"), d_f, format="csr")
-    k_f = _form_matrix(diff_f, (rho_f / eps).ravel() * (cell * (1.0 / (den_f * h_f) ** 2)))
-    return k_f, (rho_w / eps).ravel() * cell
+    c_f = geom.metric_coefficients(eps, s, f_mids)[1]  # (n_s, n_f)
+    sqrt_det = geom.metric_coefficients(eps, s, f_nodes)[2]
+    diff_f = sp.kron(sp.identity(c_f.shape[0], format="csr"), d_f, format="csr")
+    k_f = _form_matrix(diff_f, c_f.ravel() * (cell * (1.0 / (den_f * h_f) ** 2)))
+    return k_f, sqrt_det.ravel() * cell
 
 
 def _fiber_ground(k_f: sp.csr_matrix, w: np.ndarray) -> float:

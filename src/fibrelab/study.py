@@ -528,11 +528,10 @@ def self_check(verbose: bool = False) -> list[tuple[str, bool, str]]:
 
     def check_metric():
         torus = g.WarpedTorusGeometry(np.pi, 2 * np.pi, g.PeriodicProfile(2 * np.pi, 1.0))
-        m = g.metric_sample(torus, 0.5, 0.7, 0.1)
-        assert abs(m.g_ss_inv - 0.25) < 1e-15 and abs(m.sqrt_det - 2.0) < 1e-15
+        assert [float(c) for c in torus.metric_coefficients(0.5, 0.7)] == [0.5, 2.0, 2.0]
         wg = g.WaveguideGeometry(2 * np.pi, g.PeriodicProfile(2 * np.pi, 1.0))
-        m2 = g.metric_sample(wg, 0.1, 0.0, 1.0)
-        assert abs(m2.sqrt_det - 9.0) < 1e-12
+        c_s, c_f, sqrt_det = (float(c[0, 0]) for c in wg.metric_coefficients(0.1, 0.0, 1.0))
+        assert abs(sqrt_det - 9.0) < 1e-12 and c_f == sqrt_det and abs(c_s - 1.0 / 9.0) < 1e-15
 
     def check_symmetry():
         torus = g.WarpedTorusGeometry(np.pi, 2 * np.pi,
@@ -608,7 +607,7 @@ def self_check(verbose: bool = False) -> list[tuple[str, bool, str]]:
         assert dumps_canonical(rep) == dumps_canonical(json.loads(json.dumps(rep)))
 
     run("profile calculus", check_profile)
-    run("metric samples", check_metric)
+    run("metric coefficients", check_metric)
     run("assembly symmetry and kernel", check_symmetry)
     run("flat tensor exactness", check_flat)
     run("separable torus solve", check_separable)

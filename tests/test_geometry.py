@@ -1,15 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibrelab.errors import TubeDegenerate
+from fibrelab.errors import ConfigError, TubeDegenerate
 from fibrelab.geometry import (
     PeriodicProfile,
     WarpedTorusGeometry,
     WaveguideGeometry,
     as_epsilon,
-    metric_sample,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -71,36 +72,41 @@ class TestProfile:
 
 
 class TestMetricSample:
+    """``metric_coefficients``: ``sqrt(det g) g^ss``, ``sqrt(det g) g^ff`` and ``sqrt(det g)``.
+
+    The dual metric is a coefficient over ``sqrt(det g)``.
+    """
+
     def test_flat_torus_sample(self):
-        m = metric_sample(torus(), 0.5, 1.3, 2.2)
-        assert m.g_ss_inv == pytest.approx(0.25, abs=1e-16)
-        assert m.g_ff_inv == pytest.approx(1.0, abs=1e-16)
-        assert m.sqrt_det == pytest.approx(2.0, abs=1e-15)
+        c_s, c_f, sqrt_det = torus().metric_coefficients(0.5, 1.3)
+        assert c_s / sqrt_det == pytest.approx(0.25, abs=1e-16)
+        assert c_f / sqrt_det == pytest.approx(1.0, abs=1e-16)
+        assert sqrt_det == pytest.approx(2.0, abs=1e-15)
 
     def test_straight_tube_sample(self):
         wg = waveguide(PeriodicProfile(TWO_PI, 0.0))
-        m = metric_sample(wg, 0.1, 0.4, -0.3)
-        assert m.g_ss_inv == pytest.approx(0.01, abs=1e-17)
-        assert m.g_ff_inv == 1.0
-        assert m.sqrt_det == pytest.approx(10.0, abs=1e-13)
+        c_s, c_f, sqrt_det = (c[0, 0] for c in wg.metric_coefficients(0.1, 0.4, -0.3))
+        assert c_s / sqrt_det == pytest.approx(0.01, abs=1e-17)
+        assert c_f / sqrt_det == 1.0
+        assert sqrt_det == pytest.approx(10.0, abs=1e-13)
 
     def test_bent_tube_sample(self):
         # 1 - eps*v*kappa = 0.9 at v=1: dual coefficient eps^2/0.81, density 9
-        m = metric_sample(waveguide(), 0.1, 0.0, 1.0)
-        assert m.g_ss_inv == pytest.approx(0.01 / 0.81, rel=1e-14)
-        assert m.sqrt_det == pytest.approx(9.0, rel=1e-14)
+        c_s, c_f, sqrt_det = (c[0, 0] for c in waveguide().metric_coefficients(0.1, 0.0, 1.0))
+        assert c_s / sqrt_det == pytest.approx(0.01 / 0.81, rel=1e-14)
+        assert c_f == sqrt_det == pytest.approx(9.0, rel=1e-14)
 
     def test_tube_degeneracy_raises(self):
         wide = WaveguideGeometry(TWO_PI, PeriodicProfile(TWO_PI, 2.0))
         with pytest.raises(TubeDegenerate):
             wide.check_tube(0.6)
         with pytest.raises(TubeDegenerate):
-            metric_sample(wide, 0.6, 0.0, 1.0)
+            wide.metric_coefficients(0.6, 0.0, 1.0)
 
     def test_periodicity_of_samples(self):
         geom = WarpedTorusGeometry(1.0, 1.0, PeriodicProfile(2.0, 1.5, (0.25,)))
-        a = metric_sample(geom, 0.3, 0.25, 0.0)
-        b = metric_sample(geom, 0.3, 2.25, 0.0)
+        a = geom.metric_coefficients(0.3, 0.25)
+        b = geom.metric_coefficients(0.3, 2.25)
         assert a == b
 
     def test_smoothness_second_order(self):
@@ -110,12 +116,14 @@ class TestMetricSample:
         s0, eps = 0.9, 0.2
         a = geom.warp_value(s0)
         exact = -2.0 * geom.log_warp_deriv(s0, 1) * a / a**3
+
+        def g_tt(s):
+            _, c_f, sqrt_det = geom.metric_coefficients(eps, s)
+            return c_f / sqrt_det
+
         errs = []
         for h in (0.02, 0.01, 0.005):
-            fd = (
-                metric_sample(geom, eps, s0 + h, 0.0).g_ff_inv
-                - metric_sample(geom, eps, s0 - h, 0.0).g_ff_inv
-            ) / (2.0 * h)
+            fd = (g_tt(s0 + h) - g_tt(s0 - h)) / (2.0 * h)
             errs.append(abs(fd - exact))
         slope = np.polyfit(np.log([0.02, 0.01, 0.005]), np.log(errs), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.3)
@@ -125,11 +133,32 @@ class TestMetricSample:
         wg = waveguide(PeriodicProfile(TWO_PI, 1.0, (0.5,)))
         eps = 0.25
         s = np.linspace(0.0, TWO_PI, 65)
-        for v in np.linspace(-1.0, 1.0, 21):
-            kap = wg.curvature.eval(s)
-            lhs = np.abs((1.0 - eps * v * kap) ** 2 - 1.0) / eps**2
-            rhs = (2.0 * np.abs(kap) + eps * kap**2) / eps
-            assert np.all(lhs <= rhs + 1e-12)
+        rho = eps * wg.metric_coefficients(eps, s, np.linspace(-1.0, 1.0, 21))[2]
+        kap = wg.curvature.eval(s)[:, None]
+        lhs = np.abs(rho**2 - 1.0) / eps**2
+        rhs = (2.0 * np.abs(kap) + eps * kap**2) / eps
+        assert np.all(lhs <= rhs + 1e-12)
+
+    def test_waveguide_grid_shape(self):
+        c_s, c_f, sqrt_det = waveguide().metric_coefficients(0.2, np.arange(5.0), [-0.5, 0.0, 0.5])
+        assert c_s.shape == c_f.shape == sqrt_det.shape == (5, 3)
+        assert np.array_equal(c_f, sqrt_det)
+
+    def test_fibre_coordinate_outside_the_strip_refused(self):
+        with pytest.raises(ValueError):
+            waveguide().metric_coefficients(0.1, 0.0, [0.0, 1.0 + 1e-12])
+
+    @pytest.mark.parametrize("geom, args", [
+        (torus(), (1e-320, np.arange(8.0))),
+        (waveguide(), (1e-320, np.arange(8.0), [0.0])),
+        # exp(800 cos s) overflows near s = 0 and underflows to 0 near s = pi
+        (torus(PeriodicProfile(TWO_PI, 0.0, (800.0,)), exp=True), (0.1, np.arange(8.0))),
+    ])
+    def test_coefficient_that_is_not_finite_is_refused(self, geom, args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused, not warned about
+            with pytest.raises(ConfigError, match="not finite"):
+                geom.metric_coefficients(*args)
 
 
 class TestFiberVolume:

@@ -55,10 +55,6 @@ def flat_torus():
     return WarpedTorusGeometry(np.pi, TWO_PI, PeriodicProfile(TWO_PI, 1.0))
 
 
-def straight_guide():
-    return WaveguideGeometry(TWO_PI, PeriodicProfile(TWO_PI, 0.0))
-
-
 class TestExtractNodalSet:
     def test_vertical_circles_of_cos(self):
         nodal = extract_nodal_set(torus_field(lambda s, t: np.cos(s)))
@@ -633,19 +629,21 @@ class TestTreeSearch:
 
 class TestBoundaryTraces:
     def test_single_line_pair_touches_both_walls(self):
-        geom = straight_guide()
         fld = guide_field(lambda s, u: np.sin(s + 0.05) * np.cos(np.pi * u / 2.0))
-        assert boundary_trace_components(extract_nodal_set(fld), geom) == 4
+        assert boundary_trace_components(extract_nodal_set(fld)) == 4
 
     def test_two_line_pairs(self):
-        geom = straight_guide()
         fld = guide_field(lambda s, u: np.sin(2 * s + 0.05) * np.cos(np.pi * u / 2.0))
-        assert boundary_trace_components(extract_nodal_set(fld), geom) == 8
+        assert boundary_trace_components(extract_nodal_set(fld)) == 8
 
     def test_positive_field_has_no_contacts(self):
-        geom = straight_guide()
         fld = guide_field(lambda s, u: 1.0 + 0.1 * np.cos(s) + 0.0 * u)
-        assert boundary_trace_components(extract_nodal_set(fld), geom) == 0
+        assert boundary_trace_components(extract_nodal_set(fld)) == 0
+
+    def test_periodic_fibre_is_refused(self):
+        # a closed fibre has no walls to touch
+        with pytest.raises(ValueError):
+            boundary_trace_components(extract_nodal_set(torus_field(lambda s, t: np.cos(s))))
 
 
 class TestGraphOverFiber:

@@ -12,6 +12,7 @@ from fibrelab.operators import (
     _circulant_symbols,
     _fiber_blocks,
     _fiber_ground,
+    _form_matrix,
     _staggered_int,
     assemble_effective,
     assemble_full,
@@ -332,6 +333,125 @@ class TestKroneckerApply:
         first = op.stiffness
         monkeypatch.setattr(FiberFactors, "matrix", lambda _: pytest.fail("built twice"))
         assert op.stiffness is first
+
+
+def inline_density_waveguide(geom, eps, grid):
+    """``(K, W, safe_shift)`` of the waveguide, its tube density written out inline.
+
+    The assembler's operations, with ``rho = 1 - eps*u*kappa(s)`` and the
+    coefficients formed in place: the oracle that the coefficients read
+    from ``metric_coefficients`` must match bit for bit.
+    """
+    s, h_s = base_nodes(geom, grid.n_s)
+    f_nodes, f_mids, h_f = fiber_nodes(geom, grid.n_f)
+    cell = h_s * h_f
+    d_s, den_s = _staggered_int(grid.n_s, grid.stencil_order, periodic=True)
+    d_f, den_f = _staggered_int(grid.n_f, 2, periodic=False)
+    kap = geom.curvature.eval(s)
+    rho_f = 1.0 - eps * np.outer(kap, f_mids)
+    rho_w = 1.0 - eps * np.outer(kap, f_nodes)
+    diff_f = sp.kron(sp.identity(grid.n_s, format="csr"), d_f, format="csr")
+    k_f = _form_matrix(diff_f, (rho_f / eps).ravel() * (cell * (1.0 / (den_f * h_f) ** 2)))
+    w = (rho_w / eps).ravel() * cell
+    rho_s = 1.0 - eps * np.outer(geom.curvature.eval(s + 0.5 * h_s), f_nodes)
+    diff_s = sp.kron(d_s, sp.identity(len(f_nodes), format="csr"), format="csr")
+    k = _form_matrix(diff_s, (eps / rho_s).ravel() * (cell * (1.0 / (den_s * h_s) ** 2))) + k_f
+    bound = _fiber_ground(k_f, w)
+    return k.tocsr(), w, bound - BOUND_MARGIN * max(1.0, abs(bound))
+
+
+def inline_warp_torus(geom, eps, grid):
+    """``(K_s, c_f, base weight, W)`` of the torus, its warp coefficients written out inline."""
+    s, h_s = base_nodes(geom, grid.n_s)
+    _, _, h_f = fiber_nodes(geom, grid.n_f)
+    cell = h_s * h_f
+    d_s, den_s = _staggered_int(grid.n_s, grid.stencil_order, periodic=True)
+    _, den_f = _staggered_int(grid.n_f, grid.stencil_order, periodic=True)
+    a_mid = geom.warp_value(s + 0.5 * h_s)
+    a_node = geom.warp_value(s)
+    base_w = a_node / eps * cell
+    return (_form_matrix(d_s, eps * a_mid * (cell * (1.0 / (den_s * h_s) ** 2))),
+            1.0 / (eps * a_node) * (cell * (1.0 / (den_f * h_f) ** 2)),
+            base_w, np.repeat(base_w, grid.n_f))
+
+
+def assert_same_csr(a, b):
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+class TestAssemblyOracle:
+    """The assembled arrays equal those of the inline-coefficient oracles, bit for bit."""
+
+    ORDERS = pytest.mark.parametrize("order", [2, 4])
+
+    @ORDERS
+    @pytest.mark.parametrize("eps", [0.3, 0.1])
+    @pytest.mark.parametrize("curvature", [((0.5,), ()), ((0.5, 0.25), (0.3,))],
+                             ids=["one", "two"])
+    def test_waveguide(self, order, eps, curvature):
+        geom = WaveguideGeometry(TWO_PI, PeriodicProfile(TWO_PI, 1.0, *curvature))
+        grid = GridSpec(24, 20, order)
+        op = assemble_full(geom, eps, grid)
+        k, w, shift = inline_density_waveguide(geom, eps, grid)
+        assert_same_csr(op.stiffness, k)
+        assert np.array_equal(op.weight, w)
+        assert op.safe_shift == shift
+
+    @ORDERS
+    @pytest.mark.parametrize("eps", [0.2, 0.05])
+    @pytest.mark.parametrize("make_geom", [plain_warped_torus, warped_torus],
+                             ids=["plain", "exp"])
+    def test_torus(self, order, eps, make_geom):
+        geom, grid = make_geom(), GridSpec(24, 20, order)
+        op = assemble_full(geom, eps, grid)
+        k_s, c_f, base_w, w = inline_warp_torus(geom, eps, grid)
+        assert_same_csr(op.fiber_factors.base_stiffness, k_s)
+        assert np.array_equal(op.fiber_factors.fiber_coeff, c_f)
+        assert np.array_equal(op.fiber_factors.base_weight, base_w)
+        assert np.array_equal(op.weight, w)
+
+
+class TestMetamorphic:
+    """Relations between the operators of two related geometries."""
+
+    @staticmethod
+    def bent(sign):
+        # every curvature amplitude times sign: winding sign, one sin harmonic
+        return WaveguideGeometry(TWO_PI, PeriodicProfile(
+            TWO_PI, sign * 1.0, (sign * 0.5, sign * 0.25), (sign * 0.3,)))
+
+    @pytest.mark.parametrize("n_s,n_f,order", [(32, 24, 4), (48, 33, 2)])
+    @pytest.mark.parametrize("eps", [0.3, 0.1])
+    def test_negated_curvature_is_the_reflected_operator(self, n_s, n_f, order, eps):
+        # u -> -u maps the stored node j onto n_f - 2 - j, and 1 - eps*u*kappa
+        # onto 1 - eps*u*(-kappa): K(-kappa) = R K(kappa) R, W likewise
+        grid = GridSpec(n_s, n_f, order)
+        op, neg = (assemble_full(self.bent(sign), eps, grid) for sign in (1.0, -1.0))
+        n_rows = n_f - 1
+        r = (np.arange(n_s)[:, None] * n_rows + np.arange(n_rows)[::-1]).ravel()
+        reflected = op.stiffness[r][:, r]
+        assert abs(neg.stiffness - reflected).max() <= 1e-15 * abs(op.stiffness).max()
+        assert np.max(np.abs(neg.weight - op.weight[r])) <= 1e-15 * op.weight.max()
+        values, neg_values = (smallest_eigenpairs(o, SolveConfig(k=6)).values for o in (op, neg))
+        assert np.allclose(neg_values, values, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("eps", [0.3, 0.1])
+    def test_longer_fibre_keeps_the_fibre_constant_levels(self, order, eps):
+        # on fibre mode 0, K and W both carry the fibre cell h_f as a factor;
+        # a longer fibre only brings the fibre-excited levels down
+        levels = []
+        for length in (TWO_PI, 3.0 * TWO_PI):
+            geom = WarpedTorusGeometry(np.pi, length, PeriodicProfile(TWO_PI, 0.0, (0.3, 0.15)),
+                                       warp_is_exp=True)
+            pairs = smallest_eigenpairs(assemble_full(geom, eps, GridSpec(32, 24, order)),
+                                        SolveConfig(k=12))
+            levels.append(pairs.values[pairs.fiber_modes == 0])
+        n = min(len(v) for v in levels)
+        assert n >= 4
+        scale = np.abs(levels[0][:n]).max()
+        assert np.allclose(levels[1][:n], levels[0][:n], rtol=1e-12, atol=1e-12 * scale)
 
 
 class TestEffectiveOperator:

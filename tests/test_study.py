@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -427,6 +428,13 @@ class TestRunStudy:
                 for f in report.failures] == [
             (eps, 1, "prediction", "NonTransversalZero", "injected") for eps in raw["epsilons"]]
 
+    def test_metric_that_is_not_finite_is_an_assemble_failure(self):
+        # 1e-320 passes the epsilon check, but 1/eps overflows
+        report = run_study(load_config(flat_config(epsilons=[0.5, 0.4, 1e-320])))
+        assert [rec.eps for rec in report.records] == [0.5, 0.4]
+        assert [(f["epsilon"], f["level"], f["stage"], f["error"]) for f in report.failures] == [
+            (1e-320, 0, "assemble", "ConfigError")]
+
     def test_timings_keep_every_eps(self):
         # 0.2000001 and 0.2 print alike with six significant digits
         epsilons = [0.4, 0.2000001, 0.2, 0.1]
@@ -817,6 +825,29 @@ class TestCli:
         path = self.write_config(tmp_path, cfg)
         assert cli_main(["solve", "--config", path, "--epsilon", "0.5", "--k", "1"]) == 1
         assert capsys.readouterr().err.startswith("config error: bad geometry block")
+
+    @pytest.mark.parametrize("config, eps", [
+        ("warped_torus.json", "1e-320"),
+        ("waveguide.json", "1e-320"),
+        ("warp800", "0.1"),
+    ])
+    def test_metric_that_is_not_finite_is_a_one_line_config_error(self, tmp_path, capsys,
+                                                                  config, eps):
+        # eps = 1e-320 is in (0, 1), and exp(800 cos s) is a valid warp, but
+        # 1/eps and the warp overflow: the metric has no float coefficients
+        if config == "warp800":
+            cfg = flat_config()
+            cfg["geometry"]["warp"] = {"cos": [800], "exp": True}
+            path = self.write_config(tmp_path, cfg)
+        else:
+            path = str(DEMO_CONFIGS / config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(["solve", "--config", path, "--epsilon", eps, "--k", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"config error: [^\n]* metric coefficients are not finite "
+                            rf"at eps={eps}\n", captured.err), captured.err
 
     def test_check_subcommand_passes(self, capsys):
         assert cli_main(["check"]) == 0
