@@ -21,7 +21,6 @@ from .errors import DegenerateEffectiveEigenvalue, GridTooCoarse, PairingAmbiguo
 from .eigensolve import EigenPairSet, SolveConfig, smallest_eigenpairs
 from .geometry import BundleGeometry, WarpedTorusGeometry, WaveguideGeometry, as_epsilon
 from .nodal import (
-    FiberLines,
     _circle_dist,
     boundary_trace_components,
     count_nodal_domains,
@@ -238,7 +237,7 @@ def measure_discrepancy(op: DiscreteOperator, full: EigenPairSet,
         # sampling error of up to half a spacing: a nodal point between two
         # fibre samples can lie that far from both (ROADMAP open item 4).
         spacing = 0.125 * min(fld.h_s, fld.h_f)
-        hausdorff = hausdorff_distance(nodal_set, FiberLines(np.asarray(zeros_s)), geom, spacing)
+        hausdorff = hausdorff_distance(nodal_set, zeros_s, geom, spacing)
 
     boundary = 0
     graph: Optional[bool] = None

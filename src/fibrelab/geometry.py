@@ -15,6 +15,7 @@ metric itself is written out once, in each geometry's ``metric_coefficients``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -76,7 +77,9 @@ class PeriodicProfile:
 
     @property
     def mode_sum(self) -> float:
-        return float(sum(abs(a) for a in self.cos_amps) + sum(abs(a) for a in self.sin_amps))
+        """Sum of the harmonics' amplitudes ``hypot(cos_amp, sin_amp)``, whatever their phase."""
+        pairs = itertools.zip_longest(self.cos_amps, self.sin_amps, fillvalue=0.0)
+        return float(sum(math.hypot(c, s) for c, s in pairs))
 
     @property
     def max_abs_bound(self) -> float:
@@ -159,12 +162,15 @@ class WarpedTorusGeometry:
         """``(sqrt(det g) g^ss, sqrt(det g) g^tt, sqrt(det g))`` over the base points ``s``.
 
         ``(eps*a, 1/(eps*a), a/eps)`` with ``a = a(s)``, constant along the
-        fibre; raises :class:`ConfigError` where one is not finite.
+        fibre; raises :class:`ConfigError` where one of them, or the ratio
+        ``1/a^2`` of the last two that the fibre-mode solver divides by, is
+        not finite.
         """
         eps = as_epsilon(eps)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             a = np.asarray(self.warp_value(s), dtype=float)
-            return _finite("warped torus", eps, eps * a, 1.0 / (eps * a), a / eps)
+            c_s, c_f, sqrt_det = eps * a, 1.0 / (eps * a), a / eps
+            return _finite("warped torus", eps, c_s, c_f, sqrt_det, c_f / sqrt_det)[:3]
 
     def fiber_volume(self, s):
         """Fibre volume with respect to the fibre metric."""

@@ -13,19 +13,19 @@ closed off to the wall, where the eigenfunction vanishes; wall contact
 points feed the boundary-trace count.  The graph-over-fibre check counts
 the crossings of every (row, tube) pair in one ``bincount``.
 
-Hausdorff distances are measured in the eps-independent metric of the
-geometry: ``ds^2 + a(s)^2 dt^2`` on the torus and the flat chart metric
-``ds^2 + du^2`` on the waveguide (the tube density is dropped there; its
-effect is an order-eps correction, below the quantity being measured).
-Both sets are sampled, and two sample points are compared with the metric
-frozen at their midpoint.  The sup-inf over the samples is found exactly
-without visiting every pair.  Towards whole fibres, the paper's limit
-set, a point's distance to one line grows with the fibre difference
-alone, so only the samples next to its ``f`` are measured.  Towards a
-nodal set, a periodic KD-tree over a chart whose Euclidean distance
-bounds the metric distance from below (``t`` scaled by a certified lower
-bound of the warp) yields each point's K nearest candidates, and the
-K-th of them proves that none farther away can be closer.
+The one Hausdorff distance is the paper's: from the nodal set to the
+fibres over the zeros of the effective eigenfunction.  It is measured in
+the eps-independent metric of the geometry: ``ds^2 + a(s)^2 dt^2`` on the
+torus and the flat chart metric ``ds^2 + du^2`` on the waveguide (the tube
+density is dropped there; its effect is an order-eps correction, below the
+quantity being measured).  Both sets are sampled, and two sample points
+are compared with the metric frozen at their midpoint.  The sup-inf over
+the samples is found exactly without visiting every pair, on the uniform
+grid of fibre samples both ways.  Towards the fibres, a point's distance
+to one fibre grows with the fibre difference alone, so only the samples
+next to its ``f`` are measured.  From the fibres, the base difference and
+a certified lower bound of the warp bound every distance from below, so a
+growing trial bound admits only the pairs that can be nearest.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .operators import DiscreteOperator, fiber_nodes, base_nodes
 __all__ = [
     "ScalarField",
     "NodalSet",
-    "FiberLines",
     "field_from_operator",
     "extract_nodal_set",
     "count_nodal_domains",
@@ -103,16 +102,6 @@ class NodalSet:
     h_f: float = 0.0
     n_rows: int = 0
     periodic_f: bool = True
-
-
-@dataclass
-class FiberLines:
-    """Preimage of finitely many base points: whole fibres."""
-
-    s_positions: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.s_positions = np.atleast_1d(np.asarray(self.s_positions, dtype=float))
 
 
 def _circle_dist(a, b, period: float):
@@ -302,17 +291,13 @@ def _fiber_grid(geom: BundleGeometry, stretch: float, spacing: float) -> np.ndar
     return np.linspace(f_lo, f_hi, n)
 
 
-def _sample(obj: NodalSet | FiberLines, geom: BundleGeometry, stretch: float,
-            spacing: float) -> np.ndarray:
-    """Points along ``obj`` at most ``spacing`` apart; ``stretch`` bounds the fibre metric.
+def _sample(nodal: NodalSet, stretch: float, spacing: float) -> np.ndarray:
+    """Points along the segments at most ``spacing`` apart; ``stretch`` bounds the fibre metric.
 
     Segment m gets ``n_m`` evenly spaced points ``p0 + t (p1 - p0)`` with
     ``t = k / (n_m - 1)`` rounded as :func:`numpy.linspace` rounds it.
     """
-    if isinstance(obj, FiberLines):
-        f = _fiber_grid(geom, stretch, spacing)
-        return np.column_stack([np.repeat(obj.s_positions, len(f)), np.tile(f, len(obj.s_positions))])
-    p0, p1 = obj.segments[:, 0], obj.segments[:, 1]
+    p0, p1 = nodal.segments[:, 0], nodal.segments[:, 1]
     length = np.hypot(p1[:, 0] - p0[:, 0], stretch * (p1[:, 1] - p0[:, 1]))
     n = np.maximum(2, np.ceil(length / spacing).astype(int) + 1)
     seg = np.repeat(np.arange(len(n)), n)
@@ -344,19 +329,12 @@ def _pair_d2(ps, pf, qs, qf, geom: BundleGeometry) -> np.ndarray:
     return ds * ds + (wt * df) ** 2
 
 
-def _tree_chart(points: np.ndarray, scale: float, f_lo: float, box: np.ndarray) -> np.ndarray:
-    """Points as ``(s, scale * (f - f_lo))`` wrapped into the periodic box ``[0, box)``."""
-    x = np.column_stack([points[:, 0], scale * (points[:, 1] - f_lo)])
-    x = np.mod(x, box)
-    return np.where(x < box, x, 0.0)  # mod of a tiny negative rounds up to box
-
-
-def _sup_inf_to_fibers(p: np.ndarray, lines: FiberLines, f: np.ndarray,
+def _sup_inf_to_fibers(p: np.ndarray, zeros: np.ndarray, f: np.ndarray,
                        geom: BundleGeometry) -> float:
-    """``max_p min_q`` of the chart distance to the samples ``f`` of whole fibres.
+    """``max_p min_q`` of the chart distance to the samples ``f`` of the fibres over ``zeros``.
 
-    All samples of one line share its ``s``, so the base difference and
-    the midpoint warp of ``p`` against a line are the same for all of
+    All samples of one fibre share its ``s``, so the base difference and
+    the midpoint warp of ``p`` against a fibre are the same for all of
     them, and the distance only grows with the fibre difference ``|df|``.
     The nearest sample in ``f`` is therefore the nearest in the metric.
     It lies within a step of ``(f_p - f_lo) / step`` however the division
@@ -374,86 +352,99 @@ def _sup_inf_to_fibers(p: np.ndarray, lines: FiberLines, f: np.ndarray,
     else:
         cand = np.concatenate([near % (n - 1), np.full((len(p), 1), n - 1)], axis=1)
     d2 = _pair_d2(p[:, 0, None, None], p[:, 1, None, None],
-                  lines.s_positions[None, :, None], f[cand][:, None, :], geom)
+                  zeros[None, :, None], f[cand][:, None, :], geom)
     return float(np.sqrt(d2.min(axis=(1, 2)).max()))
 
 
-def _directed_sup_inf(p: np.ndarray, xp: np.ndarray, q: np.ndarray, xq: np.ndarray,
-                      geom: BundleGeometry, box: np.ndarray) -> float:
-    """``max_p min_q`` of the chart distance, searched in a KD-tree over ``q``.
+def _sup_inf_from_fibers(zeros: np.ndarray, f: np.ndarray, p: np.ndarray,
+                         geom: BundleGeometry, low: float) -> float:
+    """``max_q min_p`` of the chart distance from the fibre samples ``(z, f[k])`` to ``p``.
 
-    ``xp`` and ``xq`` are the points in the tree chart, periodic with
-    ``box``.  The tree's Euclidean distance there bounds the metric
-    distance from below.  The least metric distance ``u`` to a point's K
-    tree-nearest neighbours therefore bounds its minimum from above, and
-    every ``q`` attaining the minimum lies in the tree ball of radius
-    ``u``.  The radius is widened by 1e-9 relative, against rounding of
-    the bound, and 1e-12 of the box, against rounding of the wrapped
-    coordinates.  When the K-th neighbour lies outside that ball, the K
-    measured points hold the minimum; the other points are queried again
-    with K doubled.  So the result is the all-pairs value.
+    Every sample of the fibre over ``z`` shares ``s = z``, so a point's
+    ``ds * ds``, computed as :func:`_pair_d2` computes it, bounds its
+    squared distance to each of them from below exactly, and ``low * |df|``
+    bounds the distance in ``f`` (``low`` is a lower bound of the warp).
+    For a trial bound ``U`` only points with ``ds * ds < U`` can come
+    closer than ``sqrt(U)``, and each only to the fibre indices within
+    ``sqrt(U) / low`` of its ``f``.  The window runs from the floor of its
+    lower end to the ceiling of its upper end, so it holds every index less
+    than one sample beyond that, against rounding; it is wrapped modulo
+    ``n - 1`` on the torus, with ``f[n - 1]`` measured wherever ``f[0]``
+    is, and clipped on the waveguide.  The least distance
+    over those pairs is therefore exact wherever it ends below ``U``.
+    ``U`` starts at ``step**2`` and grows fourfold for the samples left
+    open; a pass that holds every pair is the all-pairs search, so the loop
+    ends, and the result is the all-pairs value to the bit.
     """
-    from scipy.spatial import cKDTree  # loaded only when a distance is measured
+    n = len(f)
+    step = (f[-1] - f[0]) / (n - 1)
+    torus = not isinstance(geom, WaveguideGeometry)
+    ds = zeros[:, None] - p[:, 0]
+    ds -= geom.period * np.round(ds / geom.period)
+    ds2 = ds * ds
+    pos = (p[:, 1] - f[0]) / step  # fractional fibre index of each point
+    best = np.full((len(zeros), n), np.inf)
+    open_ = np.ones(best.shape, dtype=bool)
+    bound = step * step
+    while True:
+        reach = np.sqrt(bound) / (low * step)
+        whole = reach >= n and ds2.max() < bound  # this pass holds every pair
+        reach = min(reach, n)
+        zi, pi = np.nonzero(ds2 < bound)
+        lo = np.floor(pos[pi] - reach).astype(np.intp)
+        hi = np.ceil(pos[pi] + reach).astype(np.intp)
+        if torus:
+            hi = np.minimum(hi, lo + n - 2)  # one whole turn at most
+        else:
+            lo, hi = np.maximum(lo, 0), np.minimum(hi, n - 1)
+        count = np.maximum(hi - lo + 1, 0)
+        pair = np.repeat(np.arange(len(pi)), count)
+        k = lo[pair] + np.arange(len(pair)) - (np.cumsum(count) - count)[pair]
+        zi, pi = zi[pair], pi[pair]
+        if torus:
+            k %= n - 1
+            seam = k == 0
+            zi, pi = np.concatenate([zi, zi[seam]]), np.concatenate([pi, pi[seam]])
+            k = np.concatenate([k, np.full(np.count_nonzero(seam), n - 1)])
+        todo = open_[zi, k]
+        zi, pi, k = zi[todo], pi[todo], k[todo]
+        np.minimum.at(best, (zi, k), _pair_d2(zeros[zi], f[k], p[pi, 0], p[pi, 1], geom))
+        open_ &= best >= bound
+        if whole or not open_.any():
+            return float(np.sqrt(best.max()))
+        bound *= 4.0
 
-    tree = cKDTree(xq, boxsize=box)
-    slack = 1e-12 * float(box.max())
-    best = np.empty(len(p))
-    todo = np.arange(len(p))
-    k = min(4, len(q))
-    while len(todo):
-        dist, idx = tree.query(xp[todo], k=k)
-        dist, idx = dist.reshape(len(todo), k), idx.reshape(len(todo), k)
-        best[todo] = _pair_d2(p[todo, 0, None], p[todo, 1, None],
-                              q[idx, 0], q[idx, 1], geom).min(axis=1)
-        settled = dist[:, -1] > np.sqrt(best[todo]) * (1.0 + 1e-9) + slack
-        todo = todo[~settled] if k < len(q) else todo[:0]
-        k = min(2 * k, len(q))
-    return float(np.sqrt(best.max()))
 
+def hausdorff_distance(nodal: NodalSet, zeros, geom: BundleGeometry, sampling: float) -> float:
+    """Hausdorff distance from a nodal set to the fibres over the base points ``zeros``.
 
-def hausdorff_distance(set_a: NodalSet | FiberLines, set_b: NodalSet | FiberLines,
-                       geom: BundleGeometry, sampling: float) -> float:
-    """Symmetric sup-inf distance between two sampled sets.
-
-    Both sets are densified to spacing at most ``sampling``.  The distance
-    of two sample points uses the chart metric at their midpoint, with
-    both coordinates taken to the nearest periodic image.  A direction
-    whose target is :class:`FiberLines` measures each point against the
-    nearest samples of every line only (see :func:`_sup_inf_to_fibers`).
-    The other directions are an exact pruned search (see
-    :func:`_directed_sup_inf`): on the torus the tree chart scales ``f``
-    by a certified lower bound of the warp, on the waveguide ``f`` is
-    unscaled and shifted into a box at least twice its range, so the
-    periodic wrap never shortens a fibre difference.  Either way the
-    result equals the sup-inf over all sample pairs, to the bit.
+    This is the distance of the paper's theorem: the nodal set of the full
+    eigenfunction against ``pi^-1(psi^-1(0))``.  The segments are sampled
+    at spacing at most ``sampling`` and each fibre on a uniform grid of at
+    most that metric spacing.  The distance of two sample points uses the
+    chart metric at their midpoint, with both coordinates taken to the
+    nearest periodic image.  Towards the fibres each nodal sample is
+    measured against the nearest fibre samples only (see
+    :func:`_sup_inf_to_fibers`); from the fibres, a search bounded by the
+    base difference and the warp's lower bound measures only the pairs
+    that can be nearest (see :func:`_sup_inf_from_fibers`).  Both
+    directions equal the sup-inf over all sample pairs, to the bit.
     """
     if not 0.0 < sampling < np.inf:
         raise ValueError("sampling spacing must be positive and finite")
-    stretch = 1.0
+    zeros = np.atleast_1d(np.asarray(zeros, dtype=float))
+    stretch = low = 1.0
     if isinstance(geom, WarpedTorusGeometry):
         bound = geom.warp.max_abs_bound
         stretch = max(1.0, float(np.exp(bound)) if geom.warp_is_exp else bound)
-    pa = _sample(set_a, geom, stretch, sampling)
-    pb = _sample(set_b, geom, stretch, sampling)
-    if len(pa) == 0 or len(pb) == 0:
-        raise EmptySet("hausdorff distance of an empty set")
-    if isinstance(geom, WarpedTorusGeometry):
         low = geom.warp.lower_bound
-        scale = (float(np.exp(low)) if geom.warp_is_exp else low) * (1.0 - 1e-12)
-        f_lo, f_box = 0.0, scale * geom.fiber_length
-    else:
-        scale = 1.0
-        f_lo = min(pa[:, 1].min(), pb[:, 1].min())
-        f_box = max(2.0 * (max(pa[:, 1].max(), pb[:, 1].max()) - f_lo), 1.0)
-    box = np.array([geom.period, f_box])
-    xa, xb = (_tree_chart(x, scale, f_lo, box) for x in (pa, pb))
-
-    def sup_inf(p, xp, target, q, xq):
-        if isinstance(target, FiberLines):
-            return _sup_inf_to_fibers(p, target, _fiber_grid(geom, stretch, sampling), geom)
-        return _directed_sup_inf(p, xp, q, xq, geom, box)
-
-    return max(sup_inf(pa, xa, set_b, pb, xb), sup_inf(pb, xb, set_a, pa, xa))
+        low = (float(np.exp(low)) if geom.warp_is_exp else low) * (1.0 - 1e-12)
+    p = _sample(nodal, stretch, sampling)
+    if len(p) == 0 or len(zeros) == 0:
+        raise EmptySet("hausdorff distance of an empty set")
+    f = _fiber_grid(geom, stretch, sampling)
+    return max(_sup_inf_to_fibers(p, zeros, f, geom),
+               _sup_inf_from_fibers(zeros, f, p, geom, low))
 
 
 def boundary_trace_components(nodal: NodalSet) -> int:

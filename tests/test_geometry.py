@@ -70,6 +70,20 @@ class TestProfile:
         with pytest.raises(ValueError):
             PeriodicProfile(period=0.0)
 
+    @pytest.mark.parametrize("phase", [0.0, 0.1, np.pi / 3, 2.0])
+    def test_bounds_do_not_depend_on_the_phase(self, phase):
+        # 0.3 cos(s - phase) + 0.15 cos(2 s - 2 phase), written in cos and sin
+        p = PeriodicProfile(TWO_PI, 0.5, (0.3 * np.cos(phase), 0.15 * np.cos(2 * phase)),
+                            (0.3 * np.sin(phase), 0.15 * np.sin(2 * phase)))
+        assert p.max_abs_bound == pytest.approx(0.95, rel=1e-15)
+        assert p.lower_bound == pytest.approx(0.05, rel=1e-13)
+        assert p.eval(phase) == pytest.approx(0.95, rel=1e-15)  # the upper one is attained
+
+    def test_cos_only_bounds_are_the_amplitude_sums(self):
+        p = PeriodicProfile(TWO_PI, -0.2, (0.3, -0.15))
+        assert p.max_abs_bound == 0.2 + (0.3 + 0.15)
+        assert p.lower_bound == -0.2 - (0.3 + 0.15)
+
 
 class TestMetricSample:
     """``metric_coefficients``: ``sqrt(det g) g^ss``, ``sqrt(det g) g^ff`` and ``sqrt(det g)``.
@@ -153,6 +167,8 @@ class TestMetricSample:
         (waveguide(), (1e-320, np.arange(8.0), [0.0])),
         # exp(800 cos s) overflows near s = 0 and underflows to 0 near s = pi
         (torus(PeriodicProfile(TWO_PI, 0.0, (800.0,)), exp=True), (0.1, np.arange(8.0))),
+        # exp(700 cos s) stays finite, but g^tt = 1/a^2 overflows near s = pi
+        (torus(PeriodicProfile(TWO_PI, 0.0, (700.0,)), exp=True), (0.1, np.arange(8.0))),
     ])
     def test_coefficient_that_is_not_finite_is_refused(self, geom, args):
         with warnings.catch_warnings():

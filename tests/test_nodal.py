@@ -17,7 +17,6 @@ from fibrelab.eigensolve import SolveConfig, smallest_eigenpairs
 from fibrelab.errors import DegenerateField, EmptySet, NonTransversalZero
 from fibrelab.geometry import PeriodicProfile, WarpedTorusGeometry, WaveguideGeometry
 from fibrelab.nodal import (
-    FiberLines,
     NodalSet,
     ScalarField,
     boundary_trace_components,
@@ -310,19 +309,19 @@ class TestZerosOfBase:
 
 
 def loop_sample(obj, geom, stretch, spacing):
-    """Reference sampler: one ``np.linspace`` per fibre line and per segment."""
+    """Reference sampler: one ``np.linspace`` per segment, or per fibre over base points."""
     pieces = [np.zeros((0, 2))]
-    if isinstance(obj, FiberLines):
-        f_lo, f_hi = (-1.0, 1.0) if isinstance(geom, WaveguideGeometry) else (0.0, geom.fiber_length)
-        n = max(2, int(np.ceil((f_hi - f_lo) * stretch / spacing)) + 1)
-        f = np.linspace(f_lo, f_hi, n)
-        pieces += [np.column_stack([np.full(n, s), f]) for s in obj.s_positions]
-    else:
+    if isinstance(obj, NodalSet):
         for p0, p1 in obj.segments:
             length = float(np.hypot(p1[0] - p0[0], stretch * (p1[1] - p0[1])))
             n = max(2, int(np.ceil(length / spacing)) + 1)
             t = np.linspace(0.0, 1.0, n)[:, None]
             pieces.append(p0[None, :] * (1.0 - t) + p1[None, :] * t)
+    else:  # the fibres over the base points obj
+        f_lo, f_hi = (-1.0, 1.0) if isinstance(geom, WaveguideGeometry) else (0.0, geom.fiber_length)
+        n = max(2, int(np.ceil((f_hi - f_lo) * stretch / spacing)) + 1)
+        f = np.linspace(f_lo, f_hi, n)
+        pieces += [np.column_stack([np.full(n, s), f]) for s in obj]
     return np.concatenate(pieces, axis=0)
 
 
@@ -356,10 +355,18 @@ def stretch_of(geom):
     return max(1.0, float(np.exp(bound)) if geom.warp_is_exp else bound)
 
 
-def brute_hausdorff(set_a, set_b, geom, spacing):
-    pa = loop_sample(set_a, geom, stretch_of(geom), spacing)
-    pb = loop_sample(set_b, geom, stretch_of(geom), spacing)
-    return max(brute_directed_sup_inf(pa, pb, geom), brute_directed_sup_inf(pb, pa, geom))
+def low_of(geom):
+    """The warp's lower bound, less the margin that ``hausdorff_distance`` takes."""
+    if isinstance(geom, WaveguideGeometry):
+        return 1.0
+    low = geom.warp.lower_bound
+    return (float(np.exp(low)) if geom.warp_is_exp else low) * (1.0 - 1e-12)
+
+
+def brute_hausdorff(nodal, zeros, geom, spacing):
+    p = loop_sample(nodal, geom, stretch_of(geom), spacing)
+    q = loop_sample(zeros, geom, stretch_of(geom), spacing)
+    return max(brute_directed_sup_inf(p, q, geom), brute_directed_sup_inf(q, p, geom))
 
 
 HAUSDORFF_GEOMETRIES = {
@@ -370,6 +377,7 @@ HAUSDORFF_GEOMETRIES = {
     "plain": WarpedTorusGeometry(np.pi, 3.0, PeriodicProfile(TWO_PI, 1.0, (0.6,), (0.3,))),
     "guide": WaveguideGeometry(TWO_PI, PeriodicProfile(TWO_PI, 1.0, (0.5,))),
 }
+TORUS_GEOMETRIES = sorted(name for name in HAUSDORFF_GEOMETRIES if name != "guide")
 
 
 def fiber_range(geom):
@@ -398,16 +406,15 @@ def polyline_sets(draw, geom):
 
 @st.composite
 def hausdorff_cases(draw):
-    """(set, set, geometry, spacing) over the four test geometries."""
+    """(nodal set, base zeros, geometry, spacing) over the four test geometries."""
     geom = HAUSDORFF_GEOMETRIES[draw(st.sampled_from(sorted(HAUSDORFF_GEOMETRIES)))]
-    lines = FiberLines(np.array(draw(st.lists(
+    zeros = np.array(draw(st.lists(
         st.one_of(st.floats(-0.5, geom.period + 0.5), st.sampled_from((0.0, geom.period))),
-        min_size=1, max_size=3))))
+        min_size=1, max_size=3)))
     if draw(st.booleans()):
-        set_a = draw(polyline_sets(geom))
-        set_b = draw(st.sampled_from((lines, draw(polyline_sets(geom)))))
+        nodal_set = draw(polyline_sets(geom))
         spacing = draw(st.floats(0.06, 0.3))
-    else:  # a real nodal set against whole fibres
+    else:  # a real nodal set
         n = draw(st.integers(12, 24))
         a = draw(st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6))
         h_s = geom.period / n
@@ -426,85 +433,97 @@ def hausdorff_cases(draw):
         nodal_set = extract_nodal_set(ScalarField(vals, s, f, h_s, h_f, geom.period,
                                                   isinstance(geom, WarpedTorusGeometry)))
         assume(len(nodal_set.segments) > 0)
-        set_a, set_b = nodal_set, lines
         spacing = draw(st.sampled_from((0.25, 0.5))) * min(h_s, h_f)
-    if draw(st.booleans()):
-        set_a, set_b = set_b, set_a
-    return set_a, set_b, geom, spacing
+    return nodal_set, zeros, geom, spacing
 
 
-def mode1_nodal_set():
-    """Mode-1 nodal set of a 64x64 warped torus and the fibres over its predicted zeros."""
-    geom = HAUSDORFF_GEOMETRIES["exp"]
-    grid = GridSpec(64, 64, 4)
+def mode1_nodal_set(geom):
+    """Mode-1 nodal set at eps 0.1 and its predicted zeros: a 64x64 torus, a 64x48 strip."""
+    torus = isinstance(geom, WarpedTorusGeometry)
+    grid = GridSpec(64, 64 if torus else 48, 4)
     op = assemble_full(geom, 0.1, grid)
     pairs = smallest_eigenpairs(op, SolveConfig(k=4, tol=1e-8, max_iter=5000, seed=0))
-    idx = int(np.flatnonzero(pairs.fiber_modes == 0)[1])
+    # the strip's lowest pairs all carry the fibre ground state
+    idx = int(np.flatnonzero(pairs.fiber_modes == 0)[1]) if torus else 1
     fld = field_from_operator(op, pairs.vectors[:, idx])
     pred = build_prediction(assemble_effective(geom, grid), 1)
-    zeros = FiberLines(np.array([z for z, _ in pred.zeros]))
-    return geom, fld, extract_nodal_set(fld), zeros
+    return fld, extract_nodal_set(fld), np.array([z for z, _ in pred.zeros])
+
+
+def degenerate_segments(points):
+    """A nodal set whose samples are exactly ``points``: each a segment of length 0."""
+    points = np.asarray(points, dtype=float)
+    return NodalSet(np.stack([points, points], axis=1), np.zeros(len(points), dtype=int), 1)
+
+
+def fiber_line(s, f_lo, f_hi):
+    """A nodal set that is one straight segment along the fibre over ``s``."""
+    return NodalSet(np.array([[[s, f_lo], [s, f_hi]]]), np.zeros(1, dtype=int), 1)
 
 
 class TestHausdorff:
     def test_identical_sets_vanish(self):
+        # a nodal set made of the fibre samples themselves
         geom = flat_torus()
-        nodal = extract_nodal_set(torus_field(lambda s, t: np.cos(s)))
-        assert hausdorff_distance(nodal, nodal, geom, 0.05) == 0.0
+        q = loop_sample(np.array([1.0, 4.0]), geom, 1.0, 0.05)
+        assert hausdorff_distance(degenerate_segments(q), [1.0, 4.0], geom, 0.05) == 0.0
 
     def test_two_shifted_circles(self):
         geom = flat_torus()
         delta = 0.5
-        a = FiberLines(np.array([1.0]))
-        b = FiberLines(np.array([1.0 + delta]))
-        d = hausdorff_distance(a, b, geom, 0.01)
+        d = hausdorff_distance(fiber_line(1.0, 0.0, TWO_PI), [1.0 + delta], geom, 0.01)
         assert d == pytest.approx(delta, rel=0.02)
 
     def test_point_sets_on_base_circle(self):
+        # a point against a whole fibre: the far side of the fibre decides,
+        # up to the half step between the samples next to it
         geom = flat_torus()
-        d = hausdorff_distance(FiberLines(np.array([0.0])), FiberLines(np.array([1.3])), geom, 0.01)
-        assert d == pytest.approx(1.3, rel=0.02)
+        d = hausdorff_distance(degenerate_segments([[0.0, 0.0]]), [1.3], geom, 0.01)
+        assert d == pytest.approx(np.hypot(1.3, np.pi), abs=0.01)
 
     def test_symmetry(self):
+        # on the flat torus, swapping which fibre is the nodal set changes nothing
         geom = flat_torus()
-        a = FiberLines(np.array([0.5]))
-        b = FiberLines(np.array([2.0]))
-        assert hausdorff_distance(a, b, geom, 0.01) == hausdorff_distance(b, a, geom, 0.01)
+        f = loop_sample(np.array([0.0]), geom, 1.0, 0.01)[:, 1]
+
+        def line_at(s):
+            return degenerate_segments(np.column_stack([np.full(len(f), s), f]))
+
+        assert hausdorff_distance(line_at(0.5), [2.0], geom, 0.01) == \
+            hausdorff_distance(line_at(2.0), [0.5], geom, 0.01) == 1.5
 
     def test_wraparound_distance(self):
         geom = flat_torus()
-        a = FiberLines(np.array([0.1]))
-        b = FiberLines(np.array([TWO_PI - 0.1]))
-        assert hausdorff_distance(a, b, geom, 0.01) == pytest.approx(0.2, rel=0.05)
+        d = hausdorff_distance(fiber_line(0.1, 0.0, TWO_PI), [TWO_PI - 0.1], geom, 0.01)
+        assert d == pytest.approx(0.2, rel=0.05)
 
     def test_empty_set_raises(self):
         geom = flat_torus()
         with pytest.raises(EmptySet):
-            hausdorff_distance(FiberLines(np.zeros(0)), FiberLines(np.array([1.0])), geom, 0.1)
+            hausdorff_distance(fiber_line(1.0, 0.0, 1.0), [], geom, 0.1)
+        with pytest.raises(EmptySet):
+            hausdorff_distance(degenerate_segments(np.zeros((0, 2))), [1.0], geom, 0.1)
 
     @pytest.mark.parametrize("sampling", [np.nan, np.inf, 0.0, -1.0])
     def test_bad_sampling_rejected(self, sampling):
-        geom = flat_torus()
-        a, b = FiberLines(np.array([1.0])), FiberLines(np.array([2.0]))
         with pytest.raises(ValueError, match="sampling spacing must be positive and finite"):
-            hausdorff_distance(a, b, geom, sampling)
+            hausdorff_distance(fiber_line(1.0, 0.0, 1.0), [2.0], flat_torus(), sampling)
 
     @given(hausdorff_cases())
     @settings(max_examples=120, deadline=None)
     def test_matches_all_pairs_search(self, case):
-        set_a, set_b, geom, spacing = case
-        for obj in (set_a, set_b):
-            assert np.array_equal(nodal_module._sample(obj, geom, stretch_of(geom), spacing),
-                                  loop_sample(obj, geom, stretch_of(geom), spacing))
-        expected = brute_hausdorff(set_a, set_b, geom, spacing)
-        assert hausdorff_distance(set_a, set_b, geom, spacing) == pytest.approx(expected,
-                                                                               rel=1e-13)
+        nodal_set, zeros, geom, spacing = case
+        assert np.array_equal(nodal_module._sample(nodal_set, stretch_of(geom), spacing),
+                              loop_sample(nodal_set, geom, stretch_of(geom), spacing))
+        expected = brute_hausdorff(nodal_set, zeros, geom, spacing)
+        assert hausdorff_distance(nodal_set, zeros, geom, spacing) == expected
 
     def test_work_is_linear_in_the_samples(self, monkeypatch):
-        geom, fld, nodal_set, zeros = mode1_nodal_set()
+        geom = HAUSDORFF_GEOMETRIES["exp"]
+        fld, nodal_set, zeros = mode1_nodal_set(geom)
         spacing = 0.125 * min(fld.h_s, fld.h_f)
-        n_p = len(nodal_module._sample(nodal_set, geom, stretch_of(geom), spacing))
-        n_q = len(nodal_module._sample(zeros, geom, stretch_of(geom), spacing))
+        n_p = len(nodal_module._sample(nodal_set, stretch_of(geom), spacing))
+        n_q = len(zeros) * len(nodal_module._fiber_grid(geom, stretch_of(geom), spacing))
         evaluated = []
         warp_value = WarpedTorusGeometry.warp_value
 
@@ -518,21 +537,44 @@ class TestHausdorff:
         # an all-pairs search evaluates the warp at 2 |P| |Q| midpoints
         assert sum(evaluated) <= 64 * (n_p + n_q)
 
+    def test_waveguide_work_is_linear_in_the_samples(self, monkeypatch):
+        geom = WaveguideGeometry(TWO_PI, PeriodicProfile(TWO_PI, 1.0, (0.5, 0.25)))
+        fld, nodal_set, zeros = mode1_nodal_set(geom)
+        spacing = 0.125 * min(fld.h_s, fld.h_f)
+        n_p = len(nodal_module._sample(nodal_set, 1.0, spacing))
+        n_q = len(zeros) * len(nodal_module._fiber_grid(geom, 1.0, spacing))
+        measured = []
+        pair_d2 = nodal_module._pair_d2
+
+        def counting_pair_d2(*args):
+            d2 = pair_d2(*args)
+            measured.append(d2.size)
+            return d2
+
+        monkeypatch.setattr(nodal_module, "_pair_d2", counting_pair_d2)
+        d = hausdorff_distance(nodal_set, zeros, geom, spacing)
+        assert 0.0 < d < fld.h_s
+        # an all-pairs search measures 2 |P| |Q| pairs, here over 400 (|P| + |Q|)
+        assert sum(measured) <= 64 * (n_p + n_q)
+
     def test_import_leaves_the_tree_module_unloaded(self):
+        # a whole torus study, Hausdorff rate included, needs no scipy.spatial
         src = str(Path(nodal_module.__file__).resolve().parents[1])
+        config = Path(__file__).resolve().parents[1] / "demos" / "configs" / "warped_torus.json"
+        script = (
+            "import json, sys\n"
+            "from fibrelab.study import load_config, run_study\n"
+            f"raw = json.loads({config.read_text()!r})\n"
+            "assert 'hausdorff_rate' in raw['study']['checks']\n"
+            "report = run_study(load_config(raw))\n"
+            "assert report.records and all(r.hausdorff for r in report.records)\n"
+            "print('scipy.spatial' in sys.modules)\n"
+        )
         env = dict(os.environ,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run(
-            [sys.executable, "-c", "import sys, fibrelab; print('scipy.spatial' in sys.modules)"],
-            env=env, capture_output=True, text=True, check=True, timeout=60,
-        )
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
         assert out.stdout.strip() == "False"
-
-
-def degenerate_segments(points):
-    """A nodal set whose samples are exactly ``points``: each a segment of length 0."""
-    points = np.asarray(points, dtype=float)
-    return NodalSet(np.stack([points, points], axis=1), np.zeros(len(points), dtype=int), 1)
 
 
 def fiber_special_points(geom, f):
@@ -559,72 +601,115 @@ def midpoints_and_neighbours(f):
 
 
 class TestFiberLineKernel:
-    """Each point's distance to whole fibres, against every sample of every line."""
+    """Each point's distance to whole fibres, against every sample of every fibre."""
 
     @pytest.mark.parametrize("name", sorted(HAUSDORFF_GEOMETRIES))
     @pytest.mark.parametrize("spacing", [0.05, 0.13])
     def test_each_point_matches_all_samples(self, name, spacing):
         geom = HAUSDORFF_GEOMETRIES[name]
-        lines = FiberLines(np.array([0.0, 1.0, geom.period - 1e-9]))
+        zeros = np.array([0.0, 1.0, geom.period - 1e-9])
         f = nodal_module._fiber_grid(geom, stretch_of(geom), spacing)
-        q = loop_sample(lines, geom, stretch_of(geom), spacing)
+        q = loop_sample(zeros, geom, stretch_of(geom), spacing)
         rng = np.random.default_rng(7)
         fs = fiber_special_points(geom, f) + list(rng.uniform(*fiber_range(geom), 20))
         ss = [0.0, geom.period, 0.5, 1.0, -1e-17, geom.period + 1e-15, 0.5 * geom.period]
         points = [(s, fp) for s in ss for fp in fs]
-        points += [(1.0, fp) for fp in midpoints_and_neighbours(f)]  # on a line: ds = 0
+        points += [(1.0, fp) for fp in midpoints_and_neighbours(f)]  # on a fibre: ds = 0
         for point in points:
             p = np.array([point])
-            got = nodal_module._sup_inf_to_fibers(p, lines, f, geom)
+            got = nodal_module._sup_inf_to_fibers(p, zeros, f, geom)
             assert got == brute_directed_sup_inf(p, q, geom), point
 
     @pytest.mark.parametrize("name", sorted(HAUSDORFF_GEOMETRIES))
     def test_both_orders_equal_the_all_pairs_value(self, name):
+        # both directed distances, nodal set to fibres and fibres to nodal set
         geom = HAUSDORFF_GEOMETRIES[name]
         spacing = 0.07
         f = nodal_module._fiber_grid(geom, stretch_of(geom), spacing)
-        lines = FiberLines(np.array([0.0, 2.0]))
-        pts = [[s, fp] for s in (0.0, geom.period, 1.0, 2.0 + 1e-12)
-               for fp in fiber_special_points(geom, f)]
-        nodal_set = degenerate_segments(pts)
-        expected = brute_hausdorff(nodal_set, lines, geom, spacing)
-        assert hausdorff_distance(nodal_set, lines, geom, spacing) == expected
-        assert hausdorff_distance(lines, nodal_set, geom, spacing) == expected
+        zeros = np.array([0.0, 2.0])
+        pts = np.array([[s, fp] for s in (0.0, geom.period, 1.0, 2.0 + 1e-12)
+                        for fp in fiber_special_points(geom, f)])
+        q = loop_sample(zeros, geom, stretch_of(geom), spacing)
+        assert nodal_module._sup_inf_to_fibers(pts, zeros, f, geom) == \
+            brute_directed_sup_inf(pts, q, geom)
+        assert nodal_module._sup_inf_from_fibers(zeros, f, pts, geom, low_of(geom)) == \
+            brute_directed_sup_inf(q, pts, geom)
+        assert hausdorff_distance(degenerate_segments(pts), zeros, geom, spacing) == \
+            brute_hausdorff(degenerate_segments(pts), zeros, geom, spacing)
 
 
 class TestTreeSearch:
+    """The search from the fibre samples to the nodal samples."""
+
     @pytest.mark.parametrize("name", sorted(HAUSDORFF_GEOMETRIES))
     def test_crowded_targets_are_queried_again(self, name, monkeypatch):
-        # 80 coincident target samples tie at every tree distance, so a point
-        # nearest to them is settled only once K passes them all
+        # no nodal sample lies within several steps of the fibre over z, so
+        # the first bound settles no fibre sample; 40 coincident samples
+        # crowd one spot, and every bound that reaches them holds all 40
         geom = HAUSDORFF_GEOMETRIES[name]
         f_lo, f_hi = fiber_range(geom)
-        centre = np.array([1.0, 0.5 * (f_lo + f_hi)])
+        spacing = 0.05
+        f = nodal_module._fiber_grid(geom, stretch_of(geom), spacing)
+        step = f[1] - f[0]
+        z = 1.0
         rng = np.random.default_rng(3)
-        targets = degenerate_segments([centre] * 40 + list(
-            zip(rng.uniform(0.0, geom.period, 25), rng.uniform(f_lo, f_hi, 25))))
-        near = centre + rng.uniform(-0.05, 0.05, (10, 2))
-        far = np.column_stack([rng.uniform(-0.5, geom.period + 0.5, 10),
-                               rng.uniform(f_lo, f_hi, 10)])
-        from scipy.spatial import cKDTree
+        crowd = [[z + 12 * step, 0.5 * (f_lo + f_hi)]] * 40
+        scatter = np.column_stack([z + rng.choice([-1.0, 1.0], 25) * rng.uniform(8, 60, 25) * step,
+                                   rng.uniform(f_lo, f_hi, 25)])
+        p = np.concatenate([crowd, scatter])
+        passes = []
+        pair_d2 = nodal_module._pair_d2
 
-        ks = []
+        def counting_pair_d2(*args):
+            passes.append(np.size(args[0]))
+            return pair_d2(*args)
 
-        class CountingTree(cKDTree):
-            def query(self, x, k=1, **kwargs):
-                ks.append(k)
-                return super().query(x, k=k, **kwargs)
+        monkeypatch.setattr(nodal_module, "_pair_d2", counting_pair_d2)
+        q = loop_sample(np.array([z]), geom, stretch_of(geom), spacing)
+        got = nodal_module._sup_inf_from_fibers(np.array([z]), f, p, geom, low_of(geom))
+        assert got == brute_directed_sup_inf(q, p, geom)
+        assert passes[0] == 0 and len(passes) > 3  # the first bound held no pair
+        assert hausdorff_distance(degenerate_segments(p), [z], geom, spacing) == \
+            brute_hausdorff(degenerate_segments(p), np.array([z]), geom, spacing)
 
-        monkeypatch.setattr("scipy.spatial.cKDTree", CountingTree)
-        spacing = 0.2
-        q = loop_sample(targets, geom, stretch_of(geom), spacing)
-        for i, point in enumerate(np.concatenate([near, far])):  # every point's minimum
-            ks.clear()
-            assert hausdorff_distance(degenerate_segments([point]), targets, geom, spacing) == \
-                max(brute_directed_sup_inf(point[None], q, geom),
-                    brute_directed_sup_inf(q, point[None], geom))
-            if i < len(near):
-                assert max(ks) > 80
+    @pytest.mark.parametrize("name", ["thin", "strong_exp"])
+    def test_window_is_scaled_by_the_warp_lower_bound(self, name):
+        # where the warp is small, a point far along the fibre is nearer in
+        # the metric than one just beside it: the fibre samples of a gap of
+        # 2 D around f0, a point at either end of the gap, and one at
+        # base distance a from f0 with wt D < a < D
+        geom = HAUSDORFF_GEOMETRIES.get(
+            name, WarpedTorusGeometry(np.pi, TWO_PI, PeriodicProfile(TWO_PI, 0.2)))
+        spacing = 0.05
+        f = nodal_module._fiber_grid(geom, stretch_of(geom), spacing)
+        s = np.linspace(0.0, geom.period, 4096, endpoint=False)
+        z = s[np.argmin(geom.warp_value(s))]
+        k0, gap = len(f) // 2, 20
+        d_f = f[k0 + gap] - f[k0]
+        a = np.sqrt(geom.warp_value(z)) * d_f
+        fs = np.concatenate([f[: k0 - gap + 1], f[k0 + gap :]])
+        p = np.concatenate([np.column_stack([np.full(len(fs), z), fs]), [[z + a, f[k0]]]])
+        q = loop_sample(np.array([z]), geom, stretch_of(geom), spacing)
+        got = nodal_module._sup_inf_from_fibers(np.array([z]), f, p, geom, low_of(geom))
+        assert got == brute_directed_sup_inf(q, p, geom)
+        assert got < 0.5 * a  # the gap's centre, nearest to its ends
+
+    @pytest.mark.parametrize("name", TORUS_GEOMETRIES)
+    def test_seam_sample_is_measured(self, name):
+        # f[0] and f[n - 1] are one point of the fibre circle; the nodal
+        # samples leave a gap around it, so the seam is the farthest fibre
+        # sample, and rounding decides which of the two copies is farther
+        geom = HAUSDORFF_GEOMETRIES[name]
+        spacing = 0.05
+        f = nodal_module._fiber_grid(geom, stretch_of(geom), spacing)
+        zeros = np.array([0.0, 2.0])
+        q = loop_sample(zeros, geom, stretch_of(geom), spacing)
+        inner = f[(f > 0.4) & (f < f[-1] - 0.3)]
+        for s in (0.0, 0.05, geom.period - 1e-9, 2.0 + 1e-12):
+            for fs in (inner, inner - f[-1], np.append(inner, [0.3, f[-1] + 0.35])):
+                p = np.column_stack([np.full(len(fs), s), fs])
+                got = nodal_module._sup_inf_from_fibers(zeros, f, p, geom, low_of(geom))
+                assert got == brute_directed_sup_inf(q, p, geom), (s, fs[0])
 
 
 class TestBoundaryTraces:

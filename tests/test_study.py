@@ -25,6 +25,7 @@ from fibrelab.study import (
     CheckResult,
     StudyReport,
 )
+from test_acceptance import TORUS_J1_CONFIG
 
 TWO_PI = 2.0 * np.pi
 DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
@@ -435,6 +436,19 @@ class TestRunStudy:
         assert [(f["epsilon"], f["level"], f["stage"], f["error"]) for f in report.failures] == [
             (1e-320, 0, "assemble", "ConfigError")]
 
+    def test_extreme_warp_is_an_assemble_failure(self):
+        # a = exp(-400) has finite coefficients but no finite g^tt = 1/a^2.
+        # A constant warp leaves the effective problem flat; the effective
+        # problem of exp(700 cos s) already fails, before any assembly
+        cfg = flat_config(epsilons=[0.5, 0.3, 0.1])
+        cfg["geometry"]["warp"] = {"constant": -400.0, "exp": True}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_study(load_config(cfg))
+        assert report.records == []
+        assert [(f["epsilon"], f["level"], f["stage"], f["error"]) for f in report.failures] == [
+            (eps, 0, "assemble", "ConfigError") for eps in (0.5, 0.3, 0.1)]
+
     def test_timings_keep_every_eps(self):
         # 0.2000001 and 0.2 print alike with six significant digits
         epsilons = [0.4, 0.2000001, 0.2, 0.1]
@@ -480,6 +494,54 @@ class TestRunStudy:
         report = run_study(load_config(cfg))
         assert len(report.records) == 4
         assert len(calls) == 2
+
+
+def shifted_warp(warp, h):
+    """The exp-warp profile of ``warp`` moved by ``h`` along the base: ``p(s - h)``.
+
+    ``cos(k (s - h))`` is written as ``cos(k h) cos(k s) + sin(k h) sin(k s)``.
+    """
+    cos, sin = [], []
+    for k, amp in enumerate(warp["cos"], start=1):
+        cos.append(amp * np.cos(k * h))
+        sin.append(amp * np.sin(k * h))
+    return {"constant": warp["constant"], "cos": cos, "sin": sin, "exp": warp["exp"]}
+
+
+def assert_same_to_round_off(x, y, what):
+    # 1e-9 relative, or 1e-10 absolute: eig_gap is a difference of O(1) values
+    assert y == pytest.approx(x, rel=1e-9, abs=1e-10), what
+
+
+class TestMetamorphicStudy:
+    def test_base_shift_by_one_cell_moves_every_zero_by_that_cell(self):
+        # the warp of TORUS_J1 moved by one base cell h: the discrete problem
+        # is the same up to a roll of the grid, so every record scalar stays
+        # and every predicted zero moves by h
+        cfg = json.loads(json.dumps(TORUS_J1_CONFIG))
+        cfg["grid"] = {"n_s": 64, "n_f": 32, "stencil_order": 4, "refine": 2}
+        h = TWO_PI / cfg["grid"]["n_s"]
+        shifted = json.loads(json.dumps(cfg))
+        shifted["geometry"]["warp"] = shifted_warp(cfg["geometry"]["warp"], h)
+        base, moved = run_study(load_config(cfg)), run_study(load_config(shifted))
+        assert base.failures == moved.failures == []
+        assert len(base.records) == len(moved.records) == len(cfg["epsilons"])
+        for a, b in zip(base.records, moved.records):
+            assert a.hausdorff is not None
+            for name in ("eps", "lambda_full", "mu", "eig_gap", "supnorm", "hausdorff",
+                         "tube_radius", "empirical_tube_constant"):
+                assert_same_to_round_off(getattr(a, name), getattr(b, name), (a.eps, name))
+            assert a.disc_estimates.keys() == b.disc_estimates.keys()
+            for name, value in a.disc_estimates.items():
+                assert_same_to_round_off(value, b.disc_estimates[name], (a.eps, name))
+            for name in ("mode_index", "domain_count", "component_count",
+                         "boundary_components", "graph_over_fiber", "courant_counts"):
+                assert getattr(a, name) == getattr(b, name), (a.eps, name)
+            move = (np.array(b.zeros) - np.array(a.zeros) - h + np.pi) % TWO_PI - np.pi
+            assert np.abs(move).max() < 1e-12, (a.eps, move)
+        for name, check in base.checks.items():
+            assert (check.passed, check.reason) == (moved.checks[name].passed,
+                                                    moved.checks[name].reason), name
 
 
 class TestCertifiedShift:
@@ -830,14 +892,16 @@ class TestCli:
         ("warped_torus.json", "1e-320"),
         ("waveguide.json", "1e-320"),
         ("warp800", "0.1"),
+        ("warp700", "0.1"),
     ])
     def test_metric_that_is_not_finite_is_a_one_line_config_error(self, tmp_path, capsys,
                                                                   config, eps):
         # eps = 1e-320 is in (0, 1), and exp(800 cos s) is a valid warp, but
-        # 1/eps and the warp overflow: the metric has no float coefficients
-        if config == "warp800":
+        # 1/eps and the warp overflow: the metric has no float coefficients.
+        # exp(700 cos s) has them, but not their ratio g^tt = exp(-1400 cos s)
+        if not config.endswith(".json"):
             cfg = flat_config()
-            cfg["geometry"]["warp"] = {"cos": [800], "exp": True}
+            cfg["geometry"]["warp"] = {"cos": [int(config[4:])], "exp": True}
             path = self.write_config(tmp_path, cfg)
         else:
             path = str(DEMO_CONFIGS / config)
@@ -848,6 +912,20 @@ class TestCli:
         assert captured.out == ""
         assert re.fullmatch(r"config error: [^\n]* metric coefficients are not finite "
                             rf"at eps={eps}\n", captured.err), captured.err
+
+    def test_extreme_warp_with_finite_metric_is_a_one_line_solver_failure(self, tmp_path,
+                                                                          capsys):
+        # exp(300 cos s) spans 1e-130 to 1e130: the metric and g^tt are
+        # finite, and the residuals, not float overflow, refuse the solve
+        cfg = flat_config()
+        cfg["geometry"]["warp"] = {"cos": [300], "exp": True}
+        path = self.write_config(tmp_path, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(["solve", "--config", path, "--epsilon", "0.1", "--k", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"solver failure: [^\n]*\n", captured.err), captured.err
 
     def test_check_subcommand_passes(self, capsys):
         assert cli_main(["check"]) == 0
