@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateEffectiveEigenvalue, GridTooCoarse, PairingAmbiguous
 from .eigensolve import EigenPairSet, SolveConfig, smallest_eigenpairs
-from .geometry import BundleGeometry, WarpedTorusGeometry, WaveguideGeometry, as_epsilon
+from .geometry import BundleGeometry, WarpedTorusGeometry, WaveguideGeometry
 from .nodal import (
     _circle_dist,
     boundary_trace_components,
@@ -62,8 +62,6 @@ def fiber_ground_energy(geom: WaveguideGeometry, eps, s: float, n_f: int) -> flo
     ``s`` on ``n_f`` and ``2 n_f`` cells and Richardson-extrapolates the
     second-order scheme.
     """
-    eps = as_epsilon(eps)
-    geom.check_tube(eps)
     if n_f < MIN_POINTS:
         raise GridTooCoarse(f"need at least {MIN_POINTS} fibre cells")
     coarse, fine = (_fiber_ground(*_fiber_blocks(geom, eps, s, n, 1.0)) for n in (n_f, 2 * n_f))

@@ -88,7 +88,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as sla
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .errors import FactorizationFailed, NoConvergence
+from .errors import ConfigError, FactorizationFailed, NoConvergence
 from .operators import DiscreteOperator
 
 __all__ = ["SolveConfig", "EigenPairSet", "smallest_eigenpairs"]
@@ -163,7 +163,7 @@ def single_threaded_blas() -> Iterator[int]:
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Options for one eigensolve.
+    """Options for one eigensolve; a field out of range raises :class:`ConfigError`.
 
     ``shift`` must lie strictly below the whole spectrum, not only below
     the eigenvalues sought; when omitted it defaults to the operator's
@@ -188,13 +188,13 @@ class SolveConfig:
 
     def __post_init__(self) -> None:
         if self.k < 1:
-            raise ValueError("k must be at least 1")
+            raise ConfigError("k must be at least 1")
         if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
+            raise ConfigError("tol must be positive")
         if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+            raise ConfigError("max_iter must be at least 1")
         if self.shift is not None and not np.isfinite(self.shift):
-            raise ValueError("shift must be finite")
+            raise ConfigError("shift must be finite")
 
 
 @dataclass
@@ -314,12 +314,13 @@ def smallest_eigenpairs(op: DiscreteOperator, cfg: SolveConfig, *,
     W-normalized columns plus the seeded random vector at equal norm, and
     for ``k <= 3`` its Krylov basis shrinks to 14 vectors.  The values
     stay certified against ``cfg.tol`` whatever the start; the
-    fibre-Fourier and dense paths ignore it.
+    fibre-Fourier and dense paths ignore it.  A ``cfg.k`` above
+    ``op.dim`` raises :class:`ConfigError`.
     """
     n = op.dim
     k = cfg.k
     if k > n:
-        raise ValueError(f"requested {k} pairs from a dimension-{n} operator")
+        raise ConfigError(f"requested {k} pairs from a dimension-{n} operator")
 
     modes = None
     if op.fiber_factors is not None:

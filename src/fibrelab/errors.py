@@ -7,8 +7,11 @@ class FibrelabError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ConfigError(FibrelabError):
-    """A study configuration is malformed or internally inconsistent."""
+class ConfigError(FibrelabError, ValueError):
+    """A configuration, eps or solver option is malformed or out of range.
+
+    Raised where the value is defined and shown to the user as it is.
+    """
 
 
 class TubeDegenerate(FibrelabError):

@@ -96,7 +96,7 @@ def as_epsilon(eps) -> float:
     """Separation parameter of the thin-fibre family as a float in (0, 1)."""
     value = float(eps)
     if not 0.0 < value < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {value}")
+        raise ConfigError(f"epsilon must lie in (0, 1), got {value}")
     return value
 
 
@@ -215,27 +215,29 @@ class WaveguideGeometry:
     def curvature_bound(self) -> float:
         return self.curvature.max_abs_bound
 
-    def check_tube(self, eps) -> None:
+    def check_tube(self, eps) -> float:
+        """``eps`` as a float, refused unless the tube is embedded: ``eps*max|kappa| < 1``."""
         eps = as_epsilon(eps)
         if eps * self.curvature_bound >= 1.0:
             raise TubeDegenerate(
                 f"eps*max|kappa| = {eps * self.curvature_bound:.6g} >= 1; tube not embedded"
             )
+        return eps
 
     def metric_coefficients(self, eps, s, u):
         """``(sqrt(det g) g^ss, sqrt(det g) g^uu, sqrt(det g))`` over the grid ``s × u``.
 
         ``(eps/rho, rho/eps, rho/eps)`` with ``rho = 1 - eps*u*kappa(s)``, each
-        of shape ``(len(s), len(u))``.  Raises :class:`TubeDegenerate` where
-        ``rho <= 0`` and :class:`ConfigError` where a coefficient is not finite.
+        of shape ``(len(s), len(u))``.  Raises :class:`TubeDegenerate` unless
+        the tube is embedded, ``eps*max|kappa| < 1`` (:meth:`check_tube`),
+        which keeps ``rho > 0`` on the whole strip ``|u| <= 1``, and
+        :class:`ConfigError` where a coefficient is not finite.
         """
-        eps = as_epsilon(eps)
+        eps = self.check_tube(eps)
         if np.any(np.abs(u) > 1.0):
             raise ValueError("waveguide fibre coordinate must lie in [-1, 1]")
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             rho = 1.0 - eps * np.outer(self.curvature.eval(s), u)
-            if rho.min() <= 0.0:
-                raise TubeDegenerate(f"tube density 1 - eps*u*kappa = {rho.min():.6g} <= 0")
             return _finite("waveguide", eps, eps / rho, rho / eps, rho / eps)
 
     def effective_potential(self, s):

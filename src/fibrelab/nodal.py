@@ -260,18 +260,24 @@ def zeros_of_base(values: np.ndarray, s_nodes: np.ndarray, period: float) -> lis
     """Zero crossings of a periodic 1D function with slopes.
 
     Crossings are linearly interpolated between sign changes; slopes come
-    from centered differences.  A zero whose slope is below 1e-6 of the
-    derivative scale raises :class:`NonTransversalZero`.
+    from centered differences.  A crossing, or an exact zero, whose two
+    values are both at most ``n`` ulps of ``max|psi|`` is round-off (the
+    underflowed tail of a ground state), not a zero, and is skipped.  A
+    zero whose slope is below 1e-6 of the derivative scale raises
+    :class:`NonTransversalZero`.
     """
     psi = np.asarray(values, dtype=float)
     n = len(psi)
     h = period / n
     dpsi = (np.roll(psi, -1) - np.roll(psi, 1)) / (2.0 * h)
     scale = float(np.max(np.abs(dpsi))) if n else 0.0
+    noise = n * np.finfo(float).eps * float(np.max(np.abs(psi))) if n else 0.0
 
     out: list[tuple[float, float]] = []
     for i in range(n):
         v0, v1 = psi[i], psi[(i + 1) % n]
+        if max(abs(v0), abs(v1)) <= noise:
+            continue
         if v0 == 0.0:
             out.append((float(s_nodes[i]), float(dpsi[i])))
         elif v0 * v1 < 0.0:

@@ -289,7 +289,6 @@ def assemble_full(geom: BundleGeometry, eps, grid: GridSpec) -> DiscreteOperator
         return DiscreteOperator(stiffness=None, weight=np.repeat(base_w, n_rows),
                                 fiber_factors=factors, **fields)
 
-    geom.check_tube(eps)
     k_f, w = _fiber_blocks(geom, eps, s, grid.n_f, h_s)
     c_s = geom.metric_coefficients(eps, s_mid, f_nodes)[0]  # (n_s, n_rows)
     diff_s = sp.kron(d_s, sp.identity(n_rows, format="csr"), format="csr")

@@ -19,7 +19,7 @@ exceeds ten times that estimate.  When every point sits at the
 discretization floor the check is reported as passed with an explicit
 "below floor" flag rather than fitting noise; this is exactly the flat
 situation where the model is discretely exact.  ``RATE_CHECKS``
-holds each rate check's quantity, theory exponent and default threshold;
+holds each rate check's quantity, theory exponent and fixed threshold;
 its :class:`CheckResult` carries its fit.  :mod:`fibrelab.report` writes
 the results.
 
@@ -85,7 +85,7 @@ __all__ = [
     "self_check",
 ]
 
-# rate check: (quantity, (theory exponent, default threshold) on the torus,
+# rate check: (quantity, (theory exponent, threshold) on the torus,
 # the same on the waveguide)
 RATE_CHECKS = {
     "eig_rate": ("eig_gap", (2.0, 1.7), (1.0, 0.8)),
@@ -107,7 +107,6 @@ class StudyConfig:
     mode_index: int
     checks: list[str]
     out: Optional[str]
-    thresholds: dict[str, float]
     echo: dict
 
 
@@ -182,9 +181,9 @@ def geometry_from_config(block: dict) -> BundleGeometry:
                 sin_amps=_amplitudes(curv_block, "sin"),
             )
             return WaveguideGeometry(base_length=length, curvature=curvature)
-        raise ConfigError(f"unknown geometry type {kind!r}")
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad geometry block: {exc}") from exc
+    raise ConfigError(f"unknown geometry type {kind!r}")
 
 
 def _integer(block: dict, key: str, default: int) -> int:
@@ -249,17 +248,14 @@ def load_config(raw: dict) -> StudyConfig:
             shift=(None if solver_block.get("shift") is None
                    else _number(solver_block["shift"], "shift")),
         )
-        study_block = _only(raw.get("study", {}), ("mode_index", "checks", "out", "thresholds"),
-                            "study")
+        study_block = _only(raw.get("study", {}), ("mode_index", "checks", "out"), "study")
         mode_index = _integer(study_block, "mode_index", 0)
         checks = _list(study_block.get("checks", []), "checks")
         out = study_block.get("out")
         if out is not None and not isinstance(out, str):
             raise ValueError(f"'out' must be a path or null, got {out!r}")
-        thresholds = study_block.get("thresholds", {})
-        if not isinstance(thresholds, dict):
-            raise ValueError(f"'thresholds' must be an object, got {thresholds!r}")
-        thresholds = {name: _number(value, name) for name, value in thresholds.items()}
+    except ConfigError:
+        raise
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError, GridTooCoarse) as exc:
         raise ConfigError(f"bad study configuration: {exc}") from exc
 
@@ -272,14 +268,11 @@ def load_config(raw: dict) -> StudyConfig:
             as_epsilon(e)
             if isinstance(geom, WaveguideGeometry):
                 geom.check_tube(e)
-    except (ValueError, FibrelabError) as exc:
+    except FibrelabError as exc:
         raise ConfigError(f"invalid epsilon list: {exc}") from exc
     for name in checks:
         if name not in ALL_CHECKS:
             raise ConfigError(f"unknown check {name!r}")
-    for name in thresholds:
-        if name not in RATE_CHECKS:
-            raise ConfigError(f"threshold for unknown rate check {name!r}")
     if any(c in RATE_CHECKS for c in checks) and len(epsilons) < 3:
         raise ConfigError("rate checks require at least three epsilons")
     if refine < 2:
@@ -295,7 +288,6 @@ def load_config(raw: dict) -> StudyConfig:
         mode_index=mode_index,
         checks=checks,
         out=out,
-        thresholds=thresholds,
         echo=raw,
     )
     k = _reported_pair_count(cfg)
@@ -435,7 +427,6 @@ def _evaluate_rate_check(name: str, cfg: StudyConfig,
     """One verdict: a fitted slope, all points at the floor, or too few above it."""
     quantity, torus, waveguide = RATE_CHECKS[name]
     theory, threshold = torus if isinstance(cfg.geometry, WarpedTorusGeometry) else waveguide
-    threshold = cfg.thresholds.get(name, threshold)
     usable: list[tuple[float, float]] = []
     excluded: list[tuple[float, float, str]] = []
     for rec in records:

@@ -11,7 +11,7 @@ import scipy.sparse.linalg as sla
 import fibrelab.eigensolve as eigensolve_module
 import fibrelab.study as study_module
 from fibrelab.eigensolve import DENSE_CUTOFF, SolveConfig, smallest_eigenpairs
-from fibrelab.errors import FactorizationFailed
+from fibrelab.errors import ConfigError, FactorizationFailed
 from fibrelab.nodal import extract_nodal_set, field_from_operator
 from fibrelab.geometry import PeriodicProfile, WarpedTorusGeometry, WaveguideGeometry
 from fibrelab.operators import (
@@ -166,16 +166,13 @@ class TestSmallestEigenpairs:
         assert eff.safe_shift < ref[0] < -1.0
 
     def test_k_larger_than_dimension_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="requested 3 pairs from a dimension-2 operator"):
             smallest_eigenpairs(diag_operator([1.0, 2.0], [1.0, 1.0]), SolveConfig(k=3))
 
     def test_bad_config_rejected(self):
-        with pytest.raises(ValueError):
-            SolveConfig(k=0)
-        with pytest.raises(ValueError):
-            SolveConfig(tol=0.0)
-        for options in ({"max_iter": 0}, {"shift": float("nan")}, {"shift": -float("inf")}):
-            with pytest.raises(ValueError):
+        for options in ({"k": 0}, {"tol": 0.0}, {"max_iter": 0}, {"shift": float("nan")},
+                        {"shift": -float("inf")}):
+            with pytest.raises(ConfigError):
                 SolveConfig(**options)
 
 

@@ -117,6 +117,15 @@ class TestMetricSample:
         with pytest.raises(TubeDegenerate):
             wide.metric_coefficients(0.6, 0.0, 1.0)
 
+    def test_tube_bound_refused_where_every_grid_density_is_positive(self):
+        # eps*max|kappa| = 0.9 * 1.5 = 1.35, yet rho >= 0.325 on |u| <= 1/2:
+        # the coefficients are the tube's only when the whole strip is embedded
+        geom = waveguide(PeriodicProfile(TWO_PI, 1.0, (0.5,)))
+        s, u = np.linspace(0.0, TWO_PI, 8), np.linspace(-0.5, 0.5, 5)
+        assert (1.0 - 0.9 * np.outer(geom.curvature.eval(s), u)).min() > 0.0
+        with pytest.raises(TubeDegenerate, match="1.35 >= 1; tube not embedded"):
+            geom.metric_coefficients(0.9, s, u)
+
     def test_periodicity_of_samples(self):
         geom = WarpedTorusGeometry(1.0, 1.0, PeriodicProfile(2.0, 1.5, (0.25,)))
         a = geom.metric_coefficients(0.3, 0.25)
@@ -188,10 +197,12 @@ class TestFiberVolume:
 
 class TestValidation:
     def test_epsilon_range(self):
-        with pytest.raises(ValueError):
-            as_epsilon(0.0)
-        with pytest.raises(ValueError):
-            as_epsilon(1.0)
+        # refused where it is defined, with the error the CLI reports as such
+        for eps in (0.0, 1.0, 1.5, -0.1, float("nan")):
+            with pytest.raises(ConfigError, match=r"epsilon must lie in \(0, 1\)"):
+                as_epsilon(eps)
+        with pytest.raises(ValueError):  # a caller catching ValueError still catches it
+            as_epsilon(1.5)
         assert as_epsilon(0.5) == 0.5
 
     def test_nonpositive_series_warp_rejected(self):

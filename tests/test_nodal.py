@@ -301,6 +301,18 @@ class TestZerosOfBase:
         assert [z for z, _ in zeros] == pytest.approx([0.0, np.pi / 2, np.pi, 3 * np.pi / 2],
                                                       abs=1e-12)
 
+    def test_round_off_in_a_ground_state_tail_is_no_zero(self):
+        # a positive ground state whose far tail is round-off: one entry of
+        # the wrong sign and one exact zero, both far below n ulps of max|psi|
+        n = 64
+        s = np.arange(n) * TWO_PI / n
+        psi = np.exp(300.0 * (np.cos(s) - 1.0))
+        psi[n // 2], psi[n // 2 + 3] = -1e-300, 0.0
+        assert zeros_of_base(psi, s, TWO_PI) == []
+        # the test is relative: a sign change of a field that is small
+        # everywhere is still a zero
+        assert len(zeros_of_base(1e-100 * np.sin(s), s, TWO_PI)) == 2
+
     def test_tangential_zero_flagged(self):
         n = 64
         s = np.arange(n) * TWO_PI / n

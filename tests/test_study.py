@@ -25,7 +25,7 @@ from fibrelab.study import (
     CheckResult,
     StudyReport,
 )
-from test_acceptance import TORUS_J1_CONFIG
+from test_acceptance import GUIDE_J1_CONFIG, TORUS_J1_CONFIG
 
 TWO_PI = 2.0 * np.pi
 DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
@@ -148,7 +148,8 @@ class TestLoadConfig:
         assert cfg.mode_index == 0
 
     def test_unknown_geometry(self):
-        with pytest.raises(ConfigError):
+        # refused once: no "bad geometry block" or "bad study configuration" prefix
+        with pytest.raises(ConfigError, match="^unknown geometry type 'sphere'$"):
             load_config(flat_config(geometry={"type": "sphere"}))
 
     def test_increasing_epsilons_rejected(self):
@@ -177,14 +178,16 @@ class TestLoadConfig:
             load_config(bad)
 
     @pytest.mark.parametrize("thresholds", [
-        {"eig_rate": "1.5"},  # a string
-        {"eig_rate": float("nan")},  # would fail every fit
-        {"eig_rat": 5.0},  # misspelled: would be ignored silently
+        {"eig_rate": "1.5"},
+        {"eig_rate": float("nan")},
+        {"eig_rat": 5.0},
+        {"eig_rate": 1.0},
     ])
     def test_bad_threshold_rejected(self, thresholds):
+        # the pass bar of a rate check is RATE_CHECKS's: a config cannot set one
         cfg = flat_config()
         cfg["study"] = {"mode_index": 0, "checks": ["eig_rate"], "thresholds": thresholds}
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="unknown key 'thresholds' in 'study'"):
             load_config(cfg)
 
     @pytest.mark.parametrize("solver", [
@@ -438,8 +441,8 @@ class TestRunStudy:
 
     def test_extreme_warp_is_an_assemble_failure(self):
         # a = exp(-400) has finite coefficients but no finite g^tt = 1/a^2.
-        # A constant warp leaves the effective problem flat; the effective
-        # problem of exp(700 cos s) already fails, before any assembly
+        # A constant warp leaves the effective problem flat, so only the
+        # full metric can refuse it
         cfg = flat_config(epsilons=[0.5, 0.3, 0.1])
         cfg["geometry"]["warp"] = {"constant": -400.0, "exp": True}
         with warnings.catch_warnings():
@@ -448,6 +451,22 @@ class TestRunStudy:
         assert report.records == []
         assert [(f["epsilon"], f["level"], f["stage"], f["error"]) for f in report.failures] == [
             (eps, 0, "assemble", "ConfigError") for eps in (0.5, 0.3, 0.1)]
+
+    @pytest.mark.parametrize("amplitude, stage, error", [
+        (700, "assemble", "ConfigError"),  # g^tt = exp(-1400 cos s) overflows
+        (300, "full_solve", "NoConvergence"),  # a spans 1e-130 to 1e130
+    ])
+    def test_extreme_warp_ground_state_fails_at_its_true_stage(self, amplitude, stage, error):
+        # the mode-0 effective ground state of exp(A cos s) has no zeros; its
+        # tail near s = pi is round-off, which must not read as a zero
+        cfg = flat_config()
+        cfg["geometry"]["warp"] = {"cos": [amplitude], "exp": True}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_study(load_config(cfg))
+        assert report.records == []
+        assert [(f["epsilon"], f["level"], f["stage"], f["error"]) for f in report.failures] == [
+            (eps, 0, stage, error) for eps in cfg["epsilons"]]
 
     def test_timings_keep_every_eps(self):
         # 0.2000001 and 0.2 print alike with six significant digits
@@ -513,6 +532,35 @@ def assert_same_to_round_off(x, y, what):
     assert y == pytest.approx(x, rel=1e-9, abs=1e-10), what
 
 
+def assert_same_records(base, other, disc_tol=None):
+    """Every record scalar of ``other`` is ``base``'s to round-off, every count equal.
+
+    ``disc_tol`` maps a discretization estimate to its own absolute tolerance.
+    """
+    assert base.failures == other.failures == []
+    assert len(base.records) == len(other.records) > 0
+    for a, b in zip(base.records, other.records):
+        assert a.hausdorff is not None
+        for name in ("eps", "lambda_full", "mu", "eig_gap", "supnorm", "hausdorff",
+                     "tube_radius", "empirical_tube_constant"):
+            if getattr(a, name) is None:
+                assert getattr(b, name) is None, (a.eps, name)
+            else:
+                assert_same_to_round_off(getattr(a, name), getattr(b, name), (a.eps, name))
+        assert a.disc_estimates.keys() == b.disc_estimates.keys()
+        for name, value in a.disc_estimates.items():
+            if disc_tol and name in disc_tol:
+                assert b.disc_estimates[name] == pytest.approx(value, abs=disc_tol[name]), name
+            else:
+                assert_same_to_round_off(value, b.disc_estimates[name], (a.eps, name))
+        for name in ("mode_index", "domain_count", "component_count",
+                     "boundary_components", "graph_over_fiber", "courant_counts"):
+            assert getattr(a, name) == getattr(b, name), (a.eps, name)
+    for name, check in base.checks.items():
+        assert (check.passed, check.reason) == (other.checks[name].passed,
+                                                other.checks[name].reason), name
+
+
 class TestMetamorphicStudy:
     def test_base_shift_by_one_cell_moves_every_zero_by_that_cell(self):
         # the warp of TORUS_J1 moved by one base cell h: the discrete problem
@@ -524,24 +572,47 @@ class TestMetamorphicStudy:
         shifted = json.loads(json.dumps(cfg))
         shifted["geometry"]["warp"] = shifted_warp(cfg["geometry"]["warp"], h)
         base, moved = run_study(load_config(cfg)), run_study(load_config(shifted))
-        assert base.failures == moved.failures == []
-        assert len(base.records) == len(moved.records) == len(cfg["epsilons"])
+        assert_same_records(base, moved)
+        assert len(base.records) == len(cfg["epsilons"])
         for a, b in zip(base.records, moved.records):
-            assert a.hausdorff is not None
-            for name in ("eps", "lambda_full", "mu", "eig_gap", "supnorm", "hausdorff",
-                         "tube_radius", "empirical_tube_constant"):
-                assert_same_to_round_off(getattr(a, name), getattr(b, name), (a.eps, name))
-            assert a.disc_estimates.keys() == b.disc_estimates.keys()
-            for name, value in a.disc_estimates.items():
-                assert_same_to_round_off(value, b.disc_estimates[name], (a.eps, name))
-            for name in ("mode_index", "domain_count", "component_count",
-                         "boundary_components", "graph_over_fiber", "courant_counts"):
-                assert getattr(a, name) == getattr(b, name), (a.eps, name)
             move = (np.array(b.zeros) - np.array(a.zeros) - h + np.pi) % TWO_PI - np.pi
             assert np.abs(move).max() < 1e-12, (a.eps, move)
-        for name, check in base.checks.items():
-            assert (check.passed, check.reason) == (moved.checks[name].passed,
-                                                    moved.checks[name].reason), name
+
+    def test_base_reflection_reflects_every_zero(self):
+        # the shifted warp of TORUS_J1 against its mirror image p(-s), its
+        # sin amplitudes negated: s -> -s maps the grid, nodes and
+        # midpoints, onto itself, so every record scalar stays and every
+        # predicted zero z moves to 2 pi - z
+        cfg = json.loads(json.dumps(TORUS_J1_CONFIG))
+        cfg["grid"] = {"n_s": 64, "n_f": 32, "stencil_order": 4, "refine": 2}
+        cfg["geometry"]["warp"] = shifted_warp(cfg["geometry"]["warp"], TWO_PI / 64)
+        mirrored = json.loads(json.dumps(cfg))
+        mirrored["geometry"]["warp"]["sin"] = [-a for a in cfg["geometry"]["warp"]["sin"]]
+        base, other = run_study(load_config(cfg)), run_study(load_config(mirrored))
+        assert_same_records(base, other)
+        for a, b in zip(base.records, other.records):
+            image = np.sort((TWO_PI - np.array(a.zeros)) % TWO_PI)
+            assert np.abs(image - np.array(b.zeros)).max() < 1e-12, (a.eps, image, b.zeros)
+
+    def test_curvature_negation_keeps_every_record(self):
+        # kappa -> -kappa is the fibre reflection u -> -u of the strip: the
+        # effective problem, -kappa^2/4, is the same to the bit, and so are
+        # the zeros.  Measured: every record scalar within 3e-12 (1.5e-9
+        # relative).  The refined level's sampled Hausdorff distance moved
+        # by up to 2.3e-6, and its discretization estimate with it: four
+        # segments are exactly 8 sampling spacings long and get 9 or 10
+        # samples as round-off falls; 1e-5 bounds that estimate here
+        cfg = json.loads(json.dumps(GUIDE_J1_CONFIG))
+        cfg["grid"] = {"n_s": 64, "n_f": 96, "stencil_order": 4, "refine": 2}
+        negated = json.loads(json.dumps(cfg))
+        curvature = negated["geometry"]["curvature"]
+        curvature["constant"] = -curvature["constant"]
+        curvature["cos"] = [-a for a in curvature["cos"]]
+        base, other = run_study(load_config(cfg)), run_study(load_config(negated))
+        assert_same_records(base, other, disc_tol={"hausdorff": 1e-5})
+        for a, b in zip(base.records, other.records):
+            assert a.zeros == b.zeros and len(a.zeros) == 2, a.eps
+            assert a.boundary_components == b.boundary_components >= 4, a.eps
 
 
 class TestCertifiedShift:
@@ -749,6 +820,27 @@ class TestCli:
         assert code == 0
         first = kfile.read_text().split("\n")[0].split()
         assert len(first) == 3
+
+    def test_solve_dump_weight(self, tmp_path, capsys):
+        # one "i i w" line per node, w as the assembler holds it to 17 digits
+        cfg = small_guide_config()
+        path = self.write_config(tmp_path, cfg)
+        wfile = tmp_path / "w.txt"
+        assert cli_main(["solve", "--config", path, "--epsilon", "0.2", "--k", "1",
+                         "--dump-weight", str(wfile)]) == 0
+        loaded = load_config(cfg)
+        weight = assemble_full(loaded.geometry, 0.2, loaded.grid).weight
+        assert len(weight) == 48 * 16
+        assert wfile.read_text() == "".join(f"{i} {i} {w:.17g}\n" for i, w in enumerate(weight))
+
+    def test_tube_beyond_its_bound_is_a_one_line_error(self, capsys):
+        # the config's own eps are embedded; --epsilon 0.9 is refused by
+        # the metric, with the bound it breaks
+        assert cli_main(["solve", "--config", str(DEMO_CONFIGS / "waveguide.json"),
+                         "--epsilon", "0.9", "--k", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: eps*max|kappa| = 1.35 >= 1; tube not embedded\n"
 
     def test_nodal_csv_output(self, capsys):
         # level 1 of the two-harmonic warp is 8.7e-3 from level 0 and 3.0e-3 from level 2
