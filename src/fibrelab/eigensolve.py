@@ -3,21 +3,27 @@
 Three paths share one post-processing step:
 
 * Warped torus (the operator carries ``fiber_factors``): the metric is a
-  warped product, so ``K = K_s ⊗ I + diag(c_f) ⊗ L_f`` and
-  ``W = w_s ⊗ 1`` with a circulant fibre matrix ``L_f``.  The fibre
-  Fourier modes ``cos, sin(2 pi m j / n_f)`` diagonalize ``L_f`` with
-  eigenvalues ``sigma_m``, and each mode ``m = 0 .. n_f // 2`` leaves the
-  base problem ``(K_s + sigma_m diag(c_f)) x = lambda diag(w_s) x`` of
-  size ``n_s``, which :func:`smallest_eigenpairs` solves as a 1D operator
-  of its own, its residuals certified like any other.  Each base vector
-  ``x`` gives the full vectors ``x ⊗ cos(2 pi m j / n_f + offset)``:
-  offset 0 for ``m = 0`` and the Nyquist mode, offsets ``+-pi/4`` for the
-  two vectors of every other mode.  Modes are walked by increasing
-  ``sigma_m``, and the walk stops once ``sigma_m * min(c_f / w_s)``
-  exceeds the current k-th value.  ``K_s`` is positive semidefinite, so
-  that product bounds every level of mode ``m`` and above from below: the
-  returned values are provably the k smallest, a completeness certificate.
-  Each pair records its fibre mode ``|m|``.
+  warped product, so at separation ``eps``
+  ``K = eps (K_s ⊗ I) + eps^-1 (diag(c_f) ⊗ L_f)`` and
+  ``W = eps^-1 (w_s ⊗ 1)`` with eps-free factors and a circulant fibre
+  matrix ``L_f``.  The fibre Fourier modes ``cos, sin(2 pi m j / n_f)``
+  diagonalize ``L_f`` with eigenvalues ``sigma_m``, and each mode
+  ``m = 0 .. n_f // 2`` leaves the eps-free base problem
+  ``(K_s + tau_m diag(c_f)) x = mu diag(w_s) x`` of size ``n_s``, with
+  ``tau_m = sigma_m / eps^2`` and ``lambda = eps^2 mu``.
+  :func:`smallest_eigenpairs` solves it as a 1D operator of its own, its
+  residuals certified like any other, and its pairs are memoized per
+  factors, ``tau_m`` and base configuration (:func:`_base_pairs`): the
+  fibre-constant sector, ``tau_0 = 0``, is solved once per grid for a
+  whole eps sweep.  Each base vector ``x`` gives the full vectors
+  ``x ⊗ cos(2 pi m j / n_f + offset)``: offset 0 for ``m = 0`` and the
+  Nyquist mode, offsets ``+-pi/4`` for the two vectors of every other
+  mode.  Modes are walked by increasing ``sigma_m``, and the walk stops
+  once ``tau_m * min(c_f / w_s)`` exceeds the current k-th ``mu``.
+  ``K_s`` is positive semidefinite, so that product bounds every level of
+  mode ``m`` and above from below: the returned values are provably the
+  k smallest, a completeness certificate.  Each pair records its fibre
+  mode ``|m|``.
 * Other large operators: shift-invert ARPACK on ``A = K - shift * W``.
   ``A`` is symmetric, and in reverse Cuthill-McKee order a grid operator
   is banded, its band as wide as the short grid side; LAPACK's banded
@@ -89,7 +95,7 @@ import scipy.sparse.linalg as sla
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import ConfigError, FactorizationFailed, NoConvergence
-from .operators import DiscreteOperator
+from .operators import DiscreteOperator, FiberFactors
 
 __all__ = ["SolveConfig", "EigenPairSet", "smallest_eigenpairs"]
 
@@ -265,42 +271,59 @@ def _shift_inverse(a: sp.spmatrix) -> sla.LinearOperator:
     return sla.LinearOperator(a.shape, matvec=solve, dtype=float)
 
 
+@functools.lru_cache(maxsize=32)
+def _base_pairs(factors: FiberFactors, tau: float,
+                cfg: SolveConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Values ``mu`` and vectors of ``(K_s + tau diag(c_f)) x = mu diag(w_s) x``.
+
+    The eps-free base problem of the fibre modes with ``sigma_m = tau eps^2``,
+    solved through :func:`smallest_eigenpairs`, which certifies its
+    residuals.  The pairs depend on nothing but the arguments, so they are
+    memoized, and returned read-only.
+    """
+    base = DiscreteOperator(
+        dim=len(factors.base_weight),
+        stiffness=(factors.base_stiffness + sp.diags(tau * factors.fiber_coeff)).tocsr(),
+        weight=factors.base_weight,
+    )
+    sub = smallest_eigenpairs(base, cfg)
+    sub.values.flags.writeable = sub.vectors.flags.writeable = False
+    return sub.values, sub.vectors
+
+
 def _fiber_fourier(op: DiscreteOperator,
                    cfg: SolveConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The k smallest pairs of a separable torus operator, one fibre mode at a time.
 
-    Each mode's base problem goes through :func:`smallest_eigenpairs`, which
-    certifies its residuals; the full pairs are certified again by the caller.
+    Each mode's eps-free base problem comes from :func:`_base_pairs`; the
+    full pairs, ``lambda = eps^2 mu``, are certified again by the caller.
     """
     factors = op.fiber_factors
     k = cfg.k
     n_s = len(factors.base_weight)
     n_f = op.dim // n_s
+    eps2 = op.eps * op.eps
     bound_rate = float(np.min(factors.fiber_coeff / factors.base_weight))
-    # (value, m, phase offset, base vector), the k smallest kept.  A +-m pair
+    # (mu, m, phase offset, base vector), the k smallest kept.  A +-m pair
     # spans cos(m t + pi/4), cos(m t - pi/4) rather than cos, sin: sin(m t)
     # vanishes exactly on the grid row t = 0, a field the nodal layer rejects.
     found: list[tuple[float, int, float, np.ndarray]] = []
     for m in np.argsort(factors.fiber_symbols, kind="stable"):
-        sigma = float(factors.fiber_symbols[m])
-        if len(found) == k and sigma * bound_rate > found[-1][0]:
+        tau = float(factors.fiber_symbols[m]) / eps2
+        if len(found) == k and tau * bound_rate > found[-1][0]:
             break
         waves = (0.0,) if m == 0 or 2 * m == n_f else (0.25 * np.pi, -0.25 * np.pi)
-        base = DiscreteOperator(
-            dim=n_s,
-            stiffness=(factors.base_stiffness + sp.diags(sigma * factors.fiber_coeff)).tocsr(),
-            weight=factors.base_weight,
-        )
-        sub = smallest_eigenpairs(base, replace(cfg, k=min(n_s, -(-k // len(waves))), shift=None))
-        found += [(float(value), int(m), offset, x)
-                  for value, x in zip(sub.values, sub.vectors.T) for offset in waves]
+        values, vectors = _base_pairs(
+            factors, tau, replace(cfg, k=min(n_s, -(-k // len(waves))), shift=None))
+        found += [(float(mu), int(m), offset, x)
+                  for mu, x in zip(values, vectors.T) for offset in waves]
         found = sorted(found, key=lambda c: c[:2])[:k]
 
     phase = 2.0 * np.pi * np.arange(n_f) / n_f
     vectors = np.column_stack([
         np.outer(x, np.cos(m * phase + offset)).ravel() for _, m, offset, x in found
     ])
-    values = np.array([c[0] for c in found])
+    values = eps2 * np.array([c[0] for c in found])
     return values, vectors, np.array([c[1] for c in found])
 
 

@@ -371,50 +371,62 @@ def _sup_inf_from_fibers(zeros: np.ndarray, f: np.ndarray, p: np.ndarray,
     squared distance to each of them from below exactly, and ``low * |df|``
     bounds the distance in ``f`` (``low`` is a lower bound of the warp).
     For a trial bound ``U`` only points with ``ds * ds < U`` can come
-    closer than ``sqrt(U)``, and each only to the fibre indices within
-    ``sqrt(U) / low`` of its ``f``.  The window runs from the floor of its
-    lower end to the ceiling of its upper end, so it holds every index less
-    than one sample beyond that, against rounding; it is wrapped modulo
-    ``n - 1`` on the torus, with ``f[n - 1]`` measured wherever ``f[0]``
-    is, and clipped on the waveguide.  The least distance
-    over those pairs is therefore exact wherever it ends below ``U``.
-    ``U`` starts at ``step**2`` and grows fourfold for the samples left
-    open; a pass that holds every pair is the all-pairs search, so the loop
-    ends, and the result is the all-pairs value to the bit.
+    closer than ``sqrt(U)``, and each only to the fibre samples within
+    ``r = sqrt(U) / (low * step)`` fibre steps of it.  Each sample still
+    open is paired with the points within ``r + 1`` steps, a margin that
+    covers rounding.  On the torus, fibre positions are taken modulo the
+    turn of ``n - 1`` steps, ``f[n - 1]`` at the position of ``f[0]``; each
+    point is also listed one turn up, and a sample in the lower half-turn
+    searches one turn up, so every window of at most a turn is one range.
+    The least distance over those pairs is therefore exact wherever it
+    ends below ``U``, and it settles that sample.  ``U`` starts at
+    ``step**2`` and grows fourfold for the samples left open; a pass that
+    holds every pair is the all-pairs search, so the loop ends, and the
+    result is the all-pairs value to the bit.
     """
     n = len(f)
     step = (f[-1] - f[0]) / (n - 1)
     torus = not isinstance(geom, WaveguideGeometry)
-    ds = zeros[:, None] - p[:, 0]
-    ds -= geom.period * np.round(ds / geom.period)
-    ds2 = ds * ds
+    ds2 = zeros[:, None] - p[:, 0]
+    ds2 -= geom.period * np.round(ds2 / geom.period)
+    ds2 *= ds2
     pos = (p[:, 1] - f[0]) / step  # fractional fibre index of each point
-    best = np.full((len(zeros), n), np.inf)
-    open_ = np.ones(best.shape, dtype=bool)
+    sample_pos = np.arange(n)
+    if torus:
+        turn = n - 1
+        pos %= turn
+        sample_pos %= turn
+        pos = np.concatenate([pos, pos + turn])
+        sample_pos = np.where(sample_pos < 0.5 * turn, sample_pos + turn, sample_pos)
+    point = np.argsort(pos, kind="stable")
+    pos = pos[point]
+    point %= len(p)  # the point at each position
+    ds2 = ds2[:, point]  # columns in the order of pos
+    # zero z's keys and windows lie in z * width + [min(pos[0], 0) - n - 2, ...)
+    width = max(pos[-1], n) - min(pos[0], 0.0) + 2 * n + 4
+    best = np.full(len(zeros) * n, np.inf)  # sample (z, k) at z * n + k
+    open_ = np.ones(len(best), dtype=bool)
     bound = step * step
     while True:
         reach = np.sqrt(bound) / (low * step)
         whole = reach >= n and ds2.max() < bound  # this pass holds every pair
-        reach = min(reach, n)
-        zi, pi = np.nonzero(ds2 < bound)
-        lo = np.floor(pos[pi] - reach).astype(np.intp)
-        hi = np.ceil(pos[pi] + reach).astype(np.intp)
+        reach = min(reach, n) + 1.0
         if torus:
-            hi = np.minimum(hi, lo + n - 2)  # one whole turn at most
-        else:
-            lo, hi = np.maximum(lo, 0), np.minimum(hi, n - 1)
-        count = np.maximum(hi - lo + 1, 0)
-        pair = np.repeat(np.arange(len(pi)), count)
-        k = lo[pair] + np.arange(len(pair)) - (np.cumsum(count) - count)[pair]
-        zi, pi = zi[pair], pi[pair]
-        if torus:
-            k %= n - 1
-            seam = k == 0
-            zi, pi = np.concatenate([zi, zi[seam]]), np.concatenate([pi, pi[seam]])
-            k = np.concatenate([k, np.full(np.count_nonzero(seam), n - 1)])
-        todo = open_[zi, k]
-        zi, pi, k = zi[todo], pi[todo], k[todo]
-        np.minimum.at(best, (zi, k), _pair_d2(zeros[zi], f[k], p[pi, 0], p[pi, 1], geom))
+            reach = min(reach, 0.5 * turn)  # a whole turn
+        zc, jc = np.nonzero(ds2 < bound)
+        key = zc * width + pos[jc]  # ascending
+        sample = np.flatnonzero(open_)
+        zs, ks = np.divmod(sample, n)
+        centre = zs * width + sample_pos[ks]
+        first = np.searchsorted(key, centre - reach)
+        count = np.searchsorted(key, centre + reach, side="right") - first
+        starts = np.cumsum(count) - count
+        pair = np.repeat(np.arange(len(sample)), count)
+        pt = point[jc[first[pair] + np.arange(len(pair)) - starts[pair]]]
+        d2 = _pair_d2(zeros[zs][pair], f[ks][pair], p[pt, 0], p[pt, 1], geom)
+        hit = count > 0  # each hit sample's pairs are one run of d2
+        got = sample[hit]
+        best[got] = np.minimum(best[got], np.minimum.reduceat(d2, starts[hit]))
         open_ &= best >= bound
         if whole or not open_.any():
             return float(np.sqrt(best.max()))

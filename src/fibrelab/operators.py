@@ -21,15 +21,22 @@ discrete fibre ground value instead.  The waveguide's fibre blocks, its
 operator with the base coupling dropped, come from one helper, which also
 gives the effective model's fibre ground energy.  Both assemblers, full
 and effective, return a ``DiscreteOperator``.  The warped torus's holds its
-operator as 1D factors, ``K = K_s ⊗ I + diag(c_f) ⊗ d_f^T d_f`` (the
-fibre term is ``B_f^T B_f`` with the fibre coefficient factored out),
-applies ``K`` through them and forms the 2D matrix only when
-``stiffness`` is read.  :func:`prolongate` carries waveguide grid
-vectors from one grid to a finer one by nearest-node injection.
+operator as eps-free 1D factors: its metric coefficients are
+``(eps a, 1/(eps a), a/eps)``, so
+``K = eps (K_s ⊗ I) + eps^-1 (diag(c_f) ⊗ d_f^T d_f)`` and
+``W = eps^-1 (w_s ⊗ 1)`` with ``K_s``, ``c_f`` and ``w_s`` built from the
+warp ``a`` alone (the fibre term is ``B_f^T B_f`` with the fibre
+coefficient factored out).  The factors are built once per geometry and
+grid and shared by every eps; the operator carries eps as the two
+scalars of that sum, applies ``K`` through the factors and forms the 2D
+matrix only when ``stiffness`` is read.  :func:`prolongate` carries
+waveguide grid vectors from one grid to a finer one by nearest-node
+injection.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -83,16 +90,23 @@ class GridSpec:
         return GridSpec(self.n_s * factor, self.n_f * factor, self.stencil_order)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiberFactors:
-    """The 1D factors of a warped-product operator.
+    """The eps-free 1D factors of a warped-product operator.
 
-    ``K = base_stiffness ⊗ I + diag(fiber_coeff) ⊗ fiber_matrix`` and
-    ``W = base_weight ⊗ 1``, where ``fiber_matrix`` is the circulant
-    integer-stencil fibre matrix ``L_f = d_f^T d_f``.  ``fiber_symbols[m]``
-    is the eigenvalue of ``L_f`` on the fibre modes ``cos, sin(2 pi m j / n_f)``
-    for ``m = 0 .. n_f // 2``.  Nothing on the solve path forms ``K`` as
-    one matrix; :meth:`matrix` builds it for the callers that want it.
+    At separation ``eps`` the operator is
+    ``K = eps (base_stiffness ⊗ I) + eps^-1 (diag(fiber_coeff) ⊗ fiber_matrix)``
+    and ``W = eps^-1 (base_weight ⊗ 1)``.  ``base_stiffness`` is built from
+    the warp ``a`` at the base midpoints, ``fiber_coeff`` from ``1/a`` and
+    ``base_weight`` from ``a`` at the base nodes, each times its cell and
+    stencil scale; none depends on eps.  ``fiber_matrix`` is the circulant
+    integer-stencil fibre matrix ``L_f = d_f^T d_f``, and ``fiber_symbols[m]``
+    its eigenvalue on the fibre modes ``cos, sin(2 pi m j / n_f)`` for
+    ``m = 0 .. n_f // 2``.  One set serves every eps of a geometry and
+    grid (:func:`_torus_factors`); its arrays are read-only, and it hashes
+    by identity, which the fibre-mode solver's memo keys on.  Nothing on
+    the solve path forms ``K`` as one matrix; :meth:`matrix` builds it for
+    the callers that want it.
     """
 
     base_stiffness: sp.csr_matrix
@@ -101,11 +115,12 @@ class FiberFactors:
     fiber_symbols: np.ndarray
     base_weight: np.ndarray
 
-    def matrix(self) -> sp.csr_matrix:
-        """``K`` as one sparse matrix, node ``(i_s, i_f)`` at index ``i_s * n_f + i_f``."""
+    def matrix(self, eps: float) -> sp.csr_matrix:
+        """``K`` at ``eps`` as one sparse matrix, node ``(i_s, i_f)`` at index ``i_s * n_f + i_f``."""
         n_f = self.fiber_matrix.shape[0]
-        return (sp.kron(self.base_stiffness, sp.identity(n_f), format="csr")
-                + sp.kron(sp.diags(self.fiber_coeff), self.fiber_matrix, format="csr")).tocsr()
+        return (sp.kron(eps * self.base_stiffness, sp.identity(n_f), format="csr")
+                + sp.kron(sp.diags(self.fiber_coeff / eps), self.fiber_matrix,
+                          format="csr")).tocsr()
 
 
 @dataclass
@@ -122,9 +137,9 @@ class DiscreteOperator:
     effective operator, a margin below the fibre-block bound on the full
     waveguide.  ``fiber_factors`` is set on the warped torus, whose
     operator separates exactly in the fibre direction; there
-    :meth:`apply` works through the factors, and ``stiffness``, passed
-    as ``None``, is built from them as a CSR matrix on its first read.
-    Every other operator holds its CSR ``stiffness``.
+    :meth:`apply` works through the eps-free factors and ``eps``, and
+    ``stiffness``, passed as ``None``, is built from them as a CSR matrix
+    on its first read.  Every other operator holds its CSR ``stiffness``.
     """
 
     dim: int
@@ -146,14 +161,15 @@ class DiscreteOperator:
         factors = self.__dict__.get("fiber_factors")
         if name != "stiffness" or factors is None:
             raise AttributeError(name)
-        self.stiffness = factors.matrix()
+        self.stiffness = factors.matrix(self.eps)
         return self.stiffness
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """``K x`` for a vector or a ``(dim, k)`` block of columns.
 
-        On the torus this is ``K_s X + c_f ⊙ (X L_f)`` on the ``(n_s, n_f)``
-        grid view of each column; elsewhere it is the CSR product.
+        On the torus this is ``eps K_s X + (c_f / eps) ⊙ (X L_f)`` on the
+        ``(n_s, n_f)`` grid view of each column; elsewhere it is the CSR
+        product.
         """
         factors = self.fiber_factors
         if factors is None:
@@ -164,8 +180,9 @@ class DiscreteOperator:
         # the fibre term in (n_f, n_s, k) order, where L_f acts on contiguous rows
         fiber = factors.fiber_matrix @ cols.transpose(1, 0, 2).reshape(n_f, -1)
         fiber = fiber.reshape(n_f, n_s, -1)
-        fiber *= factors.fiber_coeff[:, None]
+        fiber *= (factors.fiber_coeff / self.eps)[:, None]
         out = (factors.base_stiffness @ cols.reshape(n_s, -1)).reshape(cols.shape)
+        out *= self.eps
         out += fiber.transpose(1, 0, 2)
         return out.reshape(x.shape)
 
@@ -255,40 +272,32 @@ def assemble_full(geom: BundleGeometry, eps, grid: GridSpec) -> DiscreteOperator
 
     Returns the generalized pair ``(K, W)``: positive semidefinite with a
     one-dimensional constant kernel on the torus, positive definite on
-    the waveguide.  The torus operator is assembled as its exact 1D
-    factors, ``fiber_factors``, and forms its 2D ``stiffness`` only when
-    that is read; the waveguide's is assembled whole, and its
-    ``safe_shift`` lies a margin below its fibre ground energy
-    (:func:`_fiber_ground`).
+    the waveguide.  The torus operator is its eps-free 1D factors,
+    ``fiber_factors``, shared by every eps (:func:`_torus_factors`), and
+    ``eps``; it forms its 2D ``stiffness`` only when that is read.  The
+    waveguide's is assembled whole, and its ``safe_shift`` lies a margin
+    below its fibre ground energy (:func:`_fiber_ground`).
     """
     eps = as_epsilon(eps)
     s, h_s = base_nodes(geom, grid.n_s)
     s_mid = s + 0.5 * h_s
     f_nodes, _, h_f = fiber_nodes(geom, grid.n_f)
     n_rows = len(f_nodes)
-    cell = h_s * h_f
     fields = dict(dim=grid.n_s * n_rows, geometry=geom, eps=eps, grid=grid)
 
-    d_s, den_s = _staggered_int(grid.n_s, grid.stencil_order, periodic=True)
-    scale_s = 1.0 / (den_s * h_s) ** 2
-
     if isinstance(geom, WarpedTorusGeometry):
-        d_f, den_f = _staggered_int(grid.n_f, grid.stencil_order, periodic=True)
-        scale_f = 1.0 / (den_f * h_f) ** 2
-        # sqrt(det) g^ss at s-midpoints; sqrt(det) g^tt and sqrt(det) at nodes
-        c_s = geom.metric_coefficients(eps, s_mid)[0]
-        _, c_f, sqrt_det = geom.metric_coefficients(eps, s)
-        base_w = sqrt_det * cell
-        factors = FiberFactors(
-            base_stiffness=_form_matrix(d_s, c_s * (cell * scale_s)),
-            fiber_matrix=(d_f.T @ d_f).tocsr(),
-            fiber_coeff=c_f * (cell * scale_f),
-            fiber_symbols=_circulant_symbols(grid.n_f, grid.stencil_order, grid.n_f // 2),
-            base_weight=base_w,
-        )
-        return DiscreteOperator(stiffness=None, weight=np.repeat(base_w, n_rows),
+        # the metric at this eps is refused here where it leaves float range;
+        # the factors hold its eps-free parts
+        geom.metric_coefficients(eps, s_mid)
+        geom.metric_coefficients(eps, s)
+        factors = _torus_factors(geom, grid)
+        return DiscreteOperator(stiffness=None,
+                                weight=np.repeat(factors.base_weight / eps, n_rows),
                                 fiber_factors=factors, **fields)
 
+    cell = h_s * h_f
+    d_s, den_s = _staggered_int(grid.n_s, grid.stencil_order, periodic=True)
+    scale_s = 1.0 / (den_s * h_s) ** 2
     k_f, w = _fiber_blocks(geom, eps, s, grid.n_f, h_s)
     c_s = geom.metric_coefficients(eps, s_mid, f_nodes)[0]  # (n_s, n_rows)
     diff_s = sp.kron(d_s, sp.identity(n_rows, format="csr"), format="csr")
@@ -297,6 +306,37 @@ def assemble_full(geom: BundleGeometry, eps, grid: GridSpec) -> DiscreteOperator
     return DiscreteOperator(stiffness=k.tocsr(), weight=w,
                             fiber_ground_disc=dirichlet_ground_value(grid.n_f),
                             safe_shift=bound - BOUND_MARGIN * max(1.0, abs(bound)), **fields)
+
+
+@functools.lru_cache(maxsize=8)
+def _torus_factors(geom: WarpedTorusGeometry, grid: GridSpec) -> FiberFactors:
+    """The eps-free factors of the warped torus on ``grid``, built once per pair.
+
+    ``metric_coefficients`` is ``(eps a, 1/(eps a), a/eps)``: ``K_s`` takes
+    ``a`` at the s-midpoints, ``c_f`` takes ``1/a`` and the base weight
+    ``a`` at the nodes, each times the cell and its stencil scale.
+    """
+    s, h_s = base_nodes(geom, grid.n_s)
+    _, _, h_f = fiber_nodes(geom, grid.n_f)
+    cell = h_s * h_f
+    d_s, den_s = _staggered_int(grid.n_s, grid.stencil_order, periodic=True)
+    d_f, den_f = _staggered_int(grid.n_f, grid.stencil_order, periodic=True)
+    a = geom.warp_value(s)
+    factors = FiberFactors(
+        base_stiffness=_form_matrix(d_s, geom.warp_value(s + 0.5 * h_s)
+                                    * (cell * (1.0 / (den_s * h_s) ** 2))),
+        fiber_matrix=(d_f.T @ d_f).tocsr(),
+        fiber_coeff=1.0 / a * (cell * (1.0 / (den_f * h_f) ** 2)),
+        fiber_symbols=_circulant_symbols(grid.n_f, grid.stencil_order, grid.n_f // 2),
+        base_weight=a * cell,
+    )
+    # shared by every eps and every caller, so read-only
+    arrays = [factors.fiber_coeff, factors.fiber_symbols, factors.base_weight]
+    for m in (factors.base_stiffness, factors.fiber_matrix):
+        arrays += [m.data, m.indices, m.indptr]
+    for arr in arrays:
+        arr.flags.writeable = False
+    return factors
 
 
 def _fiber_blocks(geom: WaveguideGeometry, eps: float, s, n_f: int,

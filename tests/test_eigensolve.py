@@ -277,9 +277,12 @@ class TestFiberFourier:
     def test_base_problems_go_through_the_dispatcher(self, monkeypatch):
         # each fibre mode's n_s-dimensional base problem is a call of
         # smallest_eigenpairs, looked up in its own module, so its residuals
-        # are certified like those of the full pairs
-        op = assemble_full(warped_torus(), 0.6, GridSpec(20, 16, 4))
+        # are certified like those of the full pairs; the base problems are
+        # eps-free, their values mu = lambda / eps^2
+        eps = 0.6
+        op = assemble_full(warped_torus(), eps, GridSpec(20, 16, 4))
         cfg = SolveConfig(k=12, tol=1e-9)
+        eigensolve_module._base_pairs.cache_clear()  # solve, do not recall
         real = eigensolve_module.smallest_eigenpairs
         base_calls = []
 
@@ -297,9 +300,36 @@ class TestFiberFourier:
             assert sub.dim == 20 and sub.fiber_factors is None
             assert sub_cfg.shift is None and sub_cfg.tol == cfg.tol
             assert np.all(sub_pairs.residuals <= cfg.tol)
-            base_values.extend(sub_pairs.values)
+            base_values.extend(eps * eps * sub_pairs.values)
         for value in pairs.values:
             assert np.min(np.abs(np.asarray(base_values) - value)) <= 1e-12 * max(1.0, value)
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("exp", [False, True], ids=["plain", "exp"])
+    def test_fibre_constant_levels_scale_as_eps_squared(self, order, exp):
+        # K = eps A + B / eps and W = W_0 / eps with B x = 0 on fibre-constant
+        # x, so those levels are eps^2 times eps-free ones; the dense 2D
+        # solve, without the factors or the memo, measures them
+        geom = WarpedTorusGeometry(np.pi, TWO_PI, PeriodicProfile(
+            TWO_PI, 0.0 if exp else 1.0, (0.3,)), warp_is_exp=exp)
+        levels = []
+        for eps in (0.3, 0.1):
+            op = dataclasses.replace(assemble_full(geom, eps, GridSpec(20, 16, order)),
+                                     fiber_factors=None)
+            pairs = smallest_eigenpairs(op, SolveConfig(k=24))
+            grid = pairs.vectors.T.reshape(-1, 20, 16)
+            constant = np.ptp(grid, axis=2).max(axis=1) <= 1e-8 * np.abs(grid).max(axis=(1, 2))
+            levels.append(pairs.values[constant] / (eps * eps))
+        n = len(levels[0])
+        assert n >= 10
+        assert np.max(np.abs(levels[1][:n] - levels[0])) <= 1e-10
+
+    def test_memoized_base_pairs_are_read_only(self):
+        op = torus_operator(n=24)
+        values, vectors = eigensolve_module._base_pairs(op.fiber_factors, 0.0, SolveConfig(k=4))
+        for a in (values, vectors):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
 
     def test_symmetric_warp_modes_have_nodal_sets(self):
         # odd modes of the reflection-symmetric warp vanish on the symmetry

@@ -706,6 +706,23 @@ class TestTreeSearch:
         assert got == brute_directed_sup_inf(q, p, geom)
         assert got < 0.5 * a  # the gap's centre, nearest to its ends
 
+    @pytest.mark.parametrize("name", sorted(HAUSDORFF_GEOMETRIES))
+    def test_scattered_points_match_all_pairs(self, name):
+        # clouds around the zeros at several base spreads: the nearest point
+        # of a fibre sample often lies near the edge of its fibre window
+        geom = HAUSDORFF_GEOMETRIES[name]
+        f_lo, f_hi = fiber_range(geom)
+        rng = np.random.default_rng(7)
+        for spacing in (0.05, 0.2):
+            f = nodal_module._fiber_grid(geom, stretch_of(geom), spacing)
+            zeros = rng.uniform(0.0, geom.period, 2)
+            q = loop_sample(zeros, geom, stretch_of(geom), spacing)
+            for spread in (0.01, 0.3, 2.0):
+                p = np.column_stack([zeros[rng.integers(0, 2, 150)] + rng.normal(0.0, spread, 150),
+                                     rng.uniform(f_lo, f_hi, 150)])
+                got = nodal_module._sup_inf_from_fibers(zeros, f, p, geom, low_of(geom))
+                assert got == brute_directed_sup_inf(q, p, geom), (spacing, spread)
+
     @pytest.mark.parametrize("name", TORUS_GEOMETRIES)
     def test_seam_sample_is_measured(self, name):
         # f[0] and f[n - 1] are one point of the fibre circle; the nodal

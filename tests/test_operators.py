@@ -320,6 +320,23 @@ class TestKroneckerApply:
         assert np.allclose(op.weight, np.repeat(geom.warp_value(s) / eps * cell, n_f),
                            rtol=1e-15, atol=0.0)
 
+    @WARPS
+    @pytest.mark.parametrize("n_s,n_f,order", GRIDS)
+    def test_apply_is_eps_a_plus_b_over_eps(self, make_geom, n_s, n_f, order):
+        # K = eps A + B / eps with A = K_s ⊗ I and B = diag(c_f) ⊗ L_f from
+        # the eps-free factors, which every eps shares, and W = (w_s ⊗ 1) / eps
+        geom, grid = make_geom(), GridSpec(n_s, n_f, order)
+        ops = [assemble_full(geom, eps, grid) for eps in (0.4, 0.05)]
+        factors = ops[0].fiber_factors
+        a = sp.kron(factors.base_stiffness, sp.identity(n_f))
+        b = sp.kron(sp.diags(factors.fiber_coeff), factors.fiber_matrix)
+        x = np.random.default_rng(2).standard_normal((ops[0].dim, 3))
+        for op in ops:
+            assert op.fiber_factors is factors
+            want = op.eps * (a @ x) + (b @ x) / op.eps
+            assert np.max(np.abs(op.apply(x) - want)) <= 1e-13 * np.abs(want).max()
+            assert np.array_equal(op.weight, np.repeat(factors.base_weight / op.eps, n_f))
+
     def test_waveguide_apply_is_the_csr_product_itself(self):
         op = assemble_full(round_guide(), 0.2, GridSpec(24, 17, 4))
         assert op.fiber_factors is None
@@ -331,8 +348,34 @@ class TestKroneckerApply:
         op = assemble_full(warped_torus(), 0.4, GridSpec(16, 16, 2))
         assert "stiffness" not in vars(op)
         first = op.stiffness
-        monkeypatch.setattr(FiberFactors, "matrix", lambda _: pytest.fail("built twice"))
+        monkeypatch.setattr(FiberFactors, "matrix", lambda *_: pytest.fail("built twice"))
         assert op.stiffness is first
+
+
+class TestFactorCache:
+    """One set of eps-free torus factors per geometry and grid, read-only."""
+
+    def test_shared_only_by_equal_geometry_and_grid(self):
+        grid = GridSpec(24, 20, 4)
+        factors = assemble_full(warped_torus(), 0.3, grid).fiber_factors
+        assert assemble_full(warped_torus(), 0.05, grid).fiber_factors is factors
+        other_warp = WarpedTorusGeometry(
+            np.pi, TWO_PI, PeriodicProfile(TWO_PI, 0.0, (0.31,)), warp_is_exp=True)
+        for geom, other in ((other_warp, grid), (warped_torus(), GridSpec(24, 20, 2)),
+                            (warped_torus(), GridSpec(24, 22, 4))):
+            assert assemble_full(geom, 0.3, other).fiber_factors is not factors
+        other = assemble_full(other_warp, 0.3, grid).fiber_factors
+        assert not np.array_equal(other.base_weight, factors.base_weight)
+        assert not np.array_equal(other.fiber_coeff, factors.fiber_coeff)
+
+    def test_cached_arrays_refuse_assignment(self):
+        factors = assemble_full(plain_warped_torus(), 0.3, GridSpec(24, 20, 4)).fiber_factors
+        arrays = [factors.fiber_coeff, factors.fiber_symbols, factors.base_weight]
+        for m in (factors.base_stiffness, factors.fiber_matrix):
+            arrays += [m.data, m.indices, m.indptr]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
 
 
 def inline_density_waveguide(geom, eps, grid):
@@ -361,7 +404,10 @@ def inline_density_waveguide(geom, eps, grid):
 
 
 def inline_warp_torus(geom, eps, grid):
-    """``(K_s, c_f, base weight, W)`` of the torus, its warp coefficients written out inline."""
+    """``(K_s, c_f, base weight, W)`` of the torus, its warp coefficients written out inline.
+
+    The factors are eps-free, from ``a`` and ``1/a``; only ``W`` carries eps.
+    """
     s, h_s = base_nodes(geom, grid.n_s)
     _, _, h_f = fiber_nodes(geom, grid.n_f)
     cell = h_s * h_f
@@ -369,10 +415,10 @@ def inline_warp_torus(geom, eps, grid):
     _, den_f = _staggered_int(grid.n_f, grid.stencil_order, periodic=True)
     a_mid = geom.warp_value(s + 0.5 * h_s)
     a_node = geom.warp_value(s)
-    base_w = a_node / eps * cell
-    return (_form_matrix(d_s, eps * a_mid * (cell * (1.0 / (den_s * h_s) ** 2))),
-            1.0 / (eps * a_node) * (cell * (1.0 / (den_f * h_f) ** 2)),
-            base_w, np.repeat(base_w, grid.n_f))
+    base_w = a_node * cell
+    return (_form_matrix(d_s, a_mid * (cell * (1.0 / (den_s * h_s) ** 2))),
+            1.0 / a_node * (cell * (1.0 / (den_f * h_f) ** 2)),
+            base_w, np.repeat(base_w / eps, grid.n_f))
 
 
 def assert_same_csr(a, b):

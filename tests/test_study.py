@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as sla
 
+import fibrelab.eigensolve as eigensolve_module
 import fibrelab.operators as operators_module
 import fibrelab.study as study_module
 from fibrelab.cli import main as cli_main
@@ -361,6 +362,7 @@ class TestRunStudy:
 
         real = operators_module._form_matrix
         columns = set()
+        operators_module._torus_factors.cache_clear()  # build the factors here
 
         def form_matrix(diff, coeff):
             columns.add(diff.shape[1])
@@ -559,6 +561,66 @@ def assert_same_records(base, other, disc_tol=None):
     for name, check in base.checks.items():
         assert (check.passed, check.reason) == (other.checks[name].passed,
                                                 other.checks[name].reason), name
+
+
+def torus_j1_64x32(epsilons=None):
+    """``TORUS_J1``'s geometry and mode on a 64 x 32 base grid, no checks."""
+    cfg = json.loads(json.dumps(TORUS_J1_CONFIG))
+    cfg["grid"] = {"n_s": 64, "n_f": 32, "stencil_order": 4, "refine": 2}
+    cfg["study"]["checks"] = []
+    if epsilons is not None:
+        cfg["epsilons"] = list(epsilons)
+    return cfg
+
+
+class TestScaleSeparation:
+    """The torus operator is eps A + B / eps over W_0 / eps, its factors eps-free."""
+
+    def test_rescaled_level_is_the_same_at_every_eps(self):
+        # mode 1 is a fibre-constant level other than the zero level:
+        # lambda = eps^2 mu with mu free of eps
+        report = run_study(load_config(torus_j1_64x32()))
+        assert len(report.records) == 4
+        rescaled = np.array([rec.lambda_full / rec.eps ** 2 for rec in report.records])
+        assert np.max(np.abs(rescaled / rescaled[0] - 1.0)) <= 1e-10
+
+    def test_one_base_solve_per_level_tau_and_k(self, monkeypatch):
+        # the base solves go through the dispatcher; the stiffness diagonal
+        # K_s + tau c_f tells the problems apart
+        eigensolve_module._base_pairs.cache_clear()
+        real = eigensolve_module.smallest_eigenpairs
+        solved = []
+
+        def spy(sub, sub_cfg):
+            solved.append((sub.dim, sub_cfg.k, sub.stiffness.diagonal().tobytes()))
+            return real(sub, sub_cfg)
+
+        monkeypatch.setattr(eigensolve_module, "smallest_eigenpairs", spy)
+        report = run_study(load_config(torus_j1_64x32()))
+        assert len(report.records) == 4
+        # the fibre-constant problem of each level, and fibre mode 1 of the
+        # base level at eps = 0.2; 9 base solves without the memo
+        assert len(set(solved)) == len(solved) == 3
+        assert sorted(dim for dim, _, _ in solved) == [64, 64, 128]
+
+    def test_record_does_not_depend_on_what_ran_before(self):
+        # the eps-0.1 record alone, after a study at another eps filled the
+        # memo, and inside a longer list whose first eps fills it
+        def record(epsilons):
+            report = run_study(load_config(torus_j1_64x32(epsilons)))
+            return dumps_canonical(report_to_dict(report)["records"][epsilons.index(0.1)])
+
+        def forget():
+            eigensolve_module._base_pairs.cache_clear()
+            operators_module._torus_factors.cache_clear()
+
+        forget()
+        alone = record([0.1])
+        forget()
+        run_study(load_config(torus_j1_64x32([0.05])))
+        assert record([0.1]) == alone
+        forget()
+        assert record([0.2, 0.1, 0.05]) == alone
 
 
 class TestMetamorphicStudy:
