@@ -8,6 +8,11 @@ ids, the same :func:`scipy.sparse.csgraph.connected_components` labelling
 that counts nodal domains.  Domains are labelled over same-sign runs
 along each fibre rather than over nodes, one edge per pair of runs that
 touch, so the graph has a node per sign change instead of per grid node.
+A field whose sign pattern is an outer product ``x ⊗ g`` with no zero
+entry, as every vector of the separable warped-torus solve is, builds no
+graph: its blocks of one sign alternate in both directions, so it has
+``runs(x) * runs(g)`` domains, the runs of each factor counted around the
+circle (along the line in ``f`` on a strip).
 On Dirichlet strips every chain reaching the outermost interior row is
 closed off to the wall, where the eigenfunction vanishes; wall contact
 points feed the boundary-trace count.  The graph-over-fibre check counts
@@ -230,6 +235,14 @@ def extract_nodal_set(fld: ScalarField) -> NodalSet:
     )
 
 
+def _sign_runs(signs: np.ndarray, cyclic: bool) -> int:
+    """Runs of one sign in a vector of signs with no zero; a one-signed vector is one run."""
+    changes = int(np.count_nonzero(signs[1:] != signs[:-1]))
+    if cyclic:  # around a circle the last run is the first when their signs agree
+        return max(changes + int(signs[0] != signs[-1]), 1)
+    return changes + 1
+
+
 def count_nodal_domains(fld: ScalarField) -> int:
     """Connected components of same-strict-sign nodes under 4-adjacency.
 
@@ -239,8 +252,18 @@ def count_nodal_domains(fld: ScalarField) -> int:
     neighbouring fibres (periodic in ``s``) get one edge where an overlap
     of equal nonzero sign begins.  Components of that run graph, zero runs
     left out, are the nodal domains.
+
+    A sign pattern with no zero that is the outer product of its first
+    column and its first row takes no graph: each block of one sign meets
+    only blocks of the other, so the count is the product of the two
+    factors' run counts.  It reads only the signs, so it is exact for any
+    field; every other field, one with an exact zero included, is counted
+    on the run graph.
     """
     sign = np.sign(fld.values).astype(np.int8)
+    base, fibre = sign[:, 0], sign[0] * sign[0, 0]
+    if np.all(base) and np.all(fibre) and np.array_equal(sign, np.outer(base, fibre)):
+        return _sign_runs(base, cyclic=True) * _sign_runs(fibre, cyclic=fld.periodic_f)
     start = np.ones(sign.shape, dtype=bool)
     start[:, 1:] = sign[:, 1:] != sign[:, :-1]
     run = np.cumsum(start.ravel()).reshape(sign.shape) - 1

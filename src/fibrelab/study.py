@@ -18,7 +18,9 @@ A sweep point enters a rate fit only when the measured model error
 exceeds ten times that estimate.  When every point sits at the
 discretization floor the check is reported as passed with an explicit
 "below floor" flag rather than fitting noise; this is exactly the flat
-situation where the model is discretely exact.  ``RATE_CHECKS``
+situation where the model is discretely exact.  A fit passes only when
+its slope and the local slope between every two consecutive usable
+points reach the threshold.  ``RATE_CHECKS``
 holds each rate check's quantity, theory exponent and fixed threshold;
 its :class:`CheckResult` carries its fit.  :mod:`fibrelab.report` writes
 the results.
@@ -424,7 +426,13 @@ def _run_sweep(cfg: StudyConfig) -> StudyReport:
 
 def _evaluate_rate_check(name: str, cfg: StudyConfig,
                          records: list[DiscrepancyRecord]) -> CheckResult:
-    """One verdict: a fitted slope, all points at the floor, or too few above it."""
+    """One verdict: a fitted slope, all points at the floor, or too few above it.
+
+    A fit passes only on a power law: its slope and the local slope between
+    every two consecutive usable points (largest eps first) reach the
+    threshold, so the error falls at each step at least at the bar's rate.
+    A failing reason names the first step that falls short.
+    """
     quantity, torus, waveguide = RATE_CHECKS[name]
     theory, threshold = torus if isinstance(cfg.geometry, WarpedTorusGeometry) else waveguide
     usable: list[tuple[float, float]] = []
@@ -445,7 +453,14 @@ def _evaluate_rate_check(name: str, cfg: StudyConfig,
         fit = fit_rate(usable)
         fit.excluded = excluded
         reason = f"fitted slope {fit.slope:.3f} vs threshold {threshold:.2f} (theory {theory:.0f})"
-        return CheckResult(name, fit.slope >= threshold, reason, threshold, theory, fit)
+        points = sorted(usable, reverse=True)
+        steps = [(e0, e1, math.log(v1 / v0) / math.log(e1 / e0))
+                 for (e0, v0), (e1, v1) in zip(points, points[1:])]
+        short = next((step for step in steps if step[2] < threshold), None)
+        if short is not None:
+            reason += f"; local slope {short[2]:.3f} from eps={short[0]:g} to eps={short[1]:g}"
+        return CheckResult(name, fit.slope >= threshold and short is None, reason,
+                           threshold, theory, fit)
     if excluded and not usable and all(why != "not measured" for _, _, why in excluded):
         return CheckResult(name, True, "all points at the discretization floor; "
                            "model error not resolvable", threshold, theory)

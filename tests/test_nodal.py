@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
@@ -29,6 +29,8 @@ from fibrelab.nodal import (
 )
 from fibrelab.operators import GridSpec, assemble_effective, assemble_full
 from fibrelab.report import nodal_set_to_csv
+from fibrelab.study import load_config
+from test_acceptance import TORUS_J0_CONFIG
 
 TWO_PI = 2.0 * np.pi
 
@@ -122,6 +124,19 @@ class TestExtractNodalSet:
         assert a.component_count == b.component_count
 
 
+def field_on_grid(vals, periodic):
+    """``vals`` on a torus (``periodic``) or on a strip's interior rows, the base period 2 pi."""
+    n_s, n_rows = vals.shape
+    h_s = TWO_PI / n_s
+    if periodic:
+        h_f = TWO_PI / n_rows
+        f = np.arange(n_rows) * h_f
+    else:
+        h_f = 2.0 / (n_rows + 1)
+        f = -1.0 + h_f * np.arange(1, n_rows + 1)
+    return ScalarField(vals, np.arange(n_s) * h_s, f, h_s, h_f, TWO_PI, periodic)
+
+
 @st.composite
 def random_sign_fields(draw):
     """Torus or strip fields of random signs, full of saddle cells.
@@ -135,14 +150,7 @@ def random_sign_fields(draw):
     mags = draw(st.lists(st.floats(0.01, 1.0), min_size=size, max_size=size))
     signs = draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=size, max_size=size))
     vals = (np.asarray(mags) * np.asarray(signs)).reshape(n_s, n_rows)
-    h_s = TWO_PI / n_s
-    if periodic:
-        h_f = TWO_PI / n_rows
-        f = np.arange(n_rows) * h_f
-    else:
-        h_f = 2.0 / (n_rows + 1)
-        f = -1.0 + h_f * np.arange(1, n_rows + 1)
-    return ScalarField(vals, np.arange(n_s) * h_s, f, h_s, h_f, TWO_PI, periodic)
+    return field_on_grid(vals, periodic)
 
 
 def crossing_edge(fld, point):
@@ -248,10 +256,27 @@ def signed_fields(draw):
     vals = signs.reshape(n_s, n_rows) * draw(st.floats(0.1, 10.0))
     for i in draw(st.lists(st.integers(0, n_s - 1), max_size=3)):
         vals[i] = draw(st.sampled_from((-1.0, 1.0)))  # a fibre of one sign, no run starts on it
-    h_s = TWO_PI / n_s
-    h_f = TWO_PI / n_rows if periodic else 2.0 / (n_rows + 1)
-    f = np.arange(n_rows) * h_f if periodic else -1.0 + h_f * np.arange(1, n_rows + 1)
-    return ScalarField(vals, np.arange(n_s) * h_s, f, h_s, h_f, TWO_PI, periodic)
+    return field_on_grid(vals, periodic)
+
+
+@st.composite
+def product_fields(draw):
+    """Torus or strip fields ``x ⊗ g``, left whole or with one sign flipped or one exact zero.
+
+    Either factor may be of one sign, and either size may be 1.
+    """
+    periodic = draw(st.booleans())
+
+    def factor(n):
+        mags = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)))
+        if draw(st.booleans()):
+            return mags * draw(st.sampled_from((-1.0, 1.0)))
+        return mags * np.array(draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=n, max_size=n)))
+
+    vals = np.outer(factor(draw(st.integers(1, 12))), factor(draw(st.integers(1, 12))))
+    i, j = draw(st.integers(0, vals.shape[0] - 1)), draw(st.integers(0, vals.shape[1] - 1))
+    vals[i, j] *= draw(st.sampled_from((1.0, -1.0, 0.0)))
+    return field_on_grid(vals, periodic)
 
 
 class TestRunLengthDomains:
@@ -276,6 +301,48 @@ class TestRunLengthDomains:
             fld = ScalarField(vals, np.arange(4) * TWO_PI / 4, np.arange(3) * 0.5, TWO_PI / 4,
                               0.5, TWO_PI, periodic)
             assert count_nodal_domains(fld) == node_graph_domains(fld)
+
+
+class TestProductDomains:
+    """A sign pattern ``x ⊗ g`` with no zero is counted from its factors, with no graph."""
+
+    @given(product_fields())
+    @example(field_on_grid(np.array([[1.0, 0.0, 1.0]]), True))  # the zero is a factor's own
+    @example(field_on_grid(np.array([[1.0], [0.0], [-1.0]]), False))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_node_graph(self, fld):
+        assert count_nodal_domains(fld) == node_graph_domains(fld)
+
+    @pytest.mark.parametrize("periodic, runs", [(True, [2, 2, 4]), (False, [3, 3, 4])])
+    def test_runs_of_each_factor(self, periodic, runs):
+        # g is + + - - + (+ + - - - + on the last): around the circle its
+        # first and last runs are one, along the strip's line they are two
+        x = np.array([1.0, -1.0, -1.0, 1.0])
+        for g, count in zip(([1, 1, -1, -1, 1], [-1, -1, 1, 1, -1], [1, -1, 1, -1]), runs):
+            fld = field_on_grid(np.outer(x, np.array(g, dtype=float)), periodic)
+            assert count_nodal_domains(fld) == node_graph_domains(fld) == 2 * count
+
+    def test_torus_fields_build_no_graph_until_one_sign_flips(self, monkeypatch):
+        # the six lowest pairs of TORUS_J0 at eps 0.1, the fields its Courant
+        # check counts, are products and take no labelling; one flipped sign
+        # sends a field to the run graph, which still counts it exactly
+        cfg = load_config(TORUS_J0_CONFIG)
+        op = assemble_full(cfg.geometry, 0.1, cfg.grid)
+        pairs = smallest_eigenpairs(op, replace(cfg.solver, k=6))
+        labelled = []
+        real = nodal_module._label_components
+
+        def spy(*args):
+            labelled.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(nodal_module, "_label_components", spy)
+        fields = [field_from_operator(op, pairs.vectors[:, idx]) for idx in range(6)]
+        assert [count_nodal_domains(fld) for fld in fields] == [1, 2, 2, 4, 4, 6]
+        assert labelled == []
+        fields[5].values[3, 5] *= -1.0
+        assert count_nodal_domains(fields[5]) == node_graph_domains(fields[5]) == 7
+        assert len(labelled) == 1
 
 
 class TestZerosOfBase:

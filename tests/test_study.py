@@ -327,6 +327,26 @@ class TestGuardSemantics:
         res = _evaluate_rate_check("eig_rate", cfg, records)
         assert res.passed
         assert res.slope == pytest.approx(2.0, abs=0.01)
+        assert res.reason == "fitted slope 2.000 vs threshold 1.70 (theory 2)"
+
+    @pytest.mark.parametrize("epsilons, gaps, short", [
+        # GUIDE_J0's eig_gap with V_eff x 1.01: the signed gap crosses zero
+        # between the last two eps; fitted 2.336, local 2.93, 5.08, -1.43
+        ((0.3, 0.22, 0.15, 0.1), (1.522e-2, 6.137e-3, 8.759e-4, 1.566e-3),
+         "local slope -1.433 from eps=0.15 to eps=0.1"),
+        # monotone, fitted 1.900, local 2, 1, 3: one step falls too slowly
+        ((0.4, 0.2, 0.1, 0.05), (0.16, 0.04, 0.02, 0.0025),
+         "local slope 1.000 from eps=0.2 to eps=0.1"),
+    ])
+    def test_fitted_slope_passes_but_a_step_does_not(self, epsilons, gaps, short):
+        cfg = load_config(flat_config())
+        records = [synthetic_record(e, g) for e, g in zip(epsilons, gaps)]
+        res = _evaluate_rate_check("eig_rate", cfg, records)
+        assert res.slope >= res.threshold == 1.7
+        assert not res.passed
+        assert res.reason.endswith("(theory 2); " + short)
+        # the verdict does not depend on the order of the records
+        assert _evaluate_rate_check("eig_rate", cfg, records[::-1]).reason == res.reason
 
     def test_all_points_below_floor_skip_passes(self):
         cfg = load_config(flat_config())
@@ -675,6 +695,26 @@ class TestMetamorphicStudy:
         for a, b in zip(base.records, other.records):
             assert a.zeros == b.zeros and len(a.zeros) == 2, a.eps
             assert a.boundary_components == b.boundary_components >= 4, a.eps
+
+    def test_fibre_twice_as_long_keeps_the_fibre_constant_level(self):
+        # the paired level is constant along the fibre, so a fibre twice as
+        # long leaves its eigenvalue, its zeros and its counts alone; the
+        # unit-norm field spreads over twice the volume, so its sup falls
+        # by sqrt 2.  Measured: lambda_full within 1.6e-15 relative, eig_gap
+        # within 1.5e-12, supnorm sqrt 2 within 5e-13
+        epsilons = (0.6, 0.4, 0.3)
+        base = run_study(load_config(torus_mode1_config(TWO_PI, epsilons)))
+        longer = run_study(load_config(torus_mode1_config(2.0 * TWO_PI, epsilons)))
+        assert base.failures == longer.failures == []
+        assert [rec.eps for rec in base.records] == [rec.eps for rec in longer.records] == list(epsilons)
+        for a, b in zip(base.records, longer.records):
+            assert (a.mu, a.zeros) == (b.mu, b.zeros) and len(a.zeros) == 2, a.eps
+            for x, y in ((a.lambda_full, b.lambda_full), (a.eig_gap, b.eig_gap),
+                         (a.supnorm, b.supnorm * np.sqrt(2.0))):
+                assert y == pytest.approx(x, rel=1e-9), a.eps
+            for name in ("component_count", "domain_count", "graph_over_fiber",
+                         "boundary_components"):
+                assert getattr(a, name) == getattr(b, name), (a.eps, name)
 
 
 class TestCertifiedShift:
