@@ -142,15 +142,13 @@ def build_prediction(eff: DiscreteOperator, mode_index: int,
     is ``psi(s) * phi0``, with the fibrewise L2-normalized ground state
     ``phi0 = Vol(s)^{-1/2}`` on the torus and ``cos(pi u / 2)`` on the
     waveguide, scaled to unit norm with its largest entry positive.
-    ``cfg`` supplies at least ``mode_index + 2`` pairs; its shift, meant
-    for a full operator, is dropped.  Requires the effective eigenvalue to
-    be simple (gap above 1e-8 to its neighbours) and its eigenfunction to
-    have only transversal zeros.
+    ``cfg`` supplies at least ``mode_index + 2`` pairs.  Requires the
+    effective eigenvalue to be simple (gap above 1e-8 to its neighbours)
+    and its eigenfunction to have only transversal zeros.
     """
     geom, grid = eff.geometry, eff.grid
     cfg = cfg or SolveConfig(k=mode_index + 2)
-    pairs = smallest_eigenpairs(eff,
-                                replace(cfg, k=max(cfg.k, mode_index + 2), shift=None))
+    pairs = smallest_eigenpairs(eff, replace(cfg, k=max(cfg.k, mode_index + 2)))
     require_simple(pairs.values, mode_index, "effective eigenvalue")
     mu = float(pairs.values[mode_index])
 
@@ -205,6 +203,11 @@ def measure_discrepancy(op: DiscreteOperator, full: EigenPairSet,
     compared after subtracting the discrete fibre ground value and
     dividing by eps^2; an ambiguity guard rejects the comparison when two
     rescaled eigenvalues of ``full`` sit within 1e-8 of the effective one.
+    The paired level must be simple among the levels of its own fibre
+    label (all levels when ``full`` carries none), or
+    ``DegenerateEffectiveEigenvalue`` is raised before any nodal work:
+    the theorem is for simple levels, and from a degenerate one the
+    solver returns an arbitrary vector of its eigenspace.
     """
     geom, grid, eps = op.geometry, op.grid, op.eps
     j = pred.mode_index
@@ -214,6 +217,8 @@ def measure_discrepancy(op: DiscreteOperator, full: EigenPairSet,
         raise PairingAmbiguous(
             f"two rescaled eigenvalues within {PAIRING_TOL} of mu={pred.mu:.12g}"
         )
+    modes = np.zeros(len(full.values)) if full.fiber_modes is None else full.fiber_modes
+    require_simple(rescaled[modes == modes[idx]], j, "rescaled paired full level")
     eig_gap = float(abs(rescaled[idx] - pred.mu))
 
     fld = field_from_operator(op, full.vectors[:, idx])

@@ -24,16 +24,18 @@ Three paths share one post-processing step:
   mode ``m`` and above from below: the returned values are provably the
   k smallest, a completeness certificate.  Each pair records its fibre
   mode ``|m|``.
-* Other large operators: shift-invert ARPACK on ``A = K - shift * W``.
+* Other large operators: shift-invert ARPACK on ``A = K - sigma W`` at
+  the operator's ``safe_shift`` ``sigma``, the one shift of every such
+  solve, which the operator's assembler places below the spectrum.
   ``A`` is symmetric, and in reverse Cuthill-McKee order a grid operator
   is banded, its band as wide as the short grid side; LAPACK's banded
   Cholesky factors its lower band once (OpenBLAS's lower ``dpbtrf`` is
   the faster storage on these bands) and ARPACK applies ``A^{-1}``
   through that factor.  The factor exists if and only if ``A`` is
-  positive definite, that is, if and only if the shift lies below the
-  whole spectrum, so it certifies the shift: a shift inside the
-  spectrum, which would return the pairs nearest the shift instead of
-  the smallest, fails with ``FactorizationFailed``.  The Krylov basis
+  positive definite, that is, if and only if ``sigma`` lies below the
+  whole spectrum, so it certifies the assembler's bound: a ``sigma``
+  inside the spectrum, which would return the pairs nearest it instead
+  of the smallest, fails with ``FactorizationFailed``.  The Krylov basis
   holds ``min(n - 1, max(2k + 4, 20))`` vectors.  That is enough when the
   shift lies just below the smallest eigenvalue, as the waveguide's
   ``safe_shift`` does, since the wanted values of ``A^{-1}`` then stand
@@ -171,16 +173,9 @@ def single_threaded_blas() -> Iterator[int]:
 class SolveConfig:
     """Options for one eigensolve; a field out of range raises :class:`ConfigError`.
 
-    ``shift`` must lie strictly below the whole spectrum, not only below
-    the eigenvalues sought; when omitted it defaults to the operator's
-    ``safe_shift``, which its assembler places below the spectrum by
-    construction.  The shift-invert path checks this: its Cholesky
-    factor of ``K - shift * W`` exists only for such a shift, and any
-    other shift raises ``FactorizationFailed``.  The dense and separable
-    torus paths use no shift and ignore it.  A study ignores the
-    configured shift and solves every full level at its operator's
-    ``safe_shift`` (see :mod:`fibrelab.study`); ``fibrelab solve`` and
-    ``nodal`` pass it through.  ``seed`` seeds the random part of the
+    No option places the shift: the shift-invert path always solves at the
+    operator's ``safe_shift`` (see the module docstring), and the dense and
+    separable torus paths use none.  ``seed`` seeds the random part of the
     shift-invert start vector, also when the caller passes a ``start``
     block to :func:`smallest_eigenpairs`; start blocks are an argument of
     the call, not an option here.
@@ -190,7 +185,6 @@ class SolveConfig:
     tol: float = 1e-8
     max_iter: int = 5000
     seed: int = 0
-    shift: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -199,8 +193,6 @@ class SolveConfig:
             raise ConfigError("tol must be positive")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be at least 1")
-        if self.shift is not None and not np.isfinite(self.shift):
-            raise ConfigError("shift must be finite")
 
 
 @dataclass
@@ -314,7 +306,7 @@ def _fiber_fourier(op: DiscreteOperator,
             break
         waves = (0.0,) if m == 0 or 2 * m == n_f else (0.25 * np.pi, -0.25 * np.pi)
         values, vectors = _base_pairs(
-            factors, tau, replace(cfg, k=min(n_s, -(-k // len(waves))), shift=None))
+            factors, tau, replace(cfg, k=min(n_s, -(-k // len(waves)))))
         found += [(float(mu), int(m), offset, x)
                   for mu, x in zip(values, vectors.T) for offset in waves]
         found = sorted(found, key=lambda c: c[:2])[:k]
@@ -337,8 +329,10 @@ def smallest_eigenpairs(op: DiscreteOperator, cfg: SolveConfig, *,
     W-normalized columns plus the seeded random vector at equal norm, and
     for ``k <= 3`` its Krylov basis shrinks to 14 vectors.  The values
     stay certified against ``cfg.tol`` whatever the start; the
-    fibre-Fourier and dense paths ignore it.  A ``cfg.k`` above
-    ``op.dim`` raises :class:`ConfigError`.
+    fibre-Fourier and dense paths ignore it.  The shift-invert path solves
+    at ``op.safe_shift`` and at no other shift; a ``safe_shift`` that is
+    not below the spectrum raises :class:`FactorizationFailed`.  A
+    ``cfg.k`` above ``op.dim`` raises :class:`ConfigError`.
     """
     n = op.dim
     k = cfg.k
@@ -352,7 +346,7 @@ def smallest_eigenpairs(op: DiscreteOperator, cfg: SolveConfig, *,
         values, vectors = dla.eigh(op.stiffness.toarray(), np.diag(op.weight),
                                    subset_by_index=[0, k - 1])
     else:
-        sigma = op.safe_shift if cfg.shift is None else cfg.shift
+        sigma = op.safe_shift
         v0 = _start_vector(op, cfg.seed, start)
         ncv = max(2 * k + 4, 20)
         if start is not None and k <= 3:
@@ -362,8 +356,8 @@ def smallest_eigenpairs(op: DiscreteOperator, cfg: SolveConfig, *,
         try:
             inverse = _shift_inverse(op.stiffness - sigma * weight)
         except dla.LinAlgError as exc:
-            raise FactorizationFailed(f"K - sigma W is not positive definite: shift sigma = "
-                                      f"{sigma:g} is not below the spectrum") from exc
+            raise FactorizationFailed(f"K - sigma W is not positive definite: safe shift "
+                                      f"sigma = {sigma:g} is not below the spectrum") from exc
         try:
             values, vectors = sla.eigsh(
                 op.stiffness,

@@ -27,11 +27,11 @@ class NoConvergence(FibrelabError):
 
 
 class FactorizationFailed(FibrelabError):
-    """The Cholesky factor of ``K - shift * W`` does not exist.
+    """The Cholesky factor of ``K - safe_shift * W`` does not exist.
 
     The matrix is positive definite exactly when the shift lies below the
-    whole spectrum, so this means the shift is not a valid one: lower it
-    below the smallest eigenvalue.
+    whole spectrum.  No option sets the shift, so this means the bound that
+    the operator's assembler placed as ``safe_shift`` is wrong.
     """
 
 
@@ -48,7 +48,7 @@ class NonTransversalZero(FibrelabError):
 
 
 class DegenerateEffectiveEigenvalue(FibrelabError):
-    """An eigenvalue that must be simple (effective, or a ``nodal`` level) is not."""
+    """An eigenvalue that must be simple (effective, paired full, or a ``nodal`` level) is not."""
 
 
 class PairingAmbiguous(FibrelabError):

@@ -29,8 +29,7 @@ Every full solve runs at its operator's ``safe_shift``: on the waveguide
 the fibre-block lower bound of :func:`fibrelab.operators.assemble_full`,
 the discrete fibre ground energy less a stated margin, which lies below
 ``lambda_1`` by construction and not by the effective model under test.
-A study ignores ``solver.shift``, which only ``fibrelab solve`` and
-``nodal`` read.  When a level's prediction failed, no level is solved:
+When a level's prediction failed, no level is solved:
 the first such failure is recorded at every eps.
 Each failure record names its eps, grid level and stage.
 """
@@ -242,13 +241,13 @@ def load_config(raw: dict) -> StudyConfig:
         refine = _integer(grid_block, "refine", 2)
         solver_block = _only(raw.get("solver", {}), ("k", "tol", "max_iter", "seed", "shift"),
                              "solver")
+        if solver_block.get("shift") is not None:
+            _number(solver_block["shift"], "shift")  # read by nothing: ROADMAP item 14
         solver = SolveConfig(
             k=_integer(solver_block, "k", 8),
             tol=_number(solver_block.get("tol", 1e-8), "tol"),
             max_iter=_integer(solver_block, "max_iter", 5000),
             seed=_integer(solver_block, "seed", 0),
-            shift=(None if solver_block.get("shift") is None
-                   else _number(solver_block["shift"], "shift")),
         )
         study_block = _only(raw.get("study", {}), ("mode_index", "checks", "out"), "study")
         mode_index = _integer(study_block, "mode_index", 0)
@@ -347,8 +346,7 @@ def _run_sweep(cfg: StudyConfig) -> StudyReport:
     timings: dict[str, float] = {}
     t_start = time.perf_counter()
 
-    # every full solve runs at its operator's safe shift
-    solve_cfg = replace(cfg.solver, k=_reported_pair_count(cfg), shift=None)
+    solve_cfg = replace(cfg.solver, k=_reported_pair_count(cfg))
     # The grid levels, each refined from the one before.  The effective
     # problem does not depend on eps: each level holds its one prediction,
     # or the error that prediction raised.

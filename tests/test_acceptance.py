@@ -117,7 +117,7 @@ def flat_setup():
     out = {}
     for eps in (0.5, 0.25):
         op = assemble_full(geom, eps, grid)
-        pairs = smallest_eigenpairs(op, SolveConfig(k=12, shift=-4 * eps * eps))
+        pairs = smallest_eigenpairs(op, SolveConfig(k=12))
         out[eps] = (op, pairs)
     return geom, grid, symbols, out
 
@@ -290,9 +290,10 @@ def test_solver_and_assembly_invariants(tmp_path_factory, guide_j0_report):
     assert t_op.symmetry_defect() == 0.0
     assert g_op.symmetry_defect() == 0.0
 
-    cfg = SolveConfig(k=6, tol=1e-8, shift=-0.04)
+    cfg = SolveConfig(k=6, tol=1e-8)
     t_pairs = smallest_eigenpairs(t_op, cfg)
-    g_pairs = smallest_eigenpairs(g_op, SolveConfig(k=6, tol=1e-8, shift=1.9))
+    g_op.safe_shift = 1.9
+    g_pairs = smallest_eigenpairs(g_op, cfg)
     for op, pairs in ((t_op, t_pairs), (g_op, g_pairs)):
         rep = verify_pairs(op, pairs)
         assert rep.max_residual <= 1e-8

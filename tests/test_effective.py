@@ -184,7 +184,7 @@ class TestMeasureDiscrepancy:
         eff = assemble_effective(geom, grid)
         for eps in (0.5, 0.25):
             op = assemble_full(geom, eps, grid)
-            pairs = smallest_eigenpairs(op, SolveConfig(k=3, shift=-4 * eps * eps))
+            pairs = smallest_eigenpairs(op, SolveConfig(k=3))
             pred = build_prediction(eff, 0)
             rec = measure_discrepancy(op, pairs, pred)
             assert rec.eig_gap <= 1e-8
@@ -197,7 +197,7 @@ class TestMeasureDiscrepancy:
         eff = assemble_effective(geom, grid)
         eps = 0.2
         op = assemble_full(geom, eps, grid)
-        pairs = smallest_eigenpairs(op, SolveConfig(k=4, shift=-4 * eps * eps))
+        pairs = smallest_eigenpairs(op, SolveConfig(k=4))
         pred = build_prediction(eff, 1)
         rec_a = measure_discrepancy(op, pairs, pred)
         flipped = EigenPairSet(values=pairs.values.copy(), vectors=-pairs.vectors,
@@ -242,8 +242,17 @@ class TestPairingByFiberLabel:
         assert ground[2] > 2
         rec = measure_discrepancy(self.op, pairs, self.pred)
         assert rec.lambda_full == pairs.values[ground[2]]
+        # by position mode 2 pairs with level 2, a member of the fibre-excited
+        # pair 2, 3: refused as degenerate, and with level 3 left out,
+        # measured far from the prediction
+        assert list(pairs.fiber_modes[2:4]) == [1, 1]
         unlabelled = EigenPairSet(values=pairs.values, vectors=pairs.vectors,
                                   residuals=pairs.residuals)
+        with pytest.raises(DegenerateEffectiveEigenvalue, match="rescaled paired full level"):
+            measure_discrepancy(self.op, unlabelled, self.pred)
+        keep = [0, 1, 2, 4, 5, 6, 7]
+        unlabelled = EigenPairSet(values=pairs.values[keep], vectors=pairs.vectors[:, keep],
+                                  residuals=pairs.residuals[keep])
         assert measure_discrepancy(self.op, unlabelled, self.pred).eig_gap > 10.0 * rec.eig_gap
 
     def test_too_few_fiber_ground_levels(self):
@@ -267,7 +276,8 @@ class TestRoundAnnulusEigenvalue:
         geom = bent_guide(amps=())
         eps = 0.1
         op = assemble_full(geom, eps, GridSpec(96, 128, 4))
-        pairs = smallest_eigenpairs(op, SolveConfig(k=1, shift=1.97))
+        op.safe_shift = 1.97
+        pairs = smallest_eigenpairs(op, SolveConfig(k=1))
         shifted = pairs.values[0] - op.fiber_ground_disc
         assert shifted == pytest.approx(-0.0025, abs=5e-5)
 

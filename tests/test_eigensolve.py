@@ -79,7 +79,8 @@ class TestSmallestEigenpairs:
     @both_paths
     def test_residuals_and_orthonormality(self, make_op):
         op = make_op()
-        pairs = smallest_eigenpairs(op, SolveConfig(k=6, tol=1e-9, shift=-0.5))
+        op.safe_shift = -0.5
+        pairs = smallest_eigenpairs(op, SolveConfig(k=6, tol=1e-9))
         assert np.all(pairs.residuals <= 1e-9)
         gram = pairs.vectors.T @ (op.weight[:, None] * pairs.vectors)
         assert np.max(np.abs(gram - np.eye(6))) < 1e-8
@@ -87,7 +88,8 @@ class TestSmallestEigenpairs:
     @both_paths
     def test_rayleigh_quotient_sandwich(self, make_op):
         op = make_op()
-        pairs = smallest_eigenpairs(op, SolveConfig(k=5, shift=-0.5))
+        op.safe_shift = -0.5
+        pairs = smallest_eigenpairs(op, SolveConfig(k=5))
         for lam, x in zip(pairs.values, pairs.vectors.T):
             rq = float(x @ (op.stiffness @ x)) / float(x @ (op.weight * x))
             assert abs(lam - rq) <= 1e-12 * abs(lam) + 1e-14
@@ -98,6 +100,7 @@ class TestSmallestEigenpairs:
                              ids=["torus", "guide", "dense"])
     def test_one_product_per_returned_vector(self, make_op, monkeypatch):
         op = make_op()
+        op.safe_shift = -0.5
         real = DiscreteOperator.apply
         shapes = []
 
@@ -107,7 +110,7 @@ class TestSmallestEigenpairs:
             return real(self, x)
 
         monkeypatch.setattr(DiscreteOperator, "apply", counting_apply)
-        pairs = smallest_eigenpairs(op, SolveConfig(k=5, shift=-0.5))
+        pairs = smallest_eigenpairs(op, SolveConfig(k=5))
         assert shapes == [(op.dim,)] * 5
         # that one product gives both the value and the residual of its vector
         for lam, x, res in zip(pairs.values, pairs.vectors.T, pairs.residuals):
@@ -119,8 +122,9 @@ class TestSmallestEigenpairs:
     @both_paths
     def test_deterministic_repeat(self, make_op):
         op = make_op()
-        a = smallest_eigenpairs(op, SolveConfig(k=5, seed=7, shift=-0.5))
-        b = smallest_eigenpairs(op, SolveConfig(k=5, seed=7, shift=-0.5))
+        op.safe_shift = -0.5
+        a = smallest_eigenpairs(op, SolveConfig(k=5, seed=7))
+        b = smallest_eigenpairs(op, SolveConfig(k=5, seed=7))
         assert np.array_equal(a.values, b.values)
         signs = np.sign(np.sum(a.vectors * b.vectors, axis=0))
         assert np.array_equal(a.vectors * signs, b.vectors)
@@ -128,13 +132,15 @@ class TestSmallestEigenpairs:
     @both_paths
     def test_shift_invariance_of_values(self, make_op):
         op = make_op()
-        a = smallest_eigenpairs(op, SolveConfig(k=5, shift=-0.3))
-        b = smallest_eigenpairs(op, SolveConfig(k=5, shift=-1.7))
+        op.safe_shift = -0.3
+        a = smallest_eigenpairs(op, SolveConfig(k=5))
+        op.safe_shift = -1.7
+        b = smallest_eigenpairs(op, SolveConfig(k=5))
         assert np.max(np.abs(a.values - b.values)) < 1e-9
 
     def test_closed_case_kernel_mode(self):
         op = torus_operator()
-        pairs = smallest_eigenpairs(op, SolveConfig(k=3, tol=1e-8, shift=-0.5))
+        pairs = smallest_eigenpairs(op, SolveConfig(k=3, tol=1e-8))
         assert abs(pairs.values[0]) <= 1e-8
         x0 = pairs.vectors[:, 0]
         x0 = x0 / np.max(np.abs(x0))
@@ -144,16 +150,18 @@ class TestSmallestEigenpairs:
     def test_singular_shift_fails_factorization(self):
         # integer diagonal makes K - 5 W exactly singular
         op = diag_operator(np.arange(1.0, 1001.0), np.ones(1000))
+        op.safe_shift = 5.0
         with pytest.raises(FactorizationFailed):
-            smallest_eigenpairs(op, SolveConfig(k=3, shift=5.0))
+            smallest_eigenpairs(op, SolveConfig(k=3))
 
     def test_shift_inside_spectrum_fails_factorization(self):
         # shift-invert at a shift above lambda_1 would return the pairs nearest
         # the shift (here lambda_3..lambda_5) as if they were the smallest
         op = guide_operator()
         ref = dla.eigh(op.stiffness.toarray(), np.diag(op.weight), eigvals_only=True)
+        op.safe_shift = 0.5 * (ref[2] + ref[3])
         with pytest.raises(FactorizationFailed):
-            smallest_eigenpairs(op, SolveConfig(k=3, shift=0.5 * (ref[2] + ref[3])))
+            smallest_eigenpairs(op, SolveConfig(k=3))
 
     def test_default_shift_lies_below_an_indefinite_line_operator(self):
         # kappa = 1 + 2.5 cos s puts mu_0 near -1.81, below the -1 that suits a
@@ -170,10 +178,16 @@ class TestSmallestEigenpairs:
             smallest_eigenpairs(diag_operator([1.0, 2.0], [1.0, 1.0]), SolveConfig(k=3))
 
     def test_bad_config_rejected(self):
-        for options in ({"k": 0}, {"tol": 0.0}, {"max_iter": 0}, {"shift": float("nan")},
-                        {"shift": -float("inf")}):
+        for options in ({"k": 0}, {"tol": 0.0}, {"max_iter": 0}):
             with pytest.raises(ConfigError):
                 SolveConfig(**options)
+
+    def test_options_place_no_shift(self):
+        # the shift-invert path solves at the operator's safe shift only
+        assert [f.name for f in dataclasses.fields(SolveConfig)] == [
+            "k", "tol", "max_iter", "seed"]
+        with pytest.raises(TypeError):
+            SolveConfig(shift=1.0)
 
 
 class TestDenseBranch:
@@ -298,7 +312,7 @@ class TestFiberFourier:
         base_values = []
         for sub, sub_cfg, sub_pairs in base_calls:
             assert sub.dim == 20 and sub.fiber_factors is None
-            assert sub_cfg.shift is None and sub_cfg.tol == cfg.tol
+            assert sub_cfg == dataclasses.replace(cfg, k=sub_cfg.k)
             assert np.all(sub_pairs.residuals <= cfg.tol)
             base_values.extend(eps * eps * sub_pairs.values)
         for value in pairs.values:
@@ -384,14 +398,16 @@ class TestShiftInvert:
         # lambda_1; the factor must exist however close below it the shift lies
         op = guide_operator()
         ref = dla.eigh(op.stiffness.toarray(), np.diag(op.weight), eigvals_only=True)[:8]
-        pairs = smallest_eigenpairs(op, SolveConfig(k=8, shift=ref[0] - margin * op.eps**2))
+        op.safe_shift = ref[0] - margin * op.eps**2
+        pairs = smallest_eigenpairs(op, SolveConfig(k=8))
         assert np.all(np.abs(pairs.values - ref) <= 1e-10 * ref)
 
     def test_shift_just_above_ground_fails_factorization(self):
         op = guide_operator()
         ref = dla.eigh(op.stiffness.toarray(), np.diag(op.weight), eigvals_only=True)
+        op.safe_shift = ref[0] + 1e-3 * op.eps**2
         with pytest.raises(FactorizationFailed):
-            smallest_eigenpairs(op, SolveConfig(k=8, shift=ref[0] + 1e-3 * op.eps**2))
+            smallest_eigenpairs(op, SolveConfig(k=8))
 
     @pytest.mark.parametrize("k,warm,ncv", [
         pytest.param(k, warm, ncv, id=("warm-" if warm else "") + f"{k}-{ncv}")
@@ -460,7 +476,7 @@ class TestShiftInvert:
 
         def solve(grid, start=None):
             op = assemble_full(geom, 0.1, grid)
-            return smallest_eigenpairs(op, SolveConfig(k=3, shift=op.safe_shift), start=start)
+            return smallest_eigenpairs(op, SolveConfig(k=3), start=start)
 
         coarse = solve(base)
         warm = solve(fine, start=prolongate(base, coarse.vectors, fine))
@@ -610,7 +626,7 @@ class TestVerifyPairs:
 
     def test_gram_is_identity_for_orthonormal_set(self):
         op = torus_operator(n=32)
-        pairs = smallest_eigenpairs(op, SolveConfig(k=4, shift=-0.5))
+        pairs = smallest_eigenpairs(op, SolveConfig(k=4))
         rep = verify_pairs(op, pairs)
         assert np.max(np.abs(rep.gram - np.eye(4))) < 1e-12
 

@@ -142,7 +142,7 @@ class TestFullAssembly:
         for eps in (0.5, 0.25):
             tensor = np.sort((eps**2 * sym[:, None] + sym[None, :]).ravel())[:10]
             op = assemble_full(geom, eps, grid)
-            pairs = smallest_eigenpairs(op, SolveConfig(k=10, shift=-4 * eps * eps))
+            pairs = smallest_eigenpairs(op, SolveConfig(k=10))
             assert np.max(np.abs(pairs.values - tensor)) < 1e-10
 
     def test_flat_smallest_four_closed_form(self):
@@ -152,7 +152,7 @@ class TestFullAssembly:
         sym1 = (2.0 - 2.0 * np.cos(TWO_PI / 64)) / h**2
         sym2 = (2.0 - 2.0 * np.cos(2.0 * TWO_PI / 64)) / h**2
         op = assemble_full(flat_torus(), 0.5, GridSpec(64, 64, 2))
-        pairs = smallest_eigenpairs(op, SolveConfig(k=4, shift=-1.0))
+        pairs = smallest_eigenpairs(op, SolveConfig(k=4))
         expected = np.array([0.0, 0.25 * sym1, 0.25 * sym1, 0.25 * sym2])
         assert np.max(np.abs(pairs.values - expected)) < 1e-10
 
@@ -161,7 +161,8 @@ class TestFullAssembly:
         values = []
         for n in (32, 64, 128):
             op = assemble_full(geom, 0.3, GridSpec(32, n))
-            pairs = smallest_eigenpairs(op, SolveConfig(k=1, shift=1.0))
+            op.safe_shift = 1.0
+            pairs = smallest_eigenpairs(op, SolveConfig(k=1))
             assert pairs.values[0] == pytest.approx(dirichlet_ground_value(n), rel=1e-11)
             values.append(pairs.values[0])
         errs = [abs(v - np.pi**2 / 4.0) for v in values]
@@ -179,12 +180,14 @@ class TestFullAssembly:
         sym_f = (2.0 - 2.0 * np.cos(np.pi * np.arange(1, n_f) / n_f)) / h_f**2
         tensor = np.sort((eps**2 * sym_s[:, None] + sym_f[None, :]).ravel())[:8]
         op = assemble_full(geom, eps, grid)
-        pairs = smallest_eigenpairs(op, SolveConfig(k=8, shift=1.0))
+        op.safe_shift = 1.0
+        pairs = smallest_eigenpairs(op, SolveConfig(k=8))
         assert np.max(np.abs(pairs.values - tensor)) < 1e-10
 
     def test_dirichlet_positive_definite(self):
         op = assemble_full(round_guide(), 0.2, GridSpec(32, 32, 2))
-        pairs = smallest_eigenpairs(op, SolveConfig(k=1, shift=0.0))
+        op.safe_shift = 0.0
+        pairs = smallest_eigenpairs(op, SolveConfig(k=1))
         assert pairs.values[0] > 0.0
 
     @pytest.mark.parametrize(
@@ -634,7 +637,8 @@ class TestAnnulusOracle:
     def test_full_solve_matches_bessel_roots(self):
         eps = 0.1
         op = assemble_full(round_guide(), eps, GridSpec(96, 128, 4))
-        pairs = smallest_eigenpairs(op, SolveConfig(k=3, shift=1.97))
+        op.safe_shift = 1.97
+        pairs = smallest_eigenpairs(op, SolveConfig(k=3))
         exact = [eps**2 * self.annulus_root(m, eps) ** 2 for m in (0, 1)]
         # raw values carry the kappa-independent fibre discretization bias
         bias = dirichlet_ground_value(128) - np.pi**2 / 4.0

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as sla
 
+import fibrelab.effective as effective_module
 import fibrelab.eigensolve as eigensolve_module
 import fibrelab.operators as operators_module
 import fibrelab.study as study_module
@@ -91,8 +92,49 @@ def long_fibre_config():
     return torus_mode1_config(fiber_length=2.0 * TWO_PI, epsilons=LONG_FIBRE_EPSILONS)
 
 
+def paired_warp_config():
+    # log a = 1 + cos s is odd about a quarter period up to its constant, so
+    # the fibre-constant levels come in exact pairs; the effective operator
+    # splits the first excited pair by 1.1e-4, above SIMPLE_GAP
+    cfg = torus_mode1_config(epsilons=(0.4, 0.3, 0.2))
+    cfg["grid"] = {"n_s": 64, "n_f": 32, "stencil_order": 2, "refine": 2}
+    cfg["geometry"]["warp"] = {"cos": [1.0], "exp": True}
+    return cfg
+
+
+def guide_j1_geometry_config():
+    """``GUIDE_J1``'s geometry and eps on the 64 x 96 grid."""
+    cfg = json.loads(json.dumps(GUIDE_J1_CONFIG))
+    cfg["grid"] = {"n_s": 64, "n_f": 96, "stencil_order": 4, "refine": 2}
+    return cfg
+
+
+def negated_curvature(cfg):
+    negated = json.loads(json.dumps(cfg))
+    curvature = negated["geometry"]["curvature"]
+    curvature["constant"] = -curvature["constant"]
+    curvature["cos"] = [-a for a in curvature["cos"]]
+    return negated
+
+
+def segment_set_distance(x, y):
+    """Largest distance from an endpoint of either ``(m, 2, 2)`` segment set to the other.
+
+    The sets are compared as the point sets they cover: where a curve runs
+    almost along a grid edge, the endpoint on that edge slides along the
+    curve by far more than the curve moves.
+    """
+    def directed(points, segs):
+        a, ab = segs[:, 0], segs[:, 1] - segs[:, 0]
+        t = np.einsum("pij,ij->pi", points[:, None] - a, ab) / np.einsum("ij,ij->i", ab, ab)
+        foot = a + np.clip(t, 0.0, 1.0)[..., None] * ab
+        return np.linalg.norm(points[:, None] - foot, axis=2).min(axis=1).max()
+
+    return max(directed(x.reshape(-1, 2), y), directed(y.reshape(-1, 2), x))
+
+
 def spy_full_solves(monkeypatch):
-    """Record ``[operator, shift, start, pairs]`` of every full solve of a study.
+    """Record ``[operator, start, pairs]`` of every full solve of a study.
 
     ``pairs`` stays ``None`` when the solve raised.
     """
@@ -100,9 +142,9 @@ def spy_full_solves(monkeypatch):
     real = study_module.smallest_eigenpairs
 
     def spy(op, cfg, *, start):
-        calls.append([op, cfg.shift, start, None])
+        calls.append([op, start, None])
         pairs = real(op, cfg, start=start)
-        calls[-1][3] = pairs
+        calls[-1][2] = pairs
         return pairs
 
     monkeypatch.setattr(study_module, "smallest_eigenpairs", spy)
@@ -235,6 +277,7 @@ class TestLoadConfig:
         ("study", "thresholds", [["eig_rate", 1.0]]),
         ("study", "out", 5),  # would fail only when the report is written
         (None, "grid", [64, 64]),
+        ("solver", "shift", True),  # read by nothing, but refused like any bool number
     ])
     def test_bad_field_rejected(self, block, key, value):
         cfg = flat_config()
@@ -309,7 +352,8 @@ class TestLoadConfig:
         loaded = load_config(cfg)
         assert loaded.geometry.fiber_length == 6.0
         assert loaded.geometry.warp.constant == 1.0 and not loaded.geometry.warp_is_exp
-        assert loaded.solver.shift == -1.0 and isinstance(loaded.solver.shift, float)
+        # the shift key still loads, and nothing keeps it
+        assert loaded.solver == load_config(flat_config()).solver
 
     def test_integral_floats_accepted(self):
         cfg = flat_config()
@@ -434,6 +478,25 @@ class TestRunStudy:
                                  failure["message"])
             assert match and float(match.group(1)) <= 1e-8
         assert len({f["message"] for f in report.failures}) == 1
+
+    def test_degenerate_paired_full_level_fails_before_any_nodal_work(self, monkeypatch):
+        # the full pair is equal to round-off, so the paired vector would be
+        # whichever of its eigenspace the solver returned, and the records
+        # would depend on solver.k; it is refused at level 0 of every eps
+        extracted = []
+        real = effective_module.extract_nodal_set
+        monkeypatch.setattr(effective_module, "extract_nodal_set",
+                            lambda fld: extracted.append(fld) or real(fld))
+        raw = paired_warp_config()
+        report = run_study(load_config(raw))
+        assert extracted == [] and report.records == []
+        assert [(f["epsilon"], f["level"], f["stage"], f["error"])
+                for f in report.failures] == [
+            (eps, 0, "discrepancy", "DegenerateEffectiveEigenvalue") for eps in raw["epsilons"]]
+        for failure in report.failures:
+            match = re.fullmatch(r"rescaled paired full level (\S+) has neighbour gap (\S+)",
+                                 failure["message"])
+            assert match and float(match.group(2)) <= 1e-12, failure["message"]
 
     def test_failed_refined_prediction_fails_every_eps_before_any_solve(self, monkeypatch):
         # the predictions do not depend on eps: no level of any eps is solved
@@ -684,17 +747,36 @@ class TestMetamorphicStudy:
         # by up to 2.3e-6, and its discretization estimate with it: four
         # segments are exactly 8 sampling spacings long and get 9 or 10
         # samples as round-off falls; 1e-5 bounds that estimate here
-        cfg = json.loads(json.dumps(GUIDE_J1_CONFIG))
-        cfg["grid"] = {"n_s": 64, "n_f": 96, "stencil_order": 4, "refine": 2}
-        negated = json.loads(json.dumps(cfg))
-        curvature = negated["geometry"]["curvature"]
-        curvature["constant"] = -curvature["constant"]
-        curvature["cos"] = [-a for a in curvature["cos"]]
-        base, other = run_study(load_config(cfg)), run_study(load_config(negated))
+        cfg = guide_j1_geometry_config()
+        base, other = run_study(load_config(cfg)), run_study(load_config(negated_curvature(cfg)))
         assert_same_records(base, other, disc_tol={"hausdorff": 1e-5})
         for a, b in zip(base.records, other.records):
             assert a.zeros == b.zeros and len(a.zeros) == 2, a.eps
             assert a.boundary_components == b.boundary_components >= 4, a.eps
+
+    def test_curvature_negation_mirrors_the_nodal_set_in_u(self, monkeypatch):
+        # u -> -u carries the level-0 nodal set of kappa onto that of -kappa.
+        # Measured: 1.2e-11 as point sets; endpoint by endpoint 6.4e-8 at
+        # eps 0.1, where the curve crosses a fibre edge almost along it
+        cfg = guide_j1_geometry_config()
+        sets = []
+        real = effective_module.extract_nodal_set
+
+        def spy(fld):
+            nodal = real(fld)
+            if fld.values.shape[0] == cfg["grid"]["n_s"]:
+                sets.append(nodal)
+            return nodal
+
+        monkeypatch.setattr(effective_module, "extract_nodal_set", spy)
+        for raw in (cfg, negated_curvature(cfg)):
+            assert run_study(load_config(raw)).failures == []
+        n = len(cfg["epsilons"])
+        assert len(sets) == 2 * n
+        for eps, a, b in zip(cfg["epsilons"], sets[:n], sets[n:]):
+            assert a.component_count == b.component_count, eps
+            assert len(a.segments) == len(b.segments) > 0, eps
+            assert segment_set_distance(a.segments * [1.0, -1.0], b.segments) <= 1e-9, eps
 
     def test_fibre_twice_as_long_keeps_the_fibre_constant_level(self):
         # the paired level is constant along the fibre, so a fibre twice as
@@ -721,8 +803,8 @@ class TestCertifiedShift:
     """Every full solve runs at its operator's safe shift, the fibre-block bound."""
 
     def test_full_solves_run_at_the_safe_shift(self, monkeypatch):
-        # a configured shift inside the spectrum would fail to factor: the
-        # study does not read it
+        # a configured shift inside the spectrum would fail to factor: it
+        # loads, and nothing reads it
         cfg = load_config(guide_mode1_config(shift=2.55))
         sigmas = []
         real_eigsh = sla.eigsh
@@ -739,15 +821,14 @@ class TestCertifiedShift:
         assert len(calls) == 2 * len(cfg.epsilons)
         # the effective solves are dense: every shift-invert solve is a full one
         assert sigmas == [op.safe_shift for op, *_ in calls]
-        for op, shift, start, pairs in calls:
+        for op, _, pairs in calls:
             assert op.dim > DENSE_CUTOFF and op.fiber_factors is None
-            assert shift is None
             assert op.safe_shift < pairs.values[0] < op.safe_shift + op.eps**2
         # the base level starts cold, the refined one from the first k
         # vectors of the same eps's base level, injected
         refined = cfg.grid.refined(cfg.refine)
-        for (base_op, _, base_start, base_pairs), (op, _, start, pairs) in zip(calls[::2],
-                                                                              calls[1::2]):
+        for (base_op, base_start, base_pairs), (op, start, pairs) in zip(calls[::2],
+                                                                        calls[1::2]):
             assert base_op.grid == cfg.grid and base_start is None
             assert op.grid == refined and op.eps == base_op.eps
             k = len(pairs.values)
@@ -804,7 +885,7 @@ class TestRefinedPairCount:
         calls = spy_full_solves(monkeypatch)
         report = run_study(load_config(torus_mode1_config()))
         assert report.failures == [] and len(calls) == 2 * len(report.records) > 0
-        assert [start for _, _, start, _ in calls] == [None] * len(calls)
+        assert [start for _, start, _ in calls] == [None] * len(calls)
 
     @pytest.mark.parametrize("raw, refined_k", [
         (guide_mode1_config(), {0.3: 3, 0.2: 3, 0.1: 3}),
@@ -827,7 +908,7 @@ class TestRefinedPairCount:
         assert report.failures == [] and len(report.records) == len(cfg.epsilons)
         assert {op.eps: len(full.values) for op, full, _, _ in refined} == refined_k
         for op, full, pred, rec in refined:
-            wide = smallest_eigenpairs(op, replace(cfg.solver, shift=op.safe_shift))
+            wide = smallest_eigenpairs(op, cfg.solver)
             assert len(wide.values) == cfg.solver.k > len(full.values)
             ref = measure_discrepancy(op, wide, pred)
             assert abs(rec.lambda_full - ref.lambda_full) <= 1e-12 * abs(ref.lambda_full)
@@ -1044,11 +1125,16 @@ class TestCli:
         path = self.write_config(tmp_path, cfg)
         assert cli_main(["solve", "--config", path, "--epsilon", "0.5", "--k", "4"]) == 2
 
-    def test_shift_inside_spectrum_is_solver_failure(self, tmp_path, capsys):
-        # 2.55 lies between the third and fourth eigenvalues at eps 0.2
-        path = self.write_config(tmp_path, small_guide_config(shift=2.55))
-        assert cli_main(["solve", "--config", path, "--epsilon", "0.2", "--k", "3"]) == 2
-        assert capsys.readouterr().err.startswith("solver failure: ")
+    def test_configured_shift_is_read_by_nothing(self, tmp_path, capsys):
+        # 2.55 lies between the third and fourth eigenvalues at eps 0.2, so
+        # a solve at it would fail to factor; the key loads and the solve
+        # runs at the operator's safe shift
+        printed = []
+        for cfg in (small_guide_config(shift=2.55), small_guide_config()):
+            path = self.write_config(tmp_path, cfg)
+            assert cli_main(["solve", "--config", path, "--epsilon", "0.2", "--k", "3"]) == 0
+            printed.append(capsys.readouterr())
+        assert printed[0] == printed[1] and len(printed[0].out.splitlines()) == 3
 
     @pytest.mark.parametrize("solver", [{"max_iter": 0}, {"shift": float("nan")}])
     def test_bad_solver_block_is_config_error(self, tmp_path, capsys, solver):
