@@ -207,7 +207,11 @@ def measure_discrepancy(op: DiscreteOperator, full: EigenPairSet,
     label (all levels when ``full`` carries none), or
     ``DegenerateEffectiveEigenvalue`` is raised before any nodal work:
     the theorem is for simple levels, and from a degenerate one the
-    solver returns an arbitrary vector of its eigenspace.
+    solver returns an arbitrary vector of its eigenspace.  When ``full``
+    holds no higher level of that label, the largest value in ``full``
+    stands in for the next one, a lower bound since ``full`` holds the
+    smallest levels: so a paired level at the top of ``full`` is refused,
+    its partner unseen.
     """
     geom, grid, eps = op.geometry, op.grid, op.eps
     j = pred.mode_index
@@ -218,7 +222,13 @@ def measure_discrepancy(op: DiscreteOperator, full: EigenPairSet,
             f"two rescaled eigenvalues within {PAIRING_TOL} of mu={pred.mu:.12g}"
         )
     modes = np.zeros(len(full.values)) if full.fiber_modes is None else full.fiber_modes
-    require_simple(rescaled[modes == modes[idx]], j, "rescaled paired full level")
+    label = np.flatnonzero(modes == modes[idx])
+    levels = rescaled[label]
+    if label[-1] == idx:
+        # the label's next level is not in full, the len(full) smallest
+        # levels, so it lies no lower than the largest of them
+        levels = np.append(levels, rescaled.max())
+    require_simple(levels, j, "rescaled paired full level")
     eig_gap = float(abs(rescaled[idx] - pred.mu))
 
     fld = field_from_operator(op, full.vectors[:, idx])

@@ -28,14 +28,21 @@ Three paths share one post-processing step:
   the operator's ``safe_shift`` ``sigma``, the one shift of every such
   solve, which the operator's assembler places below the spectrum.
   ``A`` is symmetric, and in reverse Cuthill-McKee order a grid operator
-  is banded, its band as wide as the short grid side; LAPACK's banded
-  Cholesky factors its lower band once (OpenBLAS's lower ``dpbtrf`` is
-  the faster storage on these bands) and ARPACK applies ``A^{-1}``
-  through that factor.  The factor exists if and only if ``A`` is
-  positive definite, that is, if and only if ``sigma`` lies below the
-  whole spectrum, so it certifies the assembler's bound: a ``sigma``
-  inside the spectrum, which would return the pairs nearest it instead
-  of the smallest, fails with ``FactorizationFailed``.  The Krylov basis
+  is banded, its half-bandwidth ``b`` as wide as the short grid side.
+  The band is factored from both ends (:class:`_TwoSidedBand`): its first
+  half and its second half, taken in reverse order, are joined only
+  through the middle ``b`` unknowns.  LAPACK's banded Cholesky factors
+  the two half bands at the same time, one on the calling thread and one
+  on a single worker thread, and a dense Cholesky factor of the middle
+  block's Schur complement joins them.  ARPACK applies ``A^{-1}`` through
+  that factor: the forward sweeps of both halves in parallel, one
+  ``b x b`` solve, the backward sweeps in parallel.  Each solve of the
+  98 048-dof waveguide level reads the whole factor twice and is bound by
+  memory bandwidth, which a second core adds.  The factor exists if and
+  only if ``A`` is positive definite, that is, if and only if ``sigma``
+  lies below the whole spectrum, so it certifies the assembler's bound:
+  a ``sigma`` inside the spectrum, which would return the pairs nearest
+  it instead of the smallest, fails with ``FactorizationFailed``.  The Krylov basis
   holds ``min(n - 1, max(2k + 4, 20))`` vectors.  That is enough when the
   shift lies just below the smallest eigenvalue, as the waveguide's
   ``safe_shift`` does, since the wanted values of ``A^{-1}`` then stand
@@ -72,17 +79,24 @@ entries; there OpenBLAS's second thread costs start-up and a spinning
 idle worker but buys nothing.  On the 2-vCPU reference VM it took a
 third of the torus studies' wall time and half of every study's CPU
 time, and the band factor of the 98 048-dof waveguide level was no
-faster on two threads than on one, so no path keeps two.  The thread
-count is set through OpenBLAS's own ``*_set_num_threads`` for the length
-of the call and restored afterwards, so importing the package changes
-nothing and no environment variable is read or set.  With one thread the
-reductions also run in one order, so ``report.json`` no longer depends
-on the core count.  Another BLAS, or a system without ``/proc``, runs
-with its own threading.
+faster on two threads than on one.  The thread count is set through
+OpenBLAS's own ``*_set_num_threads`` for the length of the call and
+restored afterwards, so importing the package changes nothing and no
+environment variable is read or set.  With one thread the reductions
+also run in one order.  The one parallel path is the shift-invert
+factor's: its two halves run on two threads as task parallelism, each
+half computed by one thread in one fixed order, so ``report.json`` does
+not depend on the core count.  scipy's f2py LAPACK wrappers hold the
+GIL, so those half-band calls go through ctypes to the ``dpbtrf`` and
+``dtbsv`` that ``scipy.linalg.cython_lapack`` and ``cython_blas``
+export.  The worker thread starts at the first shift-invert solve; the
+torus and dense paths start none.  Another BLAS, or a system without
+``/proc``, runs with its own threading.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import ctypes
 import functools
 import threading
@@ -238,29 +252,195 @@ def _start_vector(op: DiscreteOperator, seed: int, start: Optional[np.ndarray]) 
     return v0
 
 
-def _shift_inverse(a: sp.spmatrix) -> sla.LinearOperator:
-    """``x -> a^{-1} x`` through a banded Cholesky factor of ``a`` in RCM order.
+@functools.cache
+def _band_kernels() -> tuple[Callable[..., None], Callable[..., None]]:
+    """LAPACK ``dpbtrf`` and BLAS ``dtbsv`` as ctypes functions that release the GIL.
 
-    Raises ``LinAlgError`` when the symmetric matrix ``a`` is not positive
-    definite.
+    scipy's f2py wrappers hold the interpreter lock through the call, so two
+    threads in them run one after the other.  The same routines, reached
+    through the function pointers that ``scipy.linalg.cython_lapack`` and
+    ``cython_blas`` export in ``__pyx_capi__``, run while ctypes has
+    released the lock.
     """
-    a = a.tocsr()
-    perm = reverse_cuthill_mckee(a, symmetric_mode=True)
-    lower = sp.tril(a[perm][:, perm], format="coo")
-    width = int(np.max(lower.row - lower.col, initial=0))
-    # LAPACK lower band storage, column-major so that the factorization
-    # works in place instead of on a copy of the band; OpenBLAS's lower
-    # dpbtrf is the faster of the two on these bands
-    band = np.zeros((width + 1, a.shape[0]), order="F")
-    band[lower.row - lower.col, lower.col] = lower.data
-    factor = dla.cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
+    from scipy.linalg import cython_blas, cython_lapack
 
-    def solve(x: np.ndarray) -> np.ndarray:
-        y = np.empty(len(perm))
-        y[perm] = dla.cho_solve_banded((factor, True), np.ravel(x)[perm], check_finite=False)
+    name_of = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    pointer_of = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+    def load(module, name: str, *argtypes) -> Callable[..., None]:
+        capsule = module.__pyx_capi__[name]
+        return ctypes.CFUNCTYPE(None, *argtypes)(pointer_of(capsule, name_of(capsule)))
+
+    char, int_, array = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
+    # dpbtrf(uplo, n, kd, ab, ldab, info)
+    pbtrf = load(cython_lapack, "dpbtrf", char, int_, int_, array, int_, int_)
+    # dtbsv(uplo, trans, diag, n, k, a, lda, x, incx)
+    tbsv = load(cython_blas, "dtbsv", char, char, char, int_, int_, array, int_, array, int_)
+    return pbtrf, tbsv
+
+
+@functools.cache
+def _band_worker() -> concurrent.futures.ThreadPoolExecutor:
+    """The one thread that factors and sweeps the second half of every band.
+
+    Created at the first shift-invert solve, which also loads the
+    executor's module; it idles between solves.
+    """
+    return concurrent.futures.ThreadPoolExecutor(max_workers=1,
+                                                 thread_name_prefix="fibrelab-band")
+
+
+def _factor_half(band: np.ndarray) -> int:
+    """Cholesky-factor a lower band in LAPACK storage in place; LAPACK's ``info``."""
+    pbtrf, _ = _band_kernels()
+    ldab, n = band.shape
+    info = ctypes.c_int(0)
+    pbtrf(b"L", ctypes.byref(ctypes.c_int(n)), ctypes.byref(ctypes.c_int(ldab - 1)),
+          band.ctypes.data, ctypes.byref(ctypes.c_int(ldab)), ctypes.byref(info))
+    return info.value
+
+
+def _sweep_half(band: np.ndarray, x: np.ndarray, trans: bytes) -> None:
+    """``x <- L^{-1} x`` (``trans`` b"N") or ``L^{-T} x`` (b"T") in place, ``L`` a factored band."""
+    _, tbsv = _band_kernels()
+    ldab, n = band.shape
+    tbsv(b"L", trans, b"N", ctypes.byref(ctypes.c_int(n)), ctypes.byref(ctypes.c_int(ldab - 1)),
+         band.ctypes.data, ctypes.byref(ctypes.c_int(ldab)), x.ctypes.data,
+         ctypes.byref(ctypes.c_int(1)))
+
+
+def _on_both_halves(fn: Callable, first: tuple, second: tuple) -> tuple:
+    """``fn(*first)`` on the calling thread while the band worker runs ``fn(*second)``."""
+    future = _band_worker().submit(fn, *second)
+    try:
+        result = fn(*first)
+    finally:
+        other = future.result()
+    return result, other
+
+
+def _fill_and_factor(band: np.ndarray, flat: np.ndarray, values: np.ndarray) -> int:
+    """Scatter ``values`` to the column-major offsets ``flat`` of ``band``, then factor it."""
+    band.ravel(order="F")[flat] = values
+    return _factor_half(band)
+
+
+class _TwoSidedBand:
+    """Cholesky factor of a symmetric banded matrix, factored and solved from both ends.
+
+    In reverse Cuthill-McKee order ``a`` has half-bandwidth ``b``.  Its
+    unknowns split into a first half ``I1``, a separator ``S`` of the middle
+    ``b`` unknowns and a second half ``I2`` taken in reverse order; the two
+    halves do not couple, and each couples to ``S`` only through its last
+    ``b`` rows.  With ``A_i = L_i L_i^T`` the band factors of the halves,
+    ``T_i`` the last diagonal tile of ``L_i`` and ``B_i`` the half's
+    coupling to ``S``, ``X_i = T_i^{-1} B_i`` and the separator's Schur
+    complement ``A_SS - X_1^T X_1 - X_2^T X_2 = L_S L_S^T``.  So ``a`` has
+    this factor if and only if it is positive definite; otherwise
+    ``LinAlgError`` is raised.
+
+    Each half is built and factored, and later swept, by one thread in one
+    fixed order: the first on the calling thread, the second on the band
+    worker.  The results therefore do not depend on the core count.  The
+    two half bands hold ``(b + 1) (n - b)`` entries.
+    """
+
+    def __init__(self, a: sp.spmatrix):
+        a = a.tocsr()
+        perm = reverse_cuthill_mckee(a, symmetric_mode=True)
+        self.index, halves, sep, coupling = _split_band(a, perm)
+        b = len(sep)
+        self.bands = tuple(np.zeros((b + 1, len(self.index[i])), order="F") for i in (0, 2))
+        infos = _on_both_halves(_fill_and_factor, (self.bands[0], *halves[0]),
+                                (self.bands[1], *halves[1]))
+        if any(infos):
+            raise dla.LinAlgError("a half band of the matrix is not positive definite")
+        # X_i = T_i^{-1} B_i, T_i the trailing block of half i's factor
+        self.coupling = tuple(
+            dla.lapack.dtbtrs(band[:, band.shape[1] - len(cp):], cp, uplo="L")[0]
+            for band, cp in zip(self.bands, coupling))
+        for x in self.coupling:
+            sep -= x.T @ x
+        self.separator = dla.cholesky(sep, lower=True, check_finite=False)
+
+    def solve(self, x: np.ndarray) -> np.ndarray:
+        """``a^{-1} x``: forward sweeps of both halves, the separator solve, backward sweeps."""
+        x = np.asarray(x, dtype=float).ravel()
+        i1, i_s, i2 = self.index
+        halves = (x[i1], x[i2])
+        tails = [h[len(h) - len(cp):] for h, cp in zip(halves, self.coupling)]
+        _on_both_halves(_sweep_half, (self.bands[0], halves[0], b"N"),
+                        (self.bands[1], halves[1], b"N"))
+        rhs = x[i_s] - self.coupling[0].T @ tails[0] - self.coupling[1].T @ tails[1]
+        xs = dla.cho_solve((self.separator, True), rhs, check_finite=False)
+        for tail, cp in zip(tails, self.coupling):
+            tail -= cp @ xs
+        _on_both_halves(_sweep_half, (self.bands[0], halves[0], b"T"),
+                        (self.bands[1], halves[1], b"T"))
+        y = np.empty(len(x))
+        y[i1], y[i_s], y[i2] = halves[0], xs, halves[1]
         return y
 
-    return sla.LinearOperator(a.shape, matvec=solve, dtype=float)
+
+def _split_band(a: sp.csr_matrix, perm: np.ndarray) -> tuple:
+    """The pieces of ``a``'s lower triangle in the two-sided order of :class:`_TwoSidedBand`.
+
+    Returns the original indices of ``I1``, ``S`` and ``I2`` in that
+    order; for each half, the column-major offsets of its entries in LAPACK
+    lower band storage with ``b + 1`` rows and their values; the lower
+    triangle of the ``S`` block, all that its Cholesky factor reads; and
+    each half's coupling ``B_i`` to ``S``, one row per row of its last
+    tile.  Entry ``(r, c)``, ``r >= c``, lies in
+    row ``r - c`` of the band, in column ``c`` for ``I1`` and in column
+    ``n - 1 - r`` for the reversed ``I2``.  Only the returned arrays
+    outlive the call.
+    """
+    n = a.shape[0]
+    # positions in the index type of a's own arrays, offsets in intp
+    pos = np.empty(n, dtype=a.indices.dtype)
+    pos[perm] = np.arange(n)
+    row = np.repeat(pos, np.diff(a.indptr))
+    col = pos[a.indices]
+    lower = row >= col
+    row, col, data = row[lower], col[lower], a.data[lower]
+    b = int(np.max(row - col, initial=0))
+    s0 = (n - b) // 2
+    s1 = s0 + b  # S = [s0, s1)
+    t1, t2 = min(b, s0), min(b, n - s1)
+    first, second = row < s0, col >= s1
+    # offsets (r - c) + c (b + 1) and (r - c) + (n - 1 - r) (b + 1)
+    flat1 = np.multiply(col[first], b, dtype=np.intp)
+    flat1 += row[first]
+    flat2 = np.multiply(row[second], -b, dtype=np.intp)
+    flat2 -= col[second]
+    flat2 += (n - 1) * (b + 1)
+    halves = ((flat1, data[first]), (flat2, data[second]))
+    mid = ~(first | second)
+    row, col, data = row[mid], col[mid], data[mid]
+    sep = np.zeros((b, b))
+    inner = (row < s1) & (col >= s0)
+    sep[row[inner] - s0, col[inner] - s0] = data[inner]
+    coupling = (np.zeros((t1, b)), np.zeros((t2, b)))
+    edge = col < s0
+    coupling[0][col[edge] - (s0 - t1), row[edge] - s0] = data[edge]
+    edge = row >= s1
+    coupling[1][s1 + t2 - 1 - row[edge], col[edge] - s0] = data[edge]
+    index = (perm[:s0], perm[s0:s1], perm[s1:][::-1].copy())
+    return index, halves, sep, coupling
+
+
+def _shift_inverse(a: sp.spmatrix) -> sla.LinearOperator:
+    """``x -> a^{-1} x`` through the two-sided band Cholesky factor of ``a`` in RCM order.
+
+    The halves of the band are factored, and each solve's sweeps run, on
+    the calling thread and the band worker at once (:class:`_TwoSidedBand`).
+    Raises ``LinAlgError`` when the symmetric matrix ``a`` is not positive
+    definite, whether a half band or the separator's Schur complement
+    fails.
+    """
+    return sla.LinearOperator(a.shape, matvec=_TwoSidedBand(a).solve, dtype=float)
 
 
 @functools.lru_cache(maxsize=32)

@@ -1,5 +1,9 @@
+import concurrent.futures
 import dataclasses
+import os
+import subprocess
 import sys
+import textwrap
 import threading
 
 import numpy as np
@@ -494,6 +498,142 @@ class TestShiftInvert:
         warm = smallest_eigenpairs(op, SolveConfig(k=3), start=start)
         assert np.array_equal(warm.values, cold.values)
         assert np.array_equal(warm.vectors, cold.vectors)
+
+
+def random_band(n, b, seed=0):
+    """A random symmetric positive definite matrix, dense within half-bandwidth ``b``."""
+    rng = np.random.default_rng(seed)
+    offdiag = [rng.uniform(-1.0, 1.0, n - d) for d in range(1, b + 1)]
+    diag = 2.0 * b + 1.0 + rng.uniform(0.0, 1.0, n)
+    return sp.diags([*offdiag[::-1], diag, *offdiag], range(-b, b + 1), format="csr")
+
+
+def lower_band(a, b):
+    """``a``'s lower band in LAPACK storage, for ``cholesky_banded(lower=True)``."""
+    dense = a.toarray()
+    n = len(dense)
+    band = np.zeros((b + 1, n))
+    for d in range(b + 1):
+        band[d, :n - d] = np.diag(dense, -d)
+    return band
+
+
+class InlineWorker:
+    """An executor that runs every task at once on the calling thread."""
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def band_operator(a):
+    # the shift-invert path, at a shift of 0: K - 0 W = a
+    return DiscreteOperator(dim=a.shape[0], stiffness=a.tocsr(), weight=np.ones(a.shape[0]),
+                            safe_shift=0.0)
+
+
+class TestTwoSidedBand:
+    """The two-sided band Cholesky factor against LAPACK's whole-band one."""
+
+    @pytest.mark.parametrize("n,b", [
+        (40, 0), (41, 0), (40, 1), (41, 1), (40, 2), (41, 2), (40, 7), (41, 7),
+        (39, 13), (40, 13), (1, 0), (2, 1), (4, 3), (5, 3), (6, 4), (9, 4),
+    ])
+    def test_solution_matches_the_whole_band_solve(self, n, b):
+        # the last cases leave halves shorter than b, or empty
+        a = random_band(n, b, seed=n + 100 * b)
+        factor = eigensolve_module._TwoSidedBand(a)
+        assert factor.separator.shape == (b, b)
+        assert [len(i) for i in factor.index] == [(n - b) // 2, b, n - b - (n - b) // 2]
+        whole = dla.cholesky_banded(lower_band(a, b), lower=True)
+        rhs = np.random.default_rng(n).standard_normal((n, 3))
+        for x in rhs.T:
+            ref = dla.cho_solve_banded((whole, True), x)
+            got = factor.solve(x)
+            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def solve_fails(self, a):
+        with pytest.raises(FactorizationFailed):
+            smallest_eigenpairs(band_operator(a), SolveConfig(k=3))
+
+    @pytest.mark.parametrize("half", [0, 2], ids=["first", "second"])
+    def test_indefinite_half_fails_factorization(self, half):
+        n, b = 700, 5
+        a = random_band(n, b)
+        index = eigensolve_module._TwoSidedBand(a).index
+        # one negative diagonal entry inside the half; the pattern, and so
+        # the split, stays that of the definite matrix
+        dense = a.toarray()
+        dense[index[half][0], index[half][0]] = -1.0
+        for part in (0, 2):
+            block = dense[np.ix_(index[part], index[part])]
+            assert (np.linalg.eigvalsh(block)[0] > 0.0) == (part != half)
+        self.solve_fails(sp.csr_matrix(dense))
+
+    def test_indefinite_schur_complement_fails_factorization(self):
+        n, b = 700, 5
+        a = random_band(n, b)
+        i1, i_s, i2 = eigensolve_module._TwoSidedBand(a).index
+        dense = a.toarray()
+        rest = np.concatenate([i1, i2])
+        schur = dense[np.ix_(i_s, i_s)] - dense[np.ix_(i_s, rest)] @ np.linalg.solve(
+            dense[np.ix_(rest, rest)], dense[np.ix_(rest, i_s)])
+        lowest = np.linalg.eigvalsh(schur)[0]
+        assert lowest > 0.0
+        # lowering S's diagonal leaves both halves as they were
+        dense[i_s, i_s] -= 1.5 * lowest
+        assert np.linalg.eigvalsh(dense)[0] < 0.0
+        self.solve_fails(sp.csr_matrix(dense))
+
+    def test_threaded_run_is_bitwise_the_inline_run(self, monkeypatch):
+        # wide enough that dpbtrf takes its blocked path
+        a = random_band(3001, 40)
+        x = np.random.default_rng(5).standard_normal(3001)
+        threaded = eigensolve_module._TwoSidedBand(a)
+        solved = threaded.solve(x)
+        monkeypatch.setattr(eigensolve_module, "_band_worker", InlineWorker)
+        inline = eigensolve_module._TwoSidedBand(a)
+        for got, ref in zip([*threaded.bands, *threaded.coupling, threaded.separator,
+                             solved],
+                            [*inline.bands, *inline.coupling, inline.separator,
+                             inline.solve(x)]):
+            assert np.array_equal(got, ref)
+
+    def test_torus_and_import_start_no_thread(self):
+        # the band worker starts at the first shift-invert solve and not
+        # before; the torus and dense paths never reach it
+        script = textwrap.dedent("""
+            import threading
+            before = threading.active_count()
+            import fibrelab
+            from fibrelab.eigensolve import SolveConfig, smallest_eigenpairs
+            from fibrelab.geometry import PeriodicProfile, WaveguideGeometry
+            from fibrelab.operators import GridSpec, assemble_full
+            from fibrelab.study import load_config, run_study
+            after_import = threading.active_count()
+            raw = {"geometry": {"type": "warped_torus", "L": 3.141592653589793,
+                                "fiber_length": 6.283185307179586,
+                                "warp": {"cos": [0.3, 0.15], "exp": True}},
+                   "epsilons": [0.4, 0.3, 0.2],
+                   "grid": {"n_s": 24, "n_f": 16, "stencil_order": 2},
+                   "study": {"mode_index": 1}}
+            report = run_study(load_config(raw))
+            after_study = threading.active_count()
+            geom = WaveguideGeometry(6.283185307179586,
+                                     PeriodicProfile(6.283185307179586, 1.0, (0.5,)))
+            smallest_eigenpairs(assemble_full(geom, 0.2, GridSpec(48, 17, 2)), SolveConfig(k=3))
+            names = sorted(t.name for t in threading.enumerate())
+            print(before, after_import, after_study, len(report.records), names)
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.join(os.path.dirname(__file__), "..", "src"),
+                        env.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, timeout=120, check=True).stdout.split(maxsplit=4)
+        assert out[:4] == ["1", "1", "1", "3"]
+        assert out[4].strip() == "['MainThread', 'fibrelab-band_0']"
 
 
 class TestSeparatedAnnulus:

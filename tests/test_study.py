@@ -498,6 +498,25 @@ class TestRunStudy:
                                  failure["message"])
             assert match and float(match.group(2)) <= 1e-12, failure["message"]
 
+    def test_unseen_degenerate_partner_fails_before_any_nodal_work(self, monkeypatch):
+        # with solver.k 4 the fibre-excited levels push the paired level's
+        # partner out of the reported level's pairs: at eps 0.4 only one
+        # fibre-ground level is solved, at eps 0.3 and 0.2 the paired level
+        # is the top one, so its partner is unseen and it is refused
+        extracted = []
+        real = effective_module.extract_nodal_set
+        monkeypatch.setattr(effective_module, "extract_nodal_set",
+                            lambda fld: extracted.append(fld) or real(fld))
+        raw = paired_warp_config()
+        raw["solver"]["k"] = 4
+        report = run_study(load_config(raw))
+        assert extracted == [] and report.records == []
+        assert [(f["epsilon"], f["level"], f["stage"], f["error"])
+                for f in report.failures] == [
+            (0.4, 0, "discrepancy", "PairingAmbiguous"),
+            (0.3, 0, "discrepancy", "DegenerateEffectiveEigenvalue"),
+            (0.2, 0, "discrepancy", "DegenerateEffectiveEigenvalue")]
+
     def test_failed_refined_prediction_fails_every_eps_before_any_solve(self, monkeypatch):
         # the predictions do not depend on eps: no level of any eps is solved
         raw = guide_mode1_config()
