@@ -25,12 +25,16 @@ torus and the flat chart metric ``ds^2 + du^2`` on the waveguide (the tube
 density is dropped there; its effect is an order-eps correction, below the
 quantity being measured).  Both sets are sampled, and two sample points
 are compared with the metric frozen at their midpoint.  The sup-inf over
-the samples is found exactly without visiting every pair, on the uniform
-grid of fibre samples both ways.  Towards the fibres, a point's distance
-to one fibre grows with the fibre difference alone, so only the samples
-next to its ``f`` are measured.  From the fibres, the base difference and
-a certified lower bound of the warp bound every distance from below, so a
-growing trial bound admits only the pairs that can be nearest.
+the samples is found exactly without visiting every pair.  Both ways a
+nodal point reaches the uniform grid of fibre samples through one
+window, the samples within ``r`` steps of its rounded fibre index.
+Towards the fibres, a point's distance to one fibre grows with the fibre
+difference alone, so a window of two steps holds the nearest sample.
+From the fibres, the base difference and a certified lower bound of the
+warp bound every distance from below, so a growing trial bound admits
+only the (zero, point) pairs that can be nearest, each with a window that
+widens with the bound.  No batch of pairs holds more than
+``_PAIR_BUDGET`` entries, however far the nodal set lies from the fibres.
 """
 
 from __future__ import annotations
@@ -337,6 +341,9 @@ def _sample(nodal: NodalSet, stretch: float, spacing: float) -> np.ndarray:
     return p0[seg] * (1.0 - t) + p1[seg] * t
 
 
+_PAIR_BUDGET = 2**20  # entries in one batch of a search, unless one window row is wider
+
+
 def _pair_d2(ps, pf, qs, qf, geom: BundleGeometry) -> np.ndarray:
     """Squared chart-metric distance of the points ``(ps, pf)`` and ``(qs, qf)``.
 
@@ -358,6 +365,24 @@ def _pair_d2(ps, pf, qs, qf, geom: BundleGeometry) -> np.ndarray:
     return ds * ds + (wt * df) ** 2
 
 
+def _fiber_window(centre: np.ndarray, r: int, n: int, torus: bool) -> np.ndarray:
+    """The fibre-sample indices within ``r`` steps of each ``centre``, one row per centre.
+
+    A row holds ``centre + d`` for ``|d| <= r``.  On the strip the centre
+    is first taken into ``[0, n - 1]`` and the indices are clipped to it,
+    so a window of ``n - 1`` steps is the whole fibre.  On the torus the
+    indices are taken modulo the turn of ``n - 1`` steps.  There
+    ``f[n - 1]`` is ``f[0]`` one turn up, the same point of the fibre
+    circle, so a last column holds ``n - 1`` in every row that holds 0
+    and repeats the row's first index in the others.  An index may occur
+    twice in a row; every row has the same width.
+    """
+    if not torus:
+        return np.clip(np.clip(centre, 0, n - 1)[:, None] + np.arange(-r, r + 1), 0, n - 1)
+    near = (centre[:, None] + np.arange(-r, r + 1)) % (n - 1)
+    return np.column_stack([near, np.where(np.any(near == 0, axis=1), n - 1, near[:, 0])])
+
+
 def _sup_inf_to_fibers(p: np.ndarray, zeros: np.ndarray, f: np.ndarray,
                        geom: BundleGeometry) -> float:
     """``max_p min_q`` of the chart distance to the samples ``f`` of the fibres over ``zeros``.
@@ -367,22 +392,19 @@ def _sup_inf_to_fibers(p: np.ndarray, zeros: np.ndarray, f: np.ndarray,
     them, and the distance only grows with the fibre difference ``|df|``.
     The nearest sample in ``f`` is therefore the nearest in the metric.
     It lies within a step of ``(f_p - f_lo) / step`` however the division
-    rounds, so the two neighbours on each side of that index are measured,
-    wrapped modulo ``n - 1`` on the torus and clipped on the waveguide.
-    On the torus ``f[0]`` and ``f[n - 1]`` are one point of the fibre
-    circle, whose differences to ``p`` agree only up to rounding; the
-    last sample is measured for every point, so both are.
+    rounds, so the samples of the :func:`_fiber_window` of two steps
+    around its rounded value are measured.  The points go in batches of
+    at most ``_PAIR_BUDGET`` pairs.
     """
     n = len(f)
     step = (f[-1] - f[0]) / (n - 1)
-    near = np.rint((p[:, 1] - f[0]) / step).astype(np.intp)[:, None] + np.arange(-2, 3)
-    if isinstance(geom, WaveguideGeometry):
-        cand = np.clip(near, 0, n - 1)
-    else:
-        cand = np.concatenate([near % (n - 1), np.full((len(p), 1), n - 1)], axis=1)
-    d2 = _pair_d2(p[:, 0, None, None], p[:, 1, None, None],
-                  zeros[None, :, None], f[cand][:, None, :], geom)
-    return float(np.sqrt(d2.min(axis=(1, 2)).max()))
+    near = _fiber_window(np.rint((p[:, 1] - f[0]) / step).astype(np.intp), 2, n,
+                         not isinstance(geom, WaveguideGeometry))
+    rows = max(1, _PAIR_BUDGET // (len(zeros) * near.shape[1]))
+    batches = (slice(a, a + rows) for a in range(0, len(p), rows))
+    return float(np.sqrt(max(
+        _pair_d2(p[b, 0, None, None], p[b, 1, None, None], zeros[None, :, None],
+                 f[near[b]][:, None, :], geom).min(axis=(1, 2)).max() for b in batches)))
 
 
 def _sup_inf_from_fibers(zeros: np.ndarray, f: np.ndarray, p: np.ndarray,
@@ -393,19 +415,22 @@ def _sup_inf_from_fibers(zeros: np.ndarray, f: np.ndarray, p: np.ndarray,
     ``ds * ds``, computed as :func:`_pair_d2` computes it, bounds its
     squared distance to each of them from below exactly, and ``low * |df|``
     bounds the distance in ``f`` (``low`` is a lower bound of the warp).
-    For a trial bound ``U`` only points with ``ds * ds < U`` can come
-    closer than ``sqrt(U)``, and each only to the fibre samples within
-    ``r = sqrt(U) / (low * step)`` fibre steps of it.  Each sample still
-    open is paired with the points within ``r + 1`` steps, a margin that
-    covers rounding.  On the torus, fibre positions are taken modulo the
-    turn of ``n - 1`` steps, ``f[n - 1]`` at the position of ``f[0]``; each
-    point is also listed one turn up, and a sample in the lower half-turn
-    searches one turn up, so every window of at most a turn is one range.
-    The least distance over those pairs is therefore exact wherever it
-    ends below ``U``, and it settles that sample.  ``U`` starts at
-    ``step**2`` and grows fourfold for the samples left open; a pass that
-    holds every pair is the all-pairs search, so the loop ends, and the
-    result is the all-pairs value to the bit.
+    For a trial bound ``U`` only the (zero, point) pairs with
+    ``ds * ds < U`` can come closer than ``sqrt(U)``, and each only to the
+    fibre samples within ``sqrt(U) / (low * step)`` steps of the point:
+    within ``r = int(sqrt(U) / (low * step) + 2)`` steps of its rounded
+    fibre index, a margin that covers the rounding, and at most the whole
+    fibre.  Each pass takes those pairs, keeps the ones whose
+    :func:`_fiber_window` holds a sample still open, and folds every
+    distance of the window into its sample, in batches of at most
+    ``_PAIR_BUDGET`` entries.  A sample
+    whose least distance ends below ``U`` has seen every pair that can be
+    nearer, so that distance is exact and the sample settles: a sample is
+    open while its least distance is at least the previous pass's bound.
+    ``U`` starts at ``step**2`` and grows fourfold while samples are
+    open; a pass whose window is the whole fibre for every pair of a zero
+    and a point holds every pair, so the loop ends there at the latest,
+    and the result is the all-pairs value to the bit.
     """
     n = len(f)
     step = (f[-1] - f[0]) / (n - 1)
@@ -413,47 +438,24 @@ def _sup_inf_from_fibers(zeros: np.ndarray, f: np.ndarray, p: np.ndarray,
     ds2 = zeros[:, None] - p[:, 0]
     ds2 -= geom.period * np.round(ds2 / geom.period)
     ds2 *= ds2
-    pos = (p[:, 1] - f[0]) / step  # fractional fibre index of each point
-    sample_pos = np.arange(n)
-    if torus:
-        turn = n - 1
-        pos %= turn
-        sample_pos %= turn
-        pos = np.concatenate([pos, pos + turn])
-        sample_pos = np.where(sample_pos < 0.5 * turn, sample_pos + turn, sample_pos)
-    point = np.argsort(pos, kind="stable")
-    pos = pos[point]
-    point %= len(p)  # the point at each position
-    ds2 = ds2[:, point]  # columns in the order of pos
-    # zero z's keys and windows lie in z * width + [min(pos[0], 0) - n - 2, ...)
-    width = max(pos[-1], n) - min(pos[0], 0.0) + 2 * n + 4
+    centre = np.rint((p[:, 1] - f[0]) / step).astype(np.intp)
+    whole = (n - 1) // 2 if torus else n - 1  # the r whose window is the whole fibre
     best = np.full(len(zeros) * n, np.inf)  # sample (z, k) at z * n + k
-    open_ = np.ones(len(best), dtype=bool)
-    bound = step * step
+    settled, bound = 0.0, step * step  # a best below settled is exact
     while True:
-        reach = np.sqrt(bound) / (low * step)
-        whole = reach >= n and ds2.max() < bound  # this pass holds every pair
-        reach = min(reach, n) + 1.0
-        if torus:
-            reach = min(reach, 0.5 * turn)  # a whole turn
+        r = int(min(np.sqrt(bound) / (low * step) + 2.0, whole))
         zc, jc = np.nonzero(ds2 < bound)
-        key = zc * width + pos[jc]  # ascending
-        sample = np.flatnonzero(open_)
-        zs, ks = np.divmod(sample, n)
-        centre = zs * width + sample_pos[ks]
-        first = np.searchsorted(key, centre - reach)
-        count = np.searchsorted(key, centre + reach, side="right") - first
-        starts = np.cumsum(count) - count
-        pair = np.repeat(np.arange(len(sample)), count)
-        pt = point[jc[first[pair] + np.arange(len(pair)) - starts[pair]]]
-        d2 = _pair_d2(zeros[zs][pair], f[ks][pair], p[pt, 0], p[pt, 1], geom)
-        hit = count > 0  # each hit sample's pairs are one run of d2
-        got = sample[hit]
-        best[got] = np.minimum(best[got], np.minimum.reduceat(d2, starts[hit]))
-        open_ &= best >= bound
-        if whole or not open_.any():
+        rows = max(1, _PAIR_BUDGET // (2 * r + 2))
+        for a in range(0, len(zc), rows):
+            z, j = zc[a:a + rows], jc[a:a + rows]
+            k = _fiber_window(centre[j], r, n, torus)
+            keep = np.any(best[z[:, None] * n + k] >= settled, axis=1)
+            z, j, k = z[keep], j[keep], k[keep]
+            d2 = _pair_d2(zeros[z, None], f[k], p[j, 0, None], p[j, 1, None], geom)
+            np.minimum.at(best, (z[:, None] * n + k).ravel(), d2.ravel())
+        if best.max() < bound or (r == whole and ds2.max() < bound):
             return float(np.sqrt(best.max()))
-        bound *= 4.0
+        settled, bound = bound, 4.0 * bound
 
 
 def hausdorff_distance(nodal: NodalSet, zeros, geom: BundleGeometry, sampling: float) -> float:
@@ -469,7 +471,8 @@ def hausdorff_distance(nodal: NodalSet, zeros, geom: BundleGeometry, sampling: f
     :func:`_sup_inf_to_fibers`); from the fibres, a search bounded by the
     base difference and the warp's lower bound measures only the pairs
     that can be nearest (see :func:`_sup_inf_from_fibers`).  Both
-    directions equal the sup-inf over all sample pairs, to the bit.
+    directions equal the sup-inf over all sample pairs, to the bit, and
+    measure their pairs in batches of at most ``_PAIR_BUDGET`` entries.
     """
     if not 0.0 < sampling < np.inf:
         raise ValueError("sampling spacing must be positive and finite")

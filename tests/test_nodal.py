@@ -636,7 +636,60 @@ class TestHausdorff:
         # an all-pairs search measures 2 |P| |Q| pairs, here over 400 (|P| + |Q|)
         assert sum(measured) <= 64 * (n_p + n_q)
 
-    def test_import_leaves_the_tree_module_unloaded(self):
+    @pytest.mark.parametrize("geom", [
+        HAUSDORFF_GEOMETRIES["exp"],
+        WaveguideGeometry(TWO_PI, PeriodicProfile(TWO_PI, 1.0, (0.5, 0.25))),
+    ], ids=["exp_torus", "two_harmonic_strip"])
+    def test_far_nodal_set_stays_within_the_pair_budget(self, geom, monkeypatch):
+        # zeros moved a quarter period put the nodal set far from the
+        # fibres, so the search's bound grows to most of every fibre; an
+        # unbatched pass on the torus holds 2.9 M pairs
+        fld, nodal_set, zeros = mode1_nodal_set(geom)
+        zeros = zeros + 0.25 * geom.period
+        spacing = 0.125 * min(fld.h_s, fld.h_f)
+        measured = []
+        pair_d2 = nodal_module._pair_d2
+
+        def counting_pair_d2(*args):
+            d2 = pair_d2(*args)
+            measured.append(d2.size)
+            return d2
+
+        monkeypatch.setattr(nodal_module, "_pair_d2", counting_pair_d2)
+        d = hausdorff_distance(nodal_set, zeros, geom, spacing)
+        assert max(measured) <= nodal_module._PAIR_BUDGET
+        assert d == brute_hausdorff(nodal_set, zeros, geom, spacing)
+
+    @pytest.mark.parametrize("name", sorted(HAUSDORFF_GEOMETRIES))
+    def test_any_pair_budget_keeps_the_value(self, name, monkeypatch):
+        # a small budget splits both searches into many batches
+        geom = HAUSDORFF_GEOMETRIES[name]
+        f_lo, f_hi = fiber_range(geom)
+        rng = np.random.default_rng(11)
+        zeros = rng.uniform(0.0, geom.period, 2)
+        p = np.column_stack([zeros[rng.integers(0, 2, 300)] + rng.normal(0.0, 0.5, 300),
+                             rng.uniform(f_lo, f_hi, 300)])
+        measured = []
+        pair_d2 = nodal_module._pair_d2
+
+        def counting_pair_d2(*args):
+            d2 = pair_d2(*args)
+            measured.append(d2.size)
+            return d2
+
+        monkeypatch.setattr(nodal_module, "_pair_d2", counting_pair_d2)
+        monkeypatch.setattr(nodal_module, "_PAIR_BUDGET", 512)
+        d = hausdorff_distance(degenerate_segments(p), zeros, geom, 0.2)
+        assert max(measured) <= 512 and len(measured) > 10
+        assert d == brute_hausdorff(degenerate_segments(p), zeros, geom, 0.2)
+
+    def test_point_against_the_whole_strip_fibre(self):
+        # the sample at the far wall is the whole strip away from the point
+        geom = HAUSDORFF_GEOMETRIES["guide"]
+        for f in (-1.0, 1.0):
+            assert hausdorff_distance(degenerate_segments([[1.0, f]]), [1.0], geom, 0.05) == 2.0
+
+    def test_import_leaves_scipy_spatial_unloaded(self):
         # a whole torus study, Hausdorff rate included, needs no scipy.spatial
         src = str(Path(nodal_module.__file__).resolve().parents[1])
         config = Path(__file__).resolve().parents[1] / "demos" / "configs" / "warped_torus.json"
@@ -717,6 +770,26 @@ class TestFiberLineKernel:
             brute_hausdorff(degenerate_segments(pts), zeros, geom, spacing)
 
 
+class TestFiberWindow:
+    """The fibre-sample indices that both searches measure."""
+
+    @pytest.mark.parametrize("torus", [False, True], ids=["strip", "torus"])
+    def test_rows_hold_the_samples_within_r_steps(self, torus):
+        for n in range(2, 14):
+            turn = n - 1
+            centres = np.arange(-2 * n, 3 * n)
+            for r in range(n + 2):  # to past half a turn, and past the strip
+                rows = nodal_module._fiber_window(centres, r, n, torus)
+                assert rows.shape[0] == len(centres)
+                for c, row in zip(centres.tolist(), rows.tolist()):
+                    if torus:
+                        want = {k for k in range(n) if min((k - c) % turn, (c - k) % turn) <= r}
+                        assert (0 in row) == (n - 1 in row), (n, r, c)
+                    else:  # a centre beyond a wall is windowed from that wall's sample
+                        want = {k for k in range(n) if abs(k - min(max(c, 0), n - 1)) <= r}
+                    assert set(row) == want, (n, r, c)
+
+
 class TestTreeSearch:
     """The search from the fibre samples to the nodal samples."""
 
@@ -736,18 +809,29 @@ class TestTreeSearch:
         scatter = np.column_stack([z + rng.choice([-1.0, 1.0], 25) * rng.uniform(8, 60, 25) * step,
                                    rng.uniform(f_lo, f_hi, 25)])
         p = np.concatenate([crowd, scatter])
-        passes = []
-        pair_d2 = nodal_module._pair_d2
+        measured, windows = [], []
+        pair_d2, fiber_window = nodal_module._pair_d2, nodal_module._fiber_window
 
         def counting_pair_d2(*args):
-            passes.append(np.size(args[0]))
-            return pair_d2(*args)
+            d2 = pair_d2(*args)
+            if d2.size:
+                measured.append(np.unique(args[2]))  # the nodal samples' s
+            return d2
+
+        def counting_fiber_window(centre, r, n, torus):
+            windows.append(r)
+            return fiber_window(centre, r, n, torus)
 
         monkeypatch.setattr(nodal_module, "_pair_d2", counting_pair_d2)
+        monkeypatch.setattr(nodal_module, "_fiber_window", counting_fiber_window)
         q = loop_sample(np.array([z]), geom, stretch_of(geom), spacing)
         got = nodal_module._sup_inf_from_fibers(np.array([z]), f, p, geom, low_of(geom))
         assert got == brute_directed_sup_inf(q, p, geom)
-        assert passes[0] == 0 and len(passes) > 3  # the first bound held no pair
+        # no pair is measured until the bound reaches the crowd 12 steps
+        # off: by then the first pass's reach of 1 / low steps has doubled
+        # at least three times, and no window narrows after that
+        assert crowd[0][0] in measured[0]
+        assert windows[0] >= 8 / low_of(geom) and windows == sorted(windows)
         assert hausdorff_distance(degenerate_segments(p), [z], geom, spacing) == \
             brute_hausdorff(degenerate_segments(p), np.array([z]), geom, spacing)
 
