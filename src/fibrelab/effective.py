@@ -8,6 +8,10 @@ eigenvalue ``mu`` with eigenfunction ``psi``, a full eigenvalue
 measures how far a computed full eigenpair is from them: rescaled
 eigenvalue gap, sup-norm error, metric Hausdorff distance of nodal sets,
 nodal counts, boundary traces, and the graph-over-fibre structure check.
+Each nodal measure is computed in :mod:`fibrelab.nodal` and only recorded
+here; the waveguide's fibre ground value at one base point is
+:func:`fibrelab.operators.fiber_ground_energy`, next to the fibre blocks
+it solves.
 """
 
 from __future__ import annotations
@@ -17,33 +21,24 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateEffectiveEigenvalue, GridTooCoarse, PairingAmbiguous
+from .errors import DegenerateEffectiveEigenvalue, PairingAmbiguous
 from .eigensolve import EigenPairSet, SolveConfig, smallest_eigenpairs
 from .geometry import BundleGeometry, WarpedTorusGeometry, WaveguideGeometry
 from .nodal import (
-    _circle_dist,
     boundary_trace_components,
     count_nodal_domains,
     extract_nodal_set,
+    fiber_reach,
     field_from_operator,
     graph_over_fiber_check,
     hausdorff_distance,
     zeros_of_base,
 )
-from .operators import (
-    MIN_POINTS,
-    DiscreteOperator,
-    GridSpec,
-    _fiber_blocks,
-    _fiber_ground,
-    base_nodes,
-    fiber_nodes,
-)
+from .operators import DiscreteOperator, GridSpec, base_nodes, fiber_nodes
 
 __all__ = [
     "Prediction",
     "DiscrepancyRecord",
-    "fiber_ground_energy",
     "build_prediction",
     "measure_discrepancy",
     "paired_level",
@@ -53,19 +48,6 @@ __all__ = [
 
 SIMPLE_GAP = 1e-8
 PAIRING_TOL = 1e-8
-
-
-def fiber_ground_energy(geom: WaveguideGeometry, eps, s: float, n_f: int) -> float:
-    """Ground value of the waveguide's fibre problem at base point ``s``.
-
-    Takes the lowest eigenvalue of the full operator's own fibre block at
-    ``s`` on ``n_f`` and ``2 n_f`` cells and Richardson-extrapolates the
-    second-order scheme.
-    """
-    if n_f < MIN_POINTS:
-        raise GridTooCoarse(f"need at least {MIN_POINTS} fibre cells")
-    coarse, fine = (_fiber_ground(*_fiber_blocks(geom, eps, s, n, 1.0)) for n in (n_f, 2 * n_f))
-    return (4.0 * fine - coarse) / 3.0
 
 
 def volume_weight(geom: BundleGeometry, grid: GridSpec) -> np.ndarray:
@@ -269,9 +251,7 @@ def measure_discrepancy(op: DiscreteOperator, full: EigenPairSet,
             tube_radius = 4.0 * fld.h_s
         graph = graph_over_fiber_check(nodal_set, zeros_s, tube_radius)
         if len(nodal_set.segments) and zeros_s:
-            seg_s = nodal_set.segments[:, :, 0].ravel()
-            d = _circle_dist(seg_s[:, None], np.asarray(zeros_s)[None, :], geom.period)
-            emp_c = float(d.min(axis=1).max() / eps)
+            emp_c = fiber_reach(nodal_set, zeros_s) / eps
 
     return DiscrepancyRecord(
         eps=eps,

@@ -292,8 +292,12 @@ def _band_worker() -> concurrent.futures.ThreadPoolExecutor:
                                                  thread_name_prefix="fibrelab-band")
 
 
-def _factor_half(band: np.ndarray) -> int:
-    """Cholesky-factor a lower band in LAPACK storage in place; LAPACK's ``info``."""
+def _factor_half(band: np.ndarray, flat: np.ndarray, values: np.ndarray) -> int:
+    """Fill a lower band in LAPACK storage and Cholesky-factor it in place; LAPACK's ``info``.
+
+    ``values`` go to the column-major offsets ``flat`` of ``band``.
+    """
+    band.ravel(order="F")[flat] = values
     pbtrf, _ = _band_kernels()
     ldab, n = band.shape
     info = ctypes.c_int(0)
@@ -319,12 +323,6 @@ def _on_both_halves(fn: Callable, first: tuple, second: tuple) -> tuple:
     finally:
         other = future.result()
     return result, other
-
-
-def _fill_and_factor(band: np.ndarray, flat: np.ndarray, values: np.ndarray) -> int:
-    """Scatter ``values`` to the column-major offsets ``flat`` of ``band``, then factor it."""
-    band.ravel(order="F")[flat] = values
-    return _factor_half(band)
 
 
 class _TwoSidedBand:
@@ -353,7 +351,7 @@ class _TwoSidedBand:
         self.index, halves, sep, coupling = _split_band(a, perm)
         b = len(sep)
         self.bands = tuple(np.zeros((b + 1, len(self.index[i])), order="F") for i in (0, 2))
-        infos = _on_both_halves(_fill_and_factor, (self.bands[0], *halves[0]),
+        infos = _on_both_halves(_factor_half, (self.bands[0], *halves[0]),
                                 (self.bands[1], *halves[1]))
         if any(infos):
             raise dla.LinAlgError("a half band of the matrix is not positive definite")
@@ -429,18 +427,6 @@ def _split_band(a: sp.csr_matrix, perm: np.ndarray) -> tuple:
     coupling[1][s1 + t2 - 1 - row[edge], col[edge] - s0] = data[edge]
     index = (perm[:s0], perm[s0:s1], perm[s1:][::-1].copy())
     return index, halves, sep, coupling
-
-
-def _shift_inverse(a: sp.spmatrix) -> sla.LinearOperator:
-    """``x -> a^{-1} x`` through the two-sided band Cholesky factor of ``a`` in RCM order.
-
-    The halves of the band are factored, and each solve's sweeps run, on
-    the calling thread and the band worker at once (:class:`_TwoSidedBand`).
-    Raises ``LinAlgError`` when the symmetric matrix ``a`` is not positive
-    definite, whether a half band or the separator's Schur complement
-    fails.
-    """
-    return sla.LinearOperator(a.shape, matvec=_TwoSidedBand(a).solve, dtype=float)
 
 
 @functools.lru_cache(maxsize=32)
@@ -534,7 +520,7 @@ def smallest_eigenpairs(op: DiscreteOperator, cfg: SolveConfig, *,
         ncv = min(n - 1, ncv)
         weight = sp.diags(op.weight)
         try:
-            inverse = _shift_inverse(op.stiffness - sigma * weight)
+            factor = _TwoSidedBand(op.stiffness - sigma * weight)
         except dla.LinAlgError as exc:
             raise FactorizationFailed(f"K - sigma W is not positive definite: safe shift "
                                       f"sigma = {sigma:g} is not below the spectrum") from exc
@@ -549,7 +535,7 @@ def smallest_eigenpairs(op: DiscreteOperator, cfg: SolveConfig, *,
                 ncv=ncv,
                 maxiter=cfg.max_iter,
                 tol=0.0,
-                OPinv=inverse,
+                OPinv=sla.LinearOperator((n, n), matvec=factor.solve, dtype=float),
             )
         except sla.ArpackNoConvergence as exc:
             raise NoConvergence(f"ARPACK did not converge: {exc}") from exc

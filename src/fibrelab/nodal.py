@@ -15,8 +15,13 @@ graph: its blocks of one sign alternate in both directions, so it has
 circle (along the line in ``f`` on a strip).
 On Dirichlet strips every chain reaching the outermost interior row is
 closed off to the wall, where the eigenfunction vanishes; wall contact
-points feed the boundary-trace count.  The graph-over-fibre check counts
-the crossings of every (row, tube) pair in one ``bincount``.
+points feed the boundary-trace count.  A :class:`NodalSet` keeps its
+crossings of the fibre grid rows and its wall contacts as the flat arrays
+the extraction computes them in.  The graph-over-fibre check counts the
+crossings of every (row, tube) pair in one ``bincount``, and
+:func:`fiber_reach`, the largest base distance of the nodal set from the
+predicted zeros, is both its tube test and the torus's empirical tube
+constant.
 
 The one Hausdorff distance is the paper's: from the nodal set to the
 fibres over the zeros of the effective eigenfunction.  It is measured in
@@ -58,6 +63,7 @@ __all__ = [
     "zeros_of_base",
     "hausdorff_distance",
     "boundary_trace_components",
+    "fiber_reach",
     "graph_over_fiber_check",
 ]
 
@@ -99,13 +105,21 @@ def field_from_operator(op: DiscreteOperator, vec: np.ndarray) -> ScalarField:
 
 @dataclass
 class NodalSet:
-    """Straight segments of the extracted zero level set."""
+    """Straight segments of the extracted zero level set.
+
+    ``crossing_row[k]`` and ``crossing_s[k]`` are the fibre grid row and
+    the base position of the k-th crossing of the set with a row, one per
+    sign-changing base edge.  ``contact_wall[k]`` (-1 or 1) and
+    ``contact_s[k]`` place the k-th contact with a wall of a strip.
+    """
 
     segments: np.ndarray  # (m, 2, 2): endpoint coordinates (s, f)
     component_labels: np.ndarray  # (m,)
     component_count: int
-    wall_contacts: list[tuple[int, float]] = field(default_factory=list)
-    row_crossings: dict[int, np.ndarray] = field(default_factory=dict)
+    crossing_row: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
+    crossing_s: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    contact_wall: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    contact_s: np.ndarray = field(default_factory=lambda: np.zeros(0))
     s_period: float = 0.0
     h_s: float = 0.0
     h_f: float = 0.0
@@ -208,7 +222,7 @@ def extract_nodal_set(fld: ScalarField) -> NodalSet:
     _, first_seg, comp_inv = np.unique(comp, return_index=True, return_inverse=True)
     labels = np.argsort(np.argsort(first_seg))[comp_inv]
 
-    wall_contacts: list[tuple[int, float]] = []
+    wall = s_wall = np.zeros(0)
     if not fld.periodic_f:
         at_wall = np.flatnonzero(on_s & ((ej == 0) | (ej == n_rows - 1)))
         at_wall = at_wall[np.argsort(first[at_wall])]
@@ -218,19 +232,15 @@ def extract_nodal_set(fld: ScalarField) -> NodalSet:
                           np.stack([s_wall, wall], axis=1)], axis=1)
         seg_coords = np.concatenate([seg_coords, extra])
         labels = np.concatenate([labels, labels[first[at_wall] // 2]])
-        wall_contacts = [(int(w), float(x)) for w, x in zip(wall, s_wall)]
-
-    rows, ss = ej[on_s], s[on_s]
-    order = np.lexsort((ss, rows))
-    keys, starts = np.unique(rows[order], return_index=True)
-    row_crossings = dict(zip(keys.tolist(), np.split(ss[order], starts[1:])))
 
     return NodalSet(
         segments=seg_coords,
         component_labels=labels,
         component_count=len(first_seg),
-        wall_contacts=wall_contacts,
-        row_crossings=row_crossings,
+        crossing_row=ej[on_s],
+        crossing_s=s[on_s],
+        contact_wall=wall,
+        contact_s=s_wall,
         s_period=fld.s_period,
         h_s=fld.h_s,
         h_f=fld.h_f,
@@ -497,8 +507,8 @@ def boundary_trace_components(nodal: NodalSet) -> int:
         raise ValueError("boundary traces require a geometry with boundary")
     merge = nodal.h_s * (1.0 + 1e-9)
     total = 0
-    for wall in (-1, 1):
-        ss = np.sort(np.asarray([s for w, s in nodal.wall_contacts if w == wall]))
+    for wall in (-1.0, 1.0):
+        ss = np.sort(nodal.contact_s[nodal.contact_wall == wall])
         if len(ss) == 0:
             continue
         gaps = np.diff(ss)
@@ -511,35 +521,39 @@ def boundary_trace_components(nodal: NodalSet) -> int:
     return total
 
 
+def fiber_reach(nodal: NodalSet, zeros) -> float:
+    """Largest base distance from a segment end to its nearest zero in ``zeros``.
+
+    Distances are taken around the base circle; a set with no segments
+    has reach 0.  ``zeros`` must not be empty.
+    """
+    seg_s = nodal.segments[:, :, 0].ravel()
+    d = _circle_dist(seg_s[:, None], np.asarray(zeros, dtype=float)[None, :], nodal.s_period)
+    return float(d.min(axis=1).max(initial=0.0))
+
+
 def graph_over_fiber_check(nodal: NodalSet, zeros_s: list[float], tube_radius: float) -> bool:
     """Is the nodal set a union of fibre-like graphs over the predicted zeros?
 
     ``zeros_s`` holds the base positions of the predicted zeros.  True iff
     every segment stays within ``tube_radius`` (base distance) of some
-    predicted zero, each tube crosses every fibre grid row exactly once,
-    and the component count equals the number of zeros.
+    predicted zero (:func:`fiber_reach`), each tube crosses every fibre
+    grid row exactly once, and the component count equals the number of
+    zeros.
     """
     zeros = np.asarray(zeros_s, dtype=float)
     if nodal.component_count != len(zeros):
         return False
     if len(zeros) == 0:
         return len(nodal.segments) == 0
-    period = nodal.s_period
-
-    seg_s = nodal.segments[:, :, 0].ravel()
-    if len(seg_s):
-        dmin = np.min(_circle_dist(seg_s[:, None], zeros[None, :], period), axis=1)
-        if float(dmin.max()) > tube_radius:
-            return False
-
-    rows = [j for j in nodal.row_crossings if 0 <= j < nodal.n_rows]
-    ss = np.concatenate([np.zeros(0)] + [nodal.row_crossings[j] for j in rows])
-    row_of = np.repeat(np.array(rows, dtype=np.intp), [len(nodal.row_crossings[j]) for j in rows])
-    in_tube = _circle_dist(ss[:, None], zeros[None, :], period) <= tube_radius
+    if fiber_reach(nodal, zeros) > tube_radius:
+        return False
+    in_tube = _circle_dist(nodal.crossing_s[:, None], zeros[None, :],
+                           nodal.s_period) <= tube_radius
     if not np.all(np.any(in_tube, axis=1)):
         return False
     # crossings per (row, tube): exactly one each, a row without any fails
-    hits = np.bincount((row_of[:, None] * len(zeros) + np.arange(len(zeros)))[in_tube],
-                       minlength=nodal.n_rows * len(zeros))
+    pairs = nodal.crossing_row[:, None] * len(zeros) + np.arange(len(zeros))
+    hits = np.bincount(pairs[in_tube], minlength=nodal.n_rows * len(zeros))
     return bool(np.all(hits == 1))
 

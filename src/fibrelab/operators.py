@@ -18,8 +18,10 @@ a one-sided fourth-order closure would either break the exact-symmetry
 contract or lose pointwise consistency near the walls, and the eigenvalue
 bias it would remove is cancelled downstream against the matching
 discrete fibre ground value instead.  The waveguide's fibre blocks, its
-operator with the base coupling dropped, come from one helper, which also
-gives the effective model's fibre ground energy.  Both assemblers, full
+operator with the base coupling dropped, come from one helper, and one
+bisection takes their lowest eigenvalue: the full operator's shift and
+:func:`fiber_ground_energy`, the fibre ground value at one base point,
+both read it there.  Both assemblers, full
 and effective, return a ``DiscreteOperator``.  The warped torus's holds its
 operator as eps-free 1D factors: its metric coefficients are
 ``(eps a, 1/(eps a), a/eps)``, so
@@ -60,6 +62,7 @@ __all__ = [
     "assemble_effective",
     "staggered_diff_periodic",
     "dirichlet_ground_value",
+    "fiber_ground_energy",
     "prolongate",
 ]
 
@@ -376,6 +379,19 @@ def _fiber_ground(k_f: sp.csr_matrix, w: np.ndarray) -> float:
     diag = k_f.diagonal() * scale * scale
     off = k_f.diagonal(1) * scale[:-1] * scale[1:]
     return float(dla.eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0])
+
+
+def fiber_ground_energy(geom: WaveguideGeometry, eps, s: float, n_f: int) -> float:
+    """Ground value of the waveguide's fibre problem at base point ``s``.
+
+    Takes the lowest eigenvalue of the full operator's own fibre block at
+    ``s`` on ``n_f`` and ``2 n_f`` cells and Richardson-extrapolates the
+    second-order scheme.
+    """
+    if n_f < MIN_POINTS:
+        raise GridTooCoarse(f"need at least {MIN_POINTS} fibre cells")
+    coarse, fine = (_fiber_ground(*_fiber_blocks(geom, eps, s, n, 1.0)) for n in (n_f, 2 * n_f))
+    return (4.0 * fine - coarse) / 3.0
 
 
 def prolongate(coarse: GridSpec, vectors: np.ndarray, fine: GridSpec) -> np.ndarray:

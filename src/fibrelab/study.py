@@ -22,8 +22,10 @@ situation where the model is discretely exact.  A fit passes only when
 its slope and the local slope between every two consecutive usable
 points reach the threshold.  ``RATE_CHECKS``
 holds each rate check's quantity, theory exponent and fixed threshold;
-its :class:`CheckResult` carries its fit.  :mod:`fibrelab.report` writes
-the results.
+its :class:`CheckResult` carries its fit.  ``CHECKS`` maps every check
+name to its evaluator; a study with no records fails each configured
+check with "no records" before any evaluator runs.
+:mod:`fibrelab.report` writes the results.
 
 Every full solve runs at its operator's ``safe_shift``: on the waveguide
 the fibre-block lower bound of :func:`fibrelab.operators.assemble_full`,
@@ -36,6 +38,7 @@ Each failure record names its eps, grid level and stage.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -79,7 +82,6 @@ __all__ = [
     "RateFit",
     "CheckResult",
     "StudyReport",
-    "geometry_from_config",
     "load_config",
     "run_study",
     "fit_rate",
@@ -93,7 +95,6 @@ RATE_CHECKS = {
     "supnorm_rate": ("supnorm", (1.0, 0.9), (1.0, 0.9)),
     "hausdorff_rate": ("hausdorff", (1.0, 0.9), (1.0, 0.9)),
 }
-ALL_CHECKS = (*RATE_CHECKS, "isotopy", "boundary", "courant")
 FLOOR_FACTOR = 10.0
 COURANT_MODES = 6
 
@@ -272,7 +273,7 @@ def load_config(raw: dict) -> StudyConfig:
     except FibrelabError as exc:
         raise ConfigError(f"invalid epsilon list: {exc}") from exc
     for name in checks:
-        if name not in ALL_CHECKS:
+        if name not in CHECKS:
             raise ConfigError(f"unknown check {name!r}")
     if any(c in RATE_CHECKS for c in checks) and len(epsilons) < 3:
         raise ConfigError("rate checks require at least three epsilons")
@@ -402,16 +403,8 @@ def _run_sweep(cfg: StudyConfig) -> StudyReport:
                              "error": type(exc).__name__, "message": str(exc)})
         timings[f"eps={eps!r}"] = time.perf_counter() - t0
 
-    checks: dict[str, CheckResult] = {}
-    for name in cfg.checks:
-        if name in RATE_CHECKS:
-            checks[name] = _evaluate_rate_check(name, cfg, records)
-        elif name == "isotopy":
-            checks[name] = _evaluate_isotopy(records)
-        elif name == "boundary":
-            checks[name] = _evaluate_boundary(records)
-        elif name == "courant":
-            checks[name] = _evaluate_courant(records)
+    checks = {name: CHECKS[name](cfg, records) if records
+              else CheckResult(name, False, "no records") for name in cfg.checks}
     timings["total"] = time.perf_counter() - t_start
     return StudyReport(
         config_echo=cfg.echo,
@@ -429,7 +422,8 @@ def _evaluate_rate_check(name: str, cfg: StudyConfig,
     A fit passes only on a power law: its slope and the local slope between
     every two consecutive usable points (largest eps first) reach the
     threshold, so the error falls at each step at least at the bar's rate.
-    A failing reason names the first step that falls short.
+    A failing reason names the first step that falls short.  ``records``
+    is not empty (see ``CHECKS``).
     """
     quantity, torus, waveguide = RATE_CHECKS[name]
     theory, threshold = torus if isinstance(cfg.geometry, WarpedTorusGeometry) else waveguide
@@ -459,7 +453,7 @@ def _evaluate_rate_check(name: str, cfg: StudyConfig,
             reason += f"; local slope {short[2]:.3f} from eps={short[0]:g} to eps={short[1]:g}"
         return CheckResult(name, fit.slope >= threshold and short is None, reason,
                            threshold, theory, fit)
-    if excluded and not usable and all(why != "not measured" for _, _, why in excluded):
+    if not usable and all(why != "not measured" for _, _, why in excluded):
         return CheckResult(name, True, "all points at the discretization floor; "
                            "model error not resolvable", threshold, theory)
     reason = (f"only {len(usable)} points above the floor; need 3 for a fit" if usable
@@ -467,23 +461,22 @@ def _evaluate_rate_check(name: str, cfg: StudyConfig,
     return CheckResult(name, False, reason, threshold, theory)
 
 
-def _evaluate_isotopy(records: list[DiscrepancyRecord]) -> CheckResult:
-    if not records:
-        return CheckResult("isotopy", False, "no records")
+def _evaluate_isotopy(_cfg: StudyConfig, records: list[DiscrepancyRecord]) -> CheckResult:
+    """The smallest eps's nodal set passes the graph-over-fibre check.
+
+    That check already requires one component per predicted zero; the
+    reason names both counts.
+    """
     rec = min(records, key=lambda r: r.eps)
     graph_ok = rec.graph_over_fiber is True
-    count_ok = rec.component_count == len(rec.zeros)
-    passed = graph_ok and count_ok
     reason = (
         f"eps={rec.eps:g}: graph-over-fibre {graph_ok}, components "
         f"{rec.component_count} vs zeros {len(rec.zeros)}"
     )
-    return CheckResult("isotopy", passed, reason)
+    return CheckResult("isotopy", graph_ok, reason)
 
 
-def _evaluate_boundary(records: list[DiscrepancyRecord]) -> CheckResult:
-    if not records:
-        return CheckResult("boundary", False, "no records")
+def _evaluate_boundary(_cfg: StudyConfig, records: list[DiscrepancyRecord]) -> CheckResult:
     bad = [
         rec.eps
         for rec in records
@@ -496,14 +489,21 @@ def _evaluate_boundary(records: list[DiscrepancyRecord]) -> CheckResult:
     return CheckResult("boundary", passed, reason)
 
 
-def _evaluate_courant(records: list[DiscrepancyRecord]) -> CheckResult:
-    if not records:
-        return CheckResult("courant", False, "no nodal domain counts collected")
+def _evaluate_courant(_cfg: StudyConfig, records: list[DiscrepancyRecord]) -> CheckResult:
     violations = [(rec.eps, idx, c) for rec in records
                   for idx, c in enumerate(rec.courant_counts) if c > idx + 1]
     passed = not violations
     reason = "domain counts within index+1" if passed else f"violations: {violations}"
     return CheckResult("courant", passed, reason)
+
+
+# check name -> evaluator(cfg, records), records never empty
+CHECKS = {
+    **{name: functools.partial(_evaluate_rate_check, name) for name in RATE_CHECKS},
+    "isotopy": _evaluate_isotopy,
+    "boundary": _evaluate_boundary,
+    "courant": _evaluate_courant,
+}
 
 
 # ---------------------------------------------------------------- self test
@@ -589,11 +589,12 @@ def self_check(verbose: bool = False) -> list[tuple[str, bool, str]]:
 
     def check_fiber_ground():
         # the fibre ground value that rescaled gaps subtract is the straight
-        # tube's: the fibre block of the operator they are measured on
+        # tube's: the fibre-block bound under the operator's shift
         wg = g.WaveguideGeometry(2 * np.pi, g.PeriodicProfile(2 * np.pi, 0.0))
         op = assemble_full(wg, 0.1, GridSpec(16, 64, 2))
-        lam1 = ops._fiber_ground(*ops._fiber_blocks(wg, 0.1, 0.0, 64, 1.0))
-        assert abs(lam1 - op.fiber_ground_disc) < 1e-12
+        disc = op.fiber_ground_disc
+        expected = disc - ops.BOUND_MARGIN * max(1.0, abs(disc))
+        assert abs(op.safe_shift - expected) < 1e-12
 
     def check_nodal():
         from .nodal import ScalarField, count_nodal_domains, extract_nodal_set

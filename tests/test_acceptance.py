@@ -33,12 +33,18 @@ import numpy as np
 import pytest
 
 import fibrelab
-from fibrelab.effective import build_prediction, fiber_ground_energy
+from fibrelab.effective import build_prediction
 from fibrelab.eigensolve import SolveConfig, smallest_eigenpairs
 from fibrelab.errors import DegenerateEffectiveEigenvalue
 from fibrelab.geometry import PeriodicProfile, WarpedTorusGeometry, WaveguideGeometry
 from fibrelab.nodal import count_nodal_domains, field_from_operator
-from fibrelab.operators import GridSpec, assemble_effective, assemble_full, staggered_diff_periodic
+from fibrelab.operators import (
+    GridSpec,
+    assemble_effective,
+    assemble_full,
+    fiber_ground_energy,
+    staggered_diff_periodic,
+)
 from fibrelab.report import dumps_canonical, emit_report, report_to_dict
 from fibrelab.study import load_config, run_study
 

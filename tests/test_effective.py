@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fibrelab.effective import (
-    build_prediction,
-    fiber_ground_energy,
-    measure_discrepancy,
-    volume_weight,
-)
+from fibrelab.effective import build_prediction, measure_discrepancy, volume_weight
 from fibrelab.eigensolve import EigenPairSet, SolveConfig, smallest_eigenpairs
-from fibrelab.errors import DegenerateEffectiveEigenvalue, PairingAmbiguous, TubeDegenerate
+from fibrelab.errors import (
+    DegenerateEffectiveEigenvalue,
+    GridTooCoarse,
+    PairingAmbiguous,
+    TubeDegenerate,
+)
 from fibrelab.geometry import PeriodicProfile, WarpedTorusGeometry, WaveguideGeometry
 from fibrelab.operators import (
     GridSpec,
@@ -17,6 +17,7 @@ from fibrelab.operators import (
     assemble_full,
     base_nodes,
     dirichlet_ground_value,
+    fiber_ground_energy,
     staggered_diff_periodic,
 )
 
@@ -90,6 +91,12 @@ class TestFiberGroundEnergy:
         # with no shift margin taken off
         richardson = (4.0 * dirichlet_ground_value(128) - dirichlet_ground_value(64)) / 3.0
         assert lam == pytest.approx(richardson, abs=1e-11)
+
+    def test_coarse_fibre_is_refused(self):
+        geom = WaveguideGeometry(TWO_PI, PeriodicProfile(TWO_PI, 0.0))
+        with pytest.raises(GridTooCoarse, match="16 fibre cells"):
+            fiber_ground_energy(geom, 0.1, 0.0, 15)
+        assert fiber_ground_energy(geom, 0.1, 0.0, 16) > 0.0
 
     def test_degenerate_tube_raises(self):
         # eps * max|kappa| = 0.5 * 2 = 1: the tube is not embedded

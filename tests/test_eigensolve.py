@@ -15,7 +15,7 @@ import scipy.sparse.linalg as sla
 import fibrelab.eigensolve as eigensolve_module
 import fibrelab.study as study_module
 from fibrelab.eigensolve import DENSE_CUTOFF, SolveConfig, smallest_eigenpairs
-from fibrelab.errors import ConfigError, FactorizationFailed
+from fibrelab.errors import ConfigError, FactorizationFailed, NoConvergence
 from fibrelab.nodal import extract_nodal_set, field_from_operator
 from fibrelab.geometry import PeriodicProfile, WarpedTorusGeometry, WaveguideGeometry
 from fibrelab.operators import (
@@ -457,26 +457,25 @@ class TestShiftInvert:
         assert seen[1][1] == 14
         assert np.all(np.abs(warm.values - cold.values) <= 1e-12 * cold.values)
 
+    def test_one_restart_is_too_few(self):
+        # one restart converges 11 of the 16 pairs
+        with pytest.raises(NoConvergence, match=r"^ARPACK did not converge: .*No convergence"):
+            smallest_eigenpairs(guide_operator(), SolveConfig(k=16, max_iter=1))
+
     def test_injected_start_shortens_the_refined_solve(self, monkeypatch):
         # GUIDE_J1's geometry one level down: the base grid's pairs, injected
         # onto the 128 x 192 grid (24 448 dofs), start its solve; measured 15
         # shift-invert solves against 21 from a cold start
         geom = WaveguideGeometry(TWO_PI, PeriodicProfile(TWO_PI, 1.0, (0.5, 0.25)))
         base, fine = GridSpec(64, 96, 4), GridSpec(128, 192, 4)
-        solves = []
-        real = eigensolve_module._shift_inverse
+        solves = {}  # factor -> its solves, in the order of the first solve
+        real = eigensolve_module._TwoSidedBand.solve
 
-        def counted(a):
-            inverse = real(a)
-            solves.append(0)
+        def counted(factor, x):
+            solves[factor] = solves.get(factor, 0) + 1
+            return real(factor, x)
 
-            def matvec(x):
-                solves[-1] += 1
-                return inverse.matvec(x)
-
-            return sla.LinearOperator(inverse.shape, matvec=matvec, dtype=float)
-
-        monkeypatch.setattr(eigensolve_module, "_shift_inverse", counted)
+        monkeypatch.setattr(eigensolve_module._TwoSidedBand, "solve", counted)
 
         def solve(grid, start=None):
             op = assemble_full(geom, 0.1, grid)
@@ -485,6 +484,7 @@ class TestShiftInvert:
         coarse = solve(base)
         warm = solve(fine, start=prolongate(base, coarse.vectors, fine))
         cold = solve(fine)
+        solves = list(solves.values())
         assert len(solves) == 3 and solves[1] < solves[2]
         assert np.all(np.abs(warm.values - cold.values) <= 1e-12 * cold.values)
 

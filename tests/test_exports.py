@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -17,3 +19,48 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def private_sibling_uses(source: str) -> list[str]:
+    """Each place in ``source``, a module of the package, that reads a sibling's private name.
+
+    A private name starts with one underscore.  It is read through a
+    relative import of the name, ``from .mod import _name``, or as an
+    attribute of a module bound by a relative import, ``from . import mod
+    as m`` and then ``m._name``.
+    """
+    tree = ast.parse(source)
+    modules, uses = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            for alias in node.names:
+                if node.module is None:
+                    modules.add(alias.asname or alias.name)
+                elif alias.name.startswith("_") and not alias.name.startswith("__"):
+                    uses.append(f"{node.lineno}: from .{node.module} import {alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+                and node.attr.startswith("_") and not node.attr.startswith("__")):
+            uses.append(f"{node.lineno}: {node.value.id}.{node.attr}")
+    return sorted(uses)
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("from .nodal import _circle_dist, fiber_reach\n", ["1: from .nodal import _circle_dist"]),
+    ("def f():\n    from . import operators as ops\n    return ops._fiber_ground(ops.X)\n",
+     ["3: ops._fiber_ground"]),
+    ("from . import nodal\nnodal._sample(nodal.NodalSet)\n", ["2: nodal._sample"]),
+    ("from .nodal import NodalSet\nfrom . import __version__\nimport numpy as np\n"
+     "np._NoValue\nx = NodalSet._private\n", []),
+], ids=["imported_name", "module_alias_in_a_function", "module", "public_and_foreign_names"])
+def test_private_sibling_uses_are_found(source, expected):
+    assert private_sibling_uses(source) == expected
+
+
+@pytest.mark.parametrize("path", sorted(Path(fibrelab.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_reads_a_siblings_private_names(path):
+    # each module keeps its private helpers to itself: another module
+    # that needs one needs a public name for it
+    assert private_sibling_uses(path.read_text(encoding="utf-8")) == []

@@ -63,7 +63,7 @@ class TestExtractNodalSet:
         # each component closes around the fibre circle: one crossing per row,
         # located at the zeros of the cosine
         for j in range(nodal.n_rows):
-            ss = nodal.row_crossings[j]
+            ss = nodal.crossing_s[nodal.crossing_row == j]
             assert len(ss) == 2
             assert np.allclose(np.sort(ss), [np.pi / 2, 3 * np.pi / 2], atol=1e-9)
 
@@ -84,7 +84,7 @@ class TestExtractNodalSet:
         fld = guide_field(lambda s, u: np.sin(s + 0.05) * np.cos(np.pi * u / 2.0))
         nodal = extract_nodal_set(fld)
         assert nodal.component_count == 2
-        assert len(nodal.wall_contacts) == 4
+        assert len(nodal.contact_s) == len(nodal.contact_wall) == 4
 
     def test_positive_field_is_empty(self):
         nodal = extract_nodal_set(torus_field(lambda s, t: 2.0 + np.cos(s)))
@@ -104,9 +104,7 @@ class TestExtractNodalSet:
         changes = int(np.sum(pos != np.roll(pos, -1, axis=0)))
         changes += int(np.sum(pos != np.roll(pos, -1, axis=1)))
         endpoints = set()
-        count = 0
-        for j, ss in nodal.row_crossings.items():
-            count += len(ss)
+        count = len(nodal.crossing_s)
         # f-edge crossings = total endpoints - s-edge crossings
         keys = 2 * len(nodal.segments)
         assert changes >= count
@@ -901,6 +899,22 @@ class TestBoundaryTraces:
         fld = guide_field(lambda s, u: np.sin(2 * s + 0.05) * np.cos(np.pi * u / 2.0))
         assert boundary_trace_components(extract_nodal_set(fld)) == 8
 
+    def test_contacts_across_the_seam_are_one_cluster(self):
+        # two lines about a fifth of a cell apart, one on each side of s = 0: each
+        # wall's two contacts are the first and the last in s, one cluster
+        h = TWO_PI / 64
+        fld = guide_field(lambda s, u: (np.cos(s) - np.cos(0.3 * h)) * np.cos(np.pi * u / 2.0))
+        nodal = extract_nodal_set(fld)
+        assert nodal.component_count == 2
+        assert sorted(nodal.contact_wall) == [-1.0, -1.0, 1.0, 1.0]
+        ss = np.sort(nodal.contact_s[nodal.contact_wall == -1.0])
+        assert ss[0] < h < TWO_PI - h < ss[1]
+        assert boundary_trace_components(nodal) == 2
+        # the same pair away from the seam
+        moved = guide_field(lambda s, u: (np.cos(s - np.pi) - np.cos(0.3 * h))
+                            * np.cos(np.pi * u / 2.0))
+        assert boundary_trace_components(extract_nodal_set(moved)) == 2
+
     def test_positive_field_has_no_contacts(self):
         fld = guide_field(lambda s, u: 1.0 + 0.1 * np.cos(s) + 0.0 * u)
         assert boundary_trace_components(extract_nodal_set(fld)) == 0
@@ -944,7 +958,7 @@ def row_loop_graph_check(nodal, zeros_s, tube_radius):
         if float(dmin.max()) > tube_radius:
             return False
     for j in range(nodal.n_rows):
-        ss = nodal.row_crossings.get(j, np.zeros(0))
+        ss = nodal.crossing_s[nodal.crossing_row == j]
         if len(ss) == 0:
             return False
         in_tube = nodal_module._circle_dist(ss[:, None], zeros[None, :], period) <= tube_radius
@@ -953,6 +967,12 @@ def row_loop_graph_check(nodal, zeros_s, tube_radius):
         if np.any(np.count_nonzero(in_tube, axis=0) != 1):
             return False
     return True
+
+
+def without_row(nodal, j):
+    """``nodal`` with every crossing of fibre grid row ``j`` dropped."""
+    keep = nodal.crossing_row != j
+    return replace(nodal, crossing_row=nodal.crossing_row[keep], crossing_s=nodal.crossing_s[keep])
 
 
 @st.composite
@@ -970,8 +990,8 @@ def graph_check_cases(draw):
     zeros = [z + draw(st.floats(-0.2, 0.2)) for z in zeros]
     if draw(st.booleans()) and len(zeros) > 1:
         zeros[1] = zeros[0] + draw(st.floats(0.0, 0.3))  # two tubes that overlap
-    if draw(st.booleans()) and nodal.row_crossings:
-        del nodal.row_crossings[draw(st.sampled_from(sorted(nodal.row_crossings)))]
+    if draw(st.booleans()) and len(nodal.crossing_row):
+        nodal = without_row(nodal, draw(st.sampled_from(sorted(set(nodal.crossing_row)))))
     return nodal, zeros, draw(st.floats(0.01, 1.0))
 
 
@@ -987,7 +1007,7 @@ class TestGraphCheckKernel:
         nodal = extract_nodal_set(torus_field(lambda s, t: np.cos(s)))
         zeros = [np.pi / 2, 3 * np.pi / 2]
         assert graph_over_fiber_check(nodal, zeros, 0.1) is True
-        del nodal.row_crossings[5]
+        nodal = without_row(nodal, 5)
         assert graph_over_fiber_check(nodal, zeros, 0.1) is False
         assert row_loop_graph_check(nodal, zeros, 0.1) is False
 
@@ -995,7 +1015,8 @@ class TestGraphCheckKernel:
         # row crossings that no segment carries: only the row test sees them
         nodal = extract_nodal_set(torus_field(lambda s, t: np.cos(s)))
         zeros = [np.pi / 2, 3 * np.pi / 2]
-        nodal.row_crossings[7] = np.append(nodal.row_crossings[7], 0.0)
+        nodal = replace(nodal, crossing_row=np.append(nodal.crossing_row, 7),
+                        crossing_s=np.append(nodal.crossing_s, 0.0))
         assert graph_over_fiber_check(nodal, zeros, 0.1) is False
         assert row_loop_graph_check(nodal, zeros, 0.1) is False
 
@@ -1005,7 +1026,8 @@ class TestGraphCheckKernel:
         zeros = [np.pi / 2 - 0.05, np.pi / 2 + 0.05]
         one_line = replace(nodal, component_count=2,
                            segments=nodal.segments[nodal.segments[:, 0, 0] < np.pi],
-                           row_crossings={j: ss[ss < np.pi] for j, ss in nodal.row_crossings.items()})
+                           crossing_row=nodal.crossing_row[nodal.crossing_s < np.pi],
+                           crossing_s=nodal.crossing_s[nodal.crossing_s < np.pi])
         assert graph_over_fiber_check(one_line, zeros, 0.1) is True
         assert row_loop_graph_check(one_line, zeros, 0.1) is True
         # with tubes wide enough for both lines, each tube crosses every row twice

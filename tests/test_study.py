@@ -203,6 +203,17 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(flat_config(epsilons=[0.2, 0.1]))
 
+    @pytest.mark.parametrize("block, key, value, message", [
+        (None, "epsilons", [], "need at least one epsilon"),
+        ("grid", "refine", 1, "refinement factor must be at least 2"),
+        ("study", "mode_index", -1, "mode_index must be nonnegative"),
+    ])
+    def test_well_formed_but_refused_field(self, block, key, value, message):
+        cfg = flat_config()
+        (cfg[block] if block else cfg)[key] = value
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            load_config(cfg)
+
     def test_unknown_check_rejected(self):
         bad = flat_config()
         bad["study"] = {"mode_index": 0, "checks": ["volume_rate"]}
@@ -409,6 +420,34 @@ class TestGuardSemantics:
         assert len(res.fit.points_used) == 3
         assert len(res.fit.excluded) == 1
 
+    def test_unmeasured_points_are_not_at_the_floor(self):
+        # a quantity measured at no eps is not discretely exact
+        cfg = load_config(flat_config())
+        records = [synthetic_record(e, e * e) for e in (0.2, 0.1, 0.05)]
+        res = _evaluate_rate_check("hausdorff_rate", cfg, records)
+        assert not res.passed
+        assert res.reason == "no usable points"
+        assert res.fit is None and res.threshold == 0.9
+
+    def test_zero_errors_are_at_the_floor(self):
+        cfg = load_config(flat_config())
+        records = [synthetic_record(e, 0.0) for e in (0.2, 0.1, 0.05)]
+        res = _evaluate_rate_check("eig_rate", cfg, records)
+        assert res.passed
+        assert res.reason.startswith("all points at the discretization floor")
+        assert res.fit is None
+
+    def test_unmeasured_and_zero_points_are_excluded_from_the_fit(self):
+        cfg = load_config(flat_config())
+        distances = {0.4: 0.4, 0.2: 0.2, 0.1: None, 0.05: 0.05, 0.025: 0.0}
+        records = [synthetic_record(e, 1.0, hausdorff=d) for e, d in distances.items()]
+        res = _evaluate_rate_check("hausdorff_rate", cfg, records)
+        assert res.passed
+        assert res.fit.points_used == [(0.4, 0.4), (0.2, 0.2), (0.05, 0.05)]
+        (e0, v0, why0), (e1, v1, why1) = res.fit.excluded
+        assert (e0, why0) == (0.1, "not measured") and np.isnan(v0)
+        assert (e1, v1, why1) == (0.025, 0.0, "zero error")
+
     def test_two_points_above_floor_fails(self):
         cfg = load_config(flat_config())
         records = [synthetic_record(e, e * e) for e in (0.2, 0.1)]
@@ -478,6 +517,17 @@ class TestRunStudy:
                                  failure["message"])
             assert match and float(match.group(1)) <= 1e-8
         assert len({f["message"] for f in report.failures}) == 1
+
+    def test_study_with_no_records_fails_every_check(self):
+        # the degenerate flat-torus mode 1 fails at every eps
+        cfg = flat_config(epsilons=[0.4, 0.2, 0.1],
+                          grid={"n_s": 16, "n_f": 16, "stencil_order": 2, "refine": 2})
+        names = ["eig_rate", "supnorm_rate", "hausdorff_rate", "isotopy", "boundary", "courant"]
+        cfg["study"] = {"mode_index": 1, "checks": names, "out": None}
+        report = run_study(load_config(cfg))
+        assert report.records == [] and len(report.failures) == 3
+        assert {name: (c.passed, c.reason, c.fit) for name, c in report.checks.items()} == {
+            name: (False, "no records", None) for name in names}
 
     def test_degenerate_paired_full_level_fails_before_any_nodal_work(self, monkeypatch):
         # the full pair is equal to round-off, so the paired vector would be
@@ -983,6 +1033,26 @@ class TestEmitReport:
                           "nodal_domains,nodal_components,boundary_components,"
                           "graph_check,disc_err_est")
 
+    def test_fit_line_runs_through_the_fitted_points(self, tmp_path):
+        cfg = load_config(flat_config())
+        records = [synthetic_record(e, 0.5 * e * e) for e in (0.2, 0.1, 0.05)]
+        records.append(synthetic_record(0.025, 1e-9, est_ratio=1.0))  # at the floor
+        check = _evaluate_rate_check("eig_rate", cfg, records)
+        emit_report(StudyReport(config_echo={}, records=records, checks={"eig_rate": check},
+                                failures=[]), tmp_path)
+        svg = (tmp_path / "eig_gap.svg").read_text()
+        assert svg.count('font-size="14">slope 2.000</text>') == 1
+        x1, y1, x2, y2 = (float(v) for v in re.search(
+            r'<line x1="(\S+)" y1="(\S+)" x2="(\S+)" y2="(\S+)" stroke="steelblue"', svg).groups())
+        centres = [(float(x), float(y)) for x, y in
+                   re.findall(r'<circle cx="(\S+)" cy="(\S+)" r="4" fill="firebrick"/>', svg)]
+        assert len(centres) == 3 and svg.count('stroke="gray"') == 1
+        # an exact fit: every fitted point lies on the drawn line, to the
+        # six digits of the SVG coordinates
+        for x, y in centres:
+            assert x1 < x < x2
+            assert y == pytest.approx(y1 + (y2 - y1) * (x - x1) / (x2 - x1), abs=1e-3)
+
     def test_canonical_json_sorted_and_17_digits(self):
         text = dumps_canonical({"b": 0.1, "a": None, "c": [True, 2]})
         assert text == '{"a":null,"b":0.10000000000000001,"c":[true,2]}'
@@ -1104,6 +1174,17 @@ class TestCli:
         assert cli_main(["study", "--config", path, "--out", str(blocker / "out")]) == 1
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: cannot write \S+: [^\n]+\n", err), err
+
+    def test_solver_that_does_not_converge_is_a_one_line_error(self, tmp_path, capsys):
+        # one ARPACK restart leaves some of 16 waveguide pairs unconverged
+        cfg = json.loads((DEMO_CONFIGS / "waveguide.json").read_text())
+        cfg["solver"]["max_iter"] = 1
+        path = self.write_config(tmp_path, cfg)
+        assert cli_main(["solve", "--config", path, "--epsilon", "0.1", "--k", "16"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("solver failure: ARPACK did not converge: ")
+        assert captured.err.count("\n") == 1
 
     def test_missing_config_is_config_error(self, capsys):
         assert cli_main(["study", "--config", "/nonexistent.json"]) == 1
