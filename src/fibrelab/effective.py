@@ -11,7 +11,9 @@ nodal counts, boundary traces, and the graph-over-fibre structure check.
 Each nodal measure is computed in :mod:`fibrelab.nodal` and only recorded
 here; the waveguide's fibre ground value at one base point is
 :func:`fibrelab.operators.fiber_ground_energy`, next to the fibre blocks
-it solves.
+it solves.  The fibre facts, its ground state, its scale in the eps-free
+volume and whether it is closed or has walls, are the geometry's
+(:mod:`fibrelab.geometry`); nothing here tests which geometry it is.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import numpy as np
 
 from .errors import DegenerateEffectiveEigenvalue, PairingAmbiguous
 from .eigensolve import EigenPairSet, SolveConfig, smallest_eigenpairs
-from .geometry import BundleGeometry, WarpedTorusGeometry, WaveguideGeometry
 from .nodal import (
     boundary_trace_components,
     count_nodal_domains,
@@ -34,7 +35,7 @@ from .nodal import (
     hausdorff_distance,
     zeros_of_base,
 )
-from .operators import DiscreteOperator, GridSpec, base_nodes, fiber_nodes
+from .operators import DiscreteOperator, base_nodes, fiber_nodes
 
 __all__ = [
     "Prediction",
@@ -43,22 +44,10 @@ __all__ = [
     "measure_discrepancy",
     "paired_level",
     "require_simple",
-    "volume_weight",
 ]
 
 SIMPLE_GAP = 1e-8
 PAIRING_TOL = 1e-8
-
-
-def volume_weight(geom: BundleGeometry, grid: GridSpec) -> np.ndarray:
-    """Diagonal weight of the eps-independent volume on the grid nodes."""
-    s, h_s = base_nodes(geom, grid.n_s)
-    f, _, h_f = fiber_nodes(geom, grid.n_f)
-    if isinstance(geom, WarpedTorusGeometry):
-        w = np.repeat(geom.warp_value(s), len(f))
-    else:
-        w = np.ones(grid.n_s * len(f))
-    return w * h_s * h_f
 
 
 @dataclass
@@ -68,14 +57,19 @@ class Prediction:
     Nothing here depends on eps: the effective problem does not.  The
     full eigenvalue that ``mu`` predicts is ``fiber_ground_disc + eps^2 mu``
     of the full operator it is compared with.  The prediction places no
-    shift: a full solve runs at its operator's ``safe_shift``.
+    shift: a full solve runs at its operator's ``safe_shift``.  ``weight``
+    is the eps-independent volume on the grid nodes, ``fiber_scale(s)``
+    times the cell, in which ``pred_field`` and every full field compared
+    with it have unit norm: a read-only view that stores one value per
+    base node on the torus and one in all on the strip.
     """
 
     mode_index: int
     mu: float
-    pred_field: np.ndarray  # (n_s, n_rows), unit norm in the eps-independent volume
+    pred_field: np.ndarray  # (n_s, n_rows)
     zeros: list[tuple[float, float]]
     phi0_min: float
+    weight: np.ndarray  # (n_s, n_rows)
 
 
 @dataclass
@@ -121,9 +115,10 @@ def build_prediction(eff: DiscreteOperator, mode_index: int,
 
     ``eff`` is the operator of :func:`fibrelab.operators.assemble_effective`;
     geometry, grid and base nodes are its own.  The predicted field
-    is ``psi(s) * phi0``, with the fibrewise L2-normalized ground state
-    ``phi0 = Vol(s)^{-1/2}`` on the torus and ``cos(pi u / 2)`` on the
-    waveguide, scaled to unit norm with its largest entry positive.
+    is ``psi(s) * phi0``, with the geometry's fibrewise L2-normalized
+    ground state ``phi0`` (``Vol(s)^{-1/2}`` on the torus and
+    ``cos(pi u / 2)`` on the waveguide), scaled to unit norm in
+    ``weight`` with its largest entry positive.
     ``cfg`` supplies at least ``mode_index + 2`` pairs.  Requires the
     effective eigenvalue to be simple (gap above 1e-8 to its neighbours)
     and its eigenfunction to have only transversal zeros.
@@ -135,18 +130,14 @@ def build_prediction(eff: DiscreteOperator, mode_index: int,
     mu = float(pairs.values[mode_index])
 
     psi = pairs.vectors[:, mode_index]
-    s, _ = base_nodes(geom, grid.n_s)
+    s, h_s = base_nodes(geom, grid.n_s)
     zeros = zeros_of_base(psi, s, geom.period)
 
-    f, _, _ = fiber_nodes(geom, grid.n_f)
-    if isinstance(geom, WarpedTorusGeometry):
-        phi0 = 1.0 / np.sqrt(geom.fiber_volume(s))
-        pred = np.repeat((psi * phi0)[:, None], len(f), axis=1)
-    else:
-        phi0 = np.cos(0.5 * np.pi * f)
-        pred = psi[:, None] * phi0[None, :]
-    w1 = volume_weight(geom, grid).reshape(pred.shape)
-    pred = pred / np.sqrt(float(np.sum(pred * pred * w1)))
+    f, _, h_f = fiber_nodes(geom, grid.n_f)
+    phi0 = geom.fiber_ground_state(s[:, None], f)
+    pred = np.broadcast_to(psi[:, None] * phi0, (len(s), len(f)))
+    weight = np.broadcast_to(geom.fiber_scale(s[:, None]) * h_s * h_f, pred.shape)
+    pred = pred / np.sqrt(float(np.sum(pred * pred * weight)))
     if pred.ravel()[int(np.argmax(np.abs(pred)))] < 0.0:
         pred = -pred
 
@@ -156,6 +147,7 @@ def build_prediction(eff: DiscreteOperator, mode_index: int,
         pred_field=pred,
         zeros=zeros,
         phi0_min=float(phi0.min()),
+        weight=weight,
     )
 
 
@@ -195,7 +187,7 @@ def measure_discrepancy(op: DiscreteOperator, full: EigenPairSet,
     smallest levels: so a paired level at the top of ``full`` is refused,
     its partner unseen.
     """
-    geom, grid, eps = op.geometry, op.grid, op.eps
+    geom, eps = op.geometry, op.eps
     j = pred.mode_index
     idx = paired_level(full, j)
     rescaled = (full.values - op.fiber_ground_disc) / (eps * eps)
@@ -214,8 +206,7 @@ def measure_discrepancy(op: DiscreteOperator, full: EigenPairSet,
     eig_gap = float(abs(rescaled[idx] - pred.mu))
 
     fld = field_from_operator(op, full.vectors[:, idx])
-    w1 = volume_weight(geom, grid).reshape(fld.values.shape)
-    phi = fld.values / np.sqrt(float(np.sum(fld.values**2 * w1)))
+    phi = fld.values / np.sqrt(float(np.sum(fld.values**2 * pred.weight)))
     anchor = int(np.argmax(np.abs(pred.pred_field)))
     if phi.ravel()[anchor] * pred.pred_field.ravel()[anchor] < 0.0:
         phi = -phi
@@ -238,7 +229,7 @@ def measure_discrepancy(op: DiscreteOperator, full: EigenPairSet,
     graph: Optional[bool] = None
     tube_radius = None
     emp_c = None
-    if isinstance(geom, WaveguideGeometry):
+    if not geom.closed_fiber:
         boundary = boundary_trace_components(nodal_set)
     else:
         if pred.zeros:

@@ -11,6 +11,16 @@ All coefficient fields are exact closed forms built from finite
 trigonometric series (optionally exponentiated), so every derivative
 used downstream is analytic; nothing is differenced numerically.  The
 metric itself is written out once, in each geometry's ``metric_coefficients``.
+
+Each geometry also states the facts of its fibre that the grids, the
+prediction and the nodal measures read, so no other module tells the two
+apart by their class: ``closed_fiber`` (a circle, or an interval with
+Dirichlet walls), ``fiber_interval``, the fibre ground state
+``fiber_ground_state`` and ``check_epsilon``, the gate on eps.  The
+eps-free chart metric of the nodal measures is ``ds^2 + fiber_scale(s)^2
+df^2``: ``a(s)`` on the torus, and ``1`` on the strip, whose tube density
+is dropped there (its effect is an order-eps correction).
+``fiber_scale_bounds`` bounds that scale from the profile's amplitudes.
 """
 
 from __future__ import annotations
@@ -158,6 +168,32 @@ class WarpedTorusGeometry:
             return a2 / a0 - (a1 / a0) ** 2
         raise ValueError("log-warp derivatives supported up to order 2")
 
+    closed_fiber = True
+
+    @property
+    def fiber_interval(self) -> tuple[float, float]:
+        return 0.0, self.fiber_length
+
+    def fiber_scale(self, s):
+        """a(s), the fibre's length scale in the chart metric ``ds^2 + a(s)^2 dt^2``."""
+        return self.warp_value(s)
+
+    @property
+    def fiber_scale_bounds(self) -> tuple[float, float]:
+        """Lower and upper bounds of a(s) from the warp profile's amplitudes."""
+        low, high = self.warp.lower_bound, self.warp.max_abs_bound
+        if self.warp_is_exp:
+            return float(np.exp(low)), float(np.exp(high))
+        return low, high
+
+    def fiber_ground_state(self, s, f):
+        """The constant ``Vol(s)^{-1/2}``, whatever ``f``: unit norm on the fibre over ``s``."""
+        return 1.0 / np.sqrt(self.fiber_volume(s))
+
+    def check_epsilon(self, eps) -> float:
+        """``eps`` as a float (:func:`as_epsilon`); every eps in (0, 1) gives a torus."""
+        return as_epsilon(eps)
+
     def metric_coefficients(self, eps, s):
         """``(sqrt(det g) g^ss, sqrt(det g) g^tt, sqrt(det g))`` over the base points ``s``.
 
@@ -211,11 +247,23 @@ class WaveguideGeometry:
     def period(self) -> float:
         return self.base_length
 
+    closed_fiber = False
+    fiber_interval = (-1.0, 1.0)
+    fiber_scale_bounds = (1.0, 1.0)
+
     @property
     def curvature_bound(self) -> float:
         return self.curvature.max_abs_bound
 
-    def check_tube(self, eps) -> float:
+    def fiber_scale(self, s):
+        """1: the flat chart metric ``ds^2 + du^2``, the tube density dropped."""
+        return 1.0
+
+    def fiber_ground_state(self, s, f):
+        """``cos(pi u / 2)`` at ``u = f``, whatever ``s``: unit norm on ``[-1, 1]``."""
+        return np.cos(0.5 * np.pi * f)
+
+    def check_epsilon(self, eps) -> float:
         """``eps`` as a float, refused unless the tube is embedded: ``eps*max|kappa| < 1``."""
         eps = as_epsilon(eps)
         if eps * self.curvature_bound >= 1.0:
@@ -229,11 +277,11 @@ class WaveguideGeometry:
 
         ``(eps/rho, rho/eps, rho/eps)`` with ``rho = 1 - eps*u*kappa(s)``, each
         of shape ``(len(s), len(u))``.  Raises :class:`TubeDegenerate` unless
-        the tube is embedded, ``eps*max|kappa| < 1`` (:meth:`check_tube`),
+        the tube is embedded, ``eps*max|kappa| < 1`` (:meth:`check_epsilon`),
         which keeps ``rho > 0`` on the whole strip ``|u| <= 1``, and
         :class:`ConfigError` where a coefficient is not finite.
         """
-        eps = self.check_tube(eps)
+        eps = self.check_epsilon(eps)
         if np.any(np.abs(u) > 1.0):
             raise ValueError("waveguide fibre coordinate must lie in [-1, 1]")
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):

@@ -25,20 +25,21 @@ constant.
 
 The one Hausdorff distance is the paper's: from the nodal set to the
 fibres over the zeros of the effective eigenfunction.  It is measured in
-the eps-independent metric of the geometry: ``ds^2 + a(s)^2 dt^2`` on the
-torus and the flat chart metric ``ds^2 + du^2`` on the waveguide (the tube
-density is dropped there; its effect is an order-eps correction, below the
-quantity being measured).  Both sets are sampled, and two sample points
-are compared with the metric frozen at their midpoint.  The sup-inf over
-the samples is found exactly without visiting every pair.  Both ways a
-nodal point reaches the uniform grid of fibre samples through one
-window, the samples within ``r`` steps of its rounded fibre index.
-Towards the fibres, a point's distance to one fibre grows with the fibre
-difference alone, so a window of two steps holds the nearest sample.
-From the fibres, the base difference and a certified lower bound of the
-warp bound every distance from below, so a growing trial bound admits
-only the (zero, point) pairs that can be nearest, each with a window that
-widens with the bound.  No batch of pairs holds more than
+the eps-independent chart metric ``ds^2 + fiber_scale(s)^2 df^2`` that
+each geometry states (:mod:`fibrelab.geometry`): ``a(s)`` on the torus,
+``1`` on the strip.  Every fibre fact read here, the fibre's interval,
+whether it closes, its scale and that scale's bounds, is the geometry's,
+so nothing here tests which geometry it is.  Both sets are sampled, and
+two sample points are compared with the metric frozen at their
+midpoint.  The sup-inf over the samples is found exactly without
+visiting every pair.  Both ways a nodal point reaches the uniform grid
+of fibre samples through one window, the samples within ``r`` steps of
+its rounded fibre index.  Towards the fibres, a point's distance to one
+fibre grows with the fibre difference alone, so a window of two steps
+holds the nearest sample.  From the fibres, the base difference and a
+certified lower bound of the fibre scale bound every distance from
+below, so a growing trial bound admits only the (zero, point) pairs
+that can be nearest, each with a window that widens with the bound.  No batch of pairs holds more than
 ``_PAIR_BUDGET`` entries, however far the nodal set lies from the fibres.
 """
 
@@ -51,7 +52,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import DegenerateField, EmptySet, NonTransversalZero
-from .geometry import BundleGeometry, WarpedTorusGeometry, WaveguideGeometry
+from .geometry import BundleGeometry
 from .operators import DiscreteOperator, fiber_nodes, base_nodes
 
 __all__ = [
@@ -99,7 +100,7 @@ def field_from_operator(op: DiscreteOperator, vec: np.ndarray) -> ScalarField:
         h_s=h_s,
         h_f=h_f,
         s_period=geom.period,
-        periodic_f=not isinstance(geom, WaveguideGeometry),
+        periodic_f=geom.closed_fiber,
     )
 
 
@@ -329,7 +330,7 @@ def zeros_of_base(values: np.ndarray, s_nodes: np.ndarray, period: float) -> lis
 
 def _fiber_grid(geom: BundleGeometry, stretch: float, spacing: float) -> np.ndarray:
     """The ``f`` samples of one whole fibre, end to end, at most ``spacing`` apart."""
-    f_lo, f_hi = (-1.0, 1.0) if isinstance(geom, WaveguideGeometry) else (0.0, geom.fiber_length)
+    f_lo, f_hi = geom.fiber_interval
     n = max(2, int(np.ceil((f_hi - f_lo) * stretch / spacing)) + 1)
     return np.linspace(f_lo, f_hi, n)
 
@@ -358,36 +359,36 @@ def _pair_d2(ps, pf, qs, qf, geom: BundleGeometry) -> np.ndarray:
     """Squared chart-metric distance of the points ``(ps, pf)`` and ``(qs, qf)``.
 
     The coordinate arrays broadcast together.  Both coordinate differences
-    are taken to the nearest periodic image, and the torus warp is
-    evaluated at the pair midpoint, once per entry of the broadcast of
-    ``ps`` and ``qs``.  Every entry is computed by the same operations
-    whatever the shapes, so a distance does not depend on the batch it is
-    measured in.
+    are taken to the nearest periodic image, ``f`` only on a closed fibre,
+    and the fibre scale is evaluated at the pair midpoint, once per entry
+    of the broadcast of ``ps`` and ``qs``.  Every entry is computed by the
+    same operations whatever the shapes, so a distance does not depend on
+    the batch it is measured in.
     """
     period = geom.period
     ds = ps - qs
     ds -= period * np.round(ds / period)
     df = pf - qf
-    if isinstance(geom, WaveguideGeometry):
-        return ds * ds + df * df
-    df -= geom.fiber_length * np.round(df / geom.fiber_length)
-    wt = geom.warp_value(np.mod(qs + 0.5 * ds, period))
+    if geom.closed_fiber:
+        turn = geom.fiber_interval[1] - geom.fiber_interval[0]
+        df -= turn * np.round(df / turn)
+    wt = geom.fiber_scale(np.mod(qs + 0.5 * ds, period))
     return ds * ds + (wt * df) ** 2
 
 
-def _fiber_window(centre: np.ndarray, r: int, n: int, torus: bool) -> np.ndarray:
+def _fiber_window(centre: np.ndarray, r: int, n: int, closed: bool) -> np.ndarray:
     """The fibre-sample indices within ``r`` steps of each ``centre``, one row per centre.
 
     A row holds ``centre + d`` for ``|d| <= r``.  On the strip the centre
     is first taken into ``[0, n - 1]`` and the indices are clipped to it,
-    so a window of ``n - 1`` steps is the whole fibre.  On the torus the
-    indices are taken modulo the turn of ``n - 1`` steps.  There
+    so a window of ``n - 1`` steps is the whole fibre.  On a closed fibre
+    the indices are taken modulo the turn of ``n - 1`` steps.  There
     ``f[n - 1]`` is ``f[0]`` one turn up, the same point of the fibre
     circle, so a last column holds ``n - 1`` in every row that holds 0
     and repeats the row's first index in the others.  An index may occur
     twice in a row; every row has the same width.
     """
-    if not torus:
+    if not closed:
         return np.clip(np.clip(centre, 0, n - 1)[:, None] + np.arange(-r, r + 1), 0, n - 1)
     near = (centre[:, None] + np.arange(-r, r + 1)) % (n - 1)
     return np.column_stack([near, np.where(np.any(near == 0, axis=1), n - 1, near[:, 0])])
@@ -398,7 +399,7 @@ def _sup_inf_to_fibers(p: np.ndarray, zeros: np.ndarray, f: np.ndarray,
     """``max_p min_q`` of the chart distance to the samples ``f`` of the fibres over ``zeros``.
 
     All samples of one fibre share its ``s``, so the base difference and
-    the midpoint warp of ``p`` against a fibre are the same for all of
+    the midpoint scale of ``p`` against a fibre are the same for all of
     them, and the distance only grows with the fibre difference ``|df|``.
     The nearest sample in ``f`` is therefore the nearest in the metric.
     It lies within a step of ``(f_p - f_lo) / step`` however the division
@@ -409,7 +410,7 @@ def _sup_inf_to_fibers(p: np.ndarray, zeros: np.ndarray, f: np.ndarray,
     n = len(f)
     step = (f[-1] - f[0]) / (n - 1)
     near = _fiber_window(np.rint((p[:, 1] - f[0]) / step).astype(np.intp), 2, n,
-                         not isinstance(geom, WaveguideGeometry))
+                         geom.closed_fiber)
     rows = max(1, _PAIR_BUDGET // (len(zeros) * near.shape[1]))
     batches = (slice(a, a + rows) for a in range(0, len(p), rows))
     return float(np.sqrt(max(
@@ -424,7 +425,8 @@ def _sup_inf_from_fibers(zeros: np.ndarray, f: np.ndarray, p: np.ndarray,
     Every sample of the fibre over ``z`` shares ``s = z``, so a point's
     ``ds * ds``, computed as :func:`_pair_d2` computes it, bounds its
     squared distance to each of them from below exactly, and ``low * |df|``
-    bounds the distance in ``f`` (``low`` is a lower bound of the warp).
+    bounds the distance in ``f`` (``low`` is a lower bound of the fibre
+    scale).
     For a trial bound ``U`` only the (zero, point) pairs with
     ``ds * ds < U`` can come closer than ``sqrt(U)``, and each only to the
     fibre samples within ``sqrt(U) / (low * step)`` steps of the point:
@@ -444,12 +446,12 @@ def _sup_inf_from_fibers(zeros: np.ndarray, f: np.ndarray, p: np.ndarray,
     """
     n = len(f)
     step = (f[-1] - f[0]) / (n - 1)
-    torus = not isinstance(geom, WaveguideGeometry)
+    closed = geom.closed_fiber
     ds2 = zeros[:, None] - p[:, 0]
     ds2 -= geom.period * np.round(ds2 / geom.period)
     ds2 *= ds2
     centre = np.rint((p[:, 1] - f[0]) / step).astype(np.intp)
-    whole = (n - 1) // 2 if torus else n - 1  # the r whose window is the whole fibre
+    whole = (n - 1) // 2 if closed else n - 1  # the r whose window is the whole fibre
     best = np.full(len(zeros) * n, np.inf)  # sample (z, k) at z * n + k
     settled, bound = 0.0, step * step  # a best below settled is exact
     while True:
@@ -458,7 +460,7 @@ def _sup_inf_from_fibers(zeros: np.ndarray, f: np.ndarray, p: np.ndarray,
         rows = max(1, _PAIR_BUDGET // (2 * r + 2))
         for a in range(0, len(zc), rows):
             z, j = zc[a:a + rows], jc[a:a + rows]
-            k = _fiber_window(centre[j], r, n, torus)
+            k = _fiber_window(centre[j], r, n, closed)
             keep = np.any(best[z[:, None] * n + k] >= settled, axis=1)
             z, j, k = z[keep], j[keep], k[keep]
             d2 = _pair_d2(zeros[z, None], f[k], p[j, 0, None], p[j, 1, None], geom)
@@ -475,30 +477,29 @@ def hausdorff_distance(nodal: NodalSet, zeros, geom: BundleGeometry, sampling: f
     eigenfunction against ``pi^-1(psi^-1(0))``.  The segments are sampled
     at spacing at most ``sampling`` and each fibre on a uniform grid of at
     most that metric spacing.  The distance of two sample points uses the
-    chart metric at their midpoint, with both coordinates taken to the
-    nearest periodic image.  Towards the fibres each nodal sample is
+    chart metric at their midpoint, with the base coordinate, and on a
+    closed fibre the fibre coordinate, taken to the nearest periodic
+    image.  Towards the fibres each nodal sample is
     measured against the nearest fibre samples only (see
     :func:`_sup_inf_to_fibers`); from the fibres, a search bounded by the
-    base difference and the warp's lower bound measures only the pairs
-    that can be nearest (see :func:`_sup_inf_from_fibers`).  Both
-    directions equal the sup-inf over all sample pairs, to the bit, and
-    measure their pairs in batches of at most ``_PAIR_BUDGET`` entries.
+    base difference and a lower bound of the fibre scale, the geometry's
+    own less a ``1e-12`` margin, measures only the pairs that can be
+    nearest (see :func:`_sup_inf_from_fibers`).  The spacing of both
+    samplings is stretched by the scale's upper bound, taken at least 1.
+    Both directions equal the sup-inf over all sample pairs, to the bit,
+    and measure their pairs in batches of at most ``_PAIR_BUDGET`` entries.
     """
     if not 0.0 < sampling < np.inf:
         raise ValueError("sampling spacing must be positive and finite")
     zeros = np.atleast_1d(np.asarray(zeros, dtype=float))
-    stretch = low = 1.0
-    if isinstance(geom, WarpedTorusGeometry):
-        bound = geom.warp.max_abs_bound
-        stretch = max(1.0, float(np.exp(bound)) if geom.warp_is_exp else bound)
-        low = geom.warp.lower_bound
-        low = (float(np.exp(low)) if geom.warp_is_exp else low) * (1.0 - 1e-12)
+    low, high = geom.fiber_scale_bounds
+    stretch = max(1.0, high)
     p = _sample(nodal, stretch, sampling)
     if len(p) == 0 or len(zeros) == 0:
         raise EmptySet("hausdorff distance of an empty set")
     f = _fiber_grid(geom, stretch, sampling)
     return max(_sup_inf_to_fibers(p, zeros, f, geom),
-               _sup_inf_from_fibers(zeros, f, p, geom, low))
+               _sup_inf_from_fibers(zeros, f, p, geom, low * (1.0 - 1e-12)))
 
 
 def boundary_trace_components(nodal: NodalSet) -> int:

@@ -258,16 +258,15 @@ def base_nodes(geom: BundleGeometry, n_s: int) -> tuple[np.ndarray, float]:
 
 
 def fiber_nodes(geom: BundleGeometry, n_f: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Node and midpoint coordinates of the fibre grid."""
-    if isinstance(geom, WaveguideGeometry):
-        h = 2.0 / n_f
-        nodes = -1.0 + h * np.arange(1, n_f)
-        mids = -1.0 + h * (np.arange(n_f) + 0.5)
-    else:
-        h = geom.fiber_length / n_f
-        nodes = h * np.arange(n_f)
-        mids = nodes + 0.5 * h
-    return nodes, mids, h
+    """Node and midpoint coordinates of ``n_f`` cells on the geometry's ``fiber_interval``.
+
+    A closed fibre stores its ``n_f`` nodes from the interval's start; an
+    interval fibre stores its ``n_f - 1`` interior nodes, the walls left out.
+    """
+    lo, hi = geom.fiber_interval
+    h = (hi - lo) / n_f
+    nodes = lo + h * np.arange(0 if geom.closed_fiber else 1, n_f)
+    return nodes, lo + h * (np.arange(n_f) + 0.5), h
 
 
 def assemble_full(geom: BundleGeometry, eps, grid: GridSpec) -> DiscreteOperator:

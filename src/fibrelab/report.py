@@ -178,10 +178,6 @@ def _svg_loglog(title: str, fit: Optional[RateFit],
         ly = [np.log10(y) for _, y in pts]
         x0, x1 = min(lx) - 0.15, max(lx) + 0.15
         y0, y1 = min(ly) - 0.3, max(ly) + 0.3
-        if x1 - x0 < 1e-9:
-            x0, x1 = x0 - 0.5, x1 + 0.5
-        if y1 - y0 < 1e-9:
-            y0, y1 = y0 - 0.5, y1 + 0.5
 
         def px(v: float) -> float:
             return SVG_MARGIN + (v - x0) / (x1 - x0) * (SVG_W - 2 * SVG_MARGIN)

@@ -67,7 +67,6 @@ from .geometry import (
     PeriodicProfile,
     WarpedTorusGeometry,
     WaveguideGeometry,
-    as_epsilon,
 )
 from .nodal import count_nodal_domains, field_from_operator
 from .operators import (
@@ -157,12 +156,7 @@ def geometry_from_config(block: dict) -> BundleGeometry:
             _only(block, ("type", "L", "fiber_length", "warp"), "geometry")
             length = _number(block["L"], "L")
             warp_block = _only(block.get("warp", {}), ("constant", "cos", "sin", "exp"), "warp")
-            warp = PeriodicProfile(
-                period=2.0 * length,
-                constant=_number(warp_block.get("constant", 1.0), "constant"),
-                cos_amps=_amplitudes(warp_block, "cos"),
-                sin_amps=_amplitudes(warp_block, "sin"),
-            )
+            warp = _profile(warp_block, 2.0 * length, 1.0)
             exp = warp_block.get("exp", False)
             if not isinstance(exp, bool):
                 raise ValueError(f"'exp' must be true or false, got {exp!r}")
@@ -176,13 +170,8 @@ def geometry_from_config(block: dict) -> BundleGeometry:
             _only(block, ("type", "length", "curvature"), "geometry")
             length = _number(block["length"], "length")
             curv_block = _only(block.get("curvature", {}), ("constant", "cos", "sin"), "curvature")
-            curvature = PeriodicProfile(
-                period=length,
-                constant=_number(curv_block.get("constant", 0.0), "constant"),
-                cos_amps=_amplitudes(curv_block, "cos"),
-                sin_amps=_amplitudes(curv_block, "sin"),
-            )
-            return WaveguideGeometry(base_length=length, curvature=curvature)
+            return WaveguideGeometry(base_length=length,
+                                     curvature=_profile(curv_block, length, 0.0))
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad geometry block: {exc}") from exc
     raise ConfigError(f"unknown geometry type {kind!r}")
@@ -208,6 +197,13 @@ def _number(value, key: str) -> float:
 def _amplitudes(block: dict, key: str) -> tuple[float, ...]:
     """The list ``block[key]`` of profile amplitudes, each a number."""
     return tuple(_number(a, key) for a in _list(block.get(key, ()), key))
+
+
+def _profile(block: dict, period: float, constant: float) -> PeriodicProfile:
+    """The series of a profile block: ``constant`` (default ``constant``), ``cos`` and ``sin``."""
+    return PeriodicProfile(period=period,
+                           constant=_number(block.get("constant", constant), "constant"),
+                           cos_amps=_amplitudes(block, "cos"), sin_amps=_amplitudes(block, "sin"))
 
 
 def _list(value, key: str) -> list:
@@ -267,9 +263,7 @@ def load_config(raw: dict) -> StudyConfig:
         raise ConfigError("epsilons must be strictly decreasing")
     try:
         for e in epsilons:
-            as_epsilon(e)
-            if isinstance(geom, WaveguideGeometry):
-                geom.check_tube(e)
+            geom.check_epsilon(e)
     except FibrelabError as exc:
         raise ConfigError(f"invalid epsilon list: {exc}") from exc
     for name in checks:
@@ -389,7 +383,7 @@ def _run_sweep(cfg: StudyConfig) -> StudyReport:
                 # neighbour, as counted here, and on the waveguide starts
                 # from this level's vectors
                 pair_count = paired_level(pairs, cfg.mode_index) + 2
-                if isinstance(geom, WaveguideGeometry):
+                if not geom.closed_fiber:
                     coarser = (grid, pairs.vectors[:, :pair_count])
             rec = level_records[reported]
             finer = level_records[reported + 1]
@@ -555,14 +549,14 @@ def self_check(verbose: bool = False) -> list[tuple[str, bool, str]]:
         tensor = np.sort((0.25 * sym[:, None] + sym[None, :]).ravel())[:5]
         assert np.max(np.abs(pairs.values - tensor)) < 1e-10
 
-    def dense_oracle(op, pairs):
-        """Check ``pairs`` against the dense generalized eigenvalues; return those."""
+    def dense_values(op, count):
+        """The ``count`` smallest dense generalized eigenvalues of ``op``."""
         import scipy.linalg as dla
 
-        dense = dla.eigh(op.stiffness.toarray(), np.diag(op.weight),
-                         eigvals_only=True)[:len(pairs.values)]
-        assert np.max(np.abs(pairs.values - dense) / np.maximum(1.0, np.abs(dense))) < 1e-10
-        return dense
+        return dla.eigh(op.stiffness.toarray(), np.diag(op.weight), eigvals_only=True)[:count]
+
+    def assert_dense_match(values, dense):
+        assert np.max(np.abs(values - dense) / np.maximum(1.0, np.abs(dense))) < 1e-10
 
     def check_separable():
         torus = g.WarpedTorusGeometry(np.pi, 2 * np.pi,
@@ -570,18 +564,22 @@ def self_check(verbose: bool = False) -> list[tuple[str, bool, str]]:
         op = assemble_full(torus, 0.7, GridSpec(20, 16, 4))
         pairs = smallest_eigenpairs(op, SolveConfig(k=12))
         assert set(pairs.fiber_modes) != {0}
-        dense_oracle(op, pairs)
+        assert_dense_match(pairs.values, dense_values(op, 12))
+
+    @functools.cache
+    def waveguide():
+        """An 800-dof waveguide and its 6 smallest dense values, shared by two checks."""
+        wg = g.WaveguideGeometry(2 * np.pi, g.PeriodicProfile(2 * np.pi, 1.0, (0.5, 0.25)))
+        op = assemble_full(wg, 0.3, GridSpec(40, 21, 4))
+        return op, dense_values(op, 6)
 
     def check_shift_invert():
-        wg = g.WaveguideGeometry(2 * np.pi, g.PeriodicProfile(2 * np.pi, 1.0, (0.5, 0.25)))
-        op = assemble_full(wg, 0.3, GridSpec(40, 21, 4))
-        dense_oracle(op, smallest_eigenpairs(op, SolveConfig(k=6)))
+        op, dense = waveguide()
+        assert_dense_match(smallest_eigenpairs(op, SolveConfig(k=6)).values, dense)
 
     def check_fiber_block_shift():
-        wg = g.WaveguideGeometry(2 * np.pi, g.PeriodicProfile(2 * np.pi, 1.0, (0.5, 0.25)))
-        op = assemble_full(wg, 0.3, GridSpec(40, 21, 4))
-        lam1 = dense_oracle(op, smallest_eigenpairs(op, SolveConfig(k=6)))[0]
-        assert op.safe_shift < lam1 < op.safe_shift + op.eps**2
+        op, dense = waveguide()
+        assert op.safe_shift < dense[0] < op.safe_shift + op.eps**2
 
     def check_rate_fit():
         f = fit_rate([(0.2, 0.04), (0.1, 0.01), (0.05, 0.0025)])

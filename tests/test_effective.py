@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fibrelab.effective import build_prediction, measure_discrepancy, volume_weight
+from fibrelab.effective import build_prediction, measure_discrepancy
 from fibrelab.eigensolve import EigenPairSet, SolveConfig, smallest_eigenpairs
 from fibrelab.errors import (
     DegenerateEffectiveEigenvalue,
@@ -178,8 +178,7 @@ class TestBuildPrediction:
         grid = GridSpec(64, 64, 4)
         eff = assemble_effective(geom, grid)
         pred = build_prediction(eff, 1)
-        w1 = volume_weight(geom, grid).reshape(pred.pred_field.shape)
-        norm = float(np.sum(pred.pred_field**2 * w1))
+        norm = float(np.sum(pred.pred_field**2 * pred.weight))
         assert norm == pytest.approx(1.0, abs=1e-10)
         assert pred.pred_field.ravel()[np.argmax(np.abs(pred.pred_field))] > 0.0
 

@@ -462,6 +462,15 @@ class TestShiftInvert:
         with pytest.raises(NoConvergence, match=r"^ARPACK did not converge: .*No convergence"):
             smallest_eigenpairs(guide_operator(), SolveConfig(k=16, max_iter=1))
 
+    def test_arpack_error_is_no_convergence(self, monkeypatch):
+        # an ARPACK failure other than non-convergence is reported as one too
+        def failing(*args, **kwargs):
+            raise sla.ArpackError(-9)
+
+        monkeypatch.setattr(eigensolve_module.sla, "eigsh", failing)
+        with pytest.raises(NoConvergence, match=r"^ARPACK failed: ARPACK error -9"):
+            smallest_eigenpairs(guide_operator(), SolveConfig(k=6))
+
     def test_injected_start_shortens_the_refined_solve(self, monkeypatch):
         # GUIDE_J1's geometry one level down: the base grid's pairs, injected
         # onto the 128 x 192 grid (24 448 dofs), start its solve; measured 15

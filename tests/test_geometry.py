@@ -113,7 +113,7 @@ class TestMetricSample:
     def test_tube_degeneracy_raises(self):
         wide = WaveguideGeometry(TWO_PI, PeriodicProfile(TWO_PI, 2.0))
         with pytest.raises(TubeDegenerate):
-            wide.check_tube(0.6)
+            wide.check_epsilon(0.6)
         with pytest.raises(TubeDegenerate):
             wide.metric_coefficients(0.6, 0.0, 1.0)
 
@@ -223,3 +223,72 @@ class TestValidation:
     def test_straight_and_round_windings_allowed(self):
         WaveguideGeometry(TWO_PI, PeriodicProfile(TWO_PI, 0.0, (0.7,)))
         WaveguideGeometry(TWO_PI, PeriodicProfile(TWO_PI, 1.0, (0.5,)))
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: WarpedTorusGeometry(0.0, 1.0, PeriodicProfile(TWO_PI, 1.0)),
+         "half_length must be positive"),
+        (lambda: WarpedTorusGeometry(np.pi, -1.0, PeriodicProfile(TWO_PI, 1.0)),
+         "fiber_length must be positive"),
+        (lambda: WaveguideGeometry(0.0, PeriodicProfile(TWO_PI, 0.0)),
+         "base_length must be positive"),
+        (lambda: WaveguideGeometry(TWO_PI, PeriodicProfile(np.pi, 0.0)),
+         "curvature period must equal the base length"),
+    ], ids=["half_length", "fiber_length", "base_length", "curvature_period"])
+    def test_constructor_refusals(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    def test_log_warp_derivative_of_order_three_refused(self):
+        with pytest.raises(ValueError, match="up to order 2"):
+            torus(PeriodicProfile(TWO_PI, 1.0, (0.3,))).log_warp_deriv(0.4, 3)
+
+
+class TestFiberFacts:
+    """What each geometry states about its fibre, read by the grids and the nodal measures."""
+
+    def test_torus_fibre_is_a_circle_of_scale_a(self):
+        geom = WarpedTorusGeometry(np.pi, 3.0, PeriodicProfile(TWO_PI, 1.0, (0.3,)))
+        assert geom.closed_fiber and geom.fiber_interval == (0.0, 3.0)
+        s = np.linspace(0.0, TWO_PI, 7)
+        assert np.array_equal(geom.fiber_scale(s), geom.warp_value(s))
+        assert geom.fiber_scale_bounds == (geom.warp.lower_bound, geom.warp.max_abs_bound)
+
+    def test_strip_fibre_is_a_flat_interval(self):
+        geom = waveguide(PeriodicProfile(TWO_PI, 1.0, (0.5,)))
+        assert not geom.closed_fiber and geom.fiber_interval == (-1.0, 1.0)
+        assert geom.fiber_scale(np.linspace(0.0, TWO_PI, 7)) == 1.0
+        assert geom.fiber_scale_bounds == (1.0, 1.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: torus(PeriodicProfile(TWO_PI, 0.0, (0.3, 0.15), (0.2,)), exp=True),
+        lambda: WarpedTorusGeometry(np.pi, 3.0, PeriodicProfile(TWO_PI, 1.0, (0.6,), (0.3,))),
+        lambda: waveguide(PeriodicProfile(TWO_PI, 1.0, (0.5,))),
+    ], ids=["exp", "plain", "guide"])
+    def test_scale_bounds_bracket_the_scale(self, make):
+        geom = make()
+        low, high = geom.fiber_scale_bounds
+        scale = geom.fiber_scale(np.linspace(0.0, TWO_PI, 4096))
+        assert 0.0 < low <= np.min(scale) and np.max(scale) <= high
+
+    @pytest.mark.parametrize("make", [
+        lambda: torus(PeriodicProfile(TWO_PI, 0.0, (0.3,)), exp=True),
+        lambda: waveguide(PeriodicProfile(TWO_PI, 1.0, (0.5,))),
+    ], ids=["torus", "guide"])
+    def test_ground_state_has_unit_norm_on_each_fibre(self, make):
+        # the norm of the fibre over s in the volume scale(s) df, by the
+        # midpoint rule, which is spectral for a trigonometric integrand
+        geom = make()
+        lo, hi = geom.fiber_interval
+        n = 256
+        f = lo + (hi - lo) * (np.arange(n) + 0.5) / n
+        s = np.array([0.0, 1.1, 2.5])[:, None]
+        phi = np.broadcast_to(geom.fiber_ground_state(s, f), (3, n))
+        norm = np.sum(phi**2 * geom.fiber_scale(s), axis=1) * (hi - lo) / n
+        assert np.allclose(norm, 1.0, rtol=1e-12)
+
+    def test_epsilon_gate(self):
+        assert torus().check_epsilon(0.999) == 0.999
+        with pytest.raises(ConfigError, match=r"epsilon must lie in \(0, 1\)"):
+            waveguide().check_epsilon(1.0)
+        with pytest.raises(TubeDegenerate, match="tube not embedded"):
+            waveguide(PeriodicProfile(TWO_PI, 2.0)).check_epsilon(0.5)

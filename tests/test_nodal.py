@@ -56,6 +56,23 @@ def flat_torus():
     return WarpedTorusGeometry(np.pi, TWO_PI, PeriodicProfile(TWO_PI, 1.0))
 
 
+class TestScalarField:
+    def test_shape_must_match_the_nodes(self):
+        s = np.arange(16) * TWO_PI / 16
+        with pytest.raises(ValueError, match="field shape does not match the node arrays"):
+            ScalarField(np.ones((16, 15)), s, s, 1.0, 1.0, TWO_PI, True)
+
+    def test_values_must_be_finite(self):
+        fld = torus_field(lambda s, t: np.cos(s), n=16)
+        fld.values[3, 4] = np.nan
+        with pytest.raises(ValueError, match="field values must be finite"):
+            ScalarField(fld.values, fld.s_nodes, fld.f_nodes, fld.h_s, fld.h_f, TWO_PI, True)
+
+    def test_identically_zero_field_refused(self):
+        with pytest.raises(ValueError, match="field is identically zero"):
+            extract_nodal_set(torus_field(lambda s, t: 0.0 * s, n=16))
+
+
 class TestExtractNodalSet:
     def test_vertical_circles_of_cos(self):
         nodal = extract_nodal_set(torus_field(lambda s, t: np.cos(s)))

@@ -262,6 +262,10 @@ class TestFullAssembly:
         with pytest.raises(GridTooCoarse):
             GridSpec(8, 32)
 
+    def test_stencil_order_three_refused(self):
+        with pytest.raises(ValueError, match="stencil_order must be 2 or 4"):
+            GridSpec(16, 16, stencil_order=3)
+
     def test_tube_violation_raises(self):
         tight = WaveguideGeometry(TWO_PI, PeriodicProfile(TWO_PI, 2.0))
         with pytest.raises(TubeDegenerate):
@@ -294,6 +298,12 @@ class TestKroneckerApply:
     GRIDS = [(16, 16, 2), (16, 17, 2), (20, 16, 4), (16, 19, 4)]
     WARPS = pytest.mark.parametrize("make_geom", [plain_warped_torus, warped_torus],
                                     ids=["plain", "exp"])
+
+    def test_only_the_stiffness_is_built_on_demand(self):
+        # every other missing attribute stays missing, the factors untouched
+        op = assemble_full(warped_torus(), 0.2, GridSpec(16, 16, 2))
+        assert not hasattr(op, "x")
+        assert "stiffness" not in op.__dict__
 
     @WARPS
     @pytest.mark.parametrize("n_s,n_f,order", GRIDS)

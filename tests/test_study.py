@@ -1053,6 +1053,15 @@ class TestEmitReport:
             assert x1 < x < x2
             assert y == pytest.approx(y1 + (y2 - y1) * (x - x1) / (x2 - x1), abs=1e-3)
 
+    def test_unmeasured_exclusion_is_null_in_the_fits_block(self):
+        cfg = load_config(flat_config())
+        distances = {0.4: 0.4, 0.2: 0.2, 0.1: None, 0.05: 0.05}
+        records = [synthetic_record(e, 1.0, hausdorff=d) for e, d in distances.items()]
+        check = _evaluate_rate_check("hausdorff_rate", cfg, records)
+        text = dumps_canonical(report_to_dict(StudyReport(
+            config_echo={}, records=records, checks={"hausdorff_rate": check}, failures=[])))
+        assert '"excluded":[[0.10000000000000001,null,"not measured"]]' in text
+
     def test_canonical_json_sorted_and_17_digits(self):
         text = dumps_canonical({"b": 0.1, "a": None, "c": [True, 2]})
         assert text == '{"a":null,"b":0.10000000000000001,"c":[true,2]}'
@@ -1309,6 +1318,18 @@ class TestCli:
 
     def test_check_subcommand_passes(self, capsys):
         assert cli_main(["check"]) == 0
+
+    def test_failing_check_line_exits_one(self, capsys, monkeypatch):
+        # a shift margin of 10 % of the bound puts lambda_1 more than eps^2
+        # above the shift: that line fails on its own, and the shift-invert
+        # solve of the same waveguide still matches its dense values
+        monkeypatch.setattr(operators_module, "BOUND_MARGIN", 0.1)
+        assert cli_main(["check"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 11
+        failed = [line for line in lines if not line.startswith("PASS ")]
+        assert failed == ["FAIL waveguide fibre-block shift AssertionError: "]
+        assert "PASS waveguide shift-invert solve " in lines
 
 
 def test_self_check_all_green():
