@@ -21,9 +21,9 @@ Three paths share one post-processing step:
   mode.  Modes are walked by increasing ``sigma_m``, and the walk stops
   once ``tau_m * min(c_f / w_s)`` exceeds the current k-th ``mu``.
   ``K_s`` is positive semidefinite, so that product bounds every level of
-  mode ``m`` and above from below: the returned values are provably the
-  k smallest, a completeness certificate.  Each pair records its fibre
-  mode ``|m|``.
+  mode ``m`` and above from below: the returned vectors are provably those
+  of the k smallest levels, a completeness certificate.  Each vector
+  records its fibre mode ``|m|``.
 * Other large operators: shift-invert ARPACK on ``A = K - sigma W`` at
   the operator's ``safe_shift`` ``sigma``, the one shift of every such
   solve, which the operator's assembler places below the spectrum.
@@ -63,14 +63,17 @@ Three paths share one post-processing step:
   dense subset solver (bisection and inverse iteration) for the k
   smallest pairs only.
 
-Every path then W-normalizes the vectors, reports their Rayleigh
-quotients against the full operator as values, and certifies each
-residual ``|K x - lambda W x| / |W x|`` against ``tol`` on the full
-operator, independently of how the vectors were found.  One product
-``K x`` per returned vector, through
-:meth:`~fibrelab.operators.DiscreteOperator.apply`, serves both: on the
-torus that applies the exact factors, so the full ``K`` is certified
-without ever being formed as a matrix.
+Every path returns vectors only; whatever values it found, ``eps^2 mu``
+or LAPACK's or ARPACK's own, serve at most to order its vectors.  The
+shared step W-normalizes the vectors, reports their Rayleigh quotients
+against the full operator as values, and certifies each residual
+``|K x - lambda W x| / |W x|`` against ``tol`` on the full operator,
+independently of how the vectors were found.  One loop over the vectors
+computes both from one product ``K x`` through
+:meth:`~fibrelab.operators.DiscreteOperator.apply` and one ``W x``; on
+the torus that applies the exact factors, so the full ``K`` is certified
+without ever being formed as a matrix.  One stable sort by value then
+orders values, vectors, residuals and fibre modes.
 
 BLAS runs on one thread inside :func:`smallest_eigenpairs` and, through
 :func:`fibrelab.study.run_study`, for a whole study.  The work is many
@@ -213,6 +216,8 @@ class SolveConfig:
 class EigenPairSet:
     """Ascending eigenvalues with W-orthonormal eigenvectors.
 
+    ``values[i]`` is the Rayleigh quotient of column i of ``vectors`` and
+    ``residuals[i]`` its certified ``|K x - lambda W x| / |W x|``.
     ``fiber_modes[i]`` is the fibre Fourier mode ``|m|`` of pair i on the
     separable torus path and ``None`` from the other paths.
     """
@@ -221,16 +226,6 @@ class EigenPairSet:
     vectors: np.ndarray  # (dim, k), column i pairs with values[i]
     residuals: np.ndarray
     fiber_modes: Optional[np.ndarray] = None
-
-
-def _residuals(op: DiscreteOperator, values: np.ndarray, vectors: np.ndarray,
-               products: list[np.ndarray]) -> np.ndarray:
-    """``|K x - lambda W x| / |W x|`` of each column, ``products[i]`` being its ``K x``."""
-    res = np.empty(len(values))
-    for i, (lam, kx) in enumerate(zip(values, products)):
-        wx = op.weight * vectors[:, i]
-        res[i] = np.linalg.norm(kx - lam * wx) / np.linalg.norm(wx)
-    return res
 
 
 def _w_normalize(op: DiscreteOperator, vectors: np.ndarray) -> np.ndarray:
@@ -449,12 +444,13 @@ def _base_pairs(factors: FiberFactors, tau: float,
     return sub.values, sub.vectors
 
 
-def _fiber_fourier(op: DiscreteOperator,
-                   cfg: SolveConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The k smallest pairs of a separable torus operator, one fibre mode at a time.
+def _fiber_fourier(op: DiscreteOperator, cfg: SolveConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The vectors of the k smallest pairs of a separable torus operator and their fibre modes.
 
-    Each mode's eps-free base problem comes from :func:`_base_pairs`; the
-    full pairs, ``lambda = eps^2 mu``, are certified again by the caller.
+    Each mode's eps-free base problem comes from :func:`_base_pairs`, and
+    its values ``mu`` order and bound the search.  No values are returned:
+    the caller reports each vector's Rayleigh quotient, ``eps^2 mu`` up to
+    round-off, and certifies it.
     """
     factors = op.fiber_factors
     k = cfg.k
@@ -481,14 +477,17 @@ def _fiber_fourier(op: DiscreteOperator,
     vectors = np.column_stack([
         np.outer(x, np.cos(m * phase + offset)).ravel() for _, m, offset, x in found
     ])
-    values = eps2 * np.array([c[0] for c in found])
-    return values, vectors, np.array([c[1] for c in found])
+    return vectors, np.array([c[1] for c in found])
 
 
 @single_threaded_blas()
 def smallest_eigenpairs(op: DiscreteOperator, cfg: SolveConfig, *,
                         start: Optional[np.ndarray] = None) -> EigenPairSet:
     """Compute the ``cfg.k`` algebraically smallest generalized eigenpairs.
+
+    Each returned value is the Rayleigh quotient of its returned vector, and
+    each vector's residual is at most ``cfg.tol``, else :class:`NoConvergence`
+    is raised.  No solver's own eigenvalue is returned.
 
     ``start``, an ``(op.dim, m)`` block of approximate eigenvectors, seeds
     the shift-invert path: its start vector is the normalized sum of the
@@ -507,10 +506,10 @@ def smallest_eigenpairs(op: DiscreteOperator, cfg: SolveConfig, *,
 
     modes = None
     if op.fiber_factors is not None:
-        values, vectors, modes = _fiber_fourier(op, cfg)
+        vectors, modes = _fiber_fourier(op, cfg)
     elif n <= DENSE_CUTOFF or k > n - 2:
-        values, vectors = dla.eigh(op.stiffness.toarray(), np.diag(op.weight),
-                                   subset_by_index=[0, k - 1])
+        _, vectors = dla.eigh(op.stiffness.toarray(), np.diag(op.weight),
+                              subset_by_index=[0, k - 1])
     else:
         sigma = op.safe_shift
         v0 = _start_vector(op, cfg.seed, start)
@@ -541,23 +540,22 @@ def smallest_eigenpairs(op: DiscreteOperator, cfg: SolveConfig, *,
             raise NoConvergence(f"ARPACK did not converge: {exc}") from exc
         except sla.ArpackError as exc:
             raise NoConvergence(f"ARPACK failed: {exc}") from exc
-        order = np.argsort(values)
-        values, vectors = values[order], vectors[:, order]
+        vectors = vectors[:, np.argsort(values)]
 
     vectors = _w_normalize(op, vectors)
-    # report the Rayleigh quotient of each converged vector; it is the best
-    # value estimate and keeps values and vectors exactly consistent.  One
-    # product K x per vector serves its quotient and its residual, and both
-    # reduce one column at a time.
-    products = [op.apply(x) for x in vectors.T]
-    values = np.array([float(x @ kx) / float(x @ (op.weight * x))
-                       for x, kx in zip(vectors.T, products)])
+    # report the Rayleigh quotient of each vector; it is the best value
+    # estimate and keeps values and vectors exactly consistent.  One product
+    # K x per vector serves its quotient and its residual, and both reduce
+    # one column at a time.
+    values, residuals = np.empty((2, vectors.shape[1]))
+    for i, x in enumerate(vectors.T):
+        kx, wx = op.apply(x), op.weight * x
+        values[i] = lam = float(x @ kx) / float(x @ wx)
+        residuals[i] = np.linalg.norm(kx - lam * wx) / np.linalg.norm(wx)
     order = np.argsort(values, kind="stable")
-    values, vectors = values[order], vectors[:, order]
-    products = [products[i] for i in order]
+    values, vectors, residuals = values[order], vectors[:, order], residuals[order]
     if modes is not None:
         modes = modes[order]
-    residuals = _residuals(op, values, vectors, products)
     if np.any(residuals > cfg.tol):
         raise NoConvergence(
             f"max residual {residuals.max():.3e} exceeds tolerance {cfg.tol:.3e}"

@@ -24,7 +24,12 @@ points reach the threshold.  ``RATE_CHECKS``
 holds each rate check's quantity, theory exponent and fixed threshold;
 its :class:`CheckResult` carries its fit.  ``CHECKS`` maps every check
 name to its evaluator; a study with no records fails each configured
-check with "no records" before any evaluator runs.
+check with "no records" before any evaluator runs.  ``NODAL_CHECKS``
+names the fibre each nodal check judges, after the paper's two nodal
+theorems: ``isotopy`` a closed fibre, ``boundary`` a fibre with walls,
+``hausdorff_rate`` either.  :func:`load_config` refuses a nodal check on
+the other fibre, or at mode 0, whose effective eigenfunction has no
+zeros.
 :mod:`fibrelab.report` writes the results.
 
 Every full solve runs at its operator's ``safe_shift``: on the waveguide
@@ -87,13 +92,16 @@ __all__ = [
     "self_check",
 ]
 
-# rate check: (quantity, (theory exponent, threshold) on the torus,
-# the same on the waveguide)
+# rate check: (quantity, (theory exponent, threshold) for a closed fibre,
+# the same for a fibre with walls)
 RATE_CHECKS = {
     "eig_rate": ("eig_gap", (2.0, 1.7), (1.0, 0.8)),
     "supnorm_rate": ("supnorm", (1.0, 0.9), (1.0, 0.9)),
     "hausdorff_rate": ("hausdorff", (1.0, 0.9), (1.0, 0.9)),
 }
+# nodal check -> the fibre it judges: closed (True), with walls (False) or
+# either (None); mode 0 has no zeros, so none of them judges it
+NODAL_CHECKS = {"hausdorff_rate": None, "isotopy": True, "boundary": False}
 FLOOR_FACTOR = 10.0
 COURANT_MODES = 6
 
@@ -266,9 +274,15 @@ def load_config(raw: dict) -> StudyConfig:
             geom.check_epsilon(e)
     except FibrelabError as exc:
         raise ConfigError(f"invalid epsilon list: {exc}") from exc
+    fibers = ("a fibre with walls", "a closed fibre")
     for name in checks:
         if name not in CHECKS:
             raise ConfigError(f"unknown check {name!r}")
+        if name in NODAL_CHECKS and mode_index == 0:
+            raise ConfigError(f"check {name!r} judges a nodal set, and mode_index 0 has none")
+        if NODAL_CHECKS.get(name) not in (None, geom.closed_fiber):
+            raise ConfigError(f"check {name!r} judges {fibers[NODAL_CHECKS[name]]}, "
+                              f"and this geometry has {fibers[geom.closed_fiber]}")
     if any(c in RATE_CHECKS for c in checks) and len(epsilons) < 3:
         raise ConfigError("rate checks require at least three epsilons")
     if refine < 2:
@@ -361,8 +375,8 @@ def _run_sweep(cfg: StudyConfig) -> StudyReport:
         t0 = time.perf_counter()
         try:
             if failed is not None:
-                level, stage = failed, "prediction"
-                raise levels[failed][1]
+                failures.append(_failure(eps, failed, "prediction", levels[failed][1]))
+                continue
             level_records = []
             pair_count, coarser = solve_cfg.k, None
             for level, (grid, pred) in enumerate(levels):
@@ -393,9 +407,9 @@ def _run_sweep(cfg: StudyConfig) -> StudyReport:
                 if getattr(rec, quantity) is not None and getattr(finer, quantity) is not None}
             records.append(rec)
         except FibrelabError as exc:
-            failures.append({"epsilon": eps, "level": level, "stage": stage,
-                             "error": type(exc).__name__, "message": str(exc)})
-        timings[f"eps={eps!r}"] = time.perf_counter() - t0
+            failures.append(_failure(eps, level, stage, exc))
+        finally:
+            timings[f"eps={eps!r}"] = time.perf_counter() - t0
 
     checks = {name: CHECKS[name](cfg, records) if records
               else CheckResult(name, False, "no records") for name in cfg.checks}
@@ -409,6 +423,12 @@ def _run_sweep(cfg: StudyConfig) -> StudyReport:
     )
 
 
+def _failure(eps: float, level: int, stage: str, exc: FibrelabError) -> dict:
+    """The failure record of ``exc``, raised at ``eps`` on grid level ``level`` in ``stage``."""
+    return {"epsilon": eps, "level": level, "stage": stage,
+            "error": type(exc).__name__, "message": str(exc)}
+
+
 def _evaluate_rate_check(name: str, cfg: StudyConfig,
                          records: list[DiscrepancyRecord]) -> CheckResult:
     """One verdict: a fitted slope, all points at the floor, or too few above it.
@@ -419,8 +439,8 @@ def _evaluate_rate_check(name: str, cfg: StudyConfig,
     A failing reason names the first step that falls short.  ``records``
     is not empty (see ``CHECKS``).
     """
-    quantity, torus, waveguide = RATE_CHECKS[name]
-    theory, threshold = torus if isinstance(cfg.geometry, WarpedTorusGeometry) else waveguide
+    quantity, closed, walled = RATE_CHECKS[name]
+    theory, threshold = closed if cfg.geometry.closed_fiber else walled
     usable: list[tuple[float, float]] = []
     excluded: list[tuple[float, float, str]] = []
     for rec in records:

@@ -116,12 +116,14 @@ class TestSmallestEigenpairs:
         monkeypatch.setattr(DiscreteOperator, "apply", counting_apply)
         pairs = smallest_eigenpairs(op, SolveConfig(k=5))
         assert shapes == [(op.dim,)] * 5
-        # that one product gives both the value and the residual of its vector
-        for lam, x, res in zip(pairs.values, pairs.vectors.T, pairs.residuals):
-            kx, wx = real(op, x), op.weight * x
-            assert lam == pytest.approx(float(x @ kx) / float(x @ wx), rel=1e-14)
-            assert res == pytest.approx(np.linalg.norm(kx - lam * wx) / np.linalg.norm(wx),
-                                        rel=1e-6, abs=1e-15)
+        # that one product gives both the value and the residual of its vector:
+        # the value is the vector's Rayleigh quotient, the residual its own
+        with eigensolve_module.single_threaded_blas():
+            for lam, x, res in zip(pairs.values, pairs.vectors.T, pairs.residuals):
+                kx, wx = real(op, x), op.weight * x
+                assert lam == pytest.approx(float(x @ kx) / float(x @ wx), rel=1e-14)
+                assert res == pytest.approx(np.linalg.norm(kx - lam * wx) / np.linalg.norm(wx),
+                                            rel=1e-14, abs=0)
 
     @both_paths
     def test_deterministic_repeat(self, make_op):
@@ -871,15 +873,16 @@ class TestSingleThreadedBlas:
 
     def test_solve_runs_single_threaded(self, monkeypatch, two_blas_threads):
         seen = []
-        real = eigensolve_module._residuals
+        real = DiscreteOperator.apply
 
         def spy(*args):
             seen.extend(blas_threads())
             return real(*args)
 
-        monkeypatch.setattr(eigensolve_module, "_residuals", spy)
+        monkeypatch.setattr(DiscreteOperator, "apply", spy)
         smallest_eigenpairs(guide_operator(), SolveConfig(k=3))
-        assert seen == [1] * two_blas_threads
+        # one product K x per returned vector
+        assert seen == [1] * (3 * two_blas_threads)
         assert blas_threads() == [2] * two_blas_threads
 
     def test_study_runs_single_threaded_and_restores(self, monkeypatch, two_blas_threads):

@@ -1,5 +1,6 @@
 import json
 import re
+import traceback
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -27,10 +28,17 @@ from fibrelab.study import (
     CheckResult,
     StudyReport,
 )
-from test_acceptance import GUIDE_J1_CONFIG, TORUS_J1_CONFIG
+from test_acceptance import (
+    GUIDE_J0_CONFIG,
+    GUIDE_J1_CONFIG,
+    TORUS_J0_CONFIG,
+    TORUS_J1_CONFIG,
+)
 
 TWO_PI = 2.0 * np.pi
 DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
+ACCEPTANCE_CONFIGS = {"TORUS_J0": TORUS_J0_CONFIG, "TORUS_J1": TORUS_J1_CONFIG,
+                      "GUIDE_J0": GUIDE_J0_CONFIG, "GUIDE_J1": GUIDE_J1_CONFIG}
 
 
 def flat_config(**overrides):
@@ -219,6 +227,35 @@ class TestLoadConfig:
         bad["study"] = {"mode_index": 0, "checks": ["volume_rate"]}
         with pytest.raises(ConfigError):
             load_config(bad)
+
+    @pytest.mark.parametrize("make, mode, check, message", [
+        (small_guide_config, 1, "isotopy",
+         "check 'isotopy' judges a closed fibre, and this geometry has a fibre with walls"),
+        (flat_config, 1, "boundary",
+         "check 'boundary' judges a fibre with walls, and this geometry has a closed fibre"),
+        (flat_config, 0, "hausdorff_rate",
+         "check 'hausdorff_rate' judges a nodal set, and mode_index 0 has none"),
+        (small_guide_config, 0, "hausdorff_rate",
+         "check 'hausdorff_rate' judges a nodal set, and mode_index 0 has none"),
+        (flat_config, 0, "isotopy",
+         "check 'isotopy' judges a nodal set, and mode_index 0 has none"),
+        (small_guide_config, 0, "boundary",
+         "check 'boundary' judges a nodal set, and mode_index 0 has none"),
+    ], ids=["isotopy-strip", "boundary-torus", "hausdorff-torus-mode0", "hausdorff-strip-mode0",
+            "isotopy-torus-mode0", "boundary-strip-mode0"])
+    def test_check_the_study_cannot_judge_refused(self, make, mode, check, message):
+        cfg = make()
+        cfg["study"] = {"mode_index": mode, "checks": ["eig_rate", check], "out": None}
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(cfg)
+
+    @pytest.mark.parametrize("raw", [
+        *ACCEPTANCE_CONFIGS.values(),
+        *(json.loads(path.read_text()) for path in sorted(DEMO_CONFIGS.glob("*.json"))),
+    ], ids=[*ACCEPTANCE_CONFIGS, *(path.stem for path in sorted(DEMO_CONFIGS.glob("*.json")))])
+    def test_acceptance_and_demo_configs_load(self, raw):
+        cfg = load_config(raw)
+        assert cfg.checks == raw["study"]["checks"]
 
     def test_tube_violation_rejected(self):
         bad = {
@@ -518,11 +555,30 @@ class TestRunStudy:
             assert match and float(match.group(1)) <= 1e-8
         assert len({f["message"] for f in report.failures}) == 1
 
+    def test_failed_prediction_is_recorded_not_raised_again(self, monkeypatch):
+        # the one error of a failed prediction is recorded at every eps; a
+        # re-raise would add a frame to its traceback each time
+        errors = []
+
+        def fail(*args):
+            errors.append(PairingAmbiguous("no prediction"))
+            raise errors[-1]
+
+        monkeypatch.setattr(study_module, "build_prediction", fail)
+        report = run_study(load_config(flat_config()))
+        assert [f["epsilon"] for f in report.failures] == [0.5, 0.4, 0.3]
+        assert {(f["level"], f["stage"], f["message"]) for f in report.failures} == {
+            (0, "prediction", "no prediction")}
+        # one prediction per grid level, each raised once
+        assert [[frame.name for frame in traceback.extract_tb(exc.__traceback__)]
+                for exc in errors] == [["_run_sweep", "fail"]] * 2
+
     def test_study_with_no_records_fails_every_check(self):
-        # the degenerate flat-torus mode 1 fails at every eps
+        # the degenerate flat-torus mode 1 fails at every eps; every check
+        # that judges a torus at mode 1
         cfg = flat_config(epsilons=[0.4, 0.2, 0.1],
                           grid={"n_s": 16, "n_f": 16, "stencil_order": 2, "refine": 2})
-        names = ["eig_rate", "supnorm_rate", "hausdorff_rate", "isotopy", "boundary", "courant"]
+        names = ["eig_rate", "supnorm_rate", "hausdorff_rate", "isotopy", "courant"]
         cfg["study"] = {"mode_index": 1, "checks": names, "out": None}
         report = run_study(load_config(cfg))
         assert report.records == [] and len(report.failures) == 3
@@ -1220,13 +1276,32 @@ class TestCli:
         cfg = flat_config()
         cfg["geometry"] = {"type": "waveguide", "length": TWO_PI,
                            "curvature": {"constant": 0.0, "cos": [], "sin": []}}
-        cfg["epsilons"] = [0.3]
+        cfg["epsilons"] = [0.3, 0.2, 0.1]
         cfg["grid"] = {"n_s": 16, "n_f": 16, "stencil_order": 2, "refine": 2}
-        # isotopy is a closed-geometry check; on a waveguide it cannot pass
-        cfg["study"] = {"mode_index": 0, "checks": ["isotopy"], "out": None}
+        # mode 1 of the straight strip is a degenerate cos/sin pair: its
+        # prediction fails at every eps, so the check fails with no records
+        cfg["study"] = {"mode_index": 1, "checks": ["boundary"], "out": None}
         path = self.write_config(tmp_path, cfg)
         out = str(tmp_path / "out")
         assert cli_main(["study", "--config", path, "--out", out, "--assert"]) == 3
+
+    @pytest.mark.parametrize("make, mode, check", [
+        (small_guide_config, 1, "isotopy"),
+        (flat_config, 1, "boundary"),
+        (flat_config, 0, "hausdorff_rate"),
+        (flat_config, 0, "isotopy"),
+        (small_guide_config, 0, "boundary"),
+    ])
+    def test_check_the_study_cannot_judge_is_one_config_error(self, tmp_path, capsys,
+                                                             make, mode, check):
+        cfg = make()
+        cfg["study"] = {"mode_index": mode, "checks": [check], "out": None}
+        path = self.write_config(tmp_path, cfg)
+        assert cli_main(["study", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "out").exists()
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"config error: check {check!r} judges ")
 
     def test_unreachable_tolerance_is_solver_failure(self, tmp_path, capsys):
         cfg = flat_config()
