@@ -210,6 +210,8 @@ class SolveConfig:
             raise ConfigError("tol must be positive")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
 
 
 @dataclass
@@ -435,8 +437,7 @@ def _base_pairs(factors: FiberFactors, tau: float,
     memoized, and returned read-only.
     """
     base = DiscreteOperator(
-        dim=len(factors.base_weight),
-        stiffness=(factors.base_stiffness + sp.diags(tau * factors.fiber_coeff)).tocsr(),
+        matrix=(factors.base_stiffness + sp.diags(tau * factors.fiber_coeff)).tocsr(),
         weight=factors.base_weight,
     )
     sub = smallest_eigenpairs(base, cfg)

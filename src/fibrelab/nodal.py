@@ -17,7 +17,8 @@ On Dirichlet strips every chain reaching the outermost interior row is
 closed off to the wall, where the eigenfunction vanishes; wall contact
 points feed the boundary-trace count.  A :class:`NodalSet` keeps its
 crossings of the fibre grid rows and its wall contacts as the flat arrays
-the extraction computes them in.  The graph-over-fibre check counts the
+the extraction computes them in, and reads its grid from the field it was
+extracted from, which it keeps.  The graph-over-fibre check counts the
 crossings of every (row, tube) pair in one ``bincount``, and
 :func:`fiber_reach`, the largest base distance of the nodal set from the
 predicted zeros, is both its tube test and the torus's empirical tube
@@ -46,6 +47,7 @@ that can be nearest, each with a window that widens with the bound.  No batch of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -112,6 +114,8 @@ class NodalSet:
     the base position of the k-th crossing of the set with a row, one per
     sign-changing base edge.  ``contact_wall[k]`` (-1 or 1) and
     ``contact_s[k]`` place the k-th contact with a wall of a strip.
+    ``source`` is the field the set was extracted from; its grid, base
+    period and fibre closure are the set's own.
     """
 
     segments: np.ndarray  # (m, 2, 2): endpoint coordinates (s, f)
@@ -121,11 +125,7 @@ class NodalSet:
     crossing_s: np.ndarray = field(default_factory=lambda: np.zeros(0))
     contact_wall: np.ndarray = field(default_factory=lambda: np.zeros(0))
     contact_s: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    s_period: float = 0.0
-    h_s: float = 0.0
-    h_f: float = 0.0
-    n_rows: int = 0
-    periodic_f: bool = True
+    source: Optional[ScalarField] = field(default=None, repr=False)
 
 
 def _circle_dist(a, b, period: float):
@@ -189,8 +189,7 @@ def extract_nodal_set(fld: ScalarField) -> NodalSet:
         case = case[:, :-1]  # no cell above the last interior row of a strip
     i, j = np.nonzero((case != 0) & (case != 15))
     if len(i) == 0:  # the zero set is empty, as for every ground state
-        return NodalSet(np.zeros((0, 2, 2)), np.zeros(0, dtype=int), 0, s_period=fld.s_period,
-                        h_s=fld.h_s, h_f=fld.h_f, n_rows=n_rows, periodic_f=fld.periodic_f)
+        return NodalSet(np.zeros((0, 2, 2)), np.zeros(0, dtype=int), 0, source=fld)
     i1, j1 = (i + 1) % n_s, (j + 1) % n_rows
     key = case[i, j]
     centre_pos = (v[i, j] + v[i1, j] + v[i1, j1] + v[i, j1]) > 0.0
@@ -242,11 +241,7 @@ def extract_nodal_set(fld: ScalarField) -> NodalSet:
         crossing_s=s[on_s],
         contact_wall=wall,
         contact_s=s_wall,
-        s_period=fld.s_period,
-        h_s=fld.h_s,
-        h_f=fld.h_f,
-        n_rows=n_rows,
-        periodic_f=fld.periodic_f,
+        source=fld,
     )
 
 
@@ -504,9 +499,10 @@ def hausdorff_distance(nodal: NodalSet, zeros, geom: BundleGeometry, sampling: f
 
 def boundary_trace_components(nodal: NodalSet) -> int:
     """Clusters of nodal wall contacts, merged within one cell width."""
-    if nodal.periodic_f:
+    fld = nodal.source
+    if fld.periodic_f:
         raise ValueError("boundary traces require a geometry with boundary")
-    merge = nodal.h_s * (1.0 + 1e-9)
+    merge = fld.h_s * (1.0 + 1e-9)
     total = 0
     for wall in (-1.0, 1.0):
         ss = np.sort(nodal.contact_s[nodal.contact_wall == wall])
@@ -515,7 +511,7 @@ def boundary_trace_components(nodal: NodalSet) -> int:
         gaps = np.diff(ss)
         clusters = 1 + int(np.count_nonzero(gaps > merge))
         if len(ss) > 1 and clusters > 1:
-            wrap_gap = nodal.s_period - (ss[-1] - ss[0])
+            wrap_gap = fld.s_period - (ss[-1] - ss[0])
             if wrap_gap <= merge:
                 clusters -= 1
         total += clusters
@@ -529,7 +525,8 @@ def fiber_reach(nodal: NodalSet, zeros) -> float:
     has reach 0.  ``zeros`` must not be empty.
     """
     seg_s = nodal.segments[:, :, 0].ravel()
-    d = _circle_dist(seg_s[:, None], np.asarray(zeros, dtype=float)[None, :], nodal.s_period)
+    d = _circle_dist(seg_s[:, None], np.asarray(zeros, dtype=float)[None, :],
+                     nodal.source.s_period)
     return float(d.min(axis=1).max(initial=0.0))
 
 
@@ -550,11 +547,11 @@ def graph_over_fiber_check(nodal: NodalSet, zeros_s: list[float], tube_radius: f
     if fiber_reach(nodal, zeros) > tube_radius:
         return False
     in_tube = _circle_dist(nodal.crossing_s[:, None], zeros[None, :],
-                           nodal.s_period) <= tube_radius
+                           nodal.source.s_period) <= tube_radius
     if not np.all(np.any(in_tube, axis=1)):
         return False
     # crossings per (row, tube): exactly one each, a row without any fails
     pairs = nodal.crossing_row[:, None] * len(zeros) + np.arange(len(zeros))
-    hits = np.bincount(pairs[in_tube], minlength=nodal.n_rows * len(zeros))
+    hits = np.bincount(pairs[in_tube], minlength=len(nodal.source.f_nodes) * len(zeros))
     return bool(np.all(hits == 1))
 

@@ -31,7 +31,7 @@ warp ``a`` alone (the fibre term is ``B_f^T B_f`` with the fibre
 coefficient factored out).  The factors are built once per geometry and
 grid and shared by every eps; the operator carries eps as the two
 scalars of that sum, applies ``K`` through the factors and forms the 2D
-matrix only when ``stiffness`` is read.  :func:`prolongate` carries
+matrix once, on the first read of ``stiffness``.  :func:`prolongate` carries
 waveguide grid vectors from one grid to a finer one by nearest-node
 injection.
 """
@@ -126,7 +126,7 @@ class FiberFactors:
                           format="csr")).tocsr()
 
 
-@dataclass
+@dataclass(eq=False)
 class DiscreteOperator:
     """Symmetric stiffness ``K`` with positive diagonal weight ``W``.
 
@@ -138,15 +138,15 @@ class DiscreteOperator:
     comparisons.  ``safe_shift`` lies strictly below every eigenvalue by
     construction: -1 for a semidefinite ``K``, ``min(V) - 1`` for the
     effective operator, a margin below the fibre-block bound on the full
-    waveguide.  ``fiber_factors`` is set on the warped torus, whose
-    operator separates exactly in the fibre direction; there
-    :meth:`apply` works through the eps-free factors and ``eps``, and
-    ``stiffness``, passed as ``None``, is built from them as a CSR matrix
-    on its first read.  Every other operator holds its CSR ``stiffness``.
+    waveguide.  ``matrix`` is ``K`` as a CSR matrix when it is assembled
+    whole.  On the warped torus, whose operator separates exactly in the
+    fibre direction, it is ``None`` and ``fiber_factors`` holds ``K``:
+    :meth:`apply` works through the eps-free factors and ``eps``.  Every
+    operator reads as one CSR matrix through :attr:`stiffness`, and its
+    dimension is that of ``weight``.  Operators compare by identity.
     """
 
-    dim: int
-    stiffness: Optional[sp.csr_matrix]
+    matrix: Optional[sp.csr_matrix]
     weight: np.ndarray
     geometry: Optional[BundleGeometry] = None
     eps: Optional[float] = None
@@ -155,17 +155,16 @@ class DiscreteOperator:
     safe_shift: float = -1.0
     fiber_factors: Optional[FiberFactors] = None
 
-    def __post_init__(self) -> None:
-        if self.stiffness is None:
-            del self.stiffness  # left to __getattr__, which builds it from the factors
+    @property
+    def dim(self) -> int:
+        return len(self.weight)
 
-    def __getattr__(self, name: str):
-        # reached only for attributes missing from the instance
-        factors = self.__dict__.get("fiber_factors")
-        if name != "stiffness" or factors is None:
-            raise AttributeError(name)
-        self.stiffness = factors.matrix(self.eps)
-        return self.stiffness
+    @functools.cached_property
+    def stiffness(self) -> sp.csr_matrix:
+        """``matrix``, or on the torus ``K`` built from the factors at ``eps`` on the first read."""
+        if self.matrix is not None:
+            return self.matrix
+        return self.fiber_factors.matrix(self.eps)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """``K x`` for a vector or a ``(dim, k)`` block of columns.
@@ -284,8 +283,7 @@ def assemble_full(geom: BundleGeometry, eps, grid: GridSpec) -> DiscreteOperator
     s, h_s = base_nodes(geom, grid.n_s)
     s_mid = s + 0.5 * h_s
     f_nodes, _, h_f = fiber_nodes(geom, grid.n_f)
-    n_rows = len(f_nodes)
-    fields = dict(dim=grid.n_s * n_rows, geometry=geom, eps=eps, grid=grid)
+    fields = dict(geometry=geom, eps=eps, grid=grid)
 
     if isinstance(geom, WarpedTorusGeometry):
         # the metric at this eps is refused here where it leaves float range;
@@ -293,8 +291,8 @@ def assemble_full(geom: BundleGeometry, eps, grid: GridSpec) -> DiscreteOperator
         geom.metric_coefficients(eps, s_mid)
         geom.metric_coefficients(eps, s)
         factors = _torus_factors(geom, grid)
-        return DiscreteOperator(stiffness=None,
-                                weight=np.repeat(factors.base_weight / eps, n_rows),
+        return DiscreteOperator(matrix=None,
+                                weight=np.repeat(factors.base_weight / eps, len(f_nodes)),
                                 fiber_factors=factors, **fields)
 
     cell = h_s * h_f
@@ -302,10 +300,10 @@ def assemble_full(geom: BundleGeometry, eps, grid: GridSpec) -> DiscreteOperator
     scale_s = 1.0 / (den_s * h_s) ** 2
     k_f, w = _fiber_blocks(geom, eps, s, grid.n_f, h_s)
     c_s = geom.metric_coefficients(eps, s_mid, f_nodes)[0]  # (n_s, n_rows)
-    diff_s = sp.kron(d_s, sp.identity(n_rows, format="csr"), format="csr")
+    diff_s = sp.kron(d_s, sp.identity(len(f_nodes), format="csr"), format="csr")
     k = _form_matrix(diff_s, c_s.ravel() * (cell * scale_s)) + k_f
     bound = _fiber_ground(k_f, w)
-    return DiscreteOperator(stiffness=k.tocsr(), weight=w,
+    return DiscreteOperator(matrix=k.tocsr(), weight=w,
                             fiber_ground_disc=dirichlet_ground_value(grid.n_f),
                             safe_shift=bound - BOUND_MARGIN * max(1.0, abs(bound)), **fields)
 
@@ -422,5 +420,5 @@ def assemble_effective(geom: BundleGeometry, grid: GridSpec) -> DiscreteOperator
     v_eff = np.asarray(geom.effective_potential(s), dtype=float)
     d, den = _staggered_int(grid.n_s, grid.stencil_order, periodic=True)
     k = _form_matrix(d, np.full(grid.n_s, h_s / (den * h_s) ** 2)) + sp.diags(v_eff * h_s)
-    return DiscreteOperator(dim=grid.n_s, stiffness=k.tocsr(), weight=np.full(grid.n_s, h_s),
+    return DiscreteOperator(matrix=k.tocsr(), weight=np.full(grid.n_s, h_s),
                             geometry=geom, grid=grid, safe_shift=float(np.min(v_eff)) - 1.0)

@@ -257,6 +257,9 @@ def load_config(raw: dict) -> StudyConfig:
         study_block = _only(raw.get("study", {}), ("mode_index", "checks", "out"), "study")
         mode_index = _integer(study_block, "mode_index", 0)
         checks = _list(study_block.get("checks", []), "checks")
+        for name in checks:
+            if not isinstance(name, str):
+                raise ValueError(f"a check name must be a string, got {name!r}")
         out = study_block.get("out")
         if out is not None and not isinstance(out, str):
             raise ValueError(f"'out' must be a path or null, got {out!r}")

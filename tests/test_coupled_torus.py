@@ -63,7 +63,7 @@ def coupled_operator(beta: float, eps: float, grid: GridSpec) -> DiscreteOperato
     c_s = (eps * warp(s + 0.5 * h_s, f)).ravel() * cell
     c_f = (1.0 / (eps * warp(s, f + 0.5 * h_f))).ravel() * cell
     k = d_s.T @ sp.diags(c_s) @ d_s + d_f.T @ sp.diags(c_f) @ d_f
-    return DiscreteOperator(dim=grid.n_s * grid.n_f, stiffness=sp.csr_matrix(k),
+    return DiscreteOperator(matrix=sp.csr_matrix(k),
                             weight=(warp(s, f) / eps).ravel() * cell,
                             geometry=AVERAGED, eps=eps, grid=grid)
 

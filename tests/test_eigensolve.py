@@ -38,9 +38,12 @@ TWO_PI = 2.0 * np.pi
 def diag_operator(k_diag, w_diag):
     """``K = diag(k_diag)``, ``W = diag(w_diag)``, both positive: 0 is a safe shift."""
     k = sp.diags(np.asarray(k_diag, dtype=float)).tocsr()
-    return DiscreteOperator(
-        dim=len(k_diag), stiffness=k, weight=np.asarray(w_diag, dtype=float), safe_shift=0.0,
-    )
+    return DiscreteOperator(matrix=k, weight=np.asarray(w_diag, dtype=float), safe_shift=0.0)
+
+
+def without_factors(op):
+    """The torus operator ``op`` as its 2D matrix alone, for the generic solver paths."""
+    return dataclasses.replace(op, matrix=op.stiffness, fiber_factors=None)
 
 
 def warped_torus(amps=(0.3,)):
@@ -76,7 +79,7 @@ class TestSmallestEigenpairs:
     def test_periodic_laplacian_n4(self):
         d = staggered_diff_periodic(4, 1.0, 2)
         k = (d.T @ d).tocsr()
-        op = DiscreteOperator(dim=4, stiffness=k, weight=np.ones(4))
+        op = DiscreteOperator(matrix=k, weight=np.ones(4))
         pairs = smallest_eigenpairs(op, SolveConfig(k=4))
         assert pairs.values == pytest.approx([0.0, 2.0, 2.0, 4.0], abs=1e-13)
 
@@ -99,8 +102,7 @@ class TestSmallestEigenpairs:
             assert abs(lam - rq) <= 1e-12 * abs(lam) + 1e-14
 
     @pytest.mark.parametrize("make_op", [torus_operator, guide_operator,
-                                         lambda: dataclasses.replace(torus_operator(n=16),
-                                                                     fiber_factors=None)],
+                                         lambda: without_factors(torus_operator(n=16))],
                              ids=["torus", "guide", "dense"])
     def test_one_product_per_returned_vector(self, make_op, monkeypatch):
         op = make_op()
@@ -289,8 +291,7 @@ class TestFiberFourier:
         op = assemble_full(warped_torus(), 0.6, GridSpec(640, 16, 2))
         pairs = smallest_eigenpairs(op, SolveConfig(k=10))
         assert set(pairs.fiber_modes) == {0, 1}
-        ref = smallest_eigenpairs(dataclasses.replace(op, fiber_factors=None),
-                                  SolveConfig(k=10))
+        ref = smallest_eigenpairs(without_factors(op), SolveConfig(k=10))
         assert ref.fiber_modes is None
         assert np.all(np.abs(pairs.values - ref.values) <= 1e-10 * np.maximum(1.0, ref.values))
 
@@ -334,8 +335,7 @@ class TestFiberFourier:
             TWO_PI, 0.0 if exp else 1.0, (0.3,)), warp_is_exp=exp)
         levels = []
         for eps in (0.3, 0.1):
-            op = dataclasses.replace(assemble_full(geom, eps, GridSpec(20, 16, order)),
-                                     fiber_factors=None)
+            op = without_factors(assemble_full(geom, eps, GridSpec(20, 16, order)))
             pairs = smallest_eigenpairs(op, SolveConfig(k=24))
             grid = pairs.vectors.T.reshape(-1, 20, 16)
             constant = np.ptp(grid, axis=2).max(axis=1) <= 1e-8 * np.abs(grid).max(axis=(1, 2))
@@ -371,7 +371,7 @@ def guide_operator_order4():
 def closed_torus_operator():
     # the 2D periodic operator without its fibre factors: semidefinite K,
     # default shift -1, periodic wrap couplings in both grid directions
-    return dataclasses.replace(torus_operator(n=32), fiber_factors=None)
+    return without_factors(torus_operator(n=32))
 
 
 def long_diagonal_operator():
@@ -503,7 +503,7 @@ class TestShiftInvert:
     def test_start_is_ignored_off_the_shift_invert_path(self, path):
         op = torus_operator(n=16)
         if path == "dense":
-            op = dataclasses.replace(op, fiber_factors=None)
+            op = without_factors(op)
         start = np.random.default_rng(1).standard_normal((op.dim, 3))
         cold = smallest_eigenpairs(op, SolveConfig(k=3))
         warm = smallest_eigenpairs(op, SolveConfig(k=3), start=start)
@@ -540,8 +540,7 @@ class InlineWorker:
 
 def band_operator(a):
     # the shift-invert path, at a shift of 0: K - 0 W = a
-    return DiscreteOperator(dim=a.shape[0], stiffness=a.tocsr(), weight=np.ones(a.shape[0]),
-                            safe_shift=0.0)
+    return DiscreteOperator(matrix=a.tocsr(), weight=np.ones(a.shape[0]), safe_shift=0.0)
 
 
 class TestTwoSidedBand:

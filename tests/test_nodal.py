@@ -79,7 +79,7 @@ class TestExtractNodalSet:
         assert nodal.component_count == 2
         # each component closes around the fibre circle: one crossing per row,
         # located at the zeros of the cosine
-        for j in range(nodal.n_rows):
+        for j in range(len(nodal.source.f_nodes)):
             ss = nodal.crossing_s[nodal.crossing_row == j]
             assert len(ss) == 2
             assert np.allclose(np.sort(ss), [np.pi / 2, 3 * np.pi / 2], atol=1e-9)
@@ -89,8 +89,8 @@ class TestExtractNodalSet:
             torus_field(lambda s, t: np.cos(s + 0.3) * np.cos(t + 0.2) + 0.1)
         )
         spans = np.abs(nodal.segments[:, 1] - nodal.segments[:, 0])
-        assert np.all(spans[:, 0] <= nodal.h_s * (1 + 1e-12))
-        assert np.all(spans[:, 1] <= nodal.h_f * (1 + 1e-12))
+        assert np.all(spans[:, 0] <= nodal.source.h_s * (1 + 1e-12))
+        assert np.all(spans[:, 1] <= nodal.source.h_f * (1 + 1e-12))
 
     @pytest.mark.parametrize("m,expected", [(1, 2), (2, 4), (3, 6)])
     def test_cos_multiples_components(self, m, expected):
@@ -968,13 +968,13 @@ def row_loop_graph_check(nodal, zeros_s, tube_radius):
         return False
     if len(zeros) == 0:
         return len(nodal.segments) == 0
-    period = nodal.s_period
+    period = nodal.source.s_period
     seg_s = nodal.segments[:, :, 0].ravel()
     if len(seg_s):
         dmin = np.min(nodal_module._circle_dist(seg_s[:, None], zeros[None, :], period), axis=1)
         if float(dmin.max()) > tube_radius:
             return False
-    for j in range(nodal.n_rows):
+    for j in range(len(nodal.source.f_nodes)):
         ss = nodal.crossing_s[nodal.crossing_row == j]
         if len(ss) == 0:
             return False

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -363,6 +365,29 @@ class TestKroneckerApply:
         first = op.stiffness
         monkeypatch.setattr(FiberFactors, "matrix", lambda *_: pytest.fail("built twice"))
         assert op.stiffness is first
+
+    def test_repr_builds_no_matrix(self):
+        op = assemble_full(warped_torus(), 0.1, GridSpec(16, 16, 2))
+        repr(op)
+        assert "stiffness" not in vars(op)
+
+    def test_replaced_eps_reads_the_matrix_at_that_eps(self):
+        geom, grid = warped_torus(), GridSpec(16, 16, 2)
+        op = assemble_full(geom, 0.1, grid)
+        op.stiffness  # built at eps 0.1
+        moved = dataclasses.replace(op, eps=0.05)
+        x = np.random.default_rng(3).standard_normal(op.dim)
+        want = moved.apply(x)
+        assert np.max(np.abs(moved.stiffness @ x - want)) <= 1e-12 * np.abs(want).max()
+        fresh = assemble_full(geom, 0.05, grid).stiffness
+        assert (moved.stiffness != fresh).nnz == 0
+
+    @pytest.mark.parametrize("make_geom", [warped_torus, round_guide], ids=["torus", "guide"])
+    def test_identical_assemblies_compare_by_identity(self, make_geom):
+        geom, grid = make_geom(), GridSpec(16, 17, 2)
+        op = assemble_full(geom, 0.1, grid)
+        assert (op == assemble_full(geom, 0.1, grid)) is False
+        assert op == op
 
 
 class TestFactorCache:

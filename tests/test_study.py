@@ -215,11 +215,20 @@ class TestLoadConfig:
         (None, "epsilons", [], "need at least one epsilon"),
         ("grid", "refine", 1, "refinement factor must be at least 2"),
         ("study", "mode_index", -1, "mode_index must be nonnegative"),
+        ("solver", "seed", -1, "seed must be nonnegative"),
     ])
     def test_well_formed_but_refused_field(self, block, key, value, message):
         cfg = flat_config()
         (cfg[block] if block else cfg)[key] = value
         with pytest.raises(ConfigError, match=f"^{message}$"):
+            load_config(cfg)
+
+    @pytest.mark.parametrize("entry", [["isotopy"], {"a": 1}], ids=["list", "object"])
+    def test_check_entry_that_is_not_a_string_refused(self, entry):
+        cfg = flat_config()
+        cfg["study"]["checks"] = [entry]
+        message = f"bad study configuration: a check name must be a string, got {entry!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load_config(cfg)
 
     def test_unknown_check_rejected(self):
@@ -1302,6 +1311,25 @@ class TestCli:
         assert captured.out == "" and not (tmp_path / "out").exists()
         (line,) = captured.err.splitlines()
         assert line.startswith(f"config error: check {check!r} judges ")
+
+    @pytest.mark.parametrize("command, block, key, value", [
+        ("study", "study", "checks", [["isotopy"]]),
+        ("study", "study", "checks", [{"a": 1}]),
+        ("solve", "solver", "seed", -1),
+        ("study", "solver", "seed", -1),
+    ], ids=["study-list-check", "study-object-check", "solve-seed", "study-seed"])
+    def test_bad_check_entry_or_seed_is_one_config_error(self, tmp_path, capsys,
+                                                         command, block, key, value):
+        cfg = small_guide_config()
+        cfg[block][key] = value
+        path = self.write_config(tmp_path, cfg)
+        args = (["--epsilon", "0.2", "--k", "3"] if command == "solve"
+                else ["--out", str(tmp_path / "out")])
+        assert cli_main([command, "--config", path, *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("config error: ")
 
     def test_unreachable_tolerance_is_solver_failure(self, tmp_path, capsys):
         cfg = flat_config()
